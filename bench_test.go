@@ -173,7 +173,7 @@ func benchMetric(b *testing.B, m metric.Metric, kind string, n int) {
 // cubic sweep is abandoned; compare with BenchmarkContextualExactDNA200.
 func BenchmarkContextualBoundedDNA200(b *testing.B) {
 	x, y := distPairs(b, "dna", 200)
-	m := metric.Contextual().(metric.BoundedMetric)
+	m := metric.Contextual().(metric.Staged)
 	cutoff := m.Distance(x, y) / 2
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -225,7 +225,7 @@ func BenchmarkAblationSearchers(b *testing.B) {
 	corpus := dataset.Spanish(400, 12).Runes()
 	queries := dataset.PerturbQueries(dataset.Spanish(400, 12), 40, 2, 13).Runes()
 	m := metric.ContextualHeuristic()
-	searchers := []search.Searcher{
+	searchers := []search.Index{
 		search.NewLinear(corpus, m),
 		search.NewLAESA(corpus, m, 30, search.MaxSum, 14),
 		search.NewAESA(corpus, m),

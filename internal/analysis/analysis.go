@@ -113,7 +113,7 @@ func HasMarker(doc *ast.CommentGroup, marker string) bool {
 
 // LineMarked reports whether any comment on pos's source line carries the
 // given //ced: marker — the waiver form for single expressions, e.g.
-// `got, _, _ := idx.KNearestBounded(q, k, b) //ced:stagecount-ok: ...`.
+// `ix.Query(ctx, q, req) //ced:stagecount-ok: ...`.
 func (p *Pass) LineMarked(pos token.Pos, marker string) bool {
 	tf := p.Fset.File(pos)
 	if tf == nil {

@@ -1,12 +1,13 @@
-// Package boundconv enforces the wire encoding of pruning bounds
-// introduced with the PR-6 remote shard transport: JSON cannot carry IEEE
-// infinities, so an unbounded (+Inf) pruning radius travels as a negative
-// number and exists ONLY on the wire. Locally, bounds are always plain
-// radii with +Inf meaning "none" — so a negative literal handed to a local
-// bounded entry point (KNearestBounded, ComputeBounded, ...) is a smuggled
-// wire value that would reject every candidate, and a wire struct's Bound
-// field may be produced only by wireBound and consumed only by
-// fromWireBound, never compared or computed with while still encoded.
+// Package boundconv enforces the wire encoding of pruning bounds used by
+// the remote shard transport: JSON cannot carry IEEE infinities, so an
+// unbounded (+Inf) pruning radius travels as a negative number and exists
+// ONLY on the wire. Locally, bounds are always plain radii with +Inf
+// meaning "none" — so a negative literal carried by a search request
+// (search.KNN) or handed to a bounded evaluation
+// (ComputeBounded, DistanceStaged, ...) is a smuggled wire value that would
+// reject every candidate, and a wire struct's Bound field may be produced
+// only by wireBound and consumed only by fromWireBound, never compared or
+// computed with while still encoded.
 package boundconv
 
 import (
@@ -21,22 +22,22 @@ import (
 // Analyzer is the boundconv pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "boundconv",
-	Doc: "negative pruning bounds mean +Inf only in the wire encoding: local " +
-		"bounded calls must receive math.Inf(1), and a wire request's Bound field " +
+	Doc: "negative pruning bounds mean +Inf only in the wire encoding: search " +
+		"requests and bounded evaluations must receive math.Inf(1), and a wire request's Bound field " +
 		"must be written via wireBound and read via fromWireBound only " +
 		"(//ced:boundconv-ok waives a reviewed line)",
 	Run: run,
 }
 
-// boundedCallees take the pruning bound/cutoff as their LAST argument.
+// boundedCallees take the pruning bound/cutoff as their LAST argument: the
+// search request constructors and the bounded evaluations.
 var boundedCallees = map[string]bool{
-	"KNearestBounded":       true,
+	"KNN":                   true,
 	"ComputeBounded":        true,
 	"ComputeBoundedStaged":  true,
 	"DistanceBounded":       true,
 	"DistanceBoundedStaged": true,
 	"DistanceStaged":        true,
-	"NewMergerBounded":      true,
 }
 
 func run(pass *analysis.Pass) error {

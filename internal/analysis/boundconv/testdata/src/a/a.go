@@ -27,32 +27,38 @@ func fromWireBound(b float64) float64 {
 	return b
 }
 
-// KNearestBounded is a stand-in for the local bounded entry points.
-func KNearestBounded(q string, k int, bound float64) int { return k }
+// Request mirrors search.Request: the pruning bound rides inside it.
+type Request struct {
+	k     int
+	bound float64
+}
 
-// negLiteral smuggles the wire sentinel into a local call.
-func negLiteral() {
-	KNearestBounded("q", 5, -1) // want `negative bound -1 passed to KNearestBounded`
+// KNN mirrors search.KNN, the k-NN request constructor.
+func KNN(k int, bound float64) Request { return Request{k: k, bound: bound} }
+
+// negLiteral smuggles the wire sentinel into a local request.
+func negLiteral() Request {
+	return KNN(5, -1) // want `negative bound -1 passed to KNN`
 }
 
 // negConst does the same through a named constant.
-func negConst() {
-	KNearestBounded("q", 5, noBound) // want `negative bound -1 passed to KNearestBounded`
+func negConst() Request {
+	return KNN(5, noBound) // want `negative bound -1 passed to KNN`
 }
 
 // infBound is the sanctioned local spelling of "no bound".
-func infBound() {
-	KNearestBounded("q", 5, math.Inf(1))
+func infBound() Request {
+	return KNN(5, math.Inf(1))
 }
 
 // finiteBound is an ordinary pruning radius.
-func finiteBound() {
-	KNearestBounded("q", 5, 0.25)
+func finiteBound() Request {
+	return KNN(5, 0.25)
 }
 
 // waivedNeg is a reviewed exception.
-func waivedNeg() {
-	KNearestBounded("q", 5, -1) //ced:boundconv-ok: exercising the reject-all path.
+func waivedNeg() Request {
+	return KNN(5, -1) //ced:boundconv-ok: exercising the reject-all path.
 }
 
 // encode builds a wire request the sanctioned way.

@@ -1,12 +1,13 @@
 // Package stagecount protects the observability contract of the staged
-// rejection ladder (PR-4/PR-5): every bounded search returns a StageCounts
-// tally saying which bound stage rejected each candidate, and callers are
-// expected to merge those counters upward (shard.Stats.Add, queryShard's
-// rej merging) so operators can see where pruning happens. Discarding a
-// StageCounts — with a blank identifier or by dropping a call's results on
-// the floor — silently zeroes a shard's contribution to the global tally,
-// which is how dashboards end up lying. Deliberate discards (benchmarks,
-// tests pinning unrelated behaviour) carry a //ced:stagecount-ok marker.
+// rejection ladder: every search answer (search.Answer) carries a
+// StageCounts tally saying which bound stage rejected each candidate, and
+// callers are expected to merge those counters upward (search.Stats.Add in
+// the shard and cluster merges) so operators can see where pruning
+// happens. Discarding a StageCounts — with a blank identifier or by
+// dropping a call's results on the floor — silently zeroes a shard's
+// contribution to the global tally, which is how dashboards end up lying.
+// Deliberate discards (benchmarks, tests pinning unrelated behaviour) carry
+// a //ced:stagecount-ok marker.
 package stagecount
 
 import (
@@ -19,7 +20,7 @@ import (
 // Analyzer is the stagecount pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "stagecount",
-	Doc: "StageCounts returned by bounded searches must be merged into the " +
+	Doc: "StageCounts carried by search answers must be merged into the " +
 		"caller's tally, not discarded with _ or an expression statement; " +
 		"batch results carrying per-candidate StageCounts count too " +
 		"(//ced:stagecount-ok waives a deliberate discard)",
@@ -34,12 +35,13 @@ func isStageCounts(t types.Type) bool {
 }
 
 // carriesStageCounts reports whether t is, or transitively contains, a
-// StageCounts: the batch ladder entry points return slices of per-candidate
-// results each holding its own tally, and dropping the whole call on the
-// floor loses the counters just as surely as dropping a bare StageCounts.
-// Only bare expression statements use the transitive rule — blank assigns
-// keep the strict bare-StageCounts check, because `hits, _ :=` legitimately
-// keeps the tally through the other results.
+// StageCounts: a search answer carries its Stats, and the batch ladder entry
+// points return slices of per-candidate results each holding its own tally,
+// so dropping the whole call on the floor loses the counters just as surely
+// as dropping a bare StageCounts. Only bare expression statements use the
+// transitive rule — blank assigns keep the strict bare-StageCounts check,
+// because `hits, _, err :=` on a merged query legitimately drops stats a
+// caller never reports.
 func carriesStageCounts(t types.Type) bool {
 	return carries(t, make(map[types.Type]bool))
 }
@@ -87,43 +89,20 @@ func run(pass *analysis.Pass) error {
 // checkAssign flags blank-identifier positions whose incoming value is a
 // StageCounts.
 func checkAssign(pass *analysis.Pass, as *ast.AssignStmt) {
-	report := func(pos ast.Node) {
-		if pass.LineMarked(pos.Pos(), "stagecount-ok") {
-			return
-		}
-		pass.Reportf(pos.Pos(),
-			"StageCounts discarded with _: merge the rejection tally into the caller's "+
-				"counters (StageCounts.Add / shard.Stats.Add) so stage accounting stays honest")
-	}
-	isBlank := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && id.Name == "_"
-	}
-	if len(as.Lhs) > 1 && len(as.Rhs) == 1 {
-		// Multi-value call: x, _, _ := f().
-		tv, ok := pass.TypesInfo.Types[as.Rhs[0]]
-		if !ok {
-			return
-		}
-		tuple, ok := tv.Type.(*types.Tuple)
-		if !ok || tuple.Len() != len(as.Lhs) {
-			return
-		}
-		for i, lhs := range as.Lhs {
-			if isBlank(lhs) && isStageCounts(tuple.At(i).Type()) {
-				report(lhs)
-			}
-		}
+	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
-	if len(as.Lhs) == len(as.Rhs) {
-		for i, lhs := range as.Lhs {
-			if isBlank(lhs) {
-				if tv, ok := pass.TypesInfo.Types[as.Rhs[i]]; ok && isStageCounts(tv.Type) {
-					report(lhs)
-				}
-			}
+	for i, lhs := range as.Lhs {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || id.Name != "_" {
+			continue
 		}
+		if tv, ok := pass.TypesInfo.Types[as.Rhs[i]]; !ok || !isStageCounts(tv.Type) || pass.LineMarked(lhs.Pos(), "stagecount-ok") {
+			continue
+		}
+		pass.Reportf(lhs.Pos(),
+			"StageCounts discarded with _: merge the rejection tally into the caller's "+
+				"counters (StageCounts.Merge / search.Stats.Add) so stage accounting stays honest")
 	}
 }
 
@@ -154,5 +133,5 @@ func checkExprStmt(pass *analysis.Pass, st *ast.ExprStmt) {
 	}
 	pass.Reportf(call.Pos(),
 		"call result containing StageCounts dropped: merge the rejection tally into the "+
-			"caller's counters (StageCounts.Add / shard.Stats.Add) so stage accounting stays honest")
+			"caller's counters (StageCounts.Merge / search.Stats.Add) so stage accounting stays honest")
 }

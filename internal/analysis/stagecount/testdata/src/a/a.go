@@ -15,46 +15,49 @@ func (c *StageCounts) Add(o StageCounts) {
 	c.Exact += o.Exact
 }
 
-// Stats mirrors shard.Stats.
+// Stats mirrors search.Stats.
 type Stats struct {
 	Computations int
 	Rejections   StageCounts
 }
 
-// KNearestBounded is a stand-in for the bounded search entry points.
-func KNearestBounded(q string, k int, bound float64) ([]string, int, StageCounts) {
-	return nil, 0, StageCounts{}
+// Answer mirrors search.Answer: the hits plus the work spent.
+type Answer struct {
+	Hits []string
+	Stats
 }
 
-// blankDiscard throws the tally away.
-func blankDiscard(q string) []string {
-	got, _, _ := KNearestBounded(q, 5, 0.25) // want `StageCounts discarded with _`
-	return got
+// Query is a stand-in for the search entry points.
+func Query(q string, k int) (Answer, error) {
+	return Answer{}, nil
 }
 
-// merged is the sanctioned idiom, mirroring shard.queryShard.
+// merged is the sanctioned idiom, mirroring the shard merge.
 func merged(q string, stats *Stats) []string {
-	got, n, rej := KNearestBounded(q, 5, 0.25)
-	stats.Computations += n
-	stats.Rejections.Add(rej)
-	return got
+	ans, err := Query(q, 5)
+	if err != nil {
+		return nil
+	}
+	stats.Computations += ans.Computations
+	stats.Rejections.Add(ans.Rejections)
+	return ans.Hits
 }
 
-// dropped throws every result away, tally included.
+// dropped throws the whole answer away, tally included.
 func dropped(q string) {
-	KNearestBounded(q, 5, 0.25) // want `call result containing StageCounts dropped`
+	Query(q, 5) // want `call result containing StageCounts dropped`
 }
 
-// singleBlank discards a lone StageCounts value.
-func singleBlank(q string) {
-	_, _, rej := KNearestBounded(q, 5, 0.25)
-	_ = rej // want `StageCounts discarded with _`
+// blankTally discards a lone StageCounts value.
+func blankTally(q string) []string {
+	ans, _ := Query(q, 5)
+	_ = ans.Rejections // want `StageCounts discarded with _`
+	return ans.Hits
 }
 
-// waived pins unrelated behaviour and documents the deliberate discard.
-func waived(q string) []string {
-	got, _, _ := KNearestBounded(q, 5, 0.25) //ced:stagecount-ok: test pins result order only.
-	return got
+// waived documents a deliberate discard (e.g. a benchmark warm-up query).
+func waived(q string) {
+	Query(q, 5) //ced:stagecount-ok: warm-up query, answer unused.
 }
 
 // BatchResult mirrors core.BoundedResult: one candidate of a batch ladder

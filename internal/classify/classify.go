@@ -62,7 +62,7 @@ func (o *Outcome) Merge(other Outcome) {
 // trainLabels[i] must be the label of the searcher's corpus element i; the
 // number of classes is inferred from the largest label seen. It returns an
 // error when the label slices are inconsistent with the data sizes.
-func Evaluate(s search.Searcher, trainLabels []int, queries [][]rune, queryLabels []int) (Outcome, error) {
+func Evaluate(s search.Index, trainLabels []int, queries [][]rune, queryLabels []int) (Outcome, error) {
 	if s.Size() != len(trainLabels) {
 		return Outcome{}, fmt.Errorf("classify: %d corpus elements but %d training labels", s.Size(), len(trainLabels))
 	}

@@ -155,7 +155,7 @@ func RunSearcherAblation(cfg SearcherAblationConfig, progress Progress) Searcher
 	bk := search.NewBKTree(corpus, m)
 	tr := search.NewTrie(corpus)
 	type entry struct {
-		s    search.Searcher
+		s    search.Index
 		prep int
 	}
 	entries := []entry{

@@ -131,7 +131,7 @@ func RunTable2(cfg Table2Config, progress Progress) (Table2Result, error) {
 // parallelEvaluate shards queries over workers (Search is read-only and
 // safe for concurrent use) and merges the outcomes deterministically in
 // shard order.
-func parallelEvaluate(s search.Searcher, trainLabels []int, queries [][]rune, queryLabels []int, workers int) (classify.Outcome, error) {
+func parallelEvaluate(s search.Index, trainLabels []int, queries [][]rune, queryLabels []int, workers int) (classify.Outcome, error) {
 	w := defaultWorkers(workers)
 	if w > len(queries) {
 		w = len(queries)

@@ -33,22 +33,6 @@ type Metric interface {
 	Distance(a, b []rune) float64
 }
 
-// BoundedMetric is the capability interface for metrics that can evaluate
-// a distance under a cutoff, abandoning work once the value is provably
-// above it. DistanceBounded returns (d, true) with d the exact distance —
-// guaranteed whenever the true distance is at most cutoff — or (v, false)
-// when the metric proved the true distance exceeds cutoff without
-// finishing the evaluation. On a bail, cutoff < v but v is otherwise
-// implementation-defined (the contextual kernel returns an upper bound of
-// the true distance, the banded Levenshtein engine a lower one): callers
-// may act only on the proof that the true distance exceeds the cutoff.
-// Triangle-inequality searchers pass their current pruning radius as the
-// cutoff, so eliminated candidates cost a fraction of a full evaluation.
-type BoundedMetric interface {
-	Metric
-	DistanceBounded(a, b []rune, cutoff float64) (float64, bool)
-}
-
 // Stage identifies the rung of the staged bound ladder that resolved one
 // bounded evaluation; it aliases core.Stage so searchers and the serving
 // layer index per-stage counters without importing internal/core.
@@ -67,14 +51,27 @@ const (
 	NumStages      = core.NumStages
 )
 
-// Staged is the capability interface for bounded metrics that additionally
-// report which ladder rung resolved each evaluation. DistanceStaged has
-// exactly the DistanceBounded contract plus the Stage: on a rejection the
-// cheapest rung whose lower bound cleared the cutoff, on an exact result
-// the rung that produced the value. Searchers aggregate the stages into the
-// per-query rejection counters surfaced by the serving layer.
+// Staged is the capability interface for metrics that evaluate a distance
+// under a cutoff through a staged bound ladder, abandoning work once the
+// value is provably above the cutoff. DistanceBounded returns (d, true)
+// with d the exact distance — guaranteed whenever the true distance is at
+// most cutoff — or (v, false) when the metric proved the true distance
+// exceeds cutoff without finishing the evaluation. On a bail, cutoff < v
+// but v is otherwise implementation-defined (the contextual kernel returns
+// an upper bound of the true distance, the banded Levenshtein engine a
+// lower one): callers may act only on the proof that the true distance
+// exceeds the cutoff. Triangle-inequality searchers pass their current
+// pruning bound as the cutoff, so eliminated candidates cost a fraction of
+// a full evaluation.
+//
+// DistanceStaged has exactly the DistanceBounded contract plus the Stage:
+// on a rejection the cheapest rung whose lower bound cleared the cutoff, on
+// an exact result the rung that produced the value. Searchers aggregate the
+// stages into the per-query rejection counters surfaced by the serving
+// layer.
 type Staged interface {
-	BoundedMetric
+	Metric
+	DistanceBounded(a, b []rune, cutoff float64) (float64, bool)
 	DistanceStaged(a, b []rune, cutoff float64) (float64, bool, Stage)
 }
 
@@ -132,7 +129,7 @@ func (levenshteinMetric) Distance(a, b []rune) float64 {
 
 // DistanceBounded resolves dE against the cutoff with the early-exiting
 // bit-parallel engine. Bail values are lower bounds of dE (the band only
-// proves dE > k), which the BoundedMetric contract permits.
+// proves dE > k), which the Staged contract permits.
 func (m levenshteinMetric) DistanceBounded(a, b []rune, cutoff float64) (float64, bool) {
 	d, exact, _ := m.DistanceStaged(a, b, cutoff)
 	return d, exact
@@ -185,8 +182,8 @@ func levStaged(s *editdist.Scratch, a, b []rune, cutoff float64) (float64, bool,
 // evaluations, keeping them allocation-free at steady state.
 var edScratch = sync.Pool{New: func() any { return new(editdist.Scratch) }}
 
-// Levenshtein returns the plain edit distance dE. It implements
-// BoundedMetric and Staged through the early-exiting bit-parallel Myers
+// Levenshtein returns the plain edit distance dE. It implements Staged
+// through the early-exiting bit-parallel Myers
 // engine (O(k·min(|a|,|b|)) banded fallback for patterns beyond a machine
 // word), Sessioner (per-worker scratch) and, via its sessions, Batcher
 // (the multi-candidate kernel).
@@ -313,8 +310,9 @@ func (s *contextualSession) DistanceBatch(a []rune, bs [][]rune, out []float64) 
 
 // Contextual returns the exact contextual normalised distance dC: Algorithm
 // 1 of the paper, pruned to the heuristic-derived edit-length band and
-// running on pooled workspaces. It implements BoundedMetric (cutoff-aware
-// early abandon) and Sessioner (per-goroutine workspaces).
+// running on pooled workspaces. It implements Staged (cutoff-aware early
+// abandon through the bound ladder) and Sessioner (per-goroutine
+// workspaces).
 func Contextual() Metric {
 	return contextualMetric{}
 }
@@ -339,7 +337,7 @@ func (s *contextualHeuristicSession) Distance(a, b []rune) float64 {
 
 // ContextualHeuristic returns the quadratic heuristic dC,h of §4.1, the
 // variant the paper uses for all large experiments. It implements Sessioner
-// (per-goroutine workspaces). It does not implement BoundedMetric: dC,h is
+// (per-goroutine workspaces). It does not implement Staged: dC,h is
 // the cost of the single k = dE path, and the whole quadratic program must
 // run before that path is known — a cutoff saves nothing.
 func ContextualHeuristic() Metric {
@@ -447,35 +445,25 @@ func (c *Counter) Distance(a, b []rune) float64 {
 	return c.M.Distance(a, b)
 }
 
-// DistanceBounded increments the counter and delegates to the wrapped
-// metric's bounded evaluation when available, falling back to an exact
-// Distance otherwise — a bounded evaluation still counts as one distance
-// computation (the paper's cost measure counts evaluations, not their
-// internal work).
+// DistanceBounded counts the evaluation like DistanceStaged.
 func (c *Counter) DistanceBounded(a, b []rune, cutoff float64) (float64, bool) {
 	d, exact, _ := c.DistanceStaged(a, b, cutoff)
 	return d, exact
 }
 
 // DistanceStaged counts the evaluation, delegates to the wrapped metric's
-// staged evaluation when available (bounded, then exact, otherwise) and
+// staged evaluation when it has one (an exact Distance otherwise — a
+// bounded evaluation still counts as one distance computation: the paper's
+// cost measure counts evaluations, not their internal work) and
 // accumulates the resolving stage in c.Stages.
 func (c *Counter) DistanceStaged(a, b []rune, cutoff float64) (float64, bool, Stage) {
 	c.N++
-	var (
-		d     float64
-		exact bool
-		stage Stage
-	)
-	switch m := c.M.(type) {
-	case Staged:
-		d, exact, stage = m.DistanceStaged(a, b, cutoff)
-	case BoundedMetric:
-		d, exact = m.DistanceBounded(a, b, cutoff)
-		stage = StageExact
-	default:
-		d, exact, stage = c.M.Distance(a, b), true, StageExact
+	st, ok := c.M.(Staged)
+	if !ok {
+		c.Stages[StageExact]++
+		return c.M.Distance(a, b), true, StageExact
 	}
+	d, exact, stage := st.DistanceStaged(a, b, cutoff)
 	c.Stages[stage]++
 	return d, exact, stage
 }

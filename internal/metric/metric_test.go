@@ -105,9 +105,9 @@ func TestNewWrapsFunction(t *testing.T) {
 }
 
 func TestContextualBoundedContract(t *testing.T) {
-	m, ok := Contextual().(BoundedMetric)
+	m, ok := Contextual().(Staged)
 	if !ok {
-		t.Fatal("Contextual must implement BoundedMetric")
+		t.Fatal("Contextual must implement Staged")
 	}
 	a, b := []rune("ababa"), []rune("baab")
 	want := m.Distance(a, b) // 8/15
@@ -124,9 +124,9 @@ func TestContextualBoundedContract(t *testing.T) {
 }
 
 func TestLevenshteinBoundedContract(t *testing.T) {
-	m, ok := Levenshtein().(BoundedMetric)
+	m, ok := Levenshtein().(Staged)
 	if !ok {
-		t.Fatal("Levenshtein must implement BoundedMetric")
+		t.Fatal("Levenshtein must implement Staged")
 	}
 	a, b := []rune("kitten"), []rune("sitting")
 	if d, exact := m.DistanceBounded(a, b, 10); !exact || d != 3 {
@@ -171,9 +171,9 @@ func TestSessionsMatchSharedMetrics(t *testing.T) {
 
 func TestContextualSessionBounded(t *testing.T) {
 	sess := Contextual().(Sessioner).Session()
-	bm, ok := sess.(BoundedMetric)
+	bm, ok := sess.(Staged)
 	if !ok {
-		t.Fatal("contextual session must implement BoundedMetric")
+		t.Fatal("contextual session must implement Staged")
 	}
 	a, b := []rune("ababa"), []rune("baab")
 	want := Contextual().Distance(a, b)

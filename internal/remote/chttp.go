@@ -5,11 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
 
-	"ced/internal/metric"
+	"ced/internal/search"
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
@@ -19,97 +20,22 @@ import (
 // shard-transport one.
 const maxCoordinatorBody = 8 << 20
 
-// Client-facing request and response bodies, mirroring the cedserve JSON
-// API (internal/serve) so a monolithic client retargets a coordinator by
-// changing nothing but the URL. Neighbor indexes are the cluster-stable
-// global IDs, exactly like the monolithic engine after mutations.
-type (
-	cKNNRequest struct {
-		Query string `json:"query"`
-		K     int    `json:"k"`
-	}
-	cRadiusRequest struct {
-		Query  string  `json:"query"`
-		Radius float64 `json:"radius"`
-	}
-	cClassifyRequest struct {
-		Query string `json:"query"`
-	}
-	cAddRequest struct {
-		Value *string `json:"value"`
-		Label *int    `json:"label"`
-	}
-	cDeleteRequest struct {
-		ID *uint64 `json:"id"`
-	}
-
-	cNeighbor struct {
-		Index    int     `json:"index"`
-		Value    string  `json:"value"`
-		Distance float64 `json:"distance"`
-	}
-	cStageRejections struct {
-		Length    int64 `json:"length"`
-		Edit      int64 `json:"edit"`
-		Heuristic int64 `json:"heuristic"`
-		Exact     int64 `json:"exact"`
-	}
-	cQueryMeta struct {
-		Computations int              `json:"computations"`
-		Rejections   cStageRejections `json:"rejections"`
-		LatencyMS    float64          `json:"latency_ms"`
-	}
-	// cDegradedMeta tags a partial answer served under AllowDegraded: the
-	// named logical shards contributed nothing. Absent (omitted) on every
-	// complete answer, so default-mode clients never see the fields.
-	cDegradedMeta struct {
-		Degraded      bool  `json:"degraded,omitempty"`
-		MissingShards []int `json:"missing_shards,omitempty"`
-	}
-	cKNNResponse struct {
-		Results []cNeighbor `json:"results"`
-		cQueryMeta
-		cDegradedMeta
-	}
-	cClassifyResponse struct {
-		Label    int       `json:"label"`
-		Neighbor cNeighbor `json:"neighbor"`
-		cQueryMeta
-		cDegradedMeta
-	}
-	cMutateResponse struct {
-		ID   uint64 `json:"id"`
-		Size int    `json:"size"`
-	}
-	cHealthResponse struct {
-		Status  string      `json:"status"`
-		Cluster ClusterInfo `json:"cluster"`
-	}
-)
-
-func cNeighborOf(h shard.Hit) cNeighbor {
-	return cNeighbor{Index: int(h.ID), Value: h.Value, Distance: h.Distance}
+// cHealthResponse is the coordinator's /healthz body. Every other body is
+// serve's client JSON (serve.KNNRequest, serve.KNNResponse, ...), so a
+// monolithic client retargets a coordinator by changing nothing but the
+// URL. Neighbor indexes are the cluster-stable global IDs, exactly like
+// the monolithic engine after mutations.
+type cHealthResponse struct {
+	Status  string      `json:"status"`
+	Cluster ClusterInfo `json:"cluster"`
 }
 
 // cDegraded converts a (possibly nil) *Degraded tag into response metadata.
-func cDegraded(deg *Degraded) cDegradedMeta {
+func cDegraded(deg *Degraded) serve.DegradedMeta {
 	if deg == nil {
-		return cDegradedMeta{}
+		return serve.DegradedMeta{}
 	}
-	return cDegradedMeta{Degraded: true, MissingShards: deg.MissingShards}
-}
-
-func cMeta(st shard.Stats, start time.Time) cQueryMeta {
-	return cQueryMeta{
-		Computations: st.Computations,
-		Rejections: cStageRejections{
-			Length:    st.Rejections[metric.StageLength],
-			Edit:      st.Rejections[metric.StageEdit],
-			Heuristic: st.Rejections[metric.StageHeuristic],
-			Exact:     st.Rejections[metric.StageExact],
-		},
-		LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
+	return serve.DegradedMeta{Degraded: true, MissingShards: deg.MissingShards}
 }
 
 // NewCoordinatorHandler wraps a Coordinator in the client-facing cedserve
@@ -154,52 +80,33 @@ func NewCoordinatorHandler(c *Coordinator) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, cHealthResponse{Status: status, Cluster: info})
 	})
-	mux.HandleFunc("POST /knn", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req cKNNRequest
-		if !decodeCoordinator(w, r, &req) {
-			return
-		}
+	// answer serves the single-query search endpoints.
+	answer := func(ctx context.Context, w http.ResponseWriter, q string, req search.Request) {
 		start := time.Now()
-		hits, st, err := c.KNearest(ctx, req.Query, req.K)
+		hits, st, err := c.Query(ctx, q, req)
 		var deg *Degraded
 		if err != nil && !errors.As(err, &deg) {
 			writeCoordinatorError(c, w, err)
 			return
 		}
-		results := make([]cNeighbor, len(hits))
-		for i, h := range hits {
-			results[i] = cNeighborOf(h)
-		}
-		writeJSON(w, http.StatusOK, cKNNResponse{
-			Results: results, cQueryMeta: cMeta(st, start), cDegradedMeta: cDegraded(deg),
+		writeJSON(w, http.StatusOK, serve.KNNResponse{
+			Results: serve.Neighbors(hits), QueryMeta: serve.Meta(st, start), DegradedMeta: cDegraded(deg),
 		})
+	}
+	mux.HandleFunc("POST /knn", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req serve.KNNRequest
+		if decodeCoordinator(w, r, &req) {
+			answer(ctx, w, req.Query, search.KNN(req.K, math.Inf(1)))
+		}
 	}))
 	mux.HandleFunc("POST /radius", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req cRadiusRequest
-		if !decodeCoordinator(w, r, &req) {
-			return
+		var req serve.RadiusRequest
+		if decodeCoordinator(w, r, &req) {
+			answer(ctx, w, req.Query, search.Within(req.Radius))
 		}
-		if req.Radius < 0 {
-			writeRemoteError(w, http.StatusBadRequest, fmt.Errorf("radius must be non-negative (got %g)", req.Radius))
-			return
-		}
-		start := time.Now()
-		hits, st, err := c.Radius(ctx, req.Query, req.Radius)
-		var deg *Degraded
-		if err != nil && !errors.As(err, &deg) {
-			writeCoordinatorError(c, w, err)
-			return
-		}
-		results := make([]cNeighbor, len(hits))
-		for i, h := range hits {
-			results[i] = cNeighborOf(h)
-		}
-		writeJSON(w, http.StatusOK, cKNNResponse{
-			Results: results, cQueryMeta: cMeta(st, start), cDegradedMeta: cDegraded(deg),
-		})
 	}))
 	mux.HandleFunc("POST /classify", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req cClassifyRequest
+		var req serve.ClassifyRequest
 		if !decodeCoordinator(w, r, &req) {
 			return
 		}
@@ -210,13 +117,13 @@ func NewCoordinatorHandler(c *Coordinator) http.Handler {
 			writeCoordinatorError(c, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, cClassifyResponse{
-			Label: hit.Label, Neighbor: cNeighborOf(hit),
-			cQueryMeta: cMeta(st, start), cDegradedMeta: cDegraded(deg),
+		writeJSON(w, http.StatusOK, serve.ClassifyResponse{
+			Prediction: serve.Prediction{Label: hit.Label, Neighbor: serve.Neighbors([]shard.Hit{hit})[0]},
+			QueryMeta:  serve.Meta(st, start), DegradedMeta: cDegraded(deg),
 		})
 	}))
 	mux.HandleFunc("POST /add", func(w http.ResponseWriter, r *http.Request) {
-		var req cAddRequest
+		var req serve.AddRequest
 		if !decodeCoordinator(w, r, &req) {
 			return
 		}
@@ -238,10 +145,10 @@ func NewCoordinatorHandler(c *Coordinator) http.Handler {
 			return
 		}
 		size, _ := c.Size(r.Context()) // best effort; 0 when the probe fails
-		writeJSON(w, http.StatusOK, cMutateResponse{ID: id, Size: size})
+		writeJSON(w, http.StatusOK, serve.MutateResponse{ID: id, Size: size})
 	})
 	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) {
-		var req cDeleteRequest
+		var req serve.DeleteRequest
 		if !decodeCoordinator(w, r, &req) {
 			return
 		}
@@ -259,7 +166,7 @@ func NewCoordinatorHandler(c *Coordinator) http.Handler {
 			return
 		}
 		size, _ := c.Size(r.Context())
-		writeJSON(w, http.StatusOK, cMutateResponse{ID: *req.ID, Size: size})
+		writeJSON(w, http.StatusOK, serve.MutateResponse{ID: *req.ID, Size: size})
 	})
 	mux.HandleFunc("POST /compact", func(w http.ResponseWriter, r *http.Request) {
 		if err := c.Compact(r.Context()); err != nil {

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"ced/internal/search"
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
@@ -203,26 +204,21 @@ func (c *Client) Seed(ctx context.Context, metricName string, labelled bool, ele
 		seedRequest{Metric: metricName, Labelled: labelled, Elements: elems}, nil)
 }
 
-// KNearestBounded answers a bounded k-NN query against the slot,
-// propagating the coordinator's running pruning radius (math.Inf(1) for
-// none) across the wire.
-func (c *Client) KNearestBounded(ctx context.Context, q string, k int, bound float64) ([]shard.Hit, shard.Stats, error) {
+// Query answers req against the slot: a k-NN request carries its pruning
+// bound (the coordinator's running cross-cluster k-th-best distance,
+// +Inf for none) across the wire, a radius request its radius.
+func (c *Client) Query(ctx context.Context, q string, req search.Request) ([]shard.Hit, shard.Stats, error) {
 	var resp queryResponse
-	err := c.do(ctx, http.MethodPost, "knn", knnRequest{Query: q, K: k, Bound: wireBound(bound)}, &resp)
+	var err error
+	if req.IsRadius() {
+		err = c.do(ctx, http.MethodPost, "radius", radiusRequest{Query: q, Radius: req.Bound()}, &resp)
+	} else {
+		err = c.do(ctx, http.MethodPost, "knn", knnRequest{Query: q, K: req.K(), Bound: wireBound(req.Bound())}, &resp)
+	}
 	if err != nil {
 		return nil, shard.Stats{}, err
 	}
-	return resp.Hits, toStats(resp.Computations, resp.Rejections), nil
-}
-
-// Radius answers a range query against the slot.
-func (c *Client) Radius(ctx context.Context, q string, r float64) ([]shard.Hit, shard.Stats, error) {
-	var resp queryResponse
-	err := c.do(ctx, http.MethodPost, "radius", radiusRequest{Query: q, Radius: r}, &resp)
-	if err != nil {
-		return nil, shard.Stats{}, err
-	}
-	return resp.Hits, toStats(resp.Computations, resp.Rejections), nil
+	return resp.Hits, shard.Stats{Computations: resp.Computations, Rejections: resp.Rejections}, nil
 }
 
 // Add applies a coordinator-minted write; applied is false for an

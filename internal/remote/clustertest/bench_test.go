@@ -2,12 +2,14 @@ package clustertest
 
 import (
 	"context"
+	"math"
 	"sort"
 	"testing"
 	"time"
 
 	"ced/internal/dataset"
 	"ced/internal/metric"
+	"ced/internal/search"
 	"ced/internal/serve"
 )
 
@@ -43,7 +45,7 @@ func BenchmarkClusterKNN(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Coord.KNearest(ctx, qs[i%len(qs)], benchK); err != nil {
+		if _, _, err := c.Coord.Query(ctx, qs[i%len(qs)], search.KNN(benchK, math.Inf(1))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +69,7 @@ func BenchmarkMonolithicKNN(b *testing.B) {
 	qs := benchQueries(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.KNearest(qs[i%len(qs)], benchK); err != nil {
+		if _, _, err := eng.KNearestCtx(context.Background(), qs[i%len(qs)], benchK); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +105,7 @@ func BenchmarkClusterKNNSlowReplica(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				if _, _, err := c.Coord.KNearest(ctx, qs[i%len(qs)], benchK); err != nil {
+				if _, _, err := c.Coord.Query(ctx, qs[i%len(qs)], search.KNN(benchK, math.Inf(1))); err != nil {
 					b.Fatal(err)
 				}
 				lats = append(lats, time.Since(t0))

@@ -3,11 +3,13 @@ package clustertest
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"ced/internal/dataset"
 	"ced/internal/metric"
+	"ced/internal/search"
 	"ced/internal/serve"
 )
 
@@ -17,7 +19,7 @@ import (
 // a distance the metric confirms for that value.
 func assertClusterKNN(t *testing.T, o *Oracle, c *Cluster, q string, k int, tag string) {
 	t.Helper()
-	hits, _, err := c.Coord.KNearest(context.Background(), q, k)
+	hits, _, err := c.Coord.Query(context.Background(), q, search.KNN(k, math.Inf(1)))
 	if err != nil {
 		t.Fatalf("%s query %q: %v", tag, q, err)
 	}
@@ -46,7 +48,7 @@ func assertClusterKNN(t *testing.T, o *Oracle, c *Cluster, q string, k int, tag 
 // tie latitude, so IDs and distances must match the oracle bit for bit.
 func assertClusterRadius(t *testing.T, o *Oracle, c *Cluster, q string, r float64, tag string) {
 	t.Helper()
-	hits, _, err := c.Coord.Radius(context.Background(), q, r)
+	hits, _, err := c.Coord.Query(context.Background(), q, search.Within(r))
 	if err != nil {
 		t.Fatalf("%s radius %q r=%v: %v", tag, q, r, err)
 	}
@@ -127,7 +129,7 @@ func TestClusterMatchesMonolithic(t *testing.T) {
 			assertClusterRadius(t, o, c, q, dists[len(dists)-1], tag)
 			// And pin the monolithic engine to the same distance multiset,
 			// tying the two serving stacks together through the oracle.
-			ns, _, err := eng.KNearest(q, 10)
+			ns, _, err := eng.KNearestCtx(context.Background(), q, 10)
 			if err != nil {
 				t.Fatalf("%s engine knn %q: %v", tag, q, err)
 			}

@@ -3,11 +3,13 @@ package clustertest
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"ced/internal/dataset"
 	"ced/internal/remote"
+	"ced/internal/search"
 )
 
 // nodeHealth extracts the replica-health rows living on the given node URL.
@@ -230,7 +232,7 @@ func TestClusterLosingEveryReplicaFailsLoudly(t *testing.T) {
 
 	assertClusterKNN(t, o, c, "casa", 3, "pre-fault")
 	c.Nodes[1].SetFault(FaultDown)
-	if _, _, err := c.Coord.KNearest(context.Background(), "casa", 3); err == nil {
+	if _, _, err := c.Coord.Query(context.Background(), "casa", search.KNN(3, math.Inf(1))); err == nil {
 		t.Fatal("query succeeded with an entire shard unreachable — a partial answer leaked")
 	}
 	c.Heal()

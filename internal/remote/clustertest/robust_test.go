@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"ced/internal/dataset"
 	"ced/internal/remote"
+	"ced/internal/search"
 )
 
 // TestClusterHedgeCancelsLoser pins the hedged-read cancellation fix: when
@@ -67,7 +69,7 @@ func TestClusterBreakerFailsFastThenRecovers(t *testing.T) {
 
 	// Shard 1's only replica lives on node 1; kill it and trip the breaker.
 	c.Nodes[1].SetFault(FaultDown)
-	if _, _, err := c.Coord.KNearest(ctx, "casa", 3); err == nil {
+	if _, _, err := c.Coord.Query(ctx, "casa", search.KNN(3, math.Inf(1))); err == nil {
 		t.Fatal("query succeeded with an entire shard dead")
 	}
 	for _, rh := range nodeHealth(c.Coord.Info(), c.Nodes[1].Srv.URL) {
@@ -79,7 +81,7 @@ func TestClusterBreakerFailsFastThenRecovers(t *testing.T) {
 	// Open breaker = fail fast: the sick node receives no further traffic.
 	before := c.Nodes[1].Faulted()
 	for i := 0; i < 5; i++ {
-		if _, _, err := c.Coord.KNearest(ctx, "casa", 3); err == nil {
+		if _, _, err := c.Coord.Query(ctx, "casa", search.KNN(3, math.Inf(1))); err == nil {
 			t.Fatal("query succeeded through an open breaker")
 		}
 	}
@@ -90,7 +92,7 @@ func TestClusterBreakerFailsFastThenRecovers(t *testing.T) {
 	// Healing the node does not close the breaker by itself — the cooldown
 	// is still running, so queries keep failing fast...
 	c.Heal()
-	if _, _, err := c.Coord.KNearest(ctx, "casa", 3); err == nil {
+	if _, _, err := c.Coord.Query(ctx, "casa", search.KNN(3, math.Inf(1))); err == nil {
 		t.Fatal("query succeeded while the breaker was still open")
 	}
 	// ...until a probe readmits the replica out of band.
@@ -184,7 +186,7 @@ func TestClusterDegradedMode(t *testing.T) {
 	// Kill shard 1's only home. The cluster now answers from shard 0 alone,
 	// tagged degraded.
 	c.Nodes[1].SetFault(FaultDown)
-	hits, _, err := c.Coord.KNearest(ctx, "casa", 10)
+	hits, _, err := c.Coord.Query(ctx, "casa", search.KNN(10, math.Inf(1)))
 	var deg *remote.Degraded
 	if !errors.As(err, &deg) {
 		t.Fatalf("want a *remote.Degraded error, got %v", err)
@@ -231,13 +233,13 @@ func TestClusterDegradedMode(t *testing.T) {
 	// answer.
 	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()
-	if _, _, err := c.Coord.KNearest(expired, "casa", 3); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := c.Coord.Query(expired, "casa", search.KNN(3, math.Inf(1))); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-context query returned %v, want DeadlineExceeded", err)
 	}
 
 	// With every shard gone there is no partial answer left: fail loud.
 	c.Nodes[0].SetFault(FaultDown)
-	if _, _, err := c.Coord.KNearest(ctx, "casa", 3); err == nil || errors.As(err, &deg) {
+	if _, _, err := c.Coord.Query(ctx, "casa", search.KNN(3, math.Inf(1))); err == nil || errors.As(err, &deg) {
 		t.Fatalf("total outage produced %v, want a loud non-degraded error", err)
 	}
 

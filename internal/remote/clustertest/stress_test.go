@@ -3,12 +3,14 @@ package clustertest
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"ced/internal/dataset"
+	"ced/internal/search"
 	"ced/internal/shard"
 )
 
@@ -82,7 +84,7 @@ func TestClusterMutationStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			for i := 0; i < opsPerWorker; i++ {
 				q := d.Strings[rng.Intn(len(d.Strings))]
-				hits, _, err := c.Coord.KNearest(ctx, q, 5)
+				hits, _, err := c.Coord.Query(ctx, q, search.KNN(5, math.Inf(1)))
 				if err != nil {
 					t.Errorf("reader %d: knn %q: %v", r, q, err)
 					return

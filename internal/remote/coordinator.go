@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ced/internal/search"
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
@@ -428,16 +429,25 @@ func (c *Coordinator) queryShard(ctx context.Context, s int, call func(context.C
 	return nil, shard.Stats{}, fmt.Errorf("remote: shard %d: every replica failed: %w", s, lastErr)
 }
 
-// fanQuery runs call against every logical shard concurrently, summing the
-// winning replicas' stats. By default any shard failure fails the query: a
-// partial answer would be silently approximate, which this cluster never
-// is. With Config.AllowDegraded, shard-unavailability failures instead
-// drop that shard from the answer and the call returns the surviving
-// shards' results with a *Degraded error naming the missing ones — but
-// only if at least one shard answered, and never for caller mistakes or
-// the caller's own cancellation, which stay loud.
-func (c *Coordinator) fanQuery(ctx context.Context, call func(ctx context.Context, s int) ([]shard.Hit, shard.Stats, error)) ([][]shard.Hit, shard.Stats, error) {
-	all := make([][]shard.Hit, len(c.replicas))
+// Query answers req over the live cluster — the k nearest elements (ties
+// by ID) or every element within a radius, sorted by (distance, ID) — the
+// monolithic engine's answer, assembled remotely through one shard.Merger.
+// Every k-NN shard request carries the merger's running k-th-best distance
+// at launch time, so late shards (and hedged retries) prune against the
+// tightest-known cross-cluster bound, exactly like the in-process fan-out.
+//
+// By default any shard failure fails the query: a partial answer would be
+// silently approximate, which this cluster never is. With
+// Config.AllowDegraded, shard-unavailability failures instead drop that
+// shard from the answer and Query returns the surviving shards' merged
+// answer with a *Degraded error naming the missing ones — but only if at
+// least one shard answered, and never for caller mistakes or the caller's
+// own cancellation, which stay loud.
+func (c *Coordinator) Query(ctx context.Context, q string, req search.Request) ([]shard.Hit, shard.Stats, error) {
+	if err := req.Validate(); err != nil {
+		return nil, shard.Stats{}, badRequestf("remote: %v", err)
+	}
+	mg := shard.NewMerger(req)
 	stats := make([]shard.Stats, len(c.replicas))
 	errs := make([]error, len(c.replicas))
 	var wg sync.WaitGroup
@@ -445,18 +455,23 @@ func (c *Coordinator) fanQuery(ctx context.Context, call func(ctx context.Contex
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			all[s], stats[s], errs[s] = call(ctx, s)
+			var hits []shard.Hit
+			hits, stats[s], errs[s] = c.queryShard(ctx, s, func(ctx context.Context, cl *Client) ([]shard.Hit, shard.Stats, error) {
+				return cl.Query(ctx, q, mg.Request())
+			})
+			if errs[s] == nil {
+				mg.Offer(hits)
+			}
 		}(s)
 	}
 	wg.Wait()
 	var total shard.Stats
 	var missing []int
-	for s := range errs {
-		if errs[s] != nil {
-			if !c.cfg.AllowDegraded || !degradable(errs[s]) {
-				return nil, shard.Stats{}, errs[s]
+	for s, err := range errs {
+		if err != nil {
+			if !c.cfg.AllowDegraded || !degradable(err) {
+				return nil, shard.Stats{}, err
 			}
-			all[s] = nil
 			missing = append(missing, s)
 			continue
 		}
@@ -468,9 +483,9 @@ func (c *Coordinator) fanQuery(ctx context.Context, call func(ctx context.Contex
 	}
 	if len(missing) > 0 {
 		c.degraded.Add(1)
-		return all, total, &Degraded{MissingShards: missing}
+		return mg.Hits(), total, &Degraded{MissingShards: missing}
 	}
-	return all, total, nil
+	return mg.Hits(), total, nil
 }
 
 // degradable reports whether a shard failure may be absorbed into a
@@ -484,71 +499,13 @@ func degradable(err error) bool {
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
-// KNearest returns the k nearest live cluster elements to q, closest first
-// (ties by ID) — the monolithic engine's answer, assembled remotely. Every
-// shard request carries the merger's running k-th-best distance at launch
-// time, so late shards (and hedged retries) prune against the
-// tightest-known cross-cluster bound, exactly like the in-process fan-out.
-func (c *Coordinator) KNearest(ctx context.Context, q string, k int) ([]shard.Hit, shard.Stats, error) {
-	if k <= 0 {
-		return nil, shard.Stats{}, badRequestf("remote: k must be positive (got %d)", k)
-	}
-	mg := shard.NewMerger(k)
-	var mu sync.Mutex // serialises Offer against final Hits read — cheap, S offers total
-	_, stats, err := c.fanQuery(ctx, func(ctx context.Context, s int) ([]shard.Hit, shard.Stats, error) {
-		hits, st, err := c.queryShard(ctx, s, func(ctx context.Context, cl *Client) ([]shard.Hit, shard.Stats, error) {
-			return cl.KNearestBounded(ctx, q, k, mg.Bound())
-		})
-		if err != nil {
-			return nil, shard.Stats{}, err
-		}
-		mu.Lock()
-		mg.Offer(hits)
-		mu.Unlock()
-		return nil, st, nil
-	})
-	var deg *Degraded
-	if err != nil && !errors.As(err, &deg) {
-		return nil, shard.Stats{}, err
-	}
-	// err is nil or the *Degraded tag for the surviving shards' merged
-	// answer; the caller opted into (and must surface) the latter.
-	return mg.Hits(), stats, err
-}
-
-// Radius returns every live cluster element within distance r of q
-// (inclusive), sorted by (distance, ID). r itself prunes every shard, so
-// no running bound is needed and the merged answer is deterministic.
-func (c *Coordinator) Radius(ctx context.Context, q string, r float64) ([]shard.Hit, shard.Stats, error) {
-	all, stats, err := c.fanQuery(ctx, func(ctx context.Context, s int) ([]shard.Hit, shard.Stats, error) {
-		return c.queryShard(ctx, s, func(ctx context.Context, cl *Client) ([]shard.Hit, shard.Stats, error) {
-			return cl.Radius(ctx, q, r)
-		})
-	})
-	var deg *Degraded
-	if err != nil && !errors.As(err, &deg) {
-		return nil, shard.Stats{}, err
-	}
-	var merged []shard.Hit
-	for _, hits := range all {
-		merged = append(merged, hits...)
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Distance != merged[b].Distance {
-			return merged[a].Distance < merged[b].Distance
-		}
-		return merged[a].ID < merged[b].ID
-	})
-	return merged, stats, err // nil, or the *Degraded tag on a partial answer
-}
-
 // Classify labels q with the class of its nearest live element (ties by
 // ID, like every searcher in this repository).
 func (c *Coordinator) Classify(ctx context.Context, q string) (shard.Hit, shard.Stats, error) {
 	if !c.labelled {
 		return shard.Hit{}, shard.Stats{}, badRequestf("remote: cluster corpus is unlabelled")
 	}
-	hits, st, err := c.KNearest(ctx, q, 1)
+	hits, st, err := c.Query(ctx, q, search.KNN(1, math.Inf(1)))
 	var deg *Degraded
 	if err != nil && !errors.As(err, &deg) {
 		return shard.Hit{}, shard.Stats{}, err

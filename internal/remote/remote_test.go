@@ -13,6 +13,7 @@ import (
 
 	"ced/internal/dataset"
 	"ced/internal/metric"
+	"ced/internal/search"
 	"ced/internal/shard"
 )
 
@@ -20,7 +21,7 @@ import (
 // radius: every legal bound survives the wire encoding exactly, +Inf maps
 // through the negative sentinel, and any negative wire value decodes to
 // unbounded — so a decoding mistake can only ever loosen the bound, which
-// the BoundedKSearcher contract tolerates by construction.
+// the bounded k-NN contract (search.KNN) tolerates by construction.
 func TestWireBoundRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 1000; i++ {
@@ -89,11 +90,14 @@ func TestRemoteKNNBoundedMatchesLocal(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			bound = rng.Float64()
 		}
-		gotHits, gotStats, err := cl.KNearestBounded(ctx, q, k, bound)
+		gotHits, gotStats, err := cl.Query(ctx, q, search.KNN(k, bound))
 		if err != nil {
 			t.Fatalf("remote knn %q k=%d bound=%v: %v", q, k, bound, err)
 		}
-		wantHits, wantStats := local.KNearestBounded([]rune(q), k, bound)
+		wantHits, wantStats, err := local.Query(ctx, []rune(q), search.KNN(k, bound))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(gotHits) != len(wantHits) {
 			t.Fatalf("knn %q k=%d bound=%v: %d remote hits, %d local", q, k, bound, len(gotHits), len(wantHits))
 		}

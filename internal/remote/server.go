@@ -12,6 +12,7 @@ import (
 
 	"ced/internal/blob"
 	"ced/internal/metric"
+	"ced/internal/search"
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
@@ -245,33 +246,15 @@ func (s *ShardServer) Handler() http.Handler {
 	}))
 	mux.HandleFunc("POST /shard/{slot}/knn", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req knnRequest
-		if !decodeBody(w, r, &req) {
-			return
+		if decodeBody(w, r, &req) {
+			s.query(w, r, set, req.Query, search.KNN(req.K, fromWireBound(req.Bound)))
 		}
-		ctx, cancel := serve.RequestContext(r)
-		defer cancel()
-		hits, st, err := set.KNearestBoundedCtx(ctx, []rune(req.Query), req.K, fromWireBound(req.Bound))
-		if err != nil {
-			s.writeQueryError(w, err)
-			return
-		}
-		comps, rej := statsOf(st)
-		writeJSON(w, http.StatusOK, queryResponse{Hits: hits, Computations: comps, Rejections: rej})
 	}))
 	mux.HandleFunc("POST /shard/{slot}/radius", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req radiusRequest
-		if !decodeBody(w, r, &req) {
-			return
+		if decodeBody(w, r, &req) {
+			s.query(w, r, set, req.Query, search.Within(req.Radius))
 		}
-		ctx, cancel := serve.RequestContext(r)
-		defer cancel()
-		hits, st, err := set.RadiusCtx(ctx, []rune(req.Query), req.Radius)
-		if err != nil {
-			s.writeQueryError(w, err)
-			return
-		}
-		comps, rej := statsOf(st)
-		writeJSON(w, http.StatusOK, queryResponse{Hits: hits, Computations: comps, Rejections: rej})
 	}))
 	mux.HandleFunc("POST /shard/{slot}/add", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req addRequest
@@ -384,6 +367,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		return false
 	}
 	return true
+}
+
+// query answers one slot query under the request's budget context and
+// writes the wire response.
+func (s *ShardServer) query(w http.ResponseWriter, r *http.Request, set *shard.Set, q string, req search.Request) {
+	ctx, cancel := serve.RequestContext(r)
+	defer cancel()
+	hits, st, err := set.Query(ctx, []rune(q), req)
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, queryResponse{Hits: hits, Computations: st.Computations, Rejections: st.Rejections})
 }
 
 // writeQueryError maps a failed slot query to a status and bumps the

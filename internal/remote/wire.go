@@ -10,10 +10,10 @@
 // (triangle inequality), so a k-NN or radius query answered per shard under
 // any pruning bound that never drops below the final k-th-best distance
 // merges to the monolithic answer — no matter where the shard lives. The
-// transport only moves the search.BoundedKSearcher contract (extended with
-// Add/Delete/Info at the set level) across a wire; the cluster differential
-// suite in clustertest pins a live cluster to the monolithic engine's
-// answers to keep that claim tested rather than assumed.
+// transport only moves shard.Set's Query (plus Add/Delete/Info) across a
+// wire; the cluster differential suite in clustertest pins a live cluster
+// to the monolithic engine's answers to keep that claim tested rather than
+// assumed.
 package remote
 
 import (
@@ -121,13 +121,3 @@ type (
 		Error string `json:"error"`
 	}
 )
-
-// statsOf converts a slot set's query accounting to the wire form.
-func statsOf(st shard.Stats) (int, metric.StageCounts) {
-	return st.Computations, st.Rejections
-}
-
-// toStats rebuilds shard.Stats from the wire form.
-func toStats(comps int, rej metric.StageCounts) shard.Stats {
-	return shard.Stats{Computations: comps, Rejections: rej}
-}

@@ -1,10 +1,10 @@
 package search
 
 import (
+	"context"
 	"math"
 
 	"ced/internal/bulk"
-	"ced/internal/cancel"
 	"ced/internal/metric"
 	"ced/internal/pool"
 )
@@ -19,7 +19,7 @@ import (
 // Micó 2003, comparing AESA and LAESA on string edit distances).
 type AESA struct {
 	corpus [][]rune
-	eval   boundedEval
+	eval   evaluator
 	d      [][]float64 // full symmetric distance matrix
 
 	// PreprocessComputations is n(n-1)/2: one evaluation per unordered pair.
@@ -53,7 +53,7 @@ func NewAESAWorkers(corpus [][]rune, m metric.Metric, workers int) *AESA {
 			d[j][i] = v
 		}
 	})
-	return &AESA{corpus: corpus, eval: newBoundedEval(m), d: d, PreprocessComputations: n * (n - 1) / 2}
+	return &AESA{corpus: corpus, eval: newEvaluator(m), d: d, PreprocessComputations: n * (n - 1) / 2}
 }
 
 // Name returns "aesa".
@@ -66,7 +66,7 @@ func (s *AESA) Size() int { return len(s.corpus) }
 // current pruning bound: bound plus the largest matrix entry d(u, v) over
 // the live candidates (bound alone when none remain). Unlike LAESA, AESA
 // needs the exact distance of every selected candidate — each one tightens
-// every remaining bound through the matrix — so the query loops only bail
+// every remaining bound through the matrix — so the query loop only bails
 // when nothing is lost: d > bound + d(u, v) for every live v means the
 // evaluation both misses the bound itself and would have eliminated the
 // entire candidate set, so the query can stop. Candidate selection,
@@ -96,38 +96,42 @@ func selectMin(g []float64, alive []int) (int, []int) {
 	return u, alive[:len(alive)-1]
 }
 
-// Search returns the nearest neighbour of q, eliminating candidates with
-// the triangle-inequality bound g[u] = max |d(q,s) − d(s,u)| over every
-// computed element s.
-func (s *AESA) Search(q []rune) Result {
+// Search returns the nearest neighbour of q.
+func (s *AESA) Search(q []rune) Nearest { return nearest(s, q) }
+
+// KNearest returns the k nearest corpus elements, closest first.
+func (s *AESA) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
+
+// Query answers req, eliminating candidates with the triangle-inequality
+// bound g[u] = max |d(q,s) − d(s,u)| over every computed element s: a
+// candidate is discarded once its bound exceeds the pruning bound τ (the
+// radius, or the k-th best distance so far) — LAESA's elimination with
+// every computed distance tightening the bounds.
+func (s *AESA) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	n := len(s.corpus)
-	if n == 0 {
-		return Result{Index: -1}
+	c := newCollector(ctx, req, n)
+	if c.done(n) {
+		return c.answer()
 	}
 	g := make([]float64, n)
 	alive := make([]int, n)
 	for i := range alive {
 		alive[i] = i
 	}
-	best := Result{Index: -1, Distance: math.Inf(1)}
-	comps := 0
 	for len(alive) > 0 {
+		if c.chk.Hit() {
+			break
+		}
 		// Approximate: candidate with the smallest lower bound.
 		var u int
 		u, alive = selectMin(g, alive)
-
-		dqu, exact, stage := s.eval.distanceWithin(q, s.corpus[u], s.aesaCutoff(u, alive, best.Distance))
-		comps++
+		dqu, exact := c.eval(s.eval, q, s.corpus[u], s.aesaCutoff(u, alive, c.tau))
 		if !exact {
-			// dqu > best + max row: no update, and tightening would have
+			// dqu > τ + max row: no hit, and tightening would have
 			// eliminated every remaining candidate — the query is decided.
-			best.Rejections[stage]++
 			break
 		}
-		if dqu < best.Distance {
-			best.Index = u
-			best.Distance = dqu
-		}
+		c.offer(u, dqu)
 		// Every computed distance tightens every candidate's bound.
 		row := s.d[u]
 		w := alive[:0]
@@ -135,130 +139,11 @@ func (s *AESA) Search(q []rune) Result {
 			if lb := math.Abs(dqu - row[v]); lb > g[v] {
 				g[v] = lb
 			}
-			if g[v] <= best.Distance {
+			if g[v] <= c.tau {
 				w = append(w, v)
 			}
 		}
 		alive = w
 	}
-	best.Computations = comps
-	return best
-}
-
-// KNearest returns the k nearest corpus elements, closest first, with the
-// same elimination generalised to the k-th-best bound τ: a candidate is
-// discarded only once its lower bound exceeds τ, exactly like
-// LAESA.KNearest but with every computed distance tightening the bounds.
-func (s *AESA) KNearest(q []rune, k int) []Result {
-	res, comps, rej := s.KNearestBounded(q, k, math.Inf(1))
-	return stampResults(res, comps, rej)
-}
-
-// KNearestBounded is KNearest with the pruning bound τ seeded at bound
-// instead of +Inf (see BoundedKSearcher): a bail proves every remaining
-// candidate exceeds the seeded bound too, so the early break stays sound.
-func (s *AESA) KNearestBounded(q []rune, k int, bound float64) ([]Result, int, metric.StageCounts) {
-	res, comps, rej, _ := s.knearestBounded(q, k, bound, nil)
-	return res, comps, rej
-}
-
-func (s *AESA) knearestBounded(q []rune, k int, bound float64, chk *cancel.Check) ([]Result, int, metric.StageCounts, error) {
-	n := len(s.corpus)
-	if n == 0 || k <= 0 {
-		return nil, 0, metric.StageCounts{}, nil
-	}
-	if k > n {
-		k = n
-	}
-	g := make([]float64, n)
-	alive := make([]int, n)
-	for i := range alive {
-		alive[i] = i
-	}
-	top := newTopKBounded(k, bound)
-	comps := 0
-	var rej metric.StageCounts
-	for len(alive) > 0 {
-		if chk.Hit() {
-			return nil, comps, rej, chk.Err()
-		}
-		var u int
-		u, alive = selectMin(g, alive)
-
-		dqu, exact, stage := s.eval.distanceWithin(q, s.corpus[u], s.aesaCutoff(u, alive, top.tau))
-		comps++
-		if !exact {
-			rej[stage]++
-			break // misses the top-k and every remaining candidate with it
-		}
-		top.insert(u, dqu)
-		row := s.d[u]
-		w := alive[:0]
-		for _, v := range alive {
-			if lb := math.Abs(dqu - row[v]); lb > g[v] {
-				g[v] = lb
-			}
-			if g[v] <= top.tau {
-				w = append(w, v)
-			}
-		}
-		alive = w
-	}
-	return top.res, comps, rej, nil
-}
-
-// Radius returns every corpus element within distance r of q (inclusive),
-// sorted by distance, plus the number of distance computations spent.
-func (s *AESA) Radius(q []rune, r float64) ([]Result, int) {
-	hits, comps, _ := s.radius(q, r, nil)
-	return hits, comps
-}
-
-func (s *AESA) radius(q []rune, r float64, chk *cancel.Check) ([]Result, int, error) {
-	n := len(s.corpus)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	g := make([]float64, n)
-	alive := make([]int, n)
-	for i := range alive {
-		alive[i] = i
-	}
-	var hits []Result
-	comps := 0
-	var rej metric.StageCounts
-	for len(alive) > 0 {
-		if chk.Hit() {
-			return nil, comps, chk.Err()
-		}
-		var u int
-		u, alive = selectMin(g, alive)
-
-		dqu, exact, stage := s.eval.distanceWithin(q, s.corpus[u], s.aesaCutoff(u, alive, r))
-		comps++
-		if !exact {
-			rej[stage]++
-			break // no hit, and every remaining candidate is beyond r too
-		}
-		if dqu <= r {
-			hits = append(hits, Result{Index: u, Distance: dqu})
-		}
-		row := s.d[u]
-		w := alive[:0]
-		for _, v := range alive {
-			if lb := math.Abs(dqu - row[v]); lb > g[v] {
-				g[v] = lb
-			}
-			if g[v] <= r {
-				w = append(w, v)
-			}
-		}
-		alive = w
-	}
-	sortHits(hits)
-	for i := range hits {
-		hits[i].Computations = comps
-		hits[i].Rejections = rej
-	}
-	return hits, comps, nil
+	return c.answer()
 }

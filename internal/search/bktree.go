@@ -1,12 +1,11 @@
 package search
 
 import (
-	"math"
+	"context"
 	"sort"
 	"sync"
 
 	"ced/internal/bulk"
-	"ced/internal/cancel"
 	"ced/internal/metric"
 	"ced/internal/pool"
 )
@@ -18,7 +17,7 @@ import (
 // ablation baseline; real-valued metrics like dC need LAESA or a VP-tree.
 type BKTree struct {
 	corpus [][]rune
-	eval   boundedEval
+	eval   evaluator
 	root   *bkNode
 	size   int
 }
@@ -29,11 +28,11 @@ type bkNode struct {
 	maxEdge  int // largest child edge label; 0 for leaves
 }
 
-// The walkers evaluate nodes through t.eval.distanceWithin with
-// cutoff = pruning bound + the node's largest child edge: a bail then
-// proves d > bound (the node itself is rejected) and every child edge e
-// satisfies e ≤ maxEdge < d − bound (the whole [d−bound, d+bound] edge
-// window is empty), so the walker can stop without knowing d.
+// The walk evaluates nodes with cutoff = pruning bound + the node's largest
+// child edge: a bail then proves d > bound (the node itself is rejected)
+// and every child edge e satisfies e ≤ maxEdge < d − bound (the whole
+// [d−bound, d+bound] edge window is empty), so the walk can stop without
+// knowing d.
 
 // NewBKTree builds a BK-tree over corpus. The metric must return
 // non-negative integer values (as dE does); NewBKTree does not verify this,
@@ -60,7 +59,7 @@ func NewBKTree(corpus [][]rune, m metric.Metric) *BKTree {
 // insertion, and the total distance evaluations are the same ones serial
 // insertion would have spent.
 func NewBKTreeWorkers(corpus [][]rune, m metric.Metric, workers int) *BKTree {
-	t := &BKTree{corpus: corpus, eval: newBoundedEval(m), size: len(corpus)}
+	t := &BKTree{corpus: corpus, eval: newEvaluator(m), size: len(corpus)}
 	if len(corpus) == 0 {
 		return t
 	}
@@ -192,76 +191,37 @@ func (t *BKTree) Size() int { return t.size }
 func (t *BKTree) Corpus() [][]rune { return t.corpus }
 
 // Search returns the nearest neighbour of q.
-func (t *BKTree) Search(q []rune) Result {
-	best := Result{Index: -1, Distance: math.Inf(1)}
-	comps := 0
+func (t *BKTree) Search(q []rune) Nearest { return nearest(t, q) }
+
+// KNearest returns the k nearest corpus elements, closest first.
+func (t *BKTree) KNearest(q []rune, k int) []Result { return kNearest(t, q, k) }
+
+// Query answers req by descending only the child edges inside [d − τ,
+// d + τ], where τ is the radius or the k-th best distance so far — the
+// classic BK-tree range query, and its k-NN extension. The walk visits
+// children in Go map order, so computation counts vary run to run, but the
+// collector's (distance, index) order makes the answer deterministic.
+func (t *BKTree) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
+	c := newCollector(ctx, req, t.size)
+	if c.done(t.size) {
+		return c.answer()
+	}
 	var walk func(n *bkNode)
 	walk = func(n *bkNode) {
-		d, exact, stage := t.eval.distanceWithin(q, t.corpus[n.index], best.Distance+float64(n.maxEdge))
-		comps++
-		if !exact {
-			best.Rejections[stage]++
-			return // d > best + maxEdge: node rejected and every edge window empty
-		}
-		if d < best.Distance {
-			best.Index = n.index
-			best.Distance = d
-		}
-		for edge, child := range n.children {
-			if float64(edge) >= d-best.Distance && float64(edge) <= d+best.Distance {
-				walk(child)
-			}
-		}
-	}
-	if t.root != nil {
-		walk(t.root)
-	}
-	best.Computations = comps
-	return best
-}
-
-// Radius returns every corpus element within distance r of q (inclusive),
-// with the number of distance computations spent — the classic BK-tree
-// range query used by the spell-checking example.
-func (t *BKTree) Radius(q []rune, r float64) ([]Result, int) {
-	hits, comps, _ := t.radius(q, r, nil)
-	return hits, comps
-}
-
-func (t *BKTree) radius(q []rune, r float64, chk *cancel.Check) ([]Result, int, error) {
-	var out []Result
-	comps := 0
-	var rej metric.StageCounts
-	var walk func(n *bkNode)
-	walk = func(n *bkNode) {
-		if chk.Hit() {
+		if c.chk.Hit() {
 			return
 		}
-		d, exact, stage := t.eval.distanceWithin(q, t.corpus[n.index], r+float64(n.maxEdge))
-		comps++
+		d, exact := c.eval(t.eval, q, t.corpus[n.index], c.tau+float64(n.maxEdge))
 		if !exact {
-			rej[stage]++
-			return // d > r + maxEdge: no hit here and every edge window empty
+			return // d > τ + maxEdge: no hit here and every edge window empty
 		}
-		if d <= r {
-			out = append(out, Result{Index: n.index, Distance: d})
-		}
+		c.offer(n.index, d)
 		for edge, child := range n.children {
-			if float64(edge) >= d-r && float64(edge) <= d+r {
+			if float64(edge) >= d-c.tau && float64(edge) <= d+c.tau {
 				walk(child)
 			}
 		}
 	}
-	if t.root != nil {
-		walk(t.root)
-	}
-	if chk.Stopped() {
-		return nil, comps, chk.Err()
-	}
-	sortHits(out)
-	for i := range out {
-		out[i].Computations = comps
-		out[i].Rejections = rej
-	}
-	return out, comps, nil
+	walk(t.root)
+	return c.answer()
 }

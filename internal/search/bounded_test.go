@@ -8,7 +8,7 @@ import (
 )
 
 // These tests pin down the cutoff-bounded evaluation paths: with a
-// BoundedMetric (the exact dC, and dE for the BK-tree) every searcher must
+// staged metric (the exact dC, and dE for the BK-tree) every searcher must
 // return exactly what the exhaustive scan returns — same neighbour, same
 // distance, same hit sets — because a bail is only ever taken when the
 // candidate provably cannot matter.
@@ -30,8 +30,8 @@ func boundedCorpus(n, maxLen int, seed int64) [][]rune {
 
 func TestBoundedSearchersMatchLinearExactContextual(t *testing.T) {
 	m := metric.Contextual()
-	if _, ok := m.(metric.BoundedMetric); !ok {
-		t.Fatal("test requires dC to be a BoundedMetric")
+	if _, ok := m.(metric.Staged); !ok {
+		t.Fatal("test requires dC to be Staged")
 	}
 	corpus := boundedCorpus(120, 12, 21)
 	queries := boundedCorpus(25, 12, 22)
@@ -40,14 +40,14 @@ func TestBoundedSearchersMatchLinearExactContextual(t *testing.T) {
 	vp := NewVPTree(corpus, m, 24)
 	for _, q := range queries {
 		want := lin.Search(q)
-		for _, s := range []Searcher{la, vp} {
+		for _, s := range []Index{la, vp} {
 			got := s.Search(q)
 			if got.Distance != want.Distance {
 				t.Fatalf("%s(%q): distance %v, linear %v", s.Name(), string(q), got.Distance, want.Distance)
 			}
 		}
 		wantK := lin.KNearest(q, 5)
-		for _, s := range []KSearcher{la, vp} {
+		for _, s := range []Index{la, vp} {
 			gotK := s.KNearest(q, 5)
 			if len(gotK) != len(wantK) {
 				t.Fatalf("%s KNearest size %d, want %d", s.Name(), len(gotK), len(wantK))
@@ -59,9 +59,9 @@ func TestBoundedSearchersMatchLinearExactContextual(t *testing.T) {
 			}
 		}
 		const r = 0.4
-		wantR, _ := lin.Radius(q, r)
-		for _, s := range []RadiusSearcher{la, vp} {
-			gotR, _ := s.Radius(q, r)
+		wantR, _ := radius(lin, q, r)
+		for _, s := range []Index{la, vp} {
+			gotR, _ := radius(s, q, r)
 			if len(gotR) != len(wantR) {
 				t.Fatalf("%s Radius: %d hits, linear %d", s.Name(), len(gotR), len(wantR))
 			}
@@ -76,8 +76,8 @@ func TestBoundedSearchersMatchLinearExactContextual(t *testing.T) {
 
 func TestBoundedBKTreeMatchesLinearLevenshtein(t *testing.T) {
 	m := metric.Levenshtein()
-	if _, ok := m.(metric.BoundedMetric); !ok {
-		t.Fatal("test requires dE to be a BoundedMetric")
+	if _, ok := m.(metric.Staged); !ok {
+		t.Fatal("test requires dE to be Staged")
 	}
 	corpus := boundedCorpus(150, 10, 31)
 	queries := boundedCorpus(30, 10, 32)
@@ -93,8 +93,8 @@ func TestBoundedBKTreeMatchesLinearLevenshtein(t *testing.T) {
 				t.Fatalf("bktree KNearest[%d]: %+v, linear %+v", i, gotK[i], wantK[i])
 			}
 		}
-		gotR, _ := bk.Radius(q, 2)
-		wantR, _ := lin.Radius(q, 2)
+		gotR, _ := radius(bk, q, 2)
+		wantR, _ := radius(lin, q, 2)
 		if len(gotR) != len(wantR) {
 			t.Fatalf("bktree Radius: %d hits, linear %d", len(gotR), len(wantR))
 		}

@@ -191,7 +191,7 @@ func TestParallelBuiltIndexesAnswerIdentically(t *testing.T) {
 		for _, q := range queries {
 			for _, pair := range []struct {
 				name          string
-				serial, paral Searcher
+				serial, paral Index
 			}{{"laesa", laS, laP}, {"vptree", vpS, vpP}} {
 				a, b := pair.serial.Search(q), pair.paral.Search(q)
 				if a != b {

@@ -11,76 +11,55 @@ import (
 	"ced/internal/metric"
 )
 
-// ctxSearchers builds every context-aware searcher over the same corpus:
-// the fractional-metric family on dC,h and the BK-tree on integer dE.
-func ctxSearchers(corpus [][]rune) map[string]CtxBoundedKSearcher {
+// ctxSearchers builds every searcher over the same corpus: the
+// fractional-metric family on dC,h and the BK-tree and trie on integer dE.
+func ctxSearchers(corpus [][]rune) map[string]Index {
 	m := metric.ContextualHeuristic()
-	return map[string]CtxBoundedKSearcher{
+	return map[string]Index{
 		"linear": NewLinear(corpus, m),
 		"laesa":  NewLAESA(corpus, m, 8, MaxSum, 41),
 		"vptree": NewVPTree(corpus, m, 42),
 		"aesa":   NewAESA(corpus, m),
 		"bktree": NewBKTree(corpus, metric.Levenshtein()),
+		"trie":   NewTrie(corpus),
 	}
 }
 
-// sameDistances compares two result lists by length and distance — the
-// comparison that holds even for the BK-tree, whose map-ordered child
-// traversal makes computation counts (and tie-breaks at the kth boundary)
-// vary run to run.
-func sameDistances(a, b []Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Distance != b[i].Distance {
-			return false
-		}
-	}
-	return true
-}
+// mapOrdered reports whether a searcher walks children in Go map order
+// (the BK-tree's edges, the trie's runes): its answers are deterministic,
+// but a k-NN walk's computation count depends on which equal-distance
+// candidate shrank the bound first.
+func mapOrdered(name string) bool { return name == "bktree" || name == "trie" }
 
 // TestCtxSearchBitIdenticalWhenLive pins the zero-cost happy path: with a
-// cancellable context that never fires, every searcher must return exactly
-// what the uncancellable surface returns — same hits, same computation
-// count, same stage ladder — because the checkpoint only ever reads a
-// counter until the context actually cancels. The BK-tree's traversal
-// order (and so its counters) is nondeterministic to begin with, so only
-// its answers are compared.
+// cancellable context that never fires, every searcher must answer exactly
+// what it answers under an uncancellable context — same hits, same
+// computation count, same stage ladder — because the checkpoint only ever
+// reads a counter until the context actually cancels. The map-ordered
+// walks' k-NN counters vary run to run to begin with, so only their
+// answers are compared.
 func TestCtxSearchBitIdenticalWhenLive(t *testing.T) {
 	corpus := boundedCorpus(150, 10, 31)
 	queries := boundedCorpus(10, 10, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for name, s := range ctxSearchers(corpus) {
-		rs, ok := s.(CtxRadiusSearcher)
-		if !ok {
-			t.Fatalf("%s does not implement CtxRadiusSearcher", name)
-		}
-		deterministic := name != "bktree"
 		for _, q := range queries {
-			wantK, wantComps, wantRej := s.KNearestBounded(q, 5, math.Inf(1))
-			gotK, gotComps, gotRej, err := s.KNearestBoundedCtx(ctx, q, 5, math.Inf(1))
-			if err != nil {
-				t.Fatalf("%s(%q): live context returned %v", name, string(q), err)
-			}
-			if deterministic && (!reflect.DeepEqual(gotK, wantK) || gotComps != wantComps || gotRej != wantRej) {
-				t.Fatalf("%s(%q): ctx path diverged: (%v, %d, %v) vs (%v, %d, %v)",
-					name, string(q), gotK, gotComps, gotRej, wantK, wantComps, wantRej)
-			}
-			if !sameDistances(gotK, wantK) {
-				t.Fatalf("%s(%q): ctx path changed the answer: %v vs %v", name, string(q), gotK, wantK)
-			}
-			wantR, wantRC := rs.Radius(q, 0.4)
-			gotR, gotRC, err := rs.RadiusCtx(ctx, q, 0.4)
-			if err != nil {
-				t.Fatalf("%s radius(%q): live context returned %v", name, string(q), err)
-			}
-			if deterministic && (!reflect.DeepEqual(gotR, wantR) || gotRC != wantRC) {
-				t.Fatalf("%s radius(%q): ctx path diverged", name, string(q))
-			}
-			if !sameDistances(gotR, wantR) {
-				t.Fatalf("%s radius(%q): ctx path changed the answer", name, string(q))
+			for _, req := range []Request{KNN(5, math.Inf(1)), Within(0.4)} {
+				want, err := s.Query(context.Background(), q, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Query(ctx, q, req)
+				if err != nil {
+					t.Fatalf("%s(%q): live context returned %v", name, string(q), err)
+				}
+				if !reflect.DeepEqual(got.Hits, want.Hits) {
+					t.Fatalf("%s(%q, %+v): ctx path changed the answer: %v vs %v", name, string(q), req, got.Hits, want.Hits)
+				}
+				if (!mapOrdered(name) || req.IsRadius()) && got.Stats != want.Stats {
+					t.Fatalf("%s(%q, %+v): ctx path diverged: %+v vs %+v", name, string(q), req, got.Stats, want.Stats)
+				}
 			}
 		}
 	}
@@ -105,38 +84,37 @@ const cancelLatency = 128
 func TestCtxSearchCancelledStopsCounting(t *testing.T) {
 	corpus := boundedCorpus(2000, 10, 33)
 	q := []rune("abcabcab")
-	const k = 256
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, s := range ctxSearchers(corpus) {
-		_, fullComps, _ := s.KNearestBounded(q, k, math.Inf(1))             //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
-		res, comps, _, err := s.KNearestBoundedCtx(done, q, k, math.Inf(1)) //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
+		knn := KNN(256, math.Inf(1))
+		full, _ := s.Query(context.Background(), q, knn)
+		res, err := s.Query(done, q, knn)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: cancelled query returned err=%v", name, err)
 		}
-		if res != nil {
-			t.Fatalf("%s: cancelled query leaked a partial result of %d hits", name, len(res))
+		if res.Hits != nil {
+			t.Fatalf("%s: cancelled query leaked a partial result of %d hits", name, len(res.Hits))
 		}
-		if comps > cancelLatency || comps >= fullComps {
-			t.Fatalf("%s: cancelled query still spent %d of %d computations", name, comps, fullComps)
+		if res.Computations > cancelLatency || res.Computations >= full.Computations {
+			t.Fatalf("%s: cancelled query still spent %d of %d computations", name, res.Computations, full.Computations)
 		}
-		again, comps2, _, err := s.KNearestBoundedCtx(done, q, k, math.Inf(1)) //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
-		if !errors.Is(err, context.Canceled) || again != nil || comps2 != comps {
-			t.Fatalf("%s: second cancelled query drifted: comps %d vs %d, err %v", name, comps2, comps, err)
+		again, err := s.Query(done, q, knn)
+		if !errors.Is(err, context.Canceled) || again.Hits != nil || again.Computations != res.Computations {
+			t.Fatalf("%s: second cancelled query drifted: comps %d vs %d, err %v", name, again.Computations, res.Computations, err)
 		}
 
 		// Radius scans with heavy elimination may finish inside one stride —
 		// then completing is the documented behaviour; assert early stop only
 		// where the full scan provably crosses checkpoint polls.
-		rs := s.(CtxRadiusSearcher)
-		_, fullRC := rs.Radius(q, 0.4)
-		rres, rc, err := rs.RadiusCtx(done, q, 0.4)
-		if fullRC >= 2*cancelLatency {
+		fullR, _ := s.Query(context.Background(), q, Within(0.4))
+		rres, err := s.Query(done, q, Within(0.4))
+		if fullR.Computations >= 2*cancelLatency {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s radius: cancelled query returned err=%v", name, err)
 			}
-			if rres != nil || rc > cancelLatency {
-				t.Fatalf("%s radius: cancelled query returned %d hits after %d of %d computations", name, len(rres), rc, fullRC)
+			if rres.Hits != nil || rres.Computations > cancelLatency {
+				t.Fatalf("%s radius: cancelled query returned %d hits after %d of %d computations", name, len(rres.Hits), rres.Computations, fullR.Computations)
 			}
 		}
 	}
@@ -150,8 +128,7 @@ func TestCtxSearchDeadlinePropagates(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for name, s := range ctxSearchers(corpus) {
-		_, _, _, err := s.KNearestBoundedCtx(expired, []rune("abcd"), 256, math.Inf(1)) //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
-		if !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := s.Query(expired, []rune("abcd"), KNN(256, math.Inf(1))); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: expired deadline surfaced as %v", name, err)
 		}
 	}
@@ -167,27 +144,26 @@ func TestCtxSearchScratchSurvivesCancel(t *testing.T) {
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	cancelled := 0
+	live := context.Background()
 	for name, s := range ctxSearchers(corpus) {
-		rs := s.(CtxRadiusSearcher)
 		for _, q := range queries {
-			wantK, wantComps, _ := s.KNearestBounded(q, 5, math.Inf(1)) //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
-			wantR, _ := rs.Radius(q, 0.4)
+			wantK, _ := s.Query(live, q, KNN(5, math.Inf(1)))
+			wantR, _ := s.Query(live, q, Within(0.4))
 			for i := 0; i < 3; i++ {
 				// A query cheap enough to finish inside one checkpoint stride
 				// may legally complete; what matters is that every early
 				// return taken leaves the shared scratch clean.
-				if _, _, _, err := s.KNearestBoundedCtx(done, q, 200, math.Inf(1)); err != nil { //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
+				if _, err := s.Query(done, q, KNN(200, math.Inf(1))); err != nil {
 					cancelled++
 				}
-				if _, _, err := rs.RadiusCtx(done, q, 0.4); err != nil {
+				if _, err := s.Query(done, q, Within(0.4)); err != nil {
 					cancelled++
 				}
-				gotK, gotComps, _ := s.KNearestBounded(q, 5, math.Inf(1)) //ced:stagecount-ok: cancellation-semantics test; stage tallies are not under test
-				if !sameDistances(gotK, wantK) || (name != "bktree" && gotComps != wantComps) {
+				gotK, _ := s.Query(live, q, KNN(5, math.Inf(1)))
+				if !reflect.DeepEqual(gotK.Hits, wantK.Hits) || (!mapOrdered(name) && gotK.Stats != wantK.Stats) {
 					t.Fatalf("%s(%q): results drifted after a cancelled query", name, string(q))
 				}
-				gotR, _ := rs.Radius(q, 0.4)
-				if !sameDistances(gotR, wantR) {
+				if gotR, _ := s.Query(live, q, Within(0.4)); !reflect.DeepEqual(gotR, wantR) {
 					t.Fatalf("%s radius(%q): results drifted after a cancelled query", name, string(q))
 				}
 			}

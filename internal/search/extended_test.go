@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,8 +50,8 @@ func TestVPTreeRadiusMatchesLinear(t *testing.T) {
 	vp := NewVPTree(corpus, m, 8)
 	for _, q := range randomCorpus(rng, 20, 9, alpha) {
 		for _, r := range []float64{0, 1, 3} {
-			want, _ := lin.Radius(q, r)
-			got, comps := vp.Radius(q, r)
+			want, _ := radius(lin, q, r)
+			got, comps := radius(vp, q, r)
 			if len(got) != len(want) {
 				t.Fatalf("radius %v: %d hits, want %d", r, len(got), len(want))
 			}
@@ -76,20 +77,21 @@ func TestBKTreeKNearestMatchesLinear(t *testing.T) {
 	for _, q := range queries {
 		for _, k := range []int{1, 4, 9} {
 			want := lin.KNearest(q, k)
-			got := bk.KNearest(q, k)
+			ans, _ := bk.Query(context.Background(), q, KNN(k, math.Inf(1)))
+			got := ans.Hits
 			if len(got) != k {
 				t.Fatalf("k=%d: %d results", k, len(got))
 			}
 			for i := range got {
-				// topK breaks distance ties by corpus index, exactly like
-				// Linear, so the full (Index, Distance) ranking must match
-				// deterministically despite the map-order tree walk.
+				// The collector breaks distance ties by corpus index,
+				// exactly like Linear, so the full (Index, Distance) ranking
+				// must match deterministically despite the map-order walk.
 				if got[i].Distance != want[i].Distance || got[i].Index != want[i].Index {
 					t.Fatalf("k=%d rank %d: %+v vs %+v", k, i, got[i], want[i])
 				}
-				if got[i].Computations <= 0 || got[i].Computations > len(corpus) {
-					t.Fatalf("computations = %d", got[i].Computations)
-				}
+			}
+			if ans.Computations <= 0 || ans.Computations > len(corpus) {
+				t.Fatalf("computations = %d", ans.Computations)
 			}
 		}
 	}
@@ -108,7 +110,7 @@ func TestBKTreeKNearestMatchesLinear(t *testing.T) {
 func TestLinearRadius(t *testing.T) {
 	corpus := [][]rune{[]rune("aaaa"), []rune("aaab"), []rune("bbbb")}
 	lin := NewLinear(corpus, metric.Levenshtein())
-	hits, comps := lin.Radius([]rune("aaaa"), 1)
+	hits, comps := radius(lin, []rune("aaaa"), 1)
 	if comps != 3 {
 		t.Errorf("comps = %d", comps)
 	}
@@ -120,7 +122,7 @@ func TestLinearRadius(t *testing.T) {
 func TestBKTreeRadiusSorted(t *testing.T) {
 	corpus := [][]rune{[]rune("abc"), []rune("abd"), []rune("abcd"), []rune("zzz")}
 	bk := NewBKTree(corpus, metric.Levenshtein())
-	hits, _ := bk.Radius([]rune("abc"), 1)
+	hits, _ := radius(bk, []rune("abc"), 1)
 	if len(hits) != 3 {
 		t.Fatalf("hits = %+v", hits)
 	}
@@ -141,7 +143,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 	corpus := randomCorpus(rng, 100, 8, alpha)
 	queries := randomCorpus(rng, 40, 8, alpha)
 	m := metric.ContextualHeuristic()
-	searchers := []Searcher{
+	searchers := []Index{
 		NewLinear(corpus, m),
 		NewLAESA(corpus, m, 10, MaxSum, 1),
 		NewAESA(corpus, m),

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"sync"
 
@@ -24,7 +25,7 @@ import (
 type LAESA struct {
 	corpus [][]rune
 	m      metric.Metric // the shared metric (exact pivot evaluations, persistence)
-	eval   boundedEval
+	eval   evaluator
 	pivots []int       // corpus indices of the base prototypes
 	rows   [][]float64 // rows[p][i] = d(corpus[pivots[p]], corpus[i])
 	rowOf  []int       // rowOf[i] = row index of pivot i, -1 for non-pivots
@@ -40,12 +41,12 @@ type LAESA struct {
 }
 
 // newLAESA assembles a LAESA from selected pivots and their rows, deriving
-// the rowOf lookup table the query loops index instead of a map.
+// the rowOf lookup table the query loop indexes instead of a map.
 func newLAESA(corpus [][]rune, m metric.Metric, pivots []int, rows [][]float64, comps int) *LAESA {
 	return &LAESA{
 		corpus:                 corpus,
 		m:                      m,
-		eval:                   newBoundedEval(m),
+		eval:                   newEvaluator(m),
 		pivots:                 pivots,
 		rows:                   rows,
 		rowOf:                  rowOfPivots(len(corpus), pivots),
@@ -71,9 +72,9 @@ func rowOfPivots(n int, pivots []int) []int {
 // Preprocessing fans the pivot-matrix rows over all CPUs; the index is
 // bit-identical for any worker count (NewLAESAWorkers controls the count).
 //
-// When the metric implements metric.BoundedMetric the query loops evaluate
-// non-pivot candidates under the current pruning radius: a candidate whose
-// distance provably exceeds the radius is rejected at a fraction of a full
+// When the metric implements metric.Staged the query loop evaluates
+// non-pivot candidates under the current pruning bound: a candidate whose
+// distance provably exceeds the bound is rejected at a fraction of a full
 // evaluation. Pivot candidates are always evaluated exactly — their
 // distances feed the triangle-inequality bounds of the remaining
 // candidates. Bounded evaluations count as ordinary distance computations
@@ -93,7 +94,7 @@ func NewLAESAWorkers(corpus [][]rune, m metric.Metric, numPivots int, strategy P
 	return newLAESA(corpus, m, pivots, rows, comps)
 }
 
-// laesaScratch is the per-query scratch of the LAESA query loops: the
+// laesaScratch is the per-query scratch of the LAESA query loop: the
 // triangle-inequality lower bounds g and the live-candidate list.
 type laesaScratch struct {
 	g     []float64
@@ -140,26 +141,36 @@ func (s *LAESA) NumPivots() int { return len(s.pivots) }
 func (s *LAESA) Corpus() [][]rune { return s.corpus }
 
 // Search returns the nearest neighbour of q.
+func (s *LAESA) Search(q []rune) Nearest { return nearest(s, q) }
+
+// KNearest returns the k nearest corpus elements, closest first.
+func (s *LAESA) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
+
+// Query answers req with the LAESA elimination loop.
 //
 // The loop keeps a lower bound g[u] = max over computed pivots p of
 // |d(q,p) − d(p,u)| for every live candidate u. Each iteration selects the
 // live candidate with the smallest bound — preferring base prototypes while
-// any remain, since only they tighten bounds — computes its true distance,
-// updates the best-so-far and eliminates every candidate whose bound
-// exceeds it.
-func (s *LAESA) Search(q []rune) Result {
+// any remain, since only they tighten bounds — computes its distance and
+// eliminates every candidate whose bound exceeds the pruning bound τ (the
+// radius, or the k-th best distance so far). For k = 1 this is the 1-NN
+// search of the paper; larger k eliminates less, since τ is the k-th best
+// rather than the best (k-NN is intrinsically more expensive).
+func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	n := len(s.corpus)
-	if n == 0 {
-		return Result{Index: -1}
+	c := newCollector(ctx, req, n)
+	if c.done(n) {
+		return c.answer()
 	}
 	sc := s.checkoutScratch()
 	defer s.scratch.Put(sc)
 	g, alive := sc.g, sc.alive
-	best := Result{Index: -1, Distance: math.Inf(1)}
-	comps := 0
 	pivotsLeft := len(s.pivots)
 
 	for len(alive) > 0 {
+		if c.chk.Hit() {
+			break
+		}
 		// Select: the live pivot with the smallest bound while pivots
 		// remain, otherwise the live non-pivot with the smallest bound.
 		selPos := -1
@@ -181,39 +192,26 @@ func (s *LAESA) Search(q []rune) Result {
 		alive = alive[:len(alive)-1]
 
 		// Pivots need their exact distance (it tightens every remaining
-		// bound); non-pivots only race the best-so-far, so the pruning
-		// radius caps how much of the evaluation matters.
-		row := s.rowOf[u]
-		var d float64
-		exact := true
-		if row >= 0 {
-			d = s.m.Distance(q, s.corpus[u])
-		} else {
-			var stage metric.Stage
-			d, exact, stage = s.eval.distanceWithin(q, s.corpus[u], best.Distance)
-			if !exact {
-				best.Rejections[stage]++
-			}
-		}
-		comps++
-		if exact && d < best.Distance {
-			best.Index = u
-			best.Distance = d
-		}
-		if row >= 0 {
+		// bound); non-pivots only race τ, so τ caps how much of the
+		// evaluation matters.
+		if row := s.rowOf[u]; row >= 0 {
+			c.st.Computations++
+			d := s.m.Distance(q, s.corpus[u])
+			c.offer(u, d)
 			pivotsLeft--
-			// Tighten bounds with the new pivot distance.
 			r := s.rows[row]
 			for _, v := range alive {
 				if lb := math.Abs(d - r[v]); lb > g[v] {
 					g[v] = lb
 				}
 			}
+		} else if d, exact := c.eval(s.eval, q, s.corpus[u], c.tau); exact {
+			c.offer(u, d)
 		}
 		// Eliminate.
 		w := alive[:0]
 		for _, v := range alive {
-			if g[v] <= best.Distance {
+			if g[v] <= c.tau {
 				w = append(w, v)
 			} else if s.rowOf[v] >= 0 {
 				pivotsLeft--
@@ -221,6 +219,5 @@ func (s *LAESA) Search(q []rune) Result {
 		}
 		alive = w
 	}
-	best.Computations = comps
-	return best
+	return c.answer()
 }

@@ -80,7 +80,7 @@ func TestLAESARadiusMatchesLinearScan(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			got, comps := la.Radius(q, r)
+			got, comps := radius(la, q, r)
 			if len(got) != len(want) {
 				t.Fatalf("radius %v: got %d hits, want %d", r, len(got), len(want))
 			}
@@ -121,7 +121,7 @@ func TestLAESARadiusPrunes(t *testing.T) {
 	total := 0
 	queries := randomCorpus(rng, 30, 12, alpha)
 	for _, q := range queries {
-		_, comps := la.Radius(q, 2)
+		_, comps := radius(la, q, 2)
 		total += comps
 	}
 	if avg := float64(total) / float64(len(queries)); avg >= float64(len(corpus)) {
@@ -131,7 +131,7 @@ func TestLAESARadiusPrunes(t *testing.T) {
 
 func TestLAESARadiusEmptyCorpus(t *testing.T) {
 	la := NewLAESA(nil, metric.Levenshtein(), 2, MaxSum, 1)
-	hits, comps := la.Radius([]rune("a"), 5)
+	hits, comps := radius(la, []rune("a"), 5)
 	if hits != nil || comps != 0 {
 		t.Error("empty corpus radius should be empty")
 	}

@@ -148,7 +148,7 @@ func LoadVPTree(r io.Reader, m metric.Metric) (*VPTree, error) {
 			nodes[i].outside = &nodes[f.Outside]
 		}
 	}
-	t := &VPTree{corpus: corpus, eval: newBoundedEval(m), PreprocessComputations: snap.Preprocess}
+	t := &VPTree{corpus: corpus, eval: newEvaluator(m), PreprocessComputations: snap.Preprocess}
 	if len(nodes) > 0 {
 		t.root = &nodes[0]
 	}
@@ -241,7 +241,7 @@ func LoadBKTree(r io.Reader, m metric.Metric) (*BKTree, error) {
 			nodes[i].children[e] = &nodes[child]
 		}
 	}
-	t := &BKTree{corpus: corpus, eval: newBoundedEval(m), size: len(corpus)}
+	t := &BKTree{corpus: corpus, eval: newEvaluator(m), size: len(corpus)}
 	if len(nodes) > 0 {
 		t.root = &nodes[0]
 	}

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -137,30 +139,28 @@ const spanishRadius = 0.3
 // string (dC ~ 0.04) with headroom.
 const contourRadius = 0.08
 
-func benchKNN(b *testing.B, s KSearcher, queries [][]rune, k int) {
-	b.Helper()
-	comps := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := s.KNearest(queries[i%len(queries)], k)
-		comps += rs[0].Computations
-	}
-	b.ReportMetric(float64(comps)/float64(b.N), "comps/query")
+func benchKNN(b *testing.B, s Index, queries [][]rune, k int) {
+	benchQuery(b, s, queries, KNN(k, math.Inf(1)))
 }
 
-func benchRadius(b *testing.B, s RadiusSearcher, queries [][]rune, r float64) {
+func benchRadius(b *testing.B, s Index, queries [][]rune, r float64) {
+	benchQuery(b, s, queries, Within(r))
+}
+
+func benchQuery(b *testing.B, s Index, queries [][]rune, req Request) {
 	b.Helper()
 	comps, hits := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hs, c := s.Radius(queries[i%len(queries)], r)
-		comps += c
-		hits += len(hs)
+		ans, _ := s.Query(context.Background(), queries[i%len(queries)], req)
+		comps += ans.Computations
+		hits += len(ans.Hits)
 	}
 	b.ReportMetric(float64(comps)/float64(b.N), "comps/query")
-	b.ReportMetric(float64(hits)/float64(b.N), "hits/query")
+	if req.IsRadius() {
+		b.ReportMetric(float64(hits)/float64(b.N), "hits/query")
+	}
 }
 
 func BenchmarkQueryKNNSpanishLAESA(b *testing.B) {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ var alpha = []rune("abcd")
 
 // checkAgainstLinear verifies that a searcher returns a neighbour at the
 // same distance as the exhaustive scan (the index may differ under ties).
-func checkAgainstLinear(t *testing.T, s Searcher, lin *Linear, queries [][]rune) {
+func checkAgainstLinear(t *testing.T, s Index, lin *Linear, queries [][]rune) {
 	t.Helper()
 	for _, q := range queries {
 		want := lin.Search(q)
@@ -252,7 +253,7 @@ func TestBKTreeFindsNearest(t *testing.T) {
 func TestBKTreeRadius(t *testing.T) {
 	corpus := [][]rune{[]rune("book"), []rune("books"), []rune("cake"), []rune("boo"), []rune("cape")}
 	tr := NewBKTree(corpus, metric.Levenshtein())
-	hits, comps := tr.Radius([]rune("book"), 1)
+	hits, comps := radius(tr, []rune("book"), 1)
 	if comps <= 0 {
 		t.Error("radius query should compute distances")
 	}
@@ -310,4 +311,13 @@ func TestLAESADeterministicForSeed(t *testing.T) {
 			t.Fatal("same seed should choose the same pivots")
 		}
 	}
+}
+
+// radius runs a radius query, returning its hits and computation count.
+func radius(s Index, q []rune, r float64) ([]Result, int) {
+	ans, err := s.Query(context.Background(), q, Within(r))
+	if err != nil {
+		panic(err)
+	}
+	return ans.Hits, ans.Computations
 }

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"ced/internal/metric"
@@ -43,24 +45,24 @@ func TestBoundedAESAMatchesLinear(t *testing.T) {
 		}
 
 		wantK := lin.KNearest(q, 4)
-		gotK := bounded.KNearest(q, 4)
-		plainK := unbounded.KNearest(q, 4)
-		if len(gotK) != len(wantK) || len(plainK) != len(wantK) {
-			t.Fatalf("aesa KNearest sizes %d/%d, want %d", len(gotK), len(plainK), len(wantK))
+		gotK, _ := bounded.Query(context.Background(), q, KNN(4, math.Inf(1)))
+		plainK, _ := unbounded.Query(context.Background(), q, KNN(4, math.Inf(1)))
+		if len(gotK.Hits) != len(wantK) || len(plainK.Hits) != len(wantK) {
+			t.Fatalf("aesa KNearest sizes %d/%d, want %d", len(gotK.Hits), len(plainK.Hits), len(wantK))
 		}
 		for i := range wantK {
-			if gotK[i].Index != wantK[i].Index || gotK[i].Distance != wantK[i].Distance {
-				t.Fatalf("aesa KNearest[%d]: %+v, linear %+v", i, gotK[i], wantK[i])
+			if gotK.Hits[i] != wantK[i] {
+				t.Fatalf("aesa KNearest[%d]: %+v, linear %+v", i, gotK.Hits[i], wantK[i])
 			}
-			if gotK[i].Computations != plainK[i].Computations {
-				t.Fatalf("bounded aesa KNearest comps %d, unbounded %d", gotK[i].Computations, plainK[i].Computations)
-			}
+		}
+		if gotK.Computations != plainK.Computations {
+			t.Fatalf("bounded aesa KNearest comps %d, unbounded %d", gotK.Computations, plainK.Computations)
 		}
 
 		const r = 0.5
-		wantR, _ := lin.Radius(q, r)
-		gotR, gotComps := bounded.Radius(q, r)
-		_, plainComps := unbounded.Radius(q, r)
+		wantR, _ := radius(lin, q, r)
+		gotR, gotComps := radius(bounded, q, r)
+		_, plainComps := radius(unbounded, q, r)
 		if len(gotR) != len(wantR) {
 			t.Fatalf("aesa Radius: %d hits, linear %d", len(gotR), len(wantR))
 		}
@@ -135,9 +137,9 @@ func TestSearchersReportStages(t *testing.T) {
 	vp := NewVPTree(corpus, m, 74)
 	blind := NewLAESA(corpus, metric.New("dC", m.Distance), 12, MaxSum, 73)
 
-	sawReject := false
+	sawReject, sawEmptyReject := false, false
 	for _, q := range queries {
-		for _, s := range []Searcher{la, vp} {
+		for _, s := range []Index{la, vp} {
 			res := s.Search(q)
 			total := res.Rejections.Total()
 			if total > int64(res.Computations) {
@@ -150,23 +152,20 @@ func TestSearchersReportStages(t *testing.T) {
 		if res := blind.Search(q); res.Rejections.Total() != 0 {
 			t.Fatalf("stage-blind metric reported rejections: %+v", res.Rejections)
 		}
-		// k-NN and radius queries stamp the same counters on every result.
-		rs := la.KNearest(q, 3)
-		for _, r := range rs[1:] {
-			if r.Rejections != rs[0].Rejections {
-				t.Fatalf("KNearest results carry different counters: %+v vs %+v", r.Rejections, rs[0].Rejections)
+		// k-NN and radius answers carry the query's counters whether or
+		// not anything was found.
+		for _, req := range []Request{KNN(3, math.Inf(1)), Within(0.4), Within(0)} {
+			ans, _ := la.Query(context.Background(), q, req)
+			if total := ans.Rejections.Total(); total > int64(ans.Computations) {
+				t.Fatalf("%+v: %d rejections > %d computations", req, total, ans.Computations)
 			}
-		}
-		if hits, _ := la.Radius(q, 0.4); len(hits) > 1 {
-			for _, h := range hits[1:] {
-				if h.Rejections != hits[0].Rejections {
-					t.Fatalf("Radius hits carry different counters")
-				}
+			if len(ans.Hits) == 0 && ans.Rejections.Total() > 0 {
+				sawEmptyReject = true
 			}
 		}
 	}
-	if !sawReject {
-		t.Fatal("expected at least one staged rejection across the query set")
+	if !sawReject || !sawEmptyReject {
+		t.Fatal("expected staged rejections across the query set, zero-hit answers included")
 	}
 }
 
@@ -194,8 +193,8 @@ func TestBoundedLinearMatchesUnbounded(t *testing.T) {
 				t.Fatalf("KNearest[%d]: %+v vs %+v", i, gotK[i], wantK[i])
 			}
 		}
-		gotR, gc := bounded.Radius(q, 0.45)
-		wantR, wc := plain.Radius(q, 0.45)
+		gotR, gc := radius(bounded, q, 0.45)
+		wantR, wc := radius(plain, q, 0.45)
 		if len(gotR) != len(wantR) || gc != wc {
 			t.Fatalf("Radius: %d hits/%d comps vs %d/%d", len(gotR), gc, len(wantR), wc)
 		}

@@ -1,9 +1,8 @@
 package search
 
 import (
-	"math"
-
-	"ced/internal/metric"
+	"context"
+	"slices"
 )
 
 // Trie is a prefix-tree dictionary searcher for *edit-distance* queries
@@ -66,107 +65,42 @@ func (t *Trie) Name() string { return "trie" }
 // Size returns the number of inserted strings.
 func (t *Trie) Size() int { return t.size }
 
-// Search returns the corpus string with minimum edit distance to q. The
-// Computations field counts DP-row evaluations (one per visited trie
-// node), the analogue of distance computations for this structure.
-func (t *Trie) Search(q []rune) Result {
-	best := Result{Index: -1, Distance: math.Inf(1)}
-	if t.size == 0 {
-		return best
+// Search returns the corpus string with minimum edit distance to q.
+func (t *Trie) Search(q []rune) Nearest { return nearest(t, q) }
+
+// KNearest returns the k nearest distinct corpus strings, closest first.
+func (t *Trie) KNearest(q []rune, k int) []Result { return kNearest(t, q, k) }
+
+// Query answers req over the *distinct* corpus strings. The trie holds one
+// node per distinct string — duplicates keep their first corpus index — so
+// on a corpus with repeated strings the answer holds at most one entry per
+// value where Linear would list each occurrence. The walk abandons a
+// subtree once its DP-row minimum exceeds the pruning bound τ (the radius,
+// or the k-th best distance so far); rows at τ still descend so that
+// equal-distance strings with smaller corpus indices can claim their rank.
+// Computations counts visited trie nodes, the structure's analogue of
+// distance computations; Rejections stay zero (the pruning is structural).
+func (t *Trie) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
+	c := newCollector(ctx, req, t.distinct)
+	if c.done(t.distinct) {
+		return c.answer()
 	}
 	n := len(q)
 	firstRow := make([]int, n+1)
 	for j := range firstRow {
 		firstRow[j] = j
 	}
-	nodes := 0
 	var walk func(node *trieNode, row []int)
 	walk = func(node *trieNode, row []int) {
-		nodes++
-		if node.index >= 0 && float64(row[n]) < best.Distance {
-			best.Index = node.index
-			best.Distance = float64(row[n])
-		}
-		// Row minimum is a lower bound for every completion below here.
-		rowMin := row[0]
-		for _, v := range row[1:] {
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if float64(rowMin) >= best.Distance {
+		if c.chk.Hit() {
 			return
 		}
-		next := make([]int, n+1)
-		for r, child := range node.children {
-			next[0] = row[0] + 1
-			for j := 1; j <= n; j++ {
-				d := next[j-1] + 1
-				if v := row[j] + 1; v < d {
-					d = v
-				}
-				v := row[j-1]
-				if q[j-1] != r {
-					v++
-				}
-				if v < d {
-					d = v
-				}
-				next[j] = d
-			}
-			walk(child, next)
-		}
-	}
-	walk(t.root, firstRow)
-	best.Computations = nodes
-	return best
-}
-
-// KNearest returns the k nearest *distinct* corpus strings to q, closest
-// first (ties by corpus index, like every other searcher). The trie holds
-// one node per distinct string — duplicates keep their first corpus
-// index — so on a corpus with repeated strings the result holds at most
-// one entry per value where Linear would list each occurrence; k is
-// clamped to the distinct count accordingly. A subtree is abandoned once
-// its DP-row minimum exceeds the current k-th best distance τ; rows at τ
-// still descend so that equal-distance strings with smaller corpus
-// indices can claim their rank. Computations counts visited trie nodes,
-// the structure's analogue of distance computations.
-func (t *Trie) KNearest(q []rune, k int) []Result {
-	res, nodes, rej := t.KNearestBounded(q, k, math.Inf(1))
-	return stampResults(res, nodes, rej)
-}
-
-// KNearestBounded is KNearest with τ seeded at bound instead of +Inf (see
-// BoundedKSearcher): subtrees whose DP-row minimum exceeds an externally
-// known k-th-best distance are abandoned from the root on.
-func (t *Trie) KNearestBounded(q []rune, k int, bound float64) ([]Result, int, metric.StageCounts) {
-	if k <= 0 || t.size == 0 {
-		return nil, 0, metric.StageCounts{}
-	}
-	if k > t.distinct {
-		k = t.distinct
-	}
-	top := newTopKBounded(k, bound)
-	n := len(q)
-	firstRow := make([]int, n+1)
-	for j := range firstRow {
-		firstRow[j] = j
-	}
-	nodes := 0
-	var walk func(node *trieNode, row []int)
-	walk = func(node *trieNode, row []int) {
-		nodes++
+		c.st.Computations++
 		if node.index >= 0 {
-			top.insert(node.index, float64(row[n]))
+			c.offer(node.index, float64(row[n]))
 		}
-		rowMin := row[0]
-		for _, v := range row[1:] {
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if float64(rowMin) > top.tau {
+		// The row minimum is a lower bound for every completion below here.
+		if float64(slices.Min(row)) > c.tau {
 			return
 		}
 		next := make([]int, n+1)
@@ -190,72 +124,5 @@ func (t *Trie) KNearestBounded(q []rune, k int, bound float64) ([]Result, int, m
 		}
 	}
 	walk(t.root, firstRow)
-	return top.res, nodes, metric.StageCounts{}
+	return c.answer()
 }
-
-// Radius returns every corpus string within edit distance r of q,
-// sorted by distance, plus the number of visited trie nodes.
-func (t *Trie) Radius(q []rune, r float64) ([]Result, int) {
-	if t.size == 0 {
-		return nil, 0
-	}
-	bound := int(r)
-	n := len(q)
-	firstRow := make([]int, n+1)
-	for j := range firstRow {
-		firstRow[j] = j
-	}
-	var hits []Result
-	nodes := 0
-	var walk func(node *trieNode, row []int)
-	walk = func(node *trieNode, row []int) {
-		nodes++
-		if node.index >= 0 && row[n] <= bound {
-			hits = append(hits, Result{Index: node.index, Distance: float64(row[n])})
-		}
-		rowMin := row[0]
-		for _, v := range row[1:] {
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if rowMin > bound {
-			return
-		}
-		for r, child := range node.children {
-			next := make([]int, n+1)
-			next[0] = row[0] + 1
-			for j := 1; j <= n; j++ {
-				d := next[j-1] + 1
-				if v := row[j] + 1; v < d {
-					d = v
-				}
-				v := row[j-1]
-				if q[j-1] != r {
-					v++
-				}
-				if v < d {
-					d = v
-				}
-				next[j] = d
-			}
-			walk(child, next)
-		}
-	}
-	walk(t.root, firstRow)
-	sortHits(hits)
-	for i := range hits {
-		hits[i].Computations = nodes
-	}
-	return hits, nodes
-}
-
-// Interface checks: the trie is a Searcher, a KSearcher and a
-// RadiusSearcher (its Computations unit differs — visited nodes, not metric
-// calls — which the doc comments spell out).
-var (
-	_ Searcher         = (*Trie)(nil)
-	_ KSearcher        = (*Trie)(nil)
-	_ RadiusSearcher   = (*Trie)(nil)
-	_ BoundedKSearcher = (*Trie)(nil)
-)

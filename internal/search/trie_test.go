@@ -35,12 +35,12 @@ func TestTrieRadiusMatchesLinear(t *testing.T) {
 		for _, r := range []float64{0, 1, 2} {
 			// The trie returns one hit per *unique* string (duplicates share
 			// a node), so compare unique-string sets, not raw hit counts.
-			want, _ := lin.Radius(q, r)
+			want, _ := radius(lin, q, r)
 			wantSet := map[string]float64{}
 			for _, h := range want {
 				wantSet[string(corpus[h.Index])] = h.Distance
 			}
-			got, nodes := tr.Radius(q, r)
+			got, nodes := radius(tr, q, r)
 			gotSet := map[string]float64{}
 			for _, h := range got {
 				gotSet[string(corpus[h.Index])] = h.Distance
@@ -65,7 +65,7 @@ func TestTrieDuplicatesAndEmpty(t *testing.T) {
 	if r := empty.Search([]rune("a")); r.Index != -1 {
 		t.Error("empty trie should return -1")
 	}
-	if hits, _ := empty.Radius([]rune("a"), 2); hits != nil {
+	if hits, _ := radius(empty, []rune("a"), 2); hits != nil {
 		t.Error("empty trie radius should be nil")
 	}
 	corpus := [][]rune{[]rune("dup"), []rune("dup"), []rune("other")}
@@ -89,7 +89,7 @@ func TestTrieVisitsFewerNodesThanCorpusScan(t *testing.T) {
 	}
 	tr := NewTrie(corpus)
 	q := corpus[42]
-	_, nodes := tr.Radius(q, 1)
+	_, nodes := radius(tr, q, 1)
 	total := 0
 	for _, s := range corpus {
 		total += len(s)

@@ -1,7 +1,7 @@
 package search
 
 import (
-	"math"
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,7 +20,7 @@ import (
 // §4.3.
 type VPTree struct {
 	corpus [][]rune
-	eval   boundedEval
+	eval   evaluator
 	root   *vpNode
 
 	// PreprocessComputations counts the distance evaluations spent
@@ -28,12 +28,11 @@ type VPTree struct {
 	PreprocessComputations int
 }
 
-// The walkers evaluate vantages through t.eval.distanceWithin with
-// cutoff = node radius + current pruning bound: a bail then proves the
-// distance d satisfies every traversal predicate at once — d exceeds the
-// bound (no best/hit update), d − bound > radius (the inside ball cannot
-// contain an acceptable element) and d > radius (the query sits outside) —
-// so the walker can descend outside-only without knowing d.
+// The walk evaluates vantages with cutoff = node radius + current pruning
+// bound: a bail then proves the distance d satisfies every traversal
+// predicate at once — d exceeds the bound (no hit), d − bound > radius (the
+// inside ball cannot contain a hit) and d > radius (the query sits
+// outside) — so the walk can descend outside-only without knowing d.
 
 type vpNode struct {
 	index   int // corpus index of the vantage point
@@ -66,7 +65,7 @@ func NewVPTree(corpus [][]rune, m metric.Metric, seed int64) *VPTree {
 // trees built before this change are therefore not reproduced node for
 // node.)
 func NewVPTreeWorkers(corpus [][]rune, m metric.Metric, seed int64, workers int) *VPTree {
-	t := &VPTree{corpus: corpus, eval: newBoundedEval(m)}
+	t := &VPTree{corpus: corpus, eval: newEvaluator(m)}
 	n := len(corpus)
 	if n == 0 {
 		return t
@@ -179,42 +178,46 @@ func (t *VPTree) Size() int { return len(t.corpus) }
 func (t *VPTree) Corpus() [][]rune { return t.corpus }
 
 // Search returns the nearest neighbour of q.
-func (t *VPTree) Search(q []rune) Result {
-	best := Result{Index: -1, Distance: math.Inf(1)}
-	comps := 0
+func (t *VPTree) Search(q []rune) Nearest { return nearest(t, q) }
+
+// KNearest returns the k nearest corpus elements, closest first.
+func (t *VPTree) KNearest(q []rune, k int) []Result { return kNearest(t, q, k) }
+
+// Query answers req by tree descent, pruning every subtree the ball of
+// radius τ around q cannot reach (τ is the radius, or the k-th best
+// distance so far).
+func (t *VPTree) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
+	c := newCollector(ctx, req, len(t.corpus))
+	if c.done(len(t.corpus)) {
+		return c.answer()
+	}
 	var walk func(n *vpNode)
 	walk = func(n *vpNode) {
-		if n == nil {
+		if n == nil || c.chk.Hit() {
 			return
 		}
-		d, exact, stage := t.eval.distanceWithin(q, t.corpus[n.index], n.radius+best.Distance)
-		comps++
+		d, exact := c.eval(t.eval, q, t.corpus[n.index], n.radius+c.tau)
 		if !exact {
-			// d > radius + best: the vantage cannot improve the best and
-			// the inside ball cannot hold anything nearer either.
-			best.Rejections[stage]++
+			// d > radius + τ: the vantage is no hit and the inside ball
+			// cannot hold one either (τ only shrinks).
 			walk(n.outside)
 			return
 		}
-		if d < best.Distance {
-			best.Index = n.index
-			best.Distance = d
-		}
+		c.offer(n.index, d)
 		// Visit the side containing q first; prune the other side when the
 		// ball around q cannot cross the split radius.
 		if d <= n.radius {
 			walk(n.inside)
-			if d+best.Distance >= n.radius {
+			if d+c.tau >= n.radius {
 				walk(n.outside)
 			}
 		} else {
 			walk(n.outside)
-			if d-best.Distance <= n.radius {
+			if d-c.tau <= n.radius {
 				walk(n.inside)
 			}
 		}
 	}
 	walk(t.root)
-	best.Computations = comps
-	return best
+	return c.answer()
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"ced/internal/bulk"
 	"ced/internal/metric"
 	"ced/internal/pool"
+	"ced/internal/search"
 	"ced/internal/shard"
 )
 
@@ -128,27 +130,10 @@ func stageRejections(c metric.StageCounts) StageRejections {
 	}
 }
 
-// add accumulates o into r.
-func (r *StageRejections) add(o StageRejections) {
-	r.Length += o.Length
-	r.Edit += o.Edit
-	r.Heuristic += o.Heuristic
-	r.Exact += o.Exact
-}
-
 // Stats describes the work one request spent: the number of distance
 // evaluations (the paper's cost measure, summed over a batch) and how many
 // of them the bound ladder rejected early, by rung.
-type Stats struct {
-	Computations int
-	Rejections   StageRejections
-}
-
-// add accumulates o into s (batch endpoints sum their per-query stats).
-func (s *Stats) add(o Stats) {
-	s.Computations += o.Computations
-	s.Rejections.add(o.Rejections)
-}
+type Stats = search.Stats
 
 // Neighbor is one k-NN answer element.
 type Neighbor struct {
@@ -418,14 +403,13 @@ func (e *Engine) Labelled() bool { return e.set.Load().Labelled() }
 func (e *Engine) countRequest() { e.requests.Add(1) }
 
 // record folds one search query's per-stage counters into the lifetime
-// totals and returns them in wire form.
-func (e *Engine) record(c metric.StageCounts) StageRejections {
+// totals.
+func (e *Engine) record(c metric.StageCounts) {
 	for s, n := range c {
 		if n != 0 {
 			e.rejected[s].Add(n)
 		}
 	}
-	return stageRejections(c)
 }
 
 // Distance computes the metric between a and b. The Stats report one
@@ -437,10 +421,12 @@ func (e *Engine) Distance(a, b string) (float64, Stats) {
 	return e.m.Distance(e.cache.Get(a), e.cache.Get(b)), Stats{Computations: 1}
 }
 
-// BatchDistance computes the metric for every pair, fanned out over the
+// BatchDistanceCtx computes the metric for every pair, fanned out over the
 // worker pool with the same index-striding pattern as ced.DistanceMatrix.
 // It returns one distance per pair, in order, and the total computation
-// count (one per pair).
+// count (one per pair). The striped workers poll ctx between pairs (see
+// bulk.FanCtx) and a cancelled batch returns ctx's error with no output —
+// distances are all-or-nothing.
 //
 // Batch methods decode runes inline rather than through the LRU cache:
 // bulk payloads are dominated by one-off strings, which would serialise
@@ -452,14 +438,6 @@ func (e *Engine) Distance(a, b string) (float64, Stats) {
 // workspace, checked out of the bulk evaluation layer for the duration of
 // the batch and returned warm afterwards: steady-state batch distances
 // allocate nothing and no workspace is ever shared between live workers.
-func (e *Engine) BatchDistance(pairs []Pair) ([]float64, Stats) {
-	out, st, _ := e.BatchDistanceCtx(context.Background(), pairs)
-	return out, st
-}
-
-// BatchDistanceCtx is BatchDistance with cooperative cancellation: the
-// striped workers poll ctx between pairs (see bulk.FanCtx) and a cancelled
-// batch returns ctx's error with no output — distances are all-or-nothing.
 func (e *Engine) BatchDistanceCtx(ctx context.Context, pairs []Pair) ([]float64, Stats, error) {
 	e.countRequest()
 	if err := ctx.Err(); err != nil {
@@ -475,48 +453,51 @@ func (e *Engine) BatchDistanceCtx(ctx context.Context, pairs []Pair) ([]float64,
 	return out, Stats{Computations: len(pairs)}, nil
 }
 
-// KNearest returns the k nearest corpus elements to q, closest first, and
-// the work the index spent answering: distance computations plus the
-// per-stage ladder rejections among them.
-func (e *Engine) KNearest(q string, k int) ([]Neighbor, Stats, error) {
-	return e.KNearestCtx(context.Background(), q, k)
-}
-
-// KNearestCtx is KNearest with cooperative cancellation: the shard scans
-// poll ctx every few candidates and a cancelled query stops computing,
-// returning ctx's error with the (partial) work counted in Stats — results
-// are bit-identical to KNearest whenever ctx is not cancelled.
-func (e *Engine) KNearestCtx(ctx context.Context, q string, k int) ([]Neighbor, Stats, error) {
+// Query answers req for q — the k nearest corpus elements or every element
+// within a radius, closest first (ties by ID) — and reports the work the
+// index spent: distance computations plus the per-stage ladder rejections
+// among them. The shard scans poll ctx every few candidates and a
+// cancelled query stops computing, returning ctx's error with the partial
+// work counted in Stats; answers are bit-identical whenever ctx is not
+// cancelled.
+func (e *Engine) Query(ctx context.Context, q string, req search.Request) ([]Neighbor, Stats, error) {
 	e.countRequest()
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	return e.knn(ctx, e.cache.Get(q), k)
+	hits, st, err := e.query(ctx, e.cache.Get(q), req)
+	if err != nil {
+		return nil, st, err
+	}
+	return Neighbors(hits), st, nil
 }
 
-// BatchKNearest answers a k-NN query per input string over the worker
-// pool (decoding inline, bypassing the cache — see BatchDistance). The
-// stats are summed across queries.
-func (e *Engine) BatchKNearest(queries []string, k int) ([][]Neighbor, Stats, error) {
-	return e.BatchKNearestCtx(context.Background(), queries, k)
+// KNearestCtx returns the k nearest corpus elements to q: Query with
+// search.KNN(k, +Inf).
+func (e *Engine) KNearestCtx(ctx context.Context, q string, k int) ([]Neighbor, Stats, error) {
+	return e.Query(ctx, q, search.KNN(k, math.Inf(1)))
 }
 
-// BatchKNearestCtx is BatchKNearest with cooperative cancellation: each
-// per-query scan polls ctx, and a cancelled batch returns ctx's error with
-// the stats of the work spent before the stop.
+// BatchKNearestCtx answers a k-NN query per input string over the worker
+// pool (decoding inline, bypassing the cache — see BatchDistanceCtx). The
+// stats are summed across queries; a cancelled batch returns ctx's error
+// with the stats of the work spent before the stop.
 func (e *Engine) BatchKNearestCtx(ctx context.Context, queries []string, k int) ([][]Neighbor, Stats, error) {
 	e.countRequest()
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	if err := e.checkK(k); err != nil {
-		return nil, Stats{}, err
+	req := search.KNN(k, math.Inf(1))
+	if err := req.Validate(); err != nil {
+		return nil, Stats{}, fmt.Errorf("serve: %w", err)
 	}
 	out := make([][]Neighbor, len(queries))
 	stats := make([]Stats, len(queries))
 	errs := make([]error, len(queries))
 	e.fanOut(len(queries), func(i int) {
-		out[i], stats[i], errs[i] = e.knn(ctx, []rune(queries[i]), k)
+		var hits []shard.Hit
+		hits, stats[i], errs[i] = e.query(ctx, []rune(queries[i]), req)
+		out[i] = Neighbors(hits)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -526,80 +507,35 @@ func (e *Engine) BatchKNearestCtx(ctx context.Context, queries []string, k int) 
 	return out, sumStats(stats), nil
 }
 
-func (e *Engine) checkK(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("serve: k must be positive (got %d)", k)
-	}
-	return nil
-}
-
-// neighbor converts a merged shard hit to the wire form: Index is the
-// element's stable global ID (its original corpus position for elements
-// present since startup; Add mints the next integer).
-func neighbor(h shard.Hit) Neighbor {
-	return Neighbor{Index: int(h.ID), Value: h.Value, Distance: h.Distance}
-}
-
-// shardStats folds a fanned query's counters into the lifetime totals and
-// converts them to the wire form.
-func (e *Engine) shardStats(st shard.Stats) Stats {
-	return Stats{Computations: st.Computations, Rejections: e.record(st.Rejections)}
-}
-
-func (e *Engine) knn(ctx context.Context, q []rune, k int) ([]Neighbor, Stats, error) {
-	if err := e.checkK(k); err != nil {
-		return nil, Stats{}, err
-	}
-	hits, st, err := e.set.Load().KNearestCtx(ctx, q, k)
-	if err != nil {
-		return nil, e.shardStats(st), err
-	}
-	out := make([]Neighbor, len(hits))
-	for i, h := range hits {
-		out[i] = neighbor(h)
-	}
-	return out, e.shardStats(st), nil
-}
-
-// Radius returns every corpus element within distance r of q (inclusive),
-// sorted by (distance, ID). Unlike KNearest there is no run-to-run stats
-// variance: r itself bounds every shard, so both the result set and the
-// pruning behaviour are deterministic.
-func (e *Engine) Radius(q string, r float64) ([]Neighbor, Stats, error) {
-	return e.RadiusCtx(context.Background(), q, r)
-}
-
-// RadiusCtx is Radius with cooperative cancellation (see KNearestCtx).
-func (e *Engine) RadiusCtx(ctx context.Context, q string, r float64) ([]Neighbor, Stats, error) {
-	e.countRequest()
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-	if r < 0 {
-		return nil, Stats{}, fmt.Errorf("serve: radius must be non-negative (got %g)", r)
-	}
-	hits, st, err := e.set.Load().RadiusCtx(ctx, e.cache.Get(q), r)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, e.shardStats(st), err
-		}
+// query is the engine's one query path: it validates req, runs it on the
+// current set and folds its ladder rejections into the lifetime totals.
+func (e *Engine) query(ctx context.Context, q []rune, req search.Request) ([]shard.Hit, Stats, error) {
+	if err := req.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("serve: %w", err)
 	}
+	hits, st, err := e.set.Load().Query(ctx, q, req)
+	e.record(st.Rejections)
+	if err != nil {
+		return nil, st, err
+	}
+	return hits, st, nil
+}
+
+// Neighbors converts merged shard hits to the wire form: Index is the
+// element's stable global ID (its original corpus position for elements
+// present since startup; Add mints the next integer).
+func Neighbors(hits []shard.Hit) []Neighbor {
 	out := make([]Neighbor, len(hits))
 	for i, h := range hits {
-		out[i] = neighbor(h)
+		out[i] = Neighbor{Index: int(h.ID), Value: h.Value, Distance: h.Distance}
 	}
-	return out, e.shardStats(st), nil
+	return out
 }
 
-// Classify labels q with the class of its nearest corpus element (the
-// paper's §4.4 protocol, one query at a time) and reports the work spent.
-// It fails when the corpus is unlabelled.
-func (e *Engine) Classify(q string) (Prediction, Stats, error) {
-	return e.ClassifyCtx(context.Background(), q)
-}
-
-// ClassifyCtx is Classify with cooperative cancellation (see KNearestCtx).
+// ClassifyCtx labels q with the class of its nearest corpus element (the
+// paper's §4.4 protocol, one query at a time) and reports the work spent,
+// with cooperative cancellation like Query. It fails when the corpus is
+// unlabelled.
 func (e *Engine) ClassifyCtx(ctx context.Context, q string) (Prediction, Stats, error) {
 	e.countRequest()
 	if err := ctx.Err(); err != nil {
@@ -608,14 +544,8 @@ func (e *Engine) ClassifyCtx(ctx context.Context, q string) (Prediction, Stats, 
 	return e.classify(ctx, e.cache.Get(q))
 }
 
-// BatchClassify classifies every query over the worker pool (decoding
-// inline, bypassing the cache — see BatchDistance), summing the stats.
-func (e *Engine) BatchClassify(queries []string) ([]Prediction, Stats, error) {
-	return e.BatchClassifyCtx(context.Background(), queries)
-}
-
-// BatchClassifyCtx is BatchClassify with cooperative cancellation (see
-// BatchKNearestCtx).
+// BatchClassifyCtx classifies every query over the worker pool (decoding
+// inline, bypassing the cache — see BatchDistanceCtx), summing the stats.
 func (e *Engine) BatchClassifyCtx(ctx context.Context, queries []string) ([]Prediction, Stats, error) {
 	e.countRequest()
 	if err := ctx.Err(); err != nil {
@@ -644,14 +574,14 @@ func (e *Engine) classify(ctx context.Context, q []rune) (Prediction, Stats, err
 	if !e.Labelled() {
 		return Prediction{}, Stats{}, errUnlabelled
 	}
-	hit, st, err := e.set.Load().ClassifyCtx(ctx, q)
+	hits, st, err := e.query(ctx, q, search.KNN(1, math.Inf(1)))
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Prediction{}, e.shardStats(st), err
-		}
-		return Prediction{}, Stats{}, fmt.Errorf("serve: %w", err)
+		return Prediction{}, st, err
 	}
-	return Prediction{Label: hit.Label, Neighbor: neighbor(hit)}, e.shardStats(st), nil
+	if len(hits) == 0 {
+		return Prediction{}, st, fmt.Errorf("serve: empty corpus")
+	}
+	return Prediction{Label: hits[0].Label, Neighbor: Neighbors(hits)[0]}, st, nil
 }
 
 // errTrieMutation: the trie keeps one node per *distinct* string (first
@@ -759,7 +689,7 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 func sumStats(xs []Stats) Stats {
 	var t Stats
 	for _, x := range xs {
-		t.add(x)
+		t.Add(x)
 	}
 	return t
 }

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
 	"time"
 
 	"ced/internal/blob"
+	"ced/internal/search"
 )
 
 // maxBodyBytes bounds request bodies: batch requests are the largest
@@ -128,7 +130,7 @@ func NewHandler(e *Engine) http.Handler {
 		start := time.Now()
 		d, st := e.Distance(req.A, req.B)
 		writeJSON(w, http.StatusOK, distanceResponse{
-			Metric: e.m.Name(), Distance: d, queryMeta: meta(st, start),
+			Metric: e.m.Name(), Distance: d, QueryMeta: Meta(st, start),
 		})
 	}))
 	mux.HandleFunc("POST /distance/batch", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -143,21 +145,24 @@ func NewHandler(e *Engine) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, batchDistanceResponse{
-			Metric: e.m.Name(), Distances: ds, queryMeta: meta(st, start),
+			Metric: e.m.Name(), Distances: ds, QueryMeta: Meta(st, start),
 		})
 	}))
-	mux.HandleFunc("POST /knn", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req knnRequest
-		if !decode(w, r, &req) {
-			return
-		}
+	// answer serves the single-query search endpoints.
+	answer := func(ctx context.Context, w http.ResponseWriter, q string, req search.Request) {
 		start := time.Now()
-		ns, st, err := e.KNearestCtx(ctx, req.Query, req.K)
+		ns, st, err := e.Query(ctx, q, req)
 		if err != nil {
 			writeQueryError(e, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, knnResponse{Results: ns, queryMeta: meta(st, start)})
+		writeJSON(w, http.StatusOK, KNNResponse{Results: ns, QueryMeta: Meta(st, start)})
+	}
+	mux.HandleFunc("POST /knn", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req KNNRequest
+		if decode(w, r, &req) {
+			answer(ctx, w, req.Query, search.KNN(req.K, math.Inf(1)))
+		}
 	}))
 	mux.HandleFunc("POST /knn/batch", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req batchKNNRequest
@@ -170,23 +175,16 @@ func NewHandler(e *Engine) http.Handler {
 			writeQueryError(e, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, batchKNNResponse{Results: ns, queryMeta: meta(st, start)})
+		writeJSON(w, http.StatusOK, batchKNNResponse{Results: ns, QueryMeta: Meta(st, start)})
 	}))
 	mux.HandleFunc("POST /radius", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req radiusRequest
-		if !decode(w, r, &req) {
-			return
+		var req RadiusRequest
+		if decode(w, r, &req) {
+			answer(ctx, w, req.Query, search.Within(req.Radius))
 		}
-		start := time.Now()
-		ns, st, err := e.RadiusCtx(ctx, req.Query, req.Radius)
-		if err != nil {
-			writeQueryError(e, w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, knnResponse{Results: ns, queryMeta: meta(st, start)})
 	}))
 	mux.HandleFunc("POST /classify", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req classifyRequest
+		var req ClassifyRequest
 		if !decode(w, r, &req) {
 			return
 		}
@@ -196,7 +194,7 @@ func NewHandler(e *Engine) http.Handler {
 			writeQueryError(e, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, classifyResponse{Prediction: p, queryMeta: meta(st, start)})
+		writeJSON(w, http.StatusOK, ClassifyResponse{Prediction: p, QueryMeta: Meta(st, start)})
 	}))
 	mux.HandleFunc("POST /classify/batch", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req batchClassifyRequest
@@ -209,10 +207,10 @@ func NewHandler(e *Engine) http.Handler {
 			writeQueryError(e, w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, batchClassifyResponse{Results: ps, queryMeta: meta(st, start)})
+		writeJSON(w, http.StatusOK, batchClassifyResponse{Results: ps, QueryMeta: Meta(st, start)})
 	}))
 	mux.HandleFunc("POST /add", func(w http.ResponseWriter, r *http.Request) {
-		var req addRequest
+		var req AddRequest
 		if !decode(w, r, &req) {
 			return
 		}
@@ -233,10 +231,10 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, mutateResponse{ID: id, Size: e.Info().CorpusSize})
+		writeJSON(w, http.StatusOK, MutateResponse{ID: id, Size: e.Info().CorpusSize})
 	})
 	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) {
-		var req deleteRequest
+		var req DeleteRequest
 		if !decode(w, r, &req) {
 			return
 		}
@@ -253,7 +251,7 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no live element with id %d", *req.ID))
 			return
 		}
-		writeJSON(w, http.StatusOK, mutateResponse{ID: *req.ID, Size: e.Info().CorpusSize})
+		writeJSON(w, http.StatusOK, MutateResponse{ID: *req.ID, Size: e.Info().CorpusSize})
 	})
 	mux.HandleFunc("POST /snapshot/save", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -337,66 +335,100 @@ func saveSnapshotFile(e *Engine, path string) (int64, error) {
 	})
 }
 
-// Request bodies.
+// Request bodies of the endpoints only a single server offers.
 type (
 	distanceRequest      struct{ A, B string }
 	batchDistanceRequest struct {
 		Pairs []Pair `json:"pairs"`
 	}
-	knnRequest struct {
-		Query string `json:"query"`
-		K     int    `json:"k"`
-	}
 	batchKNNRequest struct {
 		Queries []string `json:"queries"`
 		K       int      `json:"k"`
 	}
-	radiusRequest struct {
-		Query  string  `json:"query"`
-		Radius float64 `json:"radius"`
-	}
-	classifyRequest struct {
-		Query string `json:"query"`
-	}
 	batchClassifyRequest struct {
 		Queries []string `json:"queries"`
 	}
-	// addRequest uses pointers so a missing field is distinguishable from
+)
+
+// The client JSON API shared with the cluster coordinator
+// (internal/remote): both decode these requests and encode these
+// responses, so a client moves from one server to a coordinator by
+// changing only the URL.
+type (
+	KNNRequest struct {
+		Query string `json:"query"`
+		K     int    `json:"k"`
+	}
+	RadiusRequest struct {
+		Query  string  `json:"query"`
+		Radius float64 `json:"radius"`
+	}
+	ClassifyRequest struct {
+		Query string `json:"query"`
+	}
+	// AddRequest uses pointers so a missing field is distinguishable from
 	// the zero value: an empty string is a legal corpus element, and a
 	// labelled corpus must reject unlabelled adds rather than default to
 	// class 0.
-	addRequest struct {
+	AddRequest struct {
 		Value *string `json:"value"`
 		Label *int    `json:"label"`
 	}
-	deleteRequest struct {
+	DeleteRequest struct {
 		ID *uint64 `json:"id"`
+	}
+
+	// QueryMeta carries the per-request metrics embedded in every query
+	// response.
+	QueryMeta struct {
+		// Computations is the number of distance evaluations the request
+		// spent — the paper's search-cost measure, summed over a batch.
+		Computations int `json:"computations"`
+		// Rejections breaks Computations out by the bound-ladder rung that
+		// rejected a candidate early (see StageRejections); evaluations in
+		// no bucket ran to completion. Always zero for the /distance
+		// endpoints, which evaluate without a cutoff.
+		Rejections StageRejections `json:"rejections"`
+		// LatencyMS is the server-side handling time in milliseconds.
+		LatencyMS float64 `json:"latency_ms"`
+	}
+	// DegradedMeta tags a partial answer a coordinator served under
+	// AllowDegraded: the named logical shards contributed nothing. The
+	// fields are omitted on every complete answer, and a single server
+	// never degrades.
+	DegradedMeta struct {
+		Degraded      bool  `json:"degraded,omitempty"`
+		MissingShards []int `json:"missing_shards,omitempty"`
+	}
+	KNNResponse struct {
+		Results []Neighbor `json:"results"`
+		QueryMeta
+		DegradedMeta
+	}
+	ClassifyResponse struct {
+		Prediction
+		QueryMeta
+		DegradedMeta
+	}
+	// MutateResponse answers /add and /delete: the element's stable ID and
+	// the live corpus size after the mutation.
+	MutateResponse struct {
+		ID   uint64 `json:"id"`
+		Size int    `json:"size"`
 	}
 )
 
-// queryMeta carries the per-request metrics embedded in every response.
-type queryMeta struct {
-	// Computations is the number of distance evaluations the request
-	// spent — the paper's search-cost measure, summed over a batch.
-	Computations int `json:"computations"`
-	// Rejections breaks Computations out by the bound-ladder rung that
-	// rejected a candidate early (see StageRejections); evaluations in no
-	// bucket ran to completion. Always zero for the /distance endpoints,
-	// which evaluate without a cutoff.
-	Rejections StageRejections `json:"rejections"`
-	// LatencyMS is the server-side handling time in milliseconds.
-	LatencyMS float64 `json:"latency_ms"`
-}
-
-func meta(st Stats, start time.Time) queryMeta {
-	return queryMeta{
+// Meta builds the query metadata for a request that started at start and
+// spent st.
+func Meta(st Stats, start time.Time) QueryMeta {
+	return QueryMeta{
 		Computations: st.Computations,
-		Rejections:   st.Rejections,
+		Rejections:   stageRejections(st.Rejections),
 		LatencyMS:    float64(time.Since(start)) / float64(time.Millisecond),
 	}
 }
 
-// Response bodies.
+// Response bodies of the endpoints only a single server offers.
 type (
 	healthResponse struct {
 		Status string `json:"status"`
@@ -405,34 +437,20 @@ type (
 	distanceResponse struct {
 		Metric   string  `json:"metric"`
 		Distance float64 `json:"distance"`
-		queryMeta
+		QueryMeta
 	}
 	batchDistanceResponse struct {
 		Metric    string    `json:"metric"`
 		Distances []float64 `json:"distances"`
-		queryMeta
-	}
-	knnResponse struct {
-		Results []Neighbor `json:"results"`
-		queryMeta
+		QueryMeta
 	}
 	batchKNNResponse struct {
 		Results [][]Neighbor `json:"results"`
-		queryMeta
-	}
-	classifyResponse struct {
-		Prediction
-		queryMeta
+		QueryMeta
 	}
 	batchClassifyResponse struct {
 		Results []Prediction `json:"results"`
-		queryMeta
-	}
-	// mutateResponse answers /add and /delete: the element's stable ID and
-	// the live corpus size after the mutation.
-	mutateResponse struct {
-		ID   uint64 `json:"id"`
-		Size int    `json:"size"`
+		QueryMeta
 	}
 	// snapshotResponse answers the /snapshot endpoints. File-backed
 	// engines fill Path; store-backed engines fill Seq plus the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,14 +21,14 @@ func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 	if id != uint64(len(testCorpus)) {
 		t.Fatalf("first minted ID = %d, want %d", id, len(testCorpus))
 	}
-	ns, _, err := e.KNearest("zzyzx", 1)
+	ns, _, err := e.KNearestCtx(context.Background(), "zzyzx", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ns) != 1 || ns[0].Index != int(id) || ns[0].Distance != 0 {
 		t.Fatalf("added element not nearest to itself: %+v", ns)
 	}
-	p, _, err := e.Classify("zzyzx")
+	p, _, err := e.ClassifyCtx(context.Background(), "zzyzx")
 	if err != nil || p.Label != 2 {
 		t.Fatalf("classify after add = %+v, err %v", p, err)
 	}
@@ -37,7 +38,7 @@ func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 	if ok, _ := e.Delete(id); ok {
 		t.Fatal("double delete succeeded")
 	}
-	ns, _, err = e.KNearest("zzyzx", len(testCorpus))
+	ns, _, err = e.KNearestCtx(context.Background(), "zzyzx", len(testCorpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTrieEngineRefusesMutation(t *testing.T) {
 		t.Error("Delete on a trie engine should fail")
 	}
 	// Queries still work: the trie serves its startup corpus frozen.
-	if _, _, err := e.KNearest("gato", 2); err != nil {
+	if _, _, err := e.KNearestCtx(context.Background(), "gato", 2); err != nil {
 		t.Errorf("trie query after refused mutation: %v", err)
 	}
 }
@@ -111,11 +112,11 @@ func TestShardedEngineMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"cas", "gatito", "queso", "xyz", ""} {
-		want, _, err := mono.KNearest(q, 4)
+		want, _, err := mono.KNearestCtx(context.Background(), q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := sharded.KNearest(q, 4)
+		got, _, err := sharded.KNearestCtx(context.Background(), q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +128,11 @@ func TestShardedEngineMatchesMonolithic(t *testing.T) {
 				t.Errorf("query %q rank %d: distance %v vs %v", q, i, got[i].Distance, want[i].Distance)
 			}
 		}
-		pw, _, err := mono.Classify(q)
+		pw, _, err := mono.ClassifyCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, _, err := sharded.Classify(q)
+		pg, _, err := sharded.ClassifyCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err := e.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := e.KNearest("nuevo", 3)
+	want, _, _ := e.KNearestCtx(context.Background(), "nuevo", 3)
 
 	e2, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
 		Config{Algorithm: "laesa", Pivots: 3, Shards: 2})
@@ -170,7 +171,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if size != len(testCorpus) { // +1 add, -1 delete
 		t.Fatalf("restored size = %d, want %d", size, len(testCorpus))
 	}
-	got, _, err := e2.KNearest("nuevo", 3)
+	got, _, err := e2.KNearestCtx(context.Background(), "nuevo", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"ced/internal/blob"
 	"ced/internal/metric"
+	"ced/internal/search"
 )
 
 // newStoreEngine builds a labelled multi-shard engine wired to st, so
@@ -39,14 +40,14 @@ func engineAnswers(t *testing.T, e *Engine, probes []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "size=%d\n", e.Info().CorpusSize)
 	for _, q := range probes {
-		ns, _, err := e.KNearest(q, 3)
+		ns, _, err := e.KNearestCtx(context.Background(), q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range ns {
 			fmt.Fprintf(&b, "knn %s %d %s %.17g\n", q, n.Index, n.Value, n.Distance)
 		}
-		p, _, err := e.Classify(q)
+		p, _, err := e.ClassifyCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func engineAnswers(t *testing.T, e *Engine, probes []string) string {
 // query (the heuristic metric is normalised, so 2.0 covers the space).
 func liveValues(t *testing.T, e *Engine) []string {
 	t.Helper()
-	ns, _, err := e.Radius("casa", 2.0)
+	ns, _, err := e.Query(context.Background(), "casa", search.Within(2.0))
 	if err != nil {
 		t.Fatal(err)
 	}

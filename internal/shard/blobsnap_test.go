@@ -30,18 +30,18 @@ func answersOf(s *Set, probes []string) string {
 	fmt.Fprintf(&b, "size=%d next=%d\n", s.Size(), s.NextID())
 	for _, p := range probes {
 		q := []rune(p)
-		hits, _ := s.KNearest(q, 3)
+		hits, _ := knn(s, q, 3)
 		for _, h := range hits {
 			fmt.Fprintf(&b, "knn %s %d %.17g\n", p, h.ID, h.Distance)
 		}
-		rhits, _, err := s.Radius(q, 0.5)
+		rhits, _, err := radius(s, q, 0.5)
 		if err == nil {
 			for _, h := range rhits {
 				fmt.Fprintf(&b, "rad %s %d %.17g\n", p, h.ID, h.Distance)
 			}
 		}
 		if s.Labelled() {
-			if h, _, err := s.Classify(q); err == nil {
+			if h, _, err := classify(s, q); err == nil {
 				fmt.Fprintf(&b, "cls %s %d %d %.17g\n", p, h.ID, h.Label, h.Distance)
 			}
 		}

@@ -17,7 +17,7 @@ import (
 func StandardBuild(algorithm string, m metric.Metric, pivots int, seed int64, buildWorkers int) (BuildFunc, error) {
 	switch algorithm {
 	case "laesa":
-		return func(shardIdx int, runes [][]rune) search.KSearcher {
+		return func(shardIdx int, runes [][]rune) search.Index {
 			p := pivots
 			if p > len(runes) {
 				p = len(runes)
@@ -25,23 +25,23 @@ func StandardBuild(algorithm string, m metric.Metric, pivots int, seed int64, bu
 			return search.NewLAESAWorkers(runes, m, p, search.MaxSum, seed+int64(shardIdx), buildWorkers)
 		}, nil
 	case "aesa":
-		return func(_ int, runes [][]rune) search.KSearcher {
+		return func(_ int, runes [][]rune) search.Index {
 			return search.NewAESAWorkers(runes, m, buildWorkers)
 		}, nil
 	case "linear":
-		return func(_ int, runes [][]rune) search.KSearcher {
+		return func(_ int, runes [][]rune) search.Index {
 			return search.NewLinear(runes, m)
 		}, nil
 	case "vptree":
-		return func(shardIdx int, runes [][]rune) search.KSearcher {
+		return func(shardIdx int, runes [][]rune) search.Index {
 			return search.NewVPTreeWorkers(runes, m, seed+int64(shardIdx), buildWorkers)
 		}, nil
 	case "bktree":
-		return func(_ int, runes [][]rune) search.KSearcher {
+		return func(_ int, runes [][]rune) search.Index {
 			return search.NewBKTreeWorkers(runes, m, buildWorkers)
 		}, nil
 	case "trie":
-		return func(_ int, runes [][]rune) search.KSearcher {
+		return func(_ int, runes [][]rune) search.Index {
 			return search.NewTrie(runes)
 		}, nil
 	default:

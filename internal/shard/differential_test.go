@@ -91,7 +91,7 @@ func (o *liveOracle) knn(q []rune, k int) (dists []float64, below map[uint64]boo
 // at a distance the oracle confirms for that ID.
 func assertKNNMatches(t *testing.T, o *liveOracle, s *Set, q string, k int, tag string) {
 	t.Helper()
-	hits, _ := s.KNearest([]rune(q), k)
+	hits, _ := knn(s, []rune(q), k)
 	dists, below, kth := o.knn([]rune(q), k)
 	if len(hits) != len(dists) {
 		t.Fatalf("%s query %q: %d hits, oracle has %d", tag, q, len(hits), len(dists))
@@ -117,7 +117,7 @@ func assertKNNMatches(t *testing.T, o *liveOracle, s *Set, q string, k int, tag 
 // assertClassifyMatches checks the prediction is a minimal-distance label.
 func assertClassifyMatches(t *testing.T, o *liveOracle, s *Set, q string, tag string) {
 	t.Helper()
-	hit, _, err := s.Classify([]rune(q))
+	hit, _, err := classify(s, []rune(q))
 	if err != nil {
 		t.Fatalf("%s classify %q: %v", tag, q, err)
 	}
@@ -165,11 +165,11 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 				case "laesa":
 					build = testBuilder(m, 12, 99)
 				case "linear":
-					build = func(_ int, corpus [][]rune) search.KSearcher {
+					build = func(_ int, corpus [][]rune) search.Index {
 						return search.NewLinear(corpus, m)
 					}
 				case "vptree":
-					build = func(idx int, corpus [][]rune) search.KSearcher {
+					build = func(idx int, corpus [][]rune) search.Index {
 						return search.NewVPTreeWorkers(corpus, m, 99+int64(idx), 0)
 					}
 				}

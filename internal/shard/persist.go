@@ -236,7 +236,7 @@ func (s *Set) loadShardState(i int, ss shardSnap) (*state, error) {
 
 // loadBase restores a shard's base index from its embedded snapshot, or
 // rebuilds it from the corpus when the algorithm has no serialised form.
-func (s *Set) loadBase(i int, ss shardSnap) (search.KSearcher, error) {
+func (s *Set) loadBase(i int, ss shardSnap) (search.Index, error) {
 	if len(ss.Index) == 0 {
 		runes := make([][]rune, len(ss.BaseStrs))
 		for j, v := range ss.BaseStrs {
@@ -246,7 +246,7 @@ func (s *Set) loadBase(i int, ss shardSnap) (search.KSearcher, error) {
 	}
 	r := bytes.NewReader(ss.Index)
 	var (
-		base search.KSearcher
+		base search.Index
 		err  error
 	)
 	switch ss.Kind {

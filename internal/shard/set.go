@@ -1,14 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"ced/internal/metric"
 	"ced/internal/pool"
 	"ced/internal/search"
 )
@@ -24,23 +23,11 @@ type Hit struct {
 
 // Stats is the work a fanned query spent, summed over the shards: distance
 // evaluations (delta entries count one each, like any linear scan) and the
-// per-stage ladder rejections among them. With more than one shard the
-// counts can vary run to run — the cross-shard bound each shard starts from
-// depends on which shards merged first — while the merged result set stays
-// the same (see KNearest).
-type Stats struct {
-	Computations int
-	Rejections   metric.StageCounts
-}
-
-// Add accumulates another query's work into s (cross-shard and
-// cross-cluster totals).
-func (s *Stats) Add(o Stats) {
-	s.Computations += o.Computations
-	for i, n := range o.Rejections {
-		s.Rejections[i] += n
-	}
-}
+// per-stage ladder rejections among them, whether or not a shard found
+// anything. With more than one shard a k-NN query's counts can vary run to
+// run — the cross-shard bound each shard starts from depends on which
+// shards merged first — while the merged answer stays the same (see Query).
+type Stats = search.Stats
 
 // atomicFloat is a lock-free float64 cell (bit-pattern atomics): the shared
 // cross-shard pruning bound.
@@ -49,121 +36,91 @@ type atomicFloat struct{ bits atomic.Uint64 }
 func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
 
-// Merger accumulates k-NN candidates from independent sub-corpora — local
-// shards here, remote shard replicas in internal/remote — into one bounded
-// top-k ordered by (distance, ID), publishing the running k-th-best
-// distance as the pruning bound for queries that start (or retry) later.
-// All methods are safe for concurrent use.
+// Merger accumulates the answers of independent sub-corpora — local shards
+// here, remote shard replicas in internal/remote — into one answer ordered
+// by (distance, ID): every hit of a radius query, or the top k of a k-NN
+// query, whose running k-th-best distance it publishes as the pruning bound
+// for sub-queries that start (or retry) later. All methods are safe for
+// concurrent use.
 type Merger struct {
 	mu   sync.Mutex
-	k    int
+	req  search.Request
 	hits []Hit
-	// bound starts at the externally seeded pruning radius (+Inf for a
-	// plain k-NN query) and only ever shrinks: the k-th best distance once
-	// k candidates are held, if tighter. Reads are lock-free hints: a
-	// stale (looser) bound costs pruning power, never correctness.
+	// bound starts at the request's bound (+Inf for a plain k-NN query)
+	// and, for k-NN, only ever shrinks: the k-th best distance once k hits
+	// are held. Reads are lock-free hints: a stale (looser) bound costs
+	// pruning power, never correctness.
 	bound atomicFloat
 }
 
-// NewMerger returns a Merger for a top-k merge with no external bound.
-func NewMerger(k int) *Merger { return NewMergerBounded(k, math.Inf(1)) }
-
-// NewMergerBounded seeds the published pruning bound below +Inf — the
-// cross-cluster running bound a coordinator threads through nested merges.
-func NewMergerBounded(k int, bound float64) *Merger {
-	m := &Merger{k: k, hits: make([]Hit, 0, k)}
-	m.bound.store(bound)
+// NewMerger returns a Merger for the answer to req.
+func NewMerger(req search.Request) *Merger {
+	m := &Merger{req: req}
+	m.bound.store(req.Bound())
 	return m
 }
 
-// Bound returns the current pruning bound (never grows; possibly stale,
-// which is always safe — see Merger).
-func (m *Merger) Bound() float64 { return m.bound.load() }
+// Request returns the request a sub-corpus query should run now: a radius
+// query unchanged, a k-NN query bounded by the current k-th best distance
+// (never looser than the request's own bound; possibly stale, which is
+// always safe).
+func (m *Merger) Request() search.Request {
+	if m.req.IsRadius() {
+		return m.req
+	}
+	return search.KNN(m.req.K(), m.bound.load())
+}
 
-// Hits returns the merged top-k so far, closest first (ties by ID). Callers
-// must not offer concurrently with reading the returned slice.
+// Hits returns the merged answer so far, closest first (ties by ID).
+// Callers must not offer concurrently with reading the returned slice.
 func (m *Merger) Hits() []Hit { return m.hits }
 
-// Offer merges a sub-corpus's candidates and tightens the shared bound.
+// Offer merges a sub-corpus's hits and tightens the shared bound.
 func (m *Merger) Offer(cands []Hit) {
-	if len(cands) == 0 {
+	if len(cands) == 0 || !m.req.IsRadius() && m.req.K() <= 0 {
 		return
 	}
 	m.mu.Lock()
-	for _, h := range cands {
-		pos := sort.Search(len(m.hits), func(i int) bool {
-			if m.hits[i].Distance != h.Distance {
-				return m.hits[i].Distance > h.Distance
-			}
-			return m.hits[i].ID > h.ID
-		})
-		if len(m.hits) < m.k {
-			m.hits = append(m.hits, Hit{})
-		} else if pos >= m.k {
-			continue
+	defer m.mu.Unlock()
+	m.hits = append(m.hits, cands...)
+	slices.SortFunc(m.hits, func(a, b Hit) int {
+		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+			return c
 		}
-		copy(m.hits[pos+1:], m.hits[pos:])
-		m.hits[pos] = h
+		return cmp.Compare(a.ID, b.ID)
+	})
+	if k := m.req.K(); !m.req.IsRadius() && len(m.hits) >= k {
+		m.hits = m.hits[:k]
+		if d := m.hits[k-1].Distance; d < m.bound.load() {
+			m.bound.store(d)
+		}
 	}
-	if len(m.hits) == m.k && m.hits[m.k-1].Distance < m.bound.load() {
-		m.bound.store(m.hits[m.k-1].Distance)
-	}
-	m.mu.Unlock()
 }
 
-// KNearest returns the k nearest live elements to q, closest first (ties by
-// ID), plus the total work spent. The query fans across the shards on the
-// worker pool; each shard query starts from the merger's current k-th-best
-// distance, so shards merged late evaluate their candidates under an
-// already-tight cutoff and the bound ladder rejects them cheaply. The
-// merged result set equals the monolithic index's answer modulo
-// equal-distance ties at the k-th rank (each shard returns every element
-// closer than the bound it was given, and bounds never drop below the final
-// k-th-best distance).
-func (s *Set) KNearest(q []rune, k int) ([]Hit, Stats) {
-	return s.KNearestBounded(q, k, math.Inf(1))
-}
-
-// KNearestCtx is KNearest with cooperative cancellation: each shard's scan
-// polls ctx every few candidates (see internal/cancel) and a cancelled
-// query stops evaluating across all shards, returning ctx's error with the
-// work spent so far — never a partial result set. Results are bit-identical
-// to KNearest when ctx is not cancelled.
-func (s *Set) KNearestCtx(ctx context.Context, q []rune, k int) ([]Hit, Stats, error) {
-	return s.KNearestBoundedCtx(ctx, q, k, math.Inf(1))
-}
-
-// KNearestBounded is KNearest with the merge bound seeded at bound instead
-// of +Inf — the set-level analogue of search.BoundedKSearcher, and the
-// surface the remote shard transport serves: a coordinator passes its
-// running cross-cluster k-th-best distance here, so every shard of a remote
-// set prunes against it from the first candidate on. The contract matches
-// the searcher-level one: every element with distance <= bound that belongs
-// to the set's true top-k is returned; elements beyond bound may be
-// omitted or included (they were never competitive).
-func (s *Set) KNearestBounded(q []rune, k int, bound float64) ([]Hit, Stats) {
-	hits, st, _ := s.KNearestBoundedCtx(context.Background(), q, k, bound)
-	return hits, st
-}
-
-// KNearestBoundedCtx is KNearestBounded with cooperative cancellation (see
-// KNearestCtx). The fanned shard queries each derive their own cancellation
-// checkpoint from ctx; the first shard to observe cancellation decides the
-// error, and the partial work every shard had already spent is still summed
-// into Stats so computation counters stay honest.
-func (s *Set) KNearestBoundedCtx(ctx context.Context, q []rune, k int, bound float64) ([]Hit, Stats, error) {
-	if k <= 0 {
-		return nil, Stats{}, nil
-	}
+// Query answers req over the live elements: the k nearest (ties by ID) or
+// every element within a radius, sorted by (distance, ID), plus the total
+// work spent. The query fans across the shards on the worker pool and
+// merges through one Merger; each k-NN shard query starts from the
+// merger's current k-th-best distance, so shards merged late evaluate
+// their candidates under an already-tight cutoff and the bound ladder
+// rejects them cheaply. The merged answer equals the monolithic index's
+// modulo equal-distance ties at the k-th rank: each shard returns every
+// element within the bound it was given, and bounds never drop below the
+// final k-th-best distance.
+//
+// Each shard's scan polls ctx every few candidates (see internal/cancel):
+// a cancelled query stops evaluating across all shards and returns ctx's
+// error with the work every shard had already spent — never a partial
+// answer. Answers are bit-identical when ctx is not cancelled.
+func (s *Set) Query(ctx context.Context, q []rune, req search.Request) ([]Hit, Stats, error) {
 	states := s.snapshot()
-	mg := NewMergerBounded(k, bound)
+	mg := NewMerger(req)
 	stats := make([]Stats, len(states))
 	errs := make([]error, len(states))
 	pool.Fan(len(states), s.workers, func(i int) {
-		cands, st, err := s.queryShard(ctx, states[i], q, k, mg.Bound())
-		stats[i] = st
-		errs[i] = err
-		if err == nil {
+		var cands []Hit
+		cands, stats[i], errs[i] = s.queryShard(ctx, states[i], q, mg.Request())
+		if errs[i] == nil {
 			mg.Offer(cands)
 		}
 	})
@@ -179,134 +136,10 @@ func (s *Set) KNearestBoundedCtx(ctx context.Context, q []rune, k int, bound flo
 	return mg.Hits(), total, nil
 }
 
-// Search returns the nearest live element to q: ok is false when the set is
-// empty.
-func (s *Set) Search(q []rune) (Hit, Stats, bool) {
-	hits, st := s.KNearest(q, 1)
-	if len(hits) == 0 {
-		return Hit{}, st, false
-	}
-	return hits[0], st, true
-}
-
-// Classify labels q with the class of its nearest live element. It fails on
-// an unlabelled or empty set.
-func (s *Set) Classify(q []rune) (Hit, Stats, error) {
-	return s.ClassifyCtx(context.Background(), q)
-}
-
-// ClassifyCtx is Classify with cooperative cancellation (see KNearestCtx).
-func (s *Set) ClassifyCtx(ctx context.Context, q []rune) (Hit, Stats, error) {
-	if !s.labelled {
-		return Hit{}, Stats{}, fmt.Errorf("shard: corpus is unlabelled")
-	}
-	hits, st, err := s.KNearestCtx(ctx, q, 1)
-	if err != nil {
-		return Hit{}, st, err
-	}
-	if len(hits) == 0 {
-		return Hit{}, st, fmt.Errorf("shard: empty corpus")
-	}
-	return hits[0], st, nil
-}
-
-// Radius returns every live element within distance r of q (inclusive),
-// sorted by (distance, ID), plus the work spent. Unlike KNearest there is
-// no running bound to share — r itself already cuts every shard query — so
-// the merged result is identical to a monolithic scan in every run. It
-// requires base indexes that implement search.RadiusSearcher (every
-// algorithm in this repository does). Known accounting gap: the
-// RadiusSearcher API carries per-query rejection counters on its hits, so
-// a shard whose scan rejected every candidate (zero hits) contributes its
-// Computations but not its Rejections to the stats; the result set is
-// unaffected.
-func (s *Set) Radius(q []rune, r float64) ([]Hit, Stats, error) {
-	return s.RadiusCtx(context.Background(), q, r)
-}
-
-// RadiusCtx is Radius with cooperative cancellation (see KNearestCtx): the
-// fanned shard scans each poll ctx every few candidates and a cancelled
-// query returns ctx's error with the work spent so far.
-func (s *Set) RadiusCtx(ctx context.Context, q []rune, r float64) ([]Hit, Stats, error) {
-	states := s.snapshot()
-	all := make([][]Hit, len(states))
-	stats := make([]Stats, len(states))
-	errs := make([]error, len(states))
-	var reject error
-	var rejectMu sync.Mutex
-	pool.Fan(len(states), s.workers, func(i int) {
-		st := states[i]
-		var hits []Hit
-		if st.base != nil {
-			rs, ok := st.base.(search.RadiusSearcher)
-			if !ok {
-				rejectMu.Lock()
-				reject = fmt.Errorf("shard: index %q does not support radius queries", st.base.Name())
-				rejectMu.Unlock()
-				return
-			}
-			res, comps, err := radiusCtx(ctx, rs, q, r)
-			stats[i].Computations += comps
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(res) > 0 {
-				// Every result of one query carries the same per-query
-				// rejection totals.
-				stats[i].Rejections = res[0].Rejections
-			}
-			for _, hr := range res {
-				id := st.baseIDs[hr.Index]
-				if _, dead := st.tombs[id]; dead {
-					continue
-				}
-				hits = append(hits, st.baseHit(hr))
-			}
-		}
-		if st.delta != nil {
-			res, comps, err := st.delta.RadiusCtx(ctx, q, r)
-			stats[i].Computations += comps
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(res) > 0 {
-				for j, n := range res[0].Rejections {
-					stats[i].Rejections[j] += n
-				}
-			}
-			for _, hr := range res {
-				hits = append(hits, st.deltaHit(hr))
-			}
-		}
-		all[i] = hits
-	})
-	if reject != nil {
-		return nil, Stats{}, reject
-	}
-	for _, err := range errs {
-		if err != nil {
-			var total Stats
-			for _, st := range stats {
-				total.Add(st)
-			}
-			return nil, total, err
-		}
-	}
-	var merged []Hit
-	var total Stats
-	for i := range all {
-		merged = append(merged, all[i]...)
-		total.Add(stats[i])
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Distance != merged[b].Distance {
-			return merged[a].Distance < merged[b].Distance
-		}
-		return merged[a].ID < merged[b].ID
-	})
-	return merged, total, nil
+// KNearestCtx returns the k nearest live elements to q: Query with
+// search.KNN(k, +Inf).
+func (s *Set) KNearestCtx(ctx context.Context, q []rune, k int) ([]Hit, Stats, error) {
+	return s.Query(ctx, q, search.KNN(k, math.Inf(1)))
 }
 
 // snapshot loads every shard's current state pointer: the consistent view
@@ -338,81 +171,36 @@ func (st *state) deltaHit(r search.Result) Hit {
 	}
 }
 
-// radiusCtx runs a radius query through the cancellable surface when the
-// searcher implements it, falling back to the uncancellable one (custom
-// builders, Trie) otherwise — the fallback still stops between shards
-// because the fan-out checks errs, it just cannot stop mid-scan.
-func radiusCtx(ctx context.Context, rs search.RadiusSearcher, q []rune, r float64) ([]search.Result, int, error) {
-	if crs, ok := rs.(search.CtxRadiusSearcher); ok {
-		return crs.RadiusCtx(ctx, q, r)
-	}
-	res, comps := rs.Radius(q, r)
-	return res, comps, nil
-}
-
-// queryShard answers one shard's part of a k-NN query: the base index under
-// the supplied cross-shard bound (over-fetching one slot per tombstone so
-// deleted elements cannot crowd live ones out of the result set), then the
-// linear delta scan under the same cutoff. ctx cancellation stops the scans
-// cooperatively (see KNearestCtx); the returned Stats always reflect the
-// work actually spent.
-func (s *Set) queryShard(ctx context.Context, st *state, q []rune, k int, bound float64) ([]Hit, Stats, error) {
+// queryShard answers one shard's part of a query: the base index (a k-NN
+// request over-fetching one slot per tombstone, so deleted elements cannot
+// crowd live ones out of the answer), then the linear delta scan under the
+// same request. The returned Stats always reflect the work actually spent.
+func (s *Set) queryShard(ctx context.Context, st *state, q []rune, req search.Request) ([]Hit, Stats, error) {
 	var cands []Hit
 	var stats Stats
 	if st.base != nil {
-		fetch := k + len(st.tombs)
-		var res []search.Result
-		if bk, ok := st.base.(search.CtxBoundedKSearcher); ok {
-			var comps int
-			var rej metric.StageCounts
-			var err error
-			res, comps, rej, err = bk.KNearestBoundedCtx(ctx, q, fetch, bound)
-			stats.Computations += comps
-			stats.Rejections = rej
-			if err != nil {
-				return nil, stats, err
-			}
-		} else if bk, ok := st.base.(search.BoundedKSearcher); ok {
-			var comps int
-			var rej metric.StageCounts
-			res, comps, rej = bk.KNearestBounded(q, fetch, bound)
-			stats.Computations += comps
-			stats.Rejections = rej
-		} else {
-			// Fallback for custom builders outside this repository (every
-			// built-in index implements BoundedKSearcher). KNearest
-			// carries its per-query counters on the results, so an empty
-			// answer loses them — the same accounting gap Radius
-			// documents.
-			res = st.base.KNearest(q, fetch)
-			if len(res) > 0 {
-				stats.Computations += res[0].Computations
-				stats.Rejections = res[0].Rejections
-			}
+		baseReq := req
+		if !req.IsRadius() {
+			baseReq = search.KNN(req.K()+len(st.tombs), req.Bound())
 		}
-		kept := 0
-		for _, r := range res {
-			if kept == k {
-				break
-			}
-			id := st.baseIDs[r.Index]
-			if _, dead := st.tombs[id]; dead {
-				continue
-			}
-			cands = append(cands, st.baseHit(r))
-			kept++
-		}
-	}
-	if st.delta != nil {
-		res, comps, rej, err := st.delta.KNearestBoundedCtx(ctx, q, k, bound)
-		stats.Computations += comps
-		for i, n := range rej {
-			stats.Rejections[i] += n
-		}
+		ans, err := st.base.Query(ctx, q, baseReq)
+		stats.Add(ans.Stats)
 		if err != nil {
 			return nil, stats, err
 		}
-		for _, r := range res {
+		for _, r := range ans.Hits {
+			if _, dead := st.tombs[st.baseIDs[r.Index]]; !dead {
+				cands = append(cands, st.baseHit(r))
+			}
+		}
+	}
+	if st.delta != nil {
+		ans, err := st.delta.Query(ctx, q, req)
+		stats.Add(ans.Stats)
+		if err != nil {
+			return nil, stats, err
+		}
+		for _, r := range ans.Hits {
 			cands = append(cands, st.deltaHit(r))
 		}
 	}

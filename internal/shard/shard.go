@@ -1,9 +1,10 @@
 // Package shard implements the sharded mutable corpus behind the serving
 // layer: a Set partitions the corpus across N independent search indexes,
-// fans queries out over the striped worker pool and merges the per-shard
-// answers with a bounded heap — passing the running k-th-best distance of
-// already-merged shards into later shard queries as the pruning radius, so
-// the staged bound ladder (internal/core) rejects candidates cross-shard.
+// fans each Query out over the striped worker pool and merges the
+// per-shard answers through one Merger — passing the running k-th-best
+// distance of already-merged shards into later shard queries as the
+// pruning bound, so the staged bound ladder (internal/core) rejects
+// candidates cross-shard.
 //
 // Mutation is epoch-based. Each shard holds an immutable snapshot behind an
 // atomic pointer: a frozen base index plus a small linear-scanned delta and
@@ -37,11 +38,8 @@ const DefaultCompactThreshold = 256
 
 // BuildFunc constructs one shard's base index over its sub-corpus. It is
 // called at Set construction, by the background compactor, and by Load for
-// snapshots that do not embed a serialised index. The returned searcher
-// must answer k-NN queries; implementations that also implement
-// search.BoundedKSearcher receive the cross-shard pruning bound, and ones
-// implementing search.RadiusSearcher enable Set.Radius.
-type BuildFunc func(shardIdx int, corpus [][]rune) search.KSearcher
+// snapshots that do not embed a serialised index.
+type BuildFunc func(shardIdx int, corpus [][]rune) search.Index
 
 // Config assembles a Set.
 type Config struct {
@@ -89,7 +87,7 @@ type Element struct {
 //ced:frozen
 type state struct {
 	// base is the frozen index over baseStrs; nil for an empty shard.
-	base     search.KSearcher
+	base     search.Index
 	baseStrs []string
 	baseIDs  []uint64 // global ID of each base corpus position
 	// baseLabels holds the class labels of the base elements; nil when the
@@ -168,7 +166,8 @@ type Set struct {
 // New partitions corpus round-robin across cfg.Shards shards and builds one
 // base index per non-empty shard. labels must be empty or exactly
 // len(corpus) long; when present every later Add must supply a label and
-// Classify is enabled. Element i of the corpus gets global ID i.
+// every Hit carries its element's label. Element i of the corpus gets
+// global ID i.
 func New(corpus []string, labels []int, cfg Config) (*Set, error) {
 	if len(labels) != 0 && len(labels) != len(corpus) {
 		return nil, fmt.Errorf("shard: %d corpus strings but %d labels", len(corpus), len(labels))

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,13 +17,46 @@ import (
 // testBuilder returns the LAESA build function the tests shard with; the
 // per-shard seed offset keeps shard indexes distinct but deterministic.
 func testBuilder(m metric.Metric, pivots int, seed int64) BuildFunc {
-	return func(idx int, corpus [][]rune) search.KSearcher {
+	return func(idx int, corpus [][]rune) search.Index {
 		p := pivots
 		if p > len(corpus) {
 			p = len(corpus)
 		}
 		return search.NewLAESAWorkers(corpus, m, p, search.MaxSum, seed+int64(idx), 0)
 	}
+}
+
+// knn, radius, nearest and classify drive Set.Query the way callers ask
+// the four questions.
+func knn(s *Set, q []rune, k int) ([]Hit, Stats) {
+	hits, st, err := s.Query(context.Background(), q, search.KNN(k, math.Inf(1)))
+	if err != nil {
+		panic(err)
+	}
+	return hits, st
+}
+
+func radius(s *Set, q []rune, r float64) ([]Hit, Stats, error) {
+	return s.Query(context.Background(), q, search.Within(r))
+}
+
+func nearest(s *Set, q []rune) (Hit, Stats, bool) {
+	hits, st := knn(s, q, 1)
+	if len(hits) == 0 {
+		return Hit{}, st, false
+	}
+	return hits[0], st, true
+}
+
+func classify(s *Set, q []rune) (Hit, Stats, error) {
+	if !s.Labelled() {
+		return Hit{}, Stats{}, fmt.Errorf("unlabelled set")
+	}
+	hit, st, ok := nearest(s, q)
+	if !ok {
+		return Hit{}, st, fmt.Errorf("empty set")
+	}
+	return hit, st, nil
 }
 
 func newTestSet(t *testing.T, corpus []string, labels []int, shards int) *Set {
@@ -60,7 +95,7 @@ func TestNewValidation(t *testing.T) {
 	if s.Size() != 0 {
 		t.Errorf("empty set size = %d", s.Size())
 	}
-	if hits, _ := s.KNearest([]rune("x"), 2); len(hits) != 0 {
+	if hits, _ := knn(s, []rune("x"), 2); len(hits) != 0 {
 		t.Errorf("empty set returned %d hits", len(hits))
 	}
 }
@@ -97,12 +132,12 @@ func TestLiveSizeTracksMutations(t *testing.T) {
 func TestQueriesSeeMutationsImmediately(t *testing.T) {
 	s := newTestSet(t, unitCorpus, nil, 2)
 	id := s.Add("zzzyzx", 0)
-	hit, _, ok := s.Search([]rune("zzzyzx"))
+	hit, _, ok := nearest(s, []rune("zzzyzx"))
 	if !ok || hit.ID != id || hit.Distance != 0 || hit.Value != "zzzyzx" {
 		t.Fatalf("added element not found: %+v ok=%v", hit, ok)
 	}
 	s.Delete(id)
-	hit, _, ok = s.Search([]rune("zzzyzx"))
+	hit, _, ok = nearest(s, []rune("zzzyzx"))
 	if !ok {
 		t.Fatal("set should not be empty")
 	}
@@ -110,11 +145,11 @@ func TestQueriesSeeMutationsImmediately(t *testing.T) {
 		t.Fatalf("deleted element resurfaced: %+v", hit)
 	}
 	// Deleting the nearest base element must surface the runner-up.
-	nearest, _, _ := s.Search([]rune("casa"))
-	s.Delete(nearest.ID)
-	next, _, _ := s.Search([]rune("casa"))
-	if next.ID == nearest.ID {
-		t.Fatalf("deleted base element %d still returned", nearest.ID)
+	first, _, _ := nearest(s, []rune("casa"))
+	s.Delete(first.ID)
+	next, _, _ := nearest(s, []rune("casa"))
+	if next.ID == first.ID {
+		t.Fatalf("deleted base element %d still returned", first.ID)
 	}
 }
 
@@ -122,11 +157,11 @@ func TestTombstonesDoNotCrowdOutLiveResults(t *testing.T) {
 	// Delete the 3 nearest elements to the query; a k=3 query must then
 	// return the next 3 live ones, not fewer.
 	s := newTestSet(t, unitCorpus, nil, 1)
-	hits, _ := s.KNearest([]rune("cas"), 3)
+	hits, _ := knn(s, []rune("cas"), 3)
 	for _, h := range hits {
 		s.Delete(h.ID)
 	}
-	after, _ := s.KNearest([]rune("cas"), 3)
+	after, _ := knn(s, []rune("cas"), 3)
 	if len(after) != 3 {
 		t.Fatalf("got %d hits, want 3", len(after))
 	}
@@ -145,7 +180,7 @@ func TestClassify(t *testing.T) {
 		labels[i] = i % 3
 	}
 	s := newTestSet(t, unitCorpus, labels, 2)
-	hit, _, err := s.Classify([]rune("queso"))
+	hit, _, err := classify(s, []rune("queso"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +188,56 @@ func TestClassify(t *testing.T) {
 		t.Errorf("classify = %+v, want label %d", hit, labels[5])
 	}
 	id := s.Add("quesadilla", 7)
-	hit, _, err = s.Classify([]rune("quesadilla"))
+	hit, _, err = classify(s, []rune("quesadilla"))
 	if err != nil || hit.ID != id || hit.Label != 7 {
 		t.Errorf("classify after add = %+v err=%v", hit, err)
 	}
 
 	unlabelled := newTestSet(t, unitCorpus, nil, 2)
-	if _, _, err := unlabelled.Classify([]rune("queso")); err == nil {
+	if _, _, err := classify(unlabelled, []rune("queso")); err == nil {
 		t.Error("classify on unlabelled set should fail")
+	}
+}
+
+// TestRadiusStatsCountEveryShard pins the radius accounting: every shard's
+// work, ladder rejections included, counts whether or not the shard found
+// a hit. A linear index evaluates each candidate against the same radius
+// however the corpus is split, so 1 and 4 shards must report identical
+// Stats, and a zero-hit query still reports the rejections it spent.
+func TestRadiusStatsCountEveryShard(t *testing.T) {
+	d := dataset.Spanish(400, 9)
+	m := metric.Levenshtein()
+	build, err := StandardBuild("linear", m, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets []*Set
+	for _, shards := range []int{1, 4} {
+		s, err := New(d.Strings, nil, Config{Shards: shards, Metric: m, Build: build, Algorithm: "linear"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, s)
+	}
+	sawEmpty := false
+	for _, q := range []string{d.Strings[3], "qqqqqqqqq"} {
+		for _, r := range []float64{0, 1} {
+			h1, st1, err1 := radius(sets[0], []rune(q), r)
+			h4, st4, err4 := radius(sets[1], []rune(q), r)
+			if err1 != nil || err4 != nil {
+				t.Fatal(err1, err4)
+			}
+			if !slices.Equal(h1, h4) || st1 != st4 {
+				t.Fatalf("%q r=%v: 1 shard %v %+v, 4 shards %v %+v", q, r, h1, st1, h4, st4)
+			}
+			if st4.Computations != len(d.Strings) || st4.Rejections.Total() == 0 {
+				t.Fatalf("%q r=%v: stats %+v", q, r, st4)
+			}
+			sawEmpty = sawEmpty || len(h4) == 0
+		}
+	}
+	if !sawEmpty {
+		t.Fatal("no zero-hit query exercised")
 	}
 }
 
@@ -171,7 +248,7 @@ func TestRadiusMatchesLinearScan(t *testing.T) {
 	s.Delete(1)
 	q := []rune("gato")
 	r := 0.5
-	hits, _, err := s.Radius(q, r)
+	hits, _, err := radius(s, q, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +295,7 @@ func TestCompactionPreservesAnswers(t *testing.T) {
 	}
 	before := make([]answer, len(queries))
 	for i, q := range queries {
-		hits, _ := s.KNearest([]rune(q), 5)
+		hits, _ := knn(s, []rune(q), 5)
 		before[i] = answer{hits: hits}
 	}
 	sizeBefore := s.Size()
@@ -238,7 +315,7 @@ func TestCompactionPreservesAnswers(t *testing.T) {
 		t.Errorf("size changed across compaction: %d -> %d", sizeBefore, s.Size())
 	}
 	for i, q := range queries {
-		hits, _ := s.KNearest([]rune(q), 5)
+		hits, _ := knn(s, []rune(q), 5)
 		if len(hits) != len(before[i].hits) {
 			t.Fatalf("query %q: %d hits after compaction, want %d", q, len(hits), len(before[i].hits))
 		}
@@ -275,7 +352,7 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	// Every added element must still be findable after the swaps.
 	for i := 0; i < 64; i++ {
 		w := fmt.Sprintf("auto%03d", i)
-		hit, _, ok := s.Search([]rune(w))
+		hit, _, ok := nearest(s, []rune(w))
 		if !ok || hit.Value != w || hit.Distance != 0 {
 			t.Fatalf("element %q lost after compaction: %+v", w, hit)
 		}
@@ -307,8 +384,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("NextID = %d, want %d", loaded.NextID(), s.NextID())
 	}
 	for _, q := range []string{"casa", "nuevo", "gat", "xyz"} {
-		want, _ := s.KNearest([]rune(q), 4)
-		got, _ := loaded.KNearest([]rune(q), 4)
+		want, _ := knn(s, []rune(q), 4)
+		got, _ := knn(loaded, []rune(q), 4)
 		if len(got) != len(want) {
 			t.Fatalf("query %q: %d hits vs %d", q, len(got), len(want))
 		}
@@ -355,7 +432,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 func TestStatsAccountEveryEvaluation(t *testing.T) {
 	s := newTestSet(t, unitCorpus, nil, 1)
 	s.Add("extra", 0)
-	_, st := s.KNearest([]rune("cas"), 3)
+	_, st := knn(s, []rune("cas"), 3)
 	if st.Computations <= 0 || st.Computations > len(unitCorpus)+1 {
 		t.Errorf("computations = %d", st.Computations)
 	}
@@ -379,7 +456,7 @@ func TestKNearestBoundedContract(t *testing.T) {
 	for i, v := range d.Strings {
 		corpus[i] = []rune(v)
 	}
-	for name, idx := range map[string]search.BoundedKSearcher{
+	for name, idx := range map[string]search.Index{
 		"linear": search.NewLinear(corpus, mc),
 		"laesa":  search.NewLAESAWorkers(corpus, mc, 8, search.MaxSum, 5, 0),
 		"vptree": search.NewVPTreeWorkers(corpus, mc, 5, 0),
@@ -391,7 +468,8 @@ func TestKNearestBoundedContract(t *testing.T) {
 			want := idx.KNearest([]rune(q), 5)
 			kth := want[len(want)-1].Distance
 			for _, bound := range []float64{math.Inf(1), kth, kth * 2} {
-				got, _, _ := idx.KNearestBounded([]rune(q), 5, bound) //ced:stagecount-ok: pins result parity only.
+				ans, _ := idx.Query(context.Background(), []rune(q), search.KNN(5, bound))
+				got := ans.Hits
 				if len(got) != len(want) {
 					t.Fatalf("%s %q bound=%v: %d results, want %d", name, q, bound, len(got), len(want))
 				}

@@ -92,7 +92,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 				default:
 				}
 				q := []rune(d.Strings[(w*131+i)%initial])
-				hits, _ := s.KNearest(q, 5)
+				hits, _ := knn(s, q, 5)
 				for j := 1; j < len(hits); j++ {
 					if hits[j].Distance < hits[j-1].Distance {
 						qErr <- fmt.Errorf("unsorted hits for %q: %v", string(q), hits)
@@ -107,7 +107,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 					}
 					seen[h.ID] = true
 				}
-				if _, _, err := s.Radius(q, 0.3); err != nil {
+				if _, _, err := radius(s, q, 0.3); err != nil {
 					qErr <- err
 					return
 				}
@@ -163,7 +163,7 @@ func TestConcurrentMutationStress(t *testing.T) {
 	// check it against the ledger: every added-and-not-deleted ID present
 	// exactly once, every confirmed-deleted ID absent, every base ID
 	// accounted for.
-	all, _, err := s.Radius([]rune("q"), math.Inf(1))
+	all, _, err := radius(s, []rune("q"), math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package ced
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"ced/internal/search"
 )
@@ -26,10 +28,11 @@ type SearchResult struct {
 
 // Index is a nearest-neighbour search index over a fixed corpus of
 // strings — the apparatus of the paper's §4.3–§4.4 experiments. Indexes
-// are immutable once built and safe for concurrent queries.
+// are immutable once built and safe for concurrent queries. Every index
+// breaks equal-distance ties by corpus position.
 type Index struct {
 	corpus   []string
-	searcher search.Searcher
+	searcher search.Index
 }
 
 // Nearest returns the corpus string nearest to q — the 1-NN query of the
@@ -50,12 +53,9 @@ func (ix *Index) Nearest(q string) SearchResult {
 // Nearest's as the corpus grows relative to k. A trie index answers over
 // its distinct strings (duplicates keep their first corpus index), so on
 // a corpus with repeated strings it returns at most one entry per value.
+// Every result carries the query's total Computations.
 func (ix *Index) KNearest(q string, k int) []SearchResult {
-	ks, ok := ix.searcher.(search.KSearcher)
-	if !ok {
-		return nil
-	}
-	return ix.convert(ks.KNearest([]rune(q), k))
+	return ix.query(q, search.KNN(k, math.Inf(1)))
 }
 
 // Radius returns every corpus string within distance r of q (inclusive),
@@ -64,21 +64,14 @@ func (ix *Index) KNearest(q string, k int) []SearchResult {
 // when the distance is one (dC qualifies; dmax, dmin, dsum do not). Every
 // index built by this package supports it.
 func (ix *Index) Radius(q string, r float64) []SearchResult {
-	rs, ok := ix.searcher.(search.RadiusSearcher)
-	if !ok {
-		return nil
-	}
-	hits, _ := rs.Radius([]rune(q), r)
-	return ix.convert(hits)
+	return ix.query(q, search.Within(r))
 }
 
-func (ix *Index) convert(rs []search.Result) []SearchResult {
-	out := make([]SearchResult, len(rs))
-	for i, r := range rs {
-		out[i] = SearchResult{Index: r.Index, Distance: r.Distance, Computations: r.Computations}
-		if r.Index >= 0 {
-			out[i].Value = ix.corpus[r.Index]
-		}
+func (ix *Index) query(q string, req search.Request) []SearchResult {
+	ans, _ := ix.searcher.Query(context.Background(), []rune(q), req)
+	out := make([]SearchResult, len(ans.Hits))
+	for i, r := range ans.Hits {
+		out[i] = SearchResult{Index: r.Index, Value: ix.corpus[r.Index], Distance: r.Distance, Computations: ans.Computations}
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ced/internal/blob"
+	"ced/internal/search"
 	"ced/internal/serve"
 )
 
@@ -170,8 +171,8 @@ func (s *Server) Distance(a, b string) (float64, int) {
 // computation count. For a one-off batch without a Server, use the
 // package-level BatchDistance.
 func (s *Server) BatchDistance(pairs []Pair) ([]float64, int) {
-	ds, st := s.eng.BatchDistance(pairs)
-	return ds, st.Computations
+	ds, n, _ := s.BatchDistanceCtx(context.Background(), pairs)
+	return ds, n
 }
 
 // BatchDistanceCtx is BatchDistance with cooperative cancellation: the
@@ -187,8 +188,7 @@ func (s *Server) BatchDistanceCtx(ctx context.Context, pairs []Pair) ([]float64,
 // reports how many of those evaluations each bound-ladder rung rejected;
 // see the "rejections" object in the response metadata.
 func (s *Server) KNearest(q string, k int) ([]Neighbor, int, error) {
-	ns, st, err := s.eng.KNearest(q, k)
-	return ns, st.Computations, err
+	return s.KNearestCtx(context.Background(), q, k)
 }
 
 // KNearestCtx is KNearest with cooperative cancellation: the index scans
@@ -206,21 +206,19 @@ func (s *Server) KNearestCtx(ctx context.Context, q string, k int) ([]Neighbor, 
 // result set and the pruning behaviour are deterministic: r itself bounds
 // every shard, so there is no run-to-run variance to account for.
 func (s *Server) Radius(q string, r float64) ([]Neighbor, int, error) {
-	ns, st, err := s.eng.Radius(q, r)
-	return ns, st.Computations, err
+	return s.RadiusCtx(context.Background(), q, r)
 }
 
 // RadiusCtx is Radius with cooperative cancellation (see KNearestCtx).
 func (s *Server) RadiusCtx(ctx context.Context, q string, r float64) ([]Neighbor, int, error) {
-	ns, st, err := s.eng.RadiusCtx(ctx, q, r)
+	ns, st, err := s.eng.Query(ctx, q, search.Within(r))
 	return ns, st.Computations, err
 }
 
 // Classify labels q with the class of its nearest corpus element. The
 // corpus passed to NewServer must have been labelled.
 func (s *Server) Classify(q string) (Prediction, int, error) {
-	p, st, err := s.eng.Classify(q)
-	return p, st.Computations, err
+	return s.ClassifyCtx(context.Background(), q)
 }
 
 // ClassifyCtx is Classify with cooperative cancellation (see KNearestCtx).

@@ -1,9 +1,12 @@
 package ced
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 
+	"ced/internal/search"
 	"ced/internal/shard"
 )
 
@@ -127,29 +130,38 @@ func (ix *ShardedIndex) Delete(id uint64) bool { return ix.set.Delete(id) }
 // Nearest returns the nearest live element to q; ok is false when the
 // index is empty.
 func (ix *ShardedIndex) Nearest(q string) (ShardedResult, bool) {
-	hit, _, ok := ix.set.Search([]rune(q))
-	return hitResult(hit), ok
+	hits := ix.KNearest(q, 1)
+	if len(hits) == 0 {
+		return ShardedResult{}, false
+	}
+	return hits[0], true
 }
 
 // KNearest returns the k nearest live elements, closest first (ties by
 // ID).
 func (ix *ShardedIndex) KNearest(q string, k int) []ShardedResult {
-	hits, _ := ix.set.KNearest([]rune(q), k)
+	hits, _, _ := ix.set.Query(context.Background(), []rune(q), search.KNN(k, math.Inf(1)))
 	return hitResults(hits)
 }
 
 // Radius returns every live element within distance r of q (inclusive),
 // sorted by (distance, ID).
 func (ix *ShardedIndex) Radius(q string, r float64) ([]ShardedResult, error) {
-	hits, _, err := ix.set.Radius([]rune(q), r)
+	hits, _, err := ix.set.Query(context.Background(), []rune(q), search.Within(r))
 	return hitResults(hits), err
 }
 
 // Classify labels q with the class of its nearest live element; it fails
 // on an unlabelled or empty index.
 func (ix *ShardedIndex) Classify(q string) (ShardedResult, error) {
-	hit, _, err := ix.set.Classify([]rune(q))
-	return hitResult(hit), err
+	if !ix.set.Labelled() {
+		return ShardedResult{}, fmt.Errorf("ced: the index is unlabelled")
+	}
+	hit, ok := ix.Nearest(q)
+	if !ok {
+		return ShardedResult{}, fmt.Errorf("ced: empty index")
+	}
+	return hit, nil
 }
 
 // Len returns the live element count (base − tombstones + delta) in O(1)
@@ -190,14 +202,10 @@ func LoadShardedIndex(r io.Reader, m Metric, cfg ShardedIndexConfig) (*ShardedIn
 	return &ShardedIndex{set: set}, nil
 }
 
-func hitResult(h shard.Hit) ShardedResult {
-	return ShardedResult{ID: h.ID, Value: h.Value, Label: h.Label, Distance: h.Distance}
-}
-
 func hitResults(hits []shard.Hit) []ShardedResult {
 	out := make([]ShardedResult, len(hits))
 	for i, h := range hits {
-		out[i] = hitResult(h)
+		out[i] = ShardedResult{ID: h.ID, Value: h.Value, Label: h.Label, Distance: h.Distance}
 	}
 	return out
 }

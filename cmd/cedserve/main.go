@@ -8,7 +8,7 @@
 //	cedserve [-addr :8080] [-corpus FILE] [-d dC,h] [-index laesa] [-pivots 16]
 //	         [-workers 0] [-build-workers 0] [-cache 4096] [-seed 1] [-sample 0]
 //	         [-shards 1] [-compact-threshold 256]
-//	         [-snapshot FILE] [-store DIR|URL] [-snapshot-every N] [-load-snapshot]
+//	         [-store DIR|URL] [-snapshot-every N] [-load-snapshot]
 //	         [-max-inflight 0] [-queue-wait 100ms] [-retry-after 1]
 //	cedserve -shard-server [-addr :9001] [-d dC,h] [-index laesa] [-pivots 16] [-store DIR|URL]
 //	cedserve -coordinator -shards-at http://h1:9001,http://h2:9001
@@ -22,7 +22,7 @@
 // -corpus, -sample N serves a generated N-word Spanish-like dictionary, so
 // the server can be tried with no data at hand:
 //
-//	cedserve -sample 5000 -shards 4 -snapshot /tmp/corpus.snap &
+//	cedserve -sample 5000 -shards 4 -store /var/lib/ced &
 //	curl localhost:8080/healthz
 //	curl -d '{"a":"contextual","b":"normalised"}' localhost:8080/distance
 //	curl -d '{"query":"contextal","k":3}' localhost:8080/knn
@@ -34,22 +34,20 @@
 // fan out and merge with a shared pruning bound, and /add + /delete mutate
 // the live set (deltas fold into the base indexes by background
 // compaction, swapping epochs atomically — queries never block).
-// -snapshot FILE names the server-side file the /snapshot/save and
-// /snapshot/load endpoints use; -load-snapshot restores it at startup
-// instead of building indexes, so a warm cold-start costs zero distance
-// computations (a corpus source is then optional).
 //
 // -store DIR|URL attaches a durable blob store — a local directory
 // (crash-safe temp-file + fsync + rename writes) or an http(s)://
-// object-server URL (retried, integrity-checked uploads). With a store,
-// /snapshot/save publishes an incremental manifest-addressed snapshot
-// that re-uploads only the shards changed since the last save and commits
-// by writing the manifest last, so a crash at any point leaves the
-// previous snapshot fully loadable; -load-snapshot cold-starts from the
-// newest manifest and -snapshot-every N publishes a background snapshot
-// after every N mutations (single-flight, with a failure cool-down).
-// /healthz reports the last snapshot's sequence, age and error under
-// "snapshot".
+// object-server URL (retried, integrity-checked uploads) — behind the
+// /snapshot/save and /snapshot/load endpoints. /snapshot/save publishes an
+// incremental manifest-addressed snapshot that re-uploads only the shards
+// changed since the last save and commits by writing the manifest last, so
+// a crash at any point leaves the previous snapshot fully loadable.
+// -load-snapshot cold-starts from the newest manifest instead of building
+// indexes, so a warm cold-start costs zero distance computations (a corpus
+// source is then optional), and -snapshot-every N publishes a background
+// snapshot after every N mutations (single-flight, with a failure
+// cool-down). /healthz reports the last snapshot's sequence, age and error
+// under "snapshot".
 //
 // # Cluster modes
 //
@@ -136,8 +134,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for randomised index construction")
 		shards     = flag.Int("shards", 1, "partition the corpus across this many independent indexes")
 		compactThr = flag.Int("compact-threshold", 0, "per-shard delta+tombstone size that triggers background compaction (0 = default 256)")
-		snapshot   = flag.String("snapshot", "", "server-side snapshot file for the /snapshot/save and /snapshot/load endpoints")
-		loadSnap   = flag.Bool("load-snapshot", false, "restore the -store (or -snapshot file) at startup instead of building indexes (corpus flags become optional)")
+		loadSnap   = flag.Bool("load-snapshot", false, "restore the newest -store snapshot at startup instead of building indexes (corpus flags become optional)")
 		store      = flag.String("store", "", "durable snapshot store: a directory path or an http(s):// object-server URL; /snapshot/save uploads only changed shards")
 		snapEvery  = flag.Int("snapshot-every", 0, "publish a background store snapshot after this many mutations (0 = manual; needs -store)")
 
@@ -189,8 +186,7 @@ func main() {
 			corpusPath: *corpus, sample: *sample, dist: *dist, index: *index,
 			pivots: *pivots, workers: *workers, buildWorkers: *buildWrk,
 			cache: *cache, seed: *seed, shards: *shards, compactThreshold: *compactThr,
-			snapshotPath: *snapshot, loadSnapshot: *loadSnap,
-			store: *store, snapshotEvery: *snapEvery,
+			loadSnapshot: *loadSnap, store: *store, snapshotEvery: *snapEvery,
 			maxInFlight: *maxInFlight, queueWait: *queueWait, retryAfter: *retryAfter,
 		})
 		if err == nil {
@@ -388,7 +384,6 @@ type buildOpts struct {
 	seed             int64
 	shards           int
 	compactThreshold int
-	snapshotPath     string
 	loadSnapshot     bool
 	store            string
 	snapshotEvery    int
@@ -433,8 +428,8 @@ func build(o buildOpts) (*ced.Server, ced.ServerInfo, error) {
 	if o.cache <= 0 {
 		o.cache = -1 // flag semantics: 0 disables; ServerConfig treats 0 as "default"
 	}
-	if o.loadSnapshot && o.snapshotPath == "" && o.store == "" {
-		return nil, ced.ServerInfo{}, fmt.Errorf("-load-snapshot needs -store DIR|URL or -snapshot FILE")
+	if o.loadSnapshot && o.store == "" {
+		return nil, ced.ServerInfo{}, fmt.Errorf("-load-snapshot needs -store DIR|URL")
 	}
 	if o.snapshotEvery > 0 && o.store == "" {
 		return nil, ced.ServerInfo{}, fmt.Errorf("-snapshot-every needs -store DIR|URL")
@@ -449,7 +444,6 @@ func build(o buildOpts) (*ced.Server, ced.ServerInfo, error) {
 		CacheSize:        o.cache,
 		Shards:           o.shards,
 		CompactThreshold: o.compactThreshold,
-		SnapshotPath:     o.snapshotPath,
 		Store:            o.store,
 		SnapshotEvery:    o.snapshotEvery,
 		MaxInFlight:      o.maxInFlight,
@@ -459,23 +453,11 @@ func build(o buildOpts) (*ced.Server, ced.ServerInfo, error) {
 	if err != nil {
 		return nil, ced.ServerInfo{}, err
 	}
-	switch {
-	case o.loadSnapshot && o.store != "":
-		// The store is the durable source of truth when both are set: it
-		// holds the newest manifest and verifies object integrity.
+	if o.loadSnapshot {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 		defer cancel()
 		if _, err := srv.LoadFromStore(ctx); err != nil {
 			return nil, ced.ServerInfo{}, fmt.Errorf("loading store snapshot: %w", err)
-		}
-	case o.loadSnapshot:
-		f, err := os.Open(o.snapshotPath)
-		if err != nil {
-			return nil, ced.ServerInfo{}, fmt.Errorf("loading snapshot: %w", err)
-		}
-		defer f.Close()
-		if _, err := srv.LoadSnapshot(f); err != nil {
-			return nil, ced.ServerInfo{}, fmt.Errorf("loading snapshot: %w", err)
 		}
 	}
 	return srv, srv.Info(), nil

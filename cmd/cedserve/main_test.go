@@ -226,15 +226,16 @@ func TestKNNReportsLadderStages(t *testing.T) {
 }
 
 // TestShardedServeAndSnapshotColdStart drives the sharded flags end to
-// end: build with -shards 4 and a snapshot path, mutate over HTTP, save a
-// snapshot, then cold-start a second server from it with -load-snapshot
-// and check the mutated corpus came back without a corpus file.
+// end: build with -shards 4 and -store DIR, mutate over HTTP, save a
+// snapshot through /snapshot/save, then cold-start a second server from
+// the store with -load-snapshot and check the mutated corpus came back
+// without a corpus file.
 func TestShardedServeAndSnapshotColdStart(t *testing.T) {
 	corpus := writeCorpus(t)
-	snap := filepath.Join(t.TempDir(), "corpus.snap")
+	store := t.TempDir()
 	srv, info, err := build(buildOpts{
 		corpusPath: corpus, dist: "dC,h", index: "laesa", pivots: 4,
-		seed: 1, shards: 4, snapshotPath: snap,
+		seed: 1, shards: 4, store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +262,7 @@ func TestShardedServeAndSnapshotColdStart(t *testing.T) {
 
 	cold, coldInfo, err := build(buildOpts{
 		dist: "dC,h", index: "laesa", pivots: 4, seed: 1,
-		snapshotPath: snap, loadSnapshot: true,
+		store: store, loadSnapshot: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,13 +293,13 @@ func TestShardedServeAndSnapshotColdStart(t *testing.T) {
 	// A metric mismatch at cold start must fail.
 	if _, _, err := build(buildOpts{
 		dist: "dE", index: "laesa", pivots: 4, seed: 1,
-		snapshotPath: snap, loadSnapshot: true,
+		store: store, loadSnapshot: true,
 	}); err == nil {
 		t.Error("metric mismatch should fail the cold start")
 	}
-	// -load-snapshot without -snapshot is a flag error.
+	// -load-snapshot without -store is a flag error.
 	if _, _, err := build(buildOpts{dist: "dC,h", index: "laesa", loadSnapshot: true}); err == nil {
-		t.Error("-load-snapshot without -snapshot should fail")
+		t.Error("-load-snapshot without -store should fail")
 	}
 }
 

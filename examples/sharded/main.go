@@ -1,7 +1,7 @@
 // Sharded: the full life of a mutable corpus — build a sharded index,
 // mutate it online (add and delete without ever blocking queries), save a
-// snapshot, and cold-start a second index from it with zero distance
-// computations.
+// snapshot to a store directory, and cold-start a second index from it with
+// zero distance computations.
 //
 // Run with:
 //
@@ -9,8 +9,9 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"fmt"
+	"os"
 
 	"ced"
 )
@@ -52,18 +53,24 @@ func main() {
 	fmt.Printf("deleted id %d (%q); nearest(%q) is now %q\n", victim.ID, victim.Value, dict.Strings[7], after.Value)
 	fmt.Printf("live size: %d (= 2000 + 1 add - 1 delete)\n", ix.Len())
 
-	// Snapshot: fold the mutation overlay in, then serialise every shard's
-	// base index. The reload recomputes nothing.
+	// Snapshot: fold the mutation overlay in, then publish every shard's
+	// base index to a store — a directory here; an http(s):// object-server
+	// URL works the same. The reload recomputes nothing.
 	ix.Compact()
-	var snap bytes.Buffer
-	if err := ix.Save(&snap); err != nil {
+	store, err := os.MkdirTemp("", "ced-sharded-")
+	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("snapshot: %d bytes\n", snap.Len())
+	defer os.RemoveAll(store)
+	ctx := context.Background()
+	if err := ix.SaveTo(ctx, store); err != nil {
+		panic(err)
+	}
+	fmt.Println("snapshot: saved to a store directory")
 
 	// Reload: a cold start from the snapshot — same corpus, same answers,
 	// zero index-build distance computations — and still fully mutable.
-	warm, err := ced.LoadShardedIndex(&snap, ced.Contextual(), ced.ShardedIndexConfig{Pivots: 16})
+	warm, err := ced.LoadShardedIndex(ctx, store, ced.Contextual(), ced.ShardedIndexConfig{Pivots: 16})
 	if err != nil {
 		panic(err)
 	}

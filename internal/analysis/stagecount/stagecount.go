@@ -22,8 +22,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "stagecount",
 	Doc: "StageCounts carried by search answers must be merged into the " +
 		"caller's tally, not discarded with _ or an expression statement; " +
-		"batch results carrying per-candidate StageCounts count too " +
-		"(//ced:stagecount-ok waives a deliberate discard)",
+		"results that hold a StageCounts in a nested field (search.Answer) " +
+		"count too (//ced:stagecount-ok waives a deliberate discard)",
 	Run: run,
 }
 
@@ -35,13 +35,12 @@ func isStageCounts(t types.Type) bool {
 }
 
 // carriesStageCounts reports whether t is, or transitively contains, a
-// StageCounts: a search answer carries its Stats, and the batch ladder entry
-// points return slices of per-candidate results each holding its own tally,
-// so dropping the whole call on the floor loses the counters just as surely
-// as dropping a bare StageCounts. Only bare expression statements use the
-// transitive rule — blank assigns keep the strict bare-StageCounts check,
-// because `hits, _, err :=` on a merged query legitimately drops stats a
-// caller never reports.
+// StageCounts: a search.Answer embeds its Stats, whose Rejections field is
+// the tally, so dropping a Query call on the floor loses the counters just
+// as surely as dropping a bare StageCounts. Only bare expression statements
+// use the transitive rule — blank assigns keep the strict bare-StageCounts
+// check, because `hits, _, err :=` on a merged query legitimately drops
+// stats a caller never reports.
 func carriesStageCounts(t types.Type) bool {
 	return carries(t, make(map[types.Type]bool))
 }

@@ -21,7 +21,9 @@ type Stats struct {
 	Rejections   StageCounts
 }
 
-// Answer mirrors search.Answer: the hits plus the work spent.
+// Answer mirrors search.Answer: the hits plus the work spent. The tally
+// sits two levels down (Answer.Stats.Rejections), which is why dropping an
+// Answer needs the transitive carrier rule.
 type Answer struct {
 	Hits []string
 	Stats
@@ -43,7 +45,8 @@ func merged(q string, stats *Stats) []string {
 	return ans.Hits
 }
 
-// dropped throws the whole answer away, tally included.
+// dropped throws the whole answer away, tally included: the transitive
+// carrier rule finds the StageCounts inside the Answer.
 func dropped(q string) {
 	Query(q, 5) // want `call result containing StageCounts dropped`
 }
@@ -58,52 +61,4 @@ func blankTally(q string) []string {
 // waived documents a deliberate discard (e.g. a benchmark warm-up query).
 func waived(q string) {
 	Query(q, 5) //ced:stagecount-ok: warm-up query, answer unused.
-}
-
-// BatchResult mirrors core.BoundedResult: one candidate of a batch ladder
-// call, carrying its own rejection tally.
-type BatchResult struct {
-	Distance   float64
-	Rejections StageCounts
-}
-
-// KNearestBatch is a stand-in for the batch ladder entry points
-// (core.ComputeBoundedBatch and friends).
-func KNearestBatch(q string, cands []string) []BatchResult {
-	return nil
-}
-
-// lossyBatchMerge keeps each candidate's distance but blanks its tally:
-// the batch's rejections silently vanish from the shard totals.
-func lossyBatchMerge(q string, cands []string) []float64 {
-	out := make([]float64, len(cands))
-	for i, r := range KNearestBatch(q, cands) {
-		out[i] = r.Distance
-		_ = r.Rejections // want `StageCounts discarded with _`
-	}
-	return out
-}
-
-// droppedBatch throws the whole batch away — per-candidate tallies
-// included, which the carrier rule catches.
-func droppedBatch(q string, cands []string) {
-	KNearestBatch(q, cands) // want `call result containing StageCounts dropped`
-}
-
-// batchMerged is the sanctioned batch idiom: every candidate's tally is
-// folded into the caller's stats, so the aggregate equals what the
-// per-candidate ladder would have reported.
-func batchMerged(q string, cands []string, stats *Stats) []float64 {
-	out := make([]float64, len(cands))
-	for i, r := range KNearestBatch(q, cands) {
-		out[i] = r.Distance
-		stats.Rejections.Add(r.Rejections)
-	}
-	return out
-}
-
-// batchWaived documents a deliberate batch discard (e.g. a benchmark
-// warm-up call).
-func batchWaived(q string, cands []string) {
-	KNearestBatch(q, cands) //ced:stagecount-ok: warm-up call, values unused.
 }

@@ -16,8 +16,7 @@ import (
 // object streams into a same-directory temp file, is fsynced, atomically
 // renamed over the final name, and the parent directory is fsynced — so a
 // process killed at any instant leaves either the old object or the new
-// one, never a torn file. This is the backend behind cedserve -store DIR
-// and the safety fix for the pre-existing single-file snapshot path.
+// one, never a torn file. This is the backend behind cedserve -store DIR.
 type DirStore struct {
 	root string
 }
@@ -53,7 +52,7 @@ func (s *DirStore) Put(ctx context.Context, key string, r io.Reader) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("blob: put %s: %w", key, err)
 	}
-	_, err := writeFileAtomic(dst, func(w io.Writer) error {
+	err := writeFileAtomic(dst, func(w io.Writer) error {
 		_, err := io.Copy(w, r)
 		return err
 	})
@@ -126,45 +125,34 @@ func (s *DirStore) Delete(ctx context.Context, key string) error {
 	return nil
 }
 
-// WriteFileAtomic writes a file via a same-directory temp file, fsync and
-// atomic rename, returning the byte count. A crash at any instant leaves
-// either the previous file or the complete new one — never a truncated or
-// interleaved hybrid. The serving layer's single-file snapshot path and
-// every DirStore Put route through it.
-func WriteFileAtomic(path string, write func(w io.Writer) error) (int64, error) {
-	return writeFileAtomic(path, write)
-}
-
-func writeFileAtomic(path string, write func(w io.Writer) error) (int64, error) {
+// writeFileAtomic writes a file via a same-directory temp file, fsync and
+// atomic rename. A crash at any instant leaves either the previous file or
+// the complete new one — never a truncated or interleaved hybrid.
+func writeFileAtomic(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer os.Remove(f.Name()) // no-op after a successful rename
 	if err := write(f); err != nil {
 		f.Close()
-		return 0, err
-	}
-	n, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		f.Close()
-		return 0, err
+		return err
 	}
 	// fsync before rename: rename-before-sync can surface a zero-length
 	// file after a power loss even though the rename itself is atomic.
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return 0, err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return 0, err
+		return err
 	}
 	if err := os.Rename(f.Name(), path); err != nil {
-		return 0, err
+		return err
 	}
 	syncDir(dir)
-	return n, nil
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

@@ -2,88 +2,20 @@ package core
 
 import "math"
 
-// This file holds the Stage 3 kernels: the banded Algorithm 1 sweep of
-// workspace.go, now dispatched over three bit-identical implementations.
+// This file holds the Stage 3 kernel: the banded Algorithm 1 sweep of
+// workspace.go, a rolling row sweep over int32 cells, and the closed-formula
+// sweep (finishBand) that turns its final band into a Result.
 //
-//   - a row sweep over int32 cells — the general kernel, always correct;
-//   - a row sweep over uint16 cells when |x|+|y|+kmax fits, halving the
-//     working set of the two rolling (j, k) planes;
-//   - a column-tiled ("cache-blocked") uint16 kernel for problems whose
-//     per-row band window outgrows the cache: the plane is cut into tiles
-//     of consecutive i-rows and each tile sweeps j with two column buffers
-//     sized to stay resident, exchanging tile boundaries through a single
-//     full-width border row.
-//
-// All three produce exactly the final-row band of the unpruned reference
-// algorithm (TestBandKernelsAgree and the package fuzz targets pin this),
-// and all three feed the same closed-formula sweep (finishBand), so the
-// selected kernel can never change a distance by even one ulp.
+// The kernel produces exactly the final-row band of the unpruned reference
+// algorithm on the edit lengths it keeps (TestBandKernelsAgree and the
+// package fuzz targets pin this), so banding can never change a distance by
+// even one ulp.
 //
 // Cells store the maximum number of insertions ni on any internal path to
 // (i, j) with exactly k operations, encoded as ni+1 with 0 the "no such
-// path" sentinel. The shift (the int32 kernel previously stored ni with a
-// negative sentinel) lets both cell widths share one generic kernel: the
-// sentinel is the unsigned minimum, so the max-plus transitions read the
-// same for int32 and uint16, and scratch planes still never need clearing —
-// the kernels write every feasible cell before any neighbour reads it.
-
-// cell is the storage type of one banded-DP cell.
-type cell interface {
-	int32 | uint16
-}
-
-var (
-	// band16Limit gates the uint16 kernels on |x|+|y|+kmax: every stored
-	// value is an insertion count plus one (≤ |y|+1) and every band index is
-	// at most kmax, so below the limit nothing the kernels form can overflow
-	// sixteen bits. A package variable so tests can force the int32 path.
-	band16Limit = 1<<16 - 2
-
-	// bandBlockedMinCells is the sweep working set — both rolling planes,
-	// restricted to the 2·kmax+1 columns a row actually touches, in cells —
-	// above which the row sweep thrashes and the column-tiled kernel takes
-	// over. The default keeps the row sweep for anything comfortably inside
-	// a 256 KiB L2. A package variable so tests can force the blocked path.
-	bandBlockedMinCells = 1 << 17
-
-	// bandTileBudget is the size, in cells, of one column buffer of the
-	// blocked kernel; the tile height is derived from it so two buffers and
-	// the active border stripe stay cache-resident regardless of band width.
-	bandTileBudget = 1 << 14
-)
-
-// bandTileRows returns the tile height (rows of x per tile) for a band of
-// the given width, clamped so tiles stay worthwhile but bounded.
-func bandTileRows(width int) int {
-	t := bandTileBudget/width - 1
-	if t < 4 {
-		t = 4
-	}
-	if t > 64 {
-		t = 64
-	}
-	return t
-}
-
-// blockedWindowCells is the row sweep's live window in cells: both rolling
-// planes, counting only the columns within kmax of the current row.
-func blockedWindowCells(n, kmax int) int {
-	rows := 2*kmax + 1
-	if rows > n+1 {
-		rows = n + 1
-	}
-	return 2 * rows * (kmax + 1)
-}
-
-// growCell returns a length-n slice backed by *buf, reallocating only when
-// the capacity is insufficient. Contents are unspecified: the kernels never
-// read a cell they have not written.
-func growCell[T cell](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	return (*buf)[:n]
-}
+// path" sentinel: the sentinel is the minimum, so the max-plus transitions
+// need no special case for it, and scratch planes never need clearing — the
+// kernel writes every feasible cell before any neighbour reads it.
 
 // computeBand runs Algorithm 1 with the edit-length dimension restricted to
 // [0, kmax] and returns the best decomposition over [max(kmin, |m−n|), kmax].
@@ -91,123 +23,32 @@ func growCell[T cell](buf *[]T, n int) []T {
 // heuristic or the ladder's edit stage): every shorter edit length holds the
 // sentinel — no path exists — and cannot win the final sweep.
 func (w *Workspace) computeBand(x, y []rune, kmax, kmin int) Result {
-	m, n := len(x), len(y)
-	fin := grow32(&w.fin, kmax+1)
-	switch {
-	case m+n+kmax > band16Limit:
-		bandSweep(x, y, kmax, &w.prev, &w.cur, fin)
-	case blockedWindowCells(n, kmax) >= bandBlockedMinCells && m >= 2*bandTileRows(kmax+1):
-		bandBlocked(x, y, kmax, &w.border16, &w.colA16, &w.colB16, fin)
-	default:
-		bandSweep(x, y, kmax, &w.prev16, &w.cur16, fin)
-	}
-	return w.finishBand(m, n, kmax, kmin, fin)
-}
-
-// bandCell computes one cell (i, j) of the banded DP from its three
-// neighbours: diag (i−1, j−1), up (i−1, j) and left (i, j−1), all indexed by
-// edit length k. Every cell (i, j) can only be non-sentinel for k in
-// [|i−j|, i+j] (fewer operations cannot bridge the length difference; an
-// internal path on the prefixes has at most j insertions, i deletions and
-// min(i, j) substitutions), so the routine walks only that feasible
-// sub-band, guards reads of the neighbours by *their* feasible bands, and
-// never touches — or needs to clear — the rest of the scratch memory.
-func bandCell[T cell](row, diag, up, left []T, i, j, kmax int, match bool) {
-	// This cell's feasible band [klo, khi] and the neighbours'.
-	klo := i - j
-	if klo < 0 {
-		klo = -klo
-	}
-	khi := i + j
-	if khi > kmax {
-		khi = kmax
-	}
-	dhi := i + j - 2 // diag band: [klo, dhi] (|i−j| is shared)
-	if dhi > kmax {
-		dhi = kmax
-	}
-
-	if match {
-		// Cost-0 match: same k as the diagonal cell where that cell is
-		// feasible, unreachable elsewhere.
-		hi := dhi
-		if hi > khi {
-			hi = khi
-		}
-		copy(row[klo:hi+1], diag[klo:hi+1])
-		for k := hi + 1; k <= khi; k++ {
-			row[k] = 0
-		}
-	} else {
-		// Substitution: one more operation than the diagonal cell.
-		hi := dhi + 1
-		if hi > khi {
-			hi = khi
-		}
-		row[klo] = 0 // diag[klo-1] is outside the diagonal band
-		for k := klo + 1; k <= hi; k++ {
-			row[k] = diag[k-1]
-		}
-		for k := hi + 1; k <= khi; k++ {
-			row[k] = 0
-		}
-	}
-	// Deletion of x[i-1]: up cell (i−1, j), band [|i−j−1|, i+j−1]. A deletion
-	// keeps the insertion count, so the encoded value carries unchanged.
-	lo := i - j - 1
-	if lo < 0 {
-		lo = -lo
-	}
-	lo++ // transition adds one operation
-	if lo < klo {
-		lo = klo
-	}
-	hi := i + j // = min(i+j-1, kmax) + 1, capped to this cell's band
-	if hi > khi {
-		hi = khi
-	}
-	for k := lo; k <= hi; k++ {
-		if v := up[k-1]; v > row[k] {
-			row[k] = v
-		}
-	}
-	// Insertion of y[j-1]: left cell (i, j−1), band [|i−j+1|, i+j−1]. One
-	// more insertion, so the encoded value advances by one; the sentinel (0)
-	// must not be mistaken for a path.
-	lo = i - j + 1
-	if lo < 0 {
-		lo = -lo
-	}
-	lo++
-	if lo < klo {
-		lo = klo
-	}
-	for k := lo; k <= hi; k++ {
-		if v := left[k-1]; v != 0 && v+1 > row[k] {
-			row[k] = v + 1
-		}
-	}
+	final := bandSweep(x, y, kmax, &w.prev, &w.cur)
+	return w.finishBand(len(x), len(y), kmax, kmin, final)
 }
 
 // bandSweep is the rolling row sweep: two (j, k) planes, row i computed from
-// row i−1, cells with |i−j| > kmax skipped wholesale. It fills fin with the
-// final cell's feasible band (decoded: ni, or −1 for "no path").
+// row i−1, cells with |i−j| > kmax skipped wholesale. It returns the final
+// cell's band (encoded, see the file comment), which aliases *prevBuf and is
+// defined only on the feasible range [|m−n|, min(m+n, kmax)].
 //
-// The cell body is a manual inline of bandCell — a function call per cell
-// costs ~5% on short-string workloads, beyond the regression budget of this
-// kernel — and TestBandCellMatchesSweep pins the two against each other
-// cell by cell so they cannot drift.
-func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32) {
+// Every cell (i, j) can only be non-sentinel for k in [|i−j|, i+j] (fewer
+// operations cannot bridge the length difference; an internal path on the
+// prefixes has at most j insertions, i deletions and min(i, j)
+// substitutions), so each cell walks only that feasible sub-band, guards
+// reads of its neighbours by *their* feasible bands, and never touches — or
+// needs to clear — the rest of the scratch memory.
+func bandSweep(x, y []rune, kmax int, prevBuf, curBuf *[]int32) []int32 {
 	m, n := len(x), len(y)
 	width := kmax + 1
 	need := (n + 1) * width
-	prev := growCell(prevBuf, need)
-	cur := growCell(curBuf, need)
+	prev := grow32(prevBuf, need)
+	cur := grow32(curBuf, need)
 
 	// Row i = 0: reaching y[:j] from the empty prefix is possible only with
 	// exactly j operations, all insertions.
 	for j := 0; j <= n && j <= kmax; j++ {
-		prev[j*width+j] = T(j) + 1
+		prev[j*width+j] = int32(j) + 1
 	}
 	for i := 1; i <= m; i++ {
 		// Column j = 0: i deletions, no insertions — feasible only at k = i.
@@ -228,6 +69,8 @@ func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32)
 			up := prev[j*width : (j+1)*width]  // delete x[i-1]
 			left := cur[(j-1)*width : j*width] // insert y[j-1]
 
+			// This cell's feasible band [klo, khi] and the diagonal's
+			// [klo, dhi] (|i−j| is shared).
 			klo := i - j
 			if klo < 0 {
 				klo = -klo
@@ -241,6 +84,8 @@ func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32)
 				dhi = kmax
 			}
 			if xi == y[j-1] {
+				// Cost-0 match: same k as the diagonal cell where that
+				// cell is feasible, unreachable elsewhere.
 				hi := dhi
 				if hi > khi {
 					hi = khi
@@ -250,11 +95,12 @@ func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32)
 					row[k] = 0
 				}
 			} else {
+				// Substitution: one more operation than the diagonal cell.
 				hi := dhi + 1
 				if hi > khi {
 					hi = khi
 				}
-				row[klo] = 0
+				row[klo] = 0 // diag[klo-1] is outside the diagonal band
 				for k := klo + 1; k <= hi; k++ {
 					row[k] = diag[k-1]
 				}
@@ -262,15 +108,18 @@ func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32)
 					row[k] = 0
 				}
 			}
+			// Deletion of x[i-1]: up cell (i−1, j), band [|i−j−1|, i+j−1].
+			// A deletion keeps the insertion count, so the encoded value
+			// carries unchanged.
 			lo := i - j - 1
 			if lo < 0 {
 				lo = -lo
 			}
-			lo++
+			lo++ // transition adds one operation
 			if lo < klo {
 				lo = klo
 			}
-			hi := i + j
+			hi := i + j // = min(i+j-1, kmax) + 1, capped to this cell's band
 			if hi > khi {
 				hi = khi
 			}
@@ -279,6 +128,9 @@ func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32)
 					row[k] = v
 				}
 			}
+			// Insertion of y[j-1]: left cell (i, j−1), band [|i−j+1|,
+			// i+j−1]. One more insertion, so the encoded value advances by
+			// one; the sentinel (0) must not be mistaken for a path.
 			lo = i - j + 1
 			if lo < 0 {
 				lo = -lo
@@ -296,112 +148,15 @@ func bandSweep[T cell](x, y []rune, kmax int, prevBuf, curBuf *[]T, fin []int32)
 		prev, cur = cur, prev
 	}
 	*prevBuf, *curBuf = prev, cur // keep the swap so buffers reuse in place
-	bandFinal(prev[n*width:(n+1)*width], m, n, kmax, fin)
-}
-
-// bandBlocked is the column-tiled kernel: rows of x are cut into tiles of
-// bandTileRows height and each tile sweeps the columns it can reach with two
-// tile-high column buffers (cells (·, j−1) and (·, j)), so the live working
-// set per tile is two column buffers plus a passing stripe of the border row
-// — bounded by bandTileBudget, not by the band width. Tiles exchange their
-// boundary through border, a full-width row holding cell (i0−1, j) for every
-// j when the tile starting at i0 runs.
-//
-// The guarded-band discipline of bandCell is what makes tiling sound with no
-// sentinel filling: a buffer slot may hold stale cells of a previous column
-// or tile, but stale slots are exactly the infeasible ones, and no read ever
-// reaches outside a neighbour's feasible band.
-func bandBlocked[T cell](x, y []rune, kmax int, borderBuf, colABuf, colBBuf *[]T, fin []int32) {
-	m, n := len(x), len(y)
-	width := kmax + 1
-	border := growCell(borderBuf, (n+1)*width)
-	// Row i = 0, as in bandSweep.
-	for j := 0; j <= n && j <= kmax; j++ {
-		border[j*width+j] = T(j) + 1
-	}
-	tile := bandTileRows(width)
-	colPrev := growCell(colABuf, (tile+1)*width)
-	colCur := growCell(colBBuf, (tile+1)*width)
-	for i0 := 1; i0 <= m; i0 += tile {
-		rows := tile
-		if i0+rows-1 > m {
-			rows = m - i0 + 1
-		}
-		ibot := i0 + rows - 1
-		// Columns this tile can reach; outside them no cell is feasible and
-		// the border passes through untouched (stale for the next tile, but
-		// stale exactly where infeasible).
-		jlo := i0 - kmax
-		if jlo < 1 {
-			jlo = 1
-		}
-		jhi := ibot + kmax
-		if jhi > n {
-			jhi = n
-		}
-		// Seed column jlo−1: the tile-top cell comes from the border; deeper
-		// cells are feasible only in column 0 (k = i, no insertions).
-		copy(colPrev[:width], border[(jlo-1)*width:jlo*width])
-		if jlo == 1 {
-			for ii := 1; ii <= rows; ii++ {
-				if i := i0 + ii - 1; i <= kmax {
-					colPrev[ii*width+i] = 1
-				}
-			}
-		}
-		for j := jlo; j <= jhi; j++ {
-			// Load the tile-top boundary cell (i0−1, j) before border[j] is
-			// overwritten with this tile's bottom cell.
-			copy(colCur[:width], border[j*width:(j+1)*width])
-			yj := y[j-1]
-			for ii := 1; ii <= rows; ii++ {
-				i := i0 + ii - 1
-				if d := i - j; d > kmax || -d > kmax {
-					continue
-				}
-				bandCell(
-					colCur[ii*width:(ii+1)*width],
-					colPrev[(ii-1)*width:ii*width], // diag
-					colCur[(ii-1)*width:ii*width],  // up
-					colPrev[ii*width:(ii+1)*width], // left
-					i, j, kmax, x[i-1] == yj)
-			}
-			copy(border[j*width:(j+1)*width], colCur[rows*width:(rows+1)*width])
-			colPrev, colCur = colCur, colPrev
-		}
-		// Re-key the border's column 0 to the tile's bottom row: cell
-		// (ibot, 0) holds zero insertions at k = ibot and nothing else.
-		if ibot <= kmax {
-			border[ibot] = 1
-		}
-	}
-	bandFinal(border[n*width:(n+1)*width], m, n, kmax, fin)
-}
-
-// bandFinal decodes the final cell's feasible band into fin: fin[k] is the
-// maximum insertion count over internal paths with exactly k operations, or
-// −1 when no such path exists. Entries outside [|m−n|, min(m+n, kmax)] are
-// left unspecified; finishBand never reads them.
-func bandFinal[T cell](final []T, m, n, kmax int, fin []int32) {
-	klo := m - n
-	if klo < 0 {
-		klo = -klo
-	}
-	khi := m + n
-	if khi > kmax {
-		khi = kmax
-	}
-	for k := klo; k <= khi; k++ {
-		fin[k] = int32(final[k]) - 1
-	}
+	return prev[n*width : (n+1)*width]
 }
 
 // finishBand is the closed-formula sweep over the final cell's feasible
 // band, identical to the reference algorithm's (restricted to the band,
-// which contains every candidate that can win — see kBand). It is shared by
-// every kernel, so the float operations — and therefore the returned
-// distance, bit for bit — cannot depend on which kernel filled fin.
-func (w *Workspace) finishBand(m, n, kmax, kmin int, fin []int32) Result {
+// which contains every candidate that can win — see kBand). final holds
+// the encoded maximum insertion count per edit length, as bandSweep
+// returns it.
+func (w *Workspace) finishBand(m, n, kmax, kmin int, final []int32) Result {
 	klo := m - n
 	if klo < 0 {
 		klo = -klo
@@ -417,10 +172,10 @@ func (w *Workspace) finishBand(m, n, kmax, kmin int, fin []int32) Result {
 	best := math.Inf(1)
 	var bestK, bestNi, bestNs, bestNd int
 	for k := klo; k <= khi; k++ {
-		if fin[k] < 0 {
+		if final[k] == 0 {
 			continue
 		}
-		ni := int(fin[k])
+		ni := int(final[k]) - 1
 		nd := m - n + ni
 		ns := k - ni - nd
 		if nd < 0 || ns < 0 {

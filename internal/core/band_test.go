@@ -5,109 +5,59 @@ import (
 	"testing"
 )
 
-// bandFins runs every Stage 3 kernel — int32 sweep, uint16 sweep, blocked
-// int32 and blocked uint16 — on fresh buffers and returns their decoded
-// final bands, all of which must agree cell for cell.
-func bandFins(x, y []rune, kmax int) map[string][]int32 {
-	width := kmax + 1
-	out := make(map[string][]int32)
-	{
-		var prev, cur []int32
-		fin := make([]int32, width)
-		bandSweep(x, y, kmax, &prev, &cur, fin)
-		out["sweep32"] = fin
-	}
-	{
-		var prev, cur []uint16
-		fin := make([]int32, width)
-		bandSweep(x, y, kmax, &prev, &cur, fin)
-		out["sweep16"] = fin
-	}
-	{
-		var border, colA, colB []int32
-		fin := make([]int32, width)
-		bandBlocked(x, y, kmax, &border, &colA, &colB, fin)
-		out["blocked32"] = fin
-	}
-	{
-		var border, colA, colB []uint16
-		fin := make([]int32, width)
-		bandBlocked(x, y, kmax, &border, &colA, &colB, fin)
-		out["blocked16"] = fin
-	}
-	return out
-}
-
-// checkBandKernelsAgree compares every kernel's final band on the defined
-// range [|m−n|, min(m+n, kmax)] and, when the band covers the full range,
-// the finished Result against the unpruned reference — with ==, not a
-// tolerance.
-func checkBandKernelsAgree(t *testing.T, x, y []rune, kmax int) {
+// checkBandKernelsAgree pins the Stage 3 kernel against itself and the
+// unpruned reference:
+//
+//   - banding is a restriction: for every kmax in [|m−n|, m+n+3], the
+//     banded sweep's final band on [|m−n|, min(kmax, m+n)] equals the
+//     full-band sweep's, cell for cell;
+//   - the full band through finishBand equals computeReference, compared
+//     with ==, not a tolerance.
+func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 	t.Helper()
 	m, n := len(x), len(y)
-	fins := bandFins(x, y, kmax)
-	ref := fins["sweep32"]
-	klo := m - n
-	if klo < 0 {
-		klo = -klo
+	gap := m - n
+	if gap < 0 {
+		gap = -gap
 	}
-	khi := m + n
-	if khi > kmax {
-		khi = kmax
+	var fullPrev, fullCur []int32
+	full := bandSweep(x, y, m+n, &fullPrev, &fullCur)
+
+	var w Workspace
+	got := w.finishBand(m, n, m+n, gap, full)
+	want := computeReference(x, y)
+	want.Exact = false
+	if got != want {
+		t.Fatalf("full band + finishBand diverged from reference for %q %q:\n got %+v\nwant %+v",
+			string(x), string(y), got, want)
 	}
-	for name, fin := range fins {
-		for k := klo; k <= khi; k++ {
-			if fin[k] != ref[k] {
-				t.Fatalf("%s diverged from sweep32 for %q %q kmax=%d at k=%d: %d != %d",
-					name, string(x), string(y), kmax, k, fin[k], ref[k])
+
+	// One pair of buffers across every kmax, so stale cells left by a wider
+	// band are in play when a narrower one runs.
+	var prev, cur []int32
+	for kmax := gap; kmax <= m+n+3; kmax++ {
+		banded := bandSweep(x, y, kmax, &prev, &cur)
+		for k := gap; k <= min(kmax, m+n); k++ {
+			if banded[k] != full[k] {
+				t.Fatalf("band kmax=%d diverged from the full band for %q %q at k=%d: %d != %d",
+					kmax, string(x), string(y), k, banded[k], full[k])
 			}
 		}
 	}
-	if kmax >= m+n {
-		var w Workspace
-		got := w.finishBand(m, n, kmax, klo, ref)
-		want := computeReference(x, y)
-		want.Exact = false
-		if got != want {
-			t.Fatalf("band kernels + finishBand diverged from reference for %q %q:\n got %+v\nwant %+v",
-				string(x), string(y), got, want)
-		}
-	}
 }
 
-// TestBandKernelsAgree drives all four kernel variants over random pairs at
-// several band widths, including bands much narrower than the full edit
-// range and tile heights small enough that the blocked kernel genuinely
-// tiles (bandTileRows floors at 4, so any m ≥ 9 spans multiple tiles).
+// TestBandKernelsAgree drives the band checks over random pairs on small
+// and large alphabets.
 func TestBandKernelsAgree(t *testing.T) {
-	oldBudget := bandTileBudget
-	bandTileBudget = 1 // tile = 4 rows: maximum boundary traffic
-	defer func() { bandTileBudget = oldBudget }()
-
 	r := rand.New(rand.NewSource(401))
 	alphabets := [][]rune{[]rune("a"), []rune("ab"), []rune("acgt"), []rune("abcdefgh")}
 	for i := 0; i < 300; i++ {
 		alpha := alphabets[i%len(alphabets)]
-		x := randomString(r, 40, alpha)
-		y := randomString(r, 40, alpha)
-		m, n := len(x), len(y)
-		gap := m - n
-		if gap < 0 {
-			gap = -gap
-		}
-		for _, kmax := range []int{gap, gap + 1, (gap + m + n) / 2, m + n, m + n + 3} {
-			if kmax < gap {
-				continue
-			}
-			checkBandKernelsAgree(t, x, y, kmax)
-		}
+		checkBandKernelsAgree(t, randomString(r, 24, alpha), randomString(r, 24, alpha))
 	}
 }
 
 func TestBandKernelsAgreeAdversarial(t *testing.T) {
-	oldBudget := bandTileBudget
-	bandTileBudget = 1
-	defer func() { bandTileBudget = oldBudget }()
 	cases := [][2]string{
 		{"", "a"},
 		{"a", ""},
@@ -119,72 +69,6 @@ func TestBandKernelsAgreeAdversarial(t *testing.T) {
 		{"abcdefghijklmnop", "ponmlkjihgfedcba"},
 	}
 	for _, c := range cases {
-		x, y := []rune(c[0]), []rune(c[1])
-		m, n := len(x), len(y)
-		gap := m - n
-		if gap < 0 {
-			gap = -gap
-		}
-		for _, kmax := range []int{gap, (gap + m + n) / 2, m + n} {
-			checkBandKernelsAgree(t, x, y, kmax)
-		}
-	}
-}
-
-// TestComputeForcedKernels forces the dispatcher down each path in turn —
-// int32 sweep (band16Limit = 0), blocked uint16 (thresholds floored) and
-// the default uint16 sweep — and requires the full Compute result to stay
-// bit-identical to the unpruned reference on every path.
-func TestComputeForcedKernels(t *testing.T) {
-	force := func(t *testing.T, set func()) {
-		old16, oldMin, oldBudget := band16Limit, bandBlockedMinCells, bandTileBudget
-		t.Cleanup(func() {
-			band16Limit, bandBlockedMinCells, bandTileBudget = old16, oldMin, oldBudget
-		})
-		set()
-		r := rand.New(rand.NewSource(402))
-		w := NewWorkspace()
-		for i := 0; i < 200; i++ {
-			x := randomString(r, 48, []rune("abcd"))
-			y := randomString(r, 48, []rune("abcd"))
-			got := w.Compute(x, y)
-			want := computeReference(x, y)
-			want.Exact = true
-			if got != want {
-				t.Fatalf("forced kernel diverged for %q %q:\n got %+v\nwant %+v",
-					string(x), string(y), got, want)
-			}
-		}
-	}
-	t.Run("sweep32", func(t *testing.T) {
-		force(t, func() { band16Limit = 0 })
-	})
-	t.Run("blocked16", func(t *testing.T) {
-		force(t, func() { bandBlockedMinCells = 0; bandTileBudget = 1 })
-	})
-	t.Run("sweep16", func(t *testing.T) {
-		force(t, func() { bandBlockedMinCells = 1 << 62 })
-	})
-}
-
-// TestBandDispatcherThresholds pins the dispatch predicate: huge edit
-// ranges must take the int32 kernel (the uint16 encoding would overflow),
-// and the blocked kernel must only engage when the sweep window outgrows
-// the threshold and the rows can fill at least two tiles.
-func TestBandDispatcherThresholds(t *testing.T) {
-	if m, n, kmax := 40000, 30000, 10000; m+n+kmax <= band16Limit {
-		t.Fatalf("expected %d+%d+%d to exceed band16Limit=%d", m, n, kmax, band16Limit)
-	}
-	if got := blockedWindowCells(100, 20); got != 2*41*21 {
-		t.Fatalf("blockedWindowCells(100, 20) = %d, want %d", got, 2*41*21)
-	}
-	if got := blockedWindowCells(10, 20); got != 2*11*21 {
-		t.Fatalf("blockedWindowCells(10, 20) = %d, want %d (clamped to n+1 rows)", got, 2*11*21)
-	}
-	if got := bandTileRows(1); got != 64 {
-		t.Fatalf("bandTileRows(1) = %d, want the 64-row cap", got)
-	}
-	if got := bandTileRows(1 << 20); got != 4 {
-		t.Fatalf("bandTileRows(huge) = %d, want the 4-row floor", got)
+		checkBandKernelsAgree(t, []rune(c[0]), []rune(c[1]))
 	}
 }

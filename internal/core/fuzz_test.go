@@ -163,66 +163,20 @@ func FuzzLadderInvariants(f *testing.F) {
 	})
 }
 
-// FuzzBatchLadder pins the batch ladder entry point against the scalar one
-// and the unpruned reference: ComputeBoundedBatch must hand every candidate
-// exactly what ComputeBoundedStaged returns — Result bit for bit, same
-// exactness, same resolving rung (so StageCounts built from batches equal
-// the per-candidate ladder's) — and exact results must match
-// computeReference. One workspace runs every batch, so the batch scratch
-// (stage-1 queue, lane bounds) is fuzzed across calls too.
-func FuzzBatchLadder(f *testing.F) {
-	f.Add("ababa", "baab", "abab", "x", 0.5)
-	f.Add("", "abc", "", "ñ", 0.0)
-	f.Add("ñandú", "nandu", "ñandú", "aaaaaaaaaaaaaaa", 0.3)
-	f.Add("kitten", "sitting", "mitten", "kit", 1.2)
-	f.Add("aaaaaaaaaa", "a", "aaaaaaaaab", "b", -1.0)
-	batchW := NewWorkspace()
-	f.Fuzz(func(t *testing.T, sx, sa, sb, sc string, cutoff float64) {
-		x := []rune(sx)
-		if len(x) > 40 || len(sa) > 40 || len(sb) > 40 || len(sc) > 40 || math.IsNaN(cutoff) {
-			t.Skip()
-		}
-		ys := [][]rune{[]rune(sa), []rune(sb), []rune(sc), []rune(sa), {}}
-		got := batchW.ComputeBoundedBatch(x, ys, cutoff, nil)
-		scalarW := NewWorkspace()
-		for i, y := range ys {
-			res, exact, stage := scalarW.ComputeBoundedStaged(x, y, cutoff)
-			want := BoundedResult{Result: res, Exact: exact, Stage: stage}
-			if got[i] != want {
-				t.Fatalf("batch ladder diverged for %q vs %q (cutoff %v) at %d:\n got %+v\nwant %+v",
-					sx, string(y), cutoff, i, got[i], want)
-			}
-			if exact {
-				if ref := computeReference(x, y); got[i].Result.Distance != ref.Distance {
-					t.Fatalf("exact batch distance %v != reference %v for %q %q",
-						got[i].Result.Distance, ref.Distance, sx, string(y))
-				}
-			}
-		}
-	})
-}
-
-// FuzzBandKernels runs the Stage 3 kernels — int32/uint16 row sweeps and
-// the column-tiled blocked kernels — directly on the same band and demands
-// cell-identical final bands, plus reference-identical results when the
-// band spans the full edit range.
+// FuzzBandKernels runs the Stage 3 band sweep on fuzzed pairs at every
+// band width from |m−n| to m+n+3 and demands cell-identical final bands
+// against the full-band sweep, plus a reference-identical result from the
+// full band (see checkBandKernelsAgree).
 func FuzzBandKernels(f *testing.F) {
-	f.Add("ababa", "baab", 3)
-	f.Add("abcabcabcabc", "cbacbacba", 7)
-	f.Add("aaaaaaaaaaaaaaaaaaaaaaaa", "b", 30)
-	f.Fuzz(func(t *testing.T, sx, sy string, kmax int) {
+	f.Add("ababa", "baab")
+	f.Add("abcabcabcabc", "cbacbacba")
+	f.Add("aaaaaaaaaaaaaaaaaaaaaaaa", "b")
+	f.Fuzz(func(t *testing.T, sx, sy string) {
 		x, y := []rune(sx), []rune(sy)
-		if len(x) > 40 || len(y) > 40 || len(x)+len(y) == 0 || kmax > 100 {
+		if len(x) > 32 || len(y) > 32 {
 			t.Skip()
 		}
-		gap := len(x) - len(y)
-		if gap < 0 {
-			gap = -gap
-		}
-		if kmax < gap {
-			kmax = gap
-		}
-		checkBandKernelsAgree(t, x, y, kmax)
+		checkBandKernelsAgree(t, x, y)
 	})
 }
 

@@ -120,15 +120,6 @@ func (w *Workspace) ComputeBoundedStaged(x, y []rune, cutoff float64) (Result, b
 			return Result{Distance: UpperBound(m, n)}, false, StageEdit
 		}
 	}
-	return w.boundedTail(x, y, cutoff, kcut)
-}
-
-// boundedTail is stages 2 and 3 of the ladder — everything after the edit
-// rung has admitted the candidate — shared verbatim by the per-candidate
-// and batch entry points, so the two cannot diverge in value, exactness or
-// resolving stage.
-func (w *Workspace) boundedTail(x, y []rune, cutoff float64, kcut int) (Result, bool, Stage) {
-	m, n := len(x), len(y)
 
 	// Stage 2: the quadratic heuristic. Its edit length is the exact dE
 	// (tightening the ladder's k lower bound to a definite value) and its
@@ -161,80 +152,4 @@ func (w *Workspace) boundedTail(x, y []rune, cutoff float64, kcut int) (Result, 
 	exact := kmax == kmaxUb || res.Distance <= cutoff
 	res.Exact = exact
 	return res, exact, StageExact
-}
-
-// BoundedResult bundles one candidate's staged bounded evaluation: the
-// Result, whether it is exact (the ComputeBounded contract) and the ladder
-// rung that resolved it.
-type BoundedResult struct {
-	Result Result
-	Exact  bool
-	Stage  Stage
-}
-
-// ComputeBoundedBatch evaluates x against every candidate under one cutoff:
-// out[i] carries exactly what ComputeBoundedStaged(x, ys[i], cutoff) would
-// return — same Result (bit for bit), same exactness, same resolving Stage,
-// so StageCounts aggregated from a batch equal the per-candidate ladder's.
-// out is reused when it has the right length and allocated otherwise; the
-// filled slice is returned.
-//
-// The batch form runs the cheap rungs across the whole batch before any
-// candidate reaches the quadratic ones: Stage 0 is a pass over the lengths,
-// and the surviving candidates' Stage 1 scans share one multi-candidate
-// Myers pass (the query's pattern table is built once per batch, the lane
-// states advance together — see editdist.MyersBoundedBatch). Candidates the
-// cutoff cannot reject at Stage 1 skip the scan entirely, exactly like the
-// scalar ladder.
-func (w *Workspace) ComputeBoundedBatch(x []rune, ys [][]rune, cutoff float64, out []BoundedResult) []BoundedResult {
-	if len(out) != len(ys) {
-		out = make([]BoundedResult, len(ys))
-	}
-	m := len(x)
-	cands := w.bcands[:0]
-	ks := w.bks[:0]
-	idx := w.bidx[:0]
-	for i, y := range ys {
-		n := len(y)
-		if m == 0 && n == 0 {
-			out[i] = BoundedResult{Result: Result{Exact: true}, Exact: true, Stage: StageLength}
-			continue
-		}
-		gap := m - n
-		if gap < 0 {
-			gap = -gap
-		}
-		if pathLowerBound(m, n, gap) > cutoff+bailSlack {
-			out[i] = BoundedResult{Result: Result{Distance: UpperBound(m, n)}, Stage: StageLength}
-			continue
-		}
-		kcut := kBand(m, n, cutoff, gap)
-		if kcut < max(m, n) {
-			// Stage 1 can reject this candidate: queue it for the batched scan.
-			cands = append(cands, y)
-			ks = append(ks, kcut)
-			idx = append(idx, i)
-			continue
-		}
-		// The cutoff admits every feasible edit length; the scan is skipped
-		// (the scalar ladder skips it too) and the quadratic rungs decide.
-		res, exact, stage := w.boundedTail(x, y, cutoff, kcut)
-		out[i] = BoundedResult{Result: res, Exact: exact, Stage: stage}
-	}
-	if len(cands) > 0 {
-		des := w.ed.MyersBoundedBatch(x, cands, ks, growInts(&w.bde, len(cands)))
-		for j, i := range idx {
-			if des[j] > ks[j] {
-				out[i] = BoundedResult{Result: Result{Distance: UpperBound(m, len(ys[i]))}, Stage: StageEdit}
-				continue
-			}
-			res, exact, stage := w.boundedTail(x, ys[i], cutoff, ks[j])
-			out[i] = BoundedResult{Result: res, Exact: exact, Stage: stage}
-		}
-	}
-	for j := range cands {
-		cands[j] = nil // do not pin candidate strings until the next batch
-	}
-	w.bcands, w.bks, w.bidx = cands[:0], ks[:0], idx[:0]
-	return out
 }

@@ -55,22 +55,10 @@ const bailSlack = 1e-12
 //
 // The zero value is ready to use; NewWorkspace is a readable constructor.
 type Workspace struct {
-	prev, cur      []int32          // rolling (j, k) planes, int32 kernel (band.go)
-	prev16, cur16  []uint16         // rolling planes of the uint16 kernel
-	border16       []uint16         // blocked kernel: tile-boundary row
-	colA16, colB16 []uint16         // blocked kernel: rolling column buffers
-	fin            []int32          // decoded final-cell band fed to finishBand
-	kr, ir         []int32          // heuristic rows: min edit length, max insertions
-	h              []float64        // harmonic prefix: h[i] = H(i), grows monotonically
-	ed             editdist.Scratch // bounded-Myers scratch for the ladder's edit stage
-
-	// Batch-ladder scratch (ComputeBoundedBatch): the stage-1 queue of
-	// candidates the cutoff can reject, their per-lane bounds, their batch
-	// positions and the resolved bounded distances.
-	bcands [][]rune
-	bks    []int
-	bidx   []int
-	bde    []int
+	prev, cur []int32          // rolling (j, k) planes of the band sweep (band.go)
+	kr, ir    []int32          // heuristic rows: min edit length, max insertions
+	h         []float64        // harmonic prefix: h[i] = H(i), grows monotonically
+	ed        editdist.Scratch // bounded-Myers scratch for the ladder's edit stage
 }
 
 // NewWorkspace returns an empty workspace. Buffers are allocated lazily on
@@ -108,14 +96,6 @@ func (w *Workspace) harmonic(n int) []float64 {
 func grow32(buf *[]int32, n int) []int32 {
 	if cap(*buf) < n {
 		*buf = make([]int32, n)
-	}
-	return (*buf)[:n]
-}
-
-// growInts is grow32 for int slices (the batch ladder's bound buffers).
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
 	}
 	return (*buf)[:n]
 }

@@ -8,7 +8,6 @@ package metric
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -84,9 +83,8 @@ type Staged interface {
 //
 // Batch implementations amortise per-evaluation setup across the
 // candidates: the bit-parallel dE engine builds the query's pattern table
-// once per batch and advances several candidates per pass, and the
-// contextual kernel runs the bound ladder's cheap rungs across the whole
-// batch before any candidate reaches the quadratic ones. Bulk layers
+// once per batch and advances several candidates per pass (the dC session
+// simply loops over its private workspace). Bulk layers
 // (internal/bulk.FanBatch) detect the capability per worker session and
 // fall back to per-pair Distance calls when it is absent.
 type Batcher interface {
@@ -269,12 +267,10 @@ func (contextualMetric) Session() Metric {
 	return &contextualSession{ws: core.NewWorkspace()}
 }
 
-// contextualSession is a dC evaluator bound to a private workspace, with
-// batch evaluation through the batch ladder entry point. Not safe for
-// concurrent use.
+// contextualSession is a dC evaluator bound to a private workspace. Not
+// safe for concurrent use.
 type contextualSession struct {
-	ws    *core.Workspace
-	batch []core.BoundedResult
+	ws *core.Workspace
 }
 
 func (s *contextualSession) Name() string                 { return "dC" }
@@ -288,22 +284,16 @@ func (s *contextualSession) DistanceStaged(a, b []rune, cutoff float64) (float64
 	return res.Distance, exact, stage
 }
 
-// DistanceBatch evaluates the query against every candidate through
-// core.ComputeBoundedBatch at cutoff +Inf, where every result is exact and
-// bit-identical to Compute (core's ladder tests pin this): the batch runs
-// the ladder's cheap rungs across all candidates — with the edit rung's
-// scans sharing one multi-candidate Myers pass — before any candidate
-// reaches the quadratic ones.
+// DistanceBatch evaluates the query against every candidate on the
+// session's workspace. An exact batch has no cutoff for the ladder's cheap
+// rungs to reject against, so a per-pair loop is all batching can be here;
+// the method keeps dC sessions on the Batcher path the bulk layers share.
 func (s *contextualSession) DistanceBatch(a []rune, bs [][]rune, out []float64) []float64 {
-	if cap(s.batch) < len(bs) {
-		s.batch = make([]core.BoundedResult, len(bs))
-	}
-	s.batch = s.ws.ComputeBoundedBatch(a, bs, math.Inf(1), s.batch[:len(bs)])
 	if len(out) != len(bs) {
 		out = make([]float64, len(bs))
 	}
-	for i, r := range s.batch {
-		out[i] = r.Result.Distance
+	for i, b := range bs {
+		out[i] = s.ws.Distance(a, b)
 	}
 	return out
 }

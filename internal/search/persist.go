@@ -2,12 +2,54 @@ package search
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 
 	"ced/internal/metric"
 )
+
+// ErrNoCodec reports an index kind without a snapshot form: the
+// structure-only linear and trie indexes have nothing worth persisting, and
+// aesa's quadratic matrix is deliberately not serialised. Callers that
+// persist a corpus alongside the index rebuild those kinds from it.
+var ErrNoCodec = errors.New("search: index kind has no snapshot form")
+
+// Save writes ix as a gob snapshot (corpus plus every preprocessing
+// distance) so Load can restore it without recomputing any distance. LAESA,
+// VP-tree and BK-tree indexes have a snapshot form; every other kind fails
+// with ErrNoCodec.
+func Save(w io.Writer, ix Index) error {
+	switch ix := ix.(type) {
+	case *LAESA:
+		return ix.save(w)
+	case *VPTree:
+		return ix.save(w)
+	case *BKTree:
+		return ix.save(w)
+	default:
+		return fmt.Errorf("%w: %q", ErrNoCodec, ix.Name())
+	}
+}
+
+// Load restores an index of the given kind written by Save, attaching m as
+// the query metric. m must be the metric the index was built with (checked
+// by name): preprocessing distances computed under one distance are
+// unsound pruning bounds under another. A kind without a snapshot form
+// fails with ErrNoCodec.
+func Load(kind string, r io.Reader, m metric.Metric) (Index, error) {
+	switch kind {
+	case "laesa":
+		return loadLAESA(r, m)
+	case "vptree":
+		return loadVPTree(r, m)
+	case "bktree":
+		return loadBKTree(r, m)
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrNoCodec, kind)
+	}
+}
 
 // laesaSnapshot is the gob wire format of a LAESA index. The metric itself
 // is not serialised (functions cannot be); the loader re-attaches one and
@@ -20,10 +62,9 @@ type laesaSnapshot struct {
 	Preprocess int
 }
 
-// Save writes the index (corpus, pivots and the pivot distance matrix — the
-// expensive part of preprocessing) to w. Load restores it without
-// recomputing any distances.
-func (s *LAESA) Save(w io.Writer) error {
+// save writes the index (corpus, pivots and the pivot distance matrix — the
+// expensive part of preprocessing) to w.
+func (s *LAESA) save(w io.Writer) error {
 	snap := laesaSnapshot{
 		MetricName: s.m.Name(),
 		Corpus:     runesToStrings(s.corpus),
@@ -37,11 +78,8 @@ func (s *LAESA) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadLAESA restores an index written by Save, attaching m as the query
-// metric. It fails if m's name differs from the metric the index was built
-// with — pivot distances computed under one distance are meaningless (and
-// unsound as bounds) under another.
-func LoadLAESA(r io.Reader, m metric.Metric) (*LAESA, error) {
+// loadLAESA restores a LAESA index written by save.
+func loadLAESA(r io.Reader, m metric.Metric) (Index, error) {
 	var snap laesaSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("search: loading LAESA index: %w", err)
@@ -85,10 +123,9 @@ type vptreeSnapshot struct {
 	Preprocess int
 }
 
-// Save writes the index (corpus and tree shape — every node's vantage
-// element and split radius) to w; LoadVPTree restores it without
-// recomputing any distances.
-func (t *VPTree) Save(w io.Writer) error {
+// save writes the index (corpus and tree shape — every node's vantage
+// element and split radius) to w.
+func (t *VPTree) save(w io.Writer) error {
 	snap := vptreeSnapshot{
 		MetricName: t.eval.m.Name(),
 		Corpus:     runesToStrings(t.corpus),
@@ -112,10 +149,8 @@ func (t *VPTree) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadVPTree restores an index written by (*VPTree).Save, attaching m as
-// the query metric (checked by name, like LoadLAESA: radii computed under
-// one distance are unsound pruning bounds under another).
-func LoadVPTree(r io.Reader, m metric.Metric) (*VPTree, error) {
+// loadVPTree restores a VP-tree written by save.
+func loadVPTree(r io.Reader, m metric.Metric) (Index, error) {
 	var snap vptreeSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("search: loading VP-tree index: %w", err)
@@ -171,10 +206,9 @@ type bktreeSnapshot struct {
 	Nodes      []bkFlatNode
 }
 
-// Save writes the index (corpus and tree — every edge label is a
-// preprocessing distance) to w; LoadBKTree restores it without recomputing
-// any distances.
-func (t *BKTree) Save(w io.Writer) error {
+// save writes the index (corpus and tree — every edge label is a
+// preprocessing distance) to w.
+func (t *BKTree) save(w io.Writer) error {
 	snap := bktreeSnapshot{
 		MetricName: t.eval.m.Name(),
 		Corpus:     runesToStrings(t.corpus),
@@ -206,9 +240,8 @@ func (t *BKTree) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadBKTree restores an index written by (*BKTree).Save, attaching m as
-// the query metric (checked by name).
-func LoadBKTree(r io.Reader, m metric.Metric) (*BKTree, error) {
+// loadBKTree restores a BK-tree written by save.
+func loadBKTree(r io.Reader, m metric.Metric) (Index, error) {
 	var snap bktreeSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("search: loading BK-tree index: %w", err)
@@ -246,13 +279,6 @@ func LoadBKTree(r io.Reader, m metric.Metric) (*BKTree, error) {
 		t.root = &nodes[0]
 	}
 	return t, nil
-}
-
-// Persister is implemented by every index that can serialise itself to a
-// gob snapshot (LAESA, VPTree, BKTree): the capability the shard envelope
-// and the public Index.Save dispatch on.
-type Persister interface {
-	Save(w io.Writer) error
 }
 
 // runesToStrings and stringsToRunes convert between the index's rune view

@@ -17,13 +17,14 @@ func TestLAESASaveLoadRoundTrip(t *testing.T) {
 	orig := NewLAESA(corpus, m, 12, MaxSum, 9)
 
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := Save(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLAESA(&buf, metric.ContextualHeuristic())
+	ix, err := Load("laesa", &buf, metric.ContextualHeuristic())
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := ix.(*LAESA)
 	if loaded.Size() != orig.Size() || loaded.NumPivots() != orig.NumPivots() {
 		t.Fatalf("loaded shape %d/%d, want %d/%d",
 			loaded.Size(), loaded.NumPivots(), orig.Size(), orig.NumPivots())
@@ -47,13 +48,14 @@ func TestVPTreeSaveLoadRoundTrip(t *testing.T) {
 	orig := NewVPTree(corpus, m, 9)
 
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := Save(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadVPTree(&buf, metric.Contextual())
+	ix, err := Load("vptree", &buf, metric.Contextual())
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded := ix.(*VPTree)
 	if loaded.Size() != orig.Size() {
 		t.Fatalf("loaded size %d, want %d", loaded.Size(), orig.Size())
 	}
@@ -72,7 +74,7 @@ func TestVPTreeSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := LoadVPTree(bytes.NewBufferString("junk"), m); err == nil {
+	if _, err := Load("vptree", bytes.NewBufferString("junk"), m); err == nil {
 		t.Error("garbage input should fail")
 	}
 }
@@ -85,11 +87,11 @@ func TestBKTreeSaveLoadRoundTrip(t *testing.T) {
 	orig := NewBKTree(corpus, m)
 
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := Save(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	saved := buf.Bytes()
-	loaded, err := LoadBKTree(bytes.NewReader(saved), metric.Levenshtein())
+	loaded, err := Load("bktree", bytes.NewReader(saved), metric.Levenshtein())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestBKTreeSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := LoadBKTree(bytes.NewReader(saved), metric.Contextual()); err == nil {
+	if _, err := Load("bktree", bytes.NewReader(saved), metric.Contextual()); err == nil {
 		t.Error("metric mismatch should fail")
 	}
 }
@@ -120,10 +122,10 @@ func TestLoadLAESAMetricMismatch(t *testing.T) {
 	corpus := [][]rune{[]rune("ab"), []rune("ba")}
 	orig := NewLAESA(corpus, metric.Levenshtein(), 1, MaxSum, 1)
 	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	if err := Save(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLAESA(&buf, metric.YujianBo()); err == nil {
+	if _, err := Load("laesa", &buf, metric.YujianBo()); err == nil {
 		t.Error("metric mismatch should fail")
 	} else if !strings.Contains(err.Error(), "dE") {
 		t.Errorf("error should name the original metric: %v", err)
@@ -131,7 +133,7 @@ func TestLoadLAESAMetricMismatch(t *testing.T) {
 }
 
 func TestLoadLAESACorruptData(t *testing.T) {
-	if _, err := LoadLAESA(bytes.NewBufferString("not gob"), metric.Levenshtein()); err == nil {
+	if _, err := Load("laesa", bytes.NewBufferString("not gob"), metric.Levenshtein()); err == nil {
 		t.Error("garbage input should fail")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -69,9 +68,8 @@ type Config struct {
 	// shard.DefaultCompactThreshold.
 	CompactThreshold int
 	// Store attaches a blob store for durable incremental snapshots:
-	// SaveToStore/LoadFromStore, the store-backed /snapshot endpoints and
-	// background snapshot-on-threshold all run against it. nil disables
-	// them (the single-file snapshot path keeps working regardless).
+	// SaveToStore/LoadFromStore, the /snapshot endpoints and background
+	// snapshot-on-threshold all run against it. nil disables them.
 	Store blob.Store
 	// SnapshotEvery starts a background store snapshot once this many
 	// mutations have landed since the last one (single-flight, with a
@@ -165,8 +163,8 @@ type Engine struct {
 	algorithm string
 	m         metric.Metric
 	set       atomic.Pointer[shard.Set]
-	setCfg    shard.Config // the template LoadSnapshot restores under
-	// mutateMu serialises mutations against LoadSnapshot's set swap: an
+	setCfg    shard.Config // the template LoadFromStore restores under
+	// mutateMu serialises mutations against LoadFromStore's set swap: an
 	// Add applied to the old set after the swap would be acknowledged and
 	// silently lost. Mutations share the lock (they already serialise per
 	// shard inside the set); only a snapshot load takes it exclusively.
@@ -185,11 +183,6 @@ type Engine struct {
 	gate      *Gate
 	cancelled atomic.Uint64
 	deadline  atomic.Uint64
-
-	// snapshotPath is the server-side file the /snapshot endpoints write
-	// and read; empty disables them (the path is fixed at startup so the
-	// HTTP API can never be steered to an arbitrary file).
-	snapshotPath string
 
 	// Durable-snapshot plumbing (store.go): the blob store and incremental
 	// saver fixed at startup, the mutation counter driving background
@@ -631,49 +624,6 @@ func (e *Engine) Delete(id uint64) (bool, error) {
 		e.maybeSnapshot()
 	}
 	return deleted, nil
-}
-
-// SnapshotPath returns the server-side snapshot file configured at
-// startup; empty means the /snapshot endpoints are disabled.
-func (e *Engine) SnapshotPath() string { return e.snapshotPath }
-
-// SetSnapshotPath fixes the server-side snapshot file (call once at
-// startup, before serving; the path deliberately cannot be changed over
-// HTTP).
-func (e *Engine) SetSnapshotPath(path string) { e.snapshotPath = path }
-
-// SaveSnapshot writes the whole sharded set — per shard: the base index,
-// live delta and tombstones — to w, so a later LoadSnapshot (or a cold
-// start with the cedserve -load-snapshot flag) skips every index-build
-// distance computation.
-func (e *Engine) SaveSnapshot(w io.Writer) error {
-	e.countRequest()
-	return e.set.Load().Save(w)
-}
-
-// LoadSnapshot replaces the live corpus with the set saved in r and
-// reports the restored live size. The swap is atomic: queries in flight
-// finish against the old set, queries issued after LoadSnapshot returns
-// see the new one, and no query ever blocks. Mutations are serialised
-// against the swap (an Add acknowledged against the outgoing set would be
-// silently lost). The snapshot's metric and index algorithm must match
-// the engine's.
-func (e *Engine) LoadSnapshot(r io.Reader) (int, error) {
-	e.countRequest()
-	set, err := shard.Load(r, e.setCfg)
-	if err != nil {
-		return 0, fmt.Errorf("serve: %w", err)
-	}
-	e.mutateMu.Lock()
-	e.set.Store(set)
-	e.mutateMu.Unlock()
-	if e.saver != nil {
-		// The new corpus does not descend from the saver's attached
-		// manifest, so its epoch-keyed skip baseline is meaningless now;
-		// the next store save must upload everything afresh.
-		e.saver.Reset()
-	}
-	return set.Size(), nil
 }
 
 // Compact synchronously folds every shard's delta and tombstones into its

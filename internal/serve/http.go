@@ -5,15 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
-	"ced/internal/blob"
 	"ced/internal/search"
+	"ced/internal/shard"
 )
 
 // maxBodyBytes bounds request bodies: batch requests are the largest
@@ -90,15 +88,15 @@ func writeQueryError(e *Engine, w http.ResponseWriter, err error) {
 //	POST /classify/batch     {"queries": [...]}
 //	POST /add                {"value": ..., "label": ...}
 //	POST /delete             {"id": ...}
-//	POST /snapshot/save      (no body; writes the configured snapshot file)
-//	POST /snapshot/load      (no body; swaps the set saved there back in)
+//	POST /snapshot/save      (no body; publishes a snapshot to the store)
+//	POST /snapshot/load      (no body; swaps the newest one back in)
 //
 // Every query response carries the number of distance computations spent
 // and the server-side latency in milliseconds, so clients can monitor
 // index effectiveness per request. The mutation endpoints return the
 // element's stable ID (Add) and the live corpus size; the snapshot
-// endpoints read and write only the server-side path fixed at startup
-// (cedserve -snapshot), never a client-supplied one.
+// endpoints read and write only the blob store fixed at startup (cedserve
+// -store), never a client-supplied location.
 func NewHandler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 	// query wraps the search/distance endpoints in the robustness layer:
@@ -255,85 +253,52 @@ func NewHandler(e *Engine) http.Handler {
 	})
 	mux.HandleFunc("POST /snapshot/save", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if e.StoreConfigured() {
-			stats, err := e.SaveToStore(r.Context())
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, snapshotResponse{
-				Seq: stats.Seq, Bytes: stats.BytesUploaded,
-				Uploaded:  stats.BasesUploaded + stats.OvlsUploaded,
-				Skipped:   stats.BasesSkipped + stats.OvlsSkipped,
-				Size:      e.Info().CorpusSize,
-				LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-			})
+		if !e.StoreConfigured() {
+			writeError(w, http.StatusBadRequest, errNoStore)
 			return
 		}
-		path := e.SnapshotPath()
-		if path == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("the server was started without a snapshot path or store (cedserve -snapshot / -store)"))
-			return
-		}
-		n, err := saveSnapshotFile(e, path)
+		stats, err := e.SaveToStore(r.Context())
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, snapshotResponse{
-			Path: path, Bytes: n, Size: e.Info().CorpusSize,
+			Seq: stats.Seq, Bytes: stats.BytesUploaded,
+			Uploaded:  stats.BasesUploaded + stats.OvlsUploaded,
+			Skipped:   stats.BasesSkipped + stats.OvlsSkipped,
+			Size:      e.Info().CorpusSize,
 			LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
 		})
 	})
 	mux.HandleFunc("POST /snapshot/load", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if e.StoreConfigured() {
-			size, err := e.LoadFromStore(r.Context())
-			if err != nil {
-				writeError(w, http.StatusNotFound, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, snapshotResponse{
-				Seq: e.Info().Snapshot.LastSeq, Size: size,
-				LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-			})
+		if !e.StoreConfigured() {
+			writeError(w, http.StatusBadRequest, errNoStore)
 			return
 		}
-		path := e.SnapshotPath()
-		if path == "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("the server was started without a snapshot path or store (cedserve -snapshot / -store)"))
-			return
-		}
-		f, err := os.Open(path)
-		if err != nil {
+		size, err := e.LoadFromStore(r.Context())
+		switch {
+		case errors.Is(err, shard.ErrNoSnapshot):
 			writeError(w, http.StatusNotFound, err)
 			return
-		}
-		defer f.Close()
-		size, err := e.LoadSnapshot(f)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		case err != nil:
+			// A store that holds snapshots but cannot serve one — torn or
+			// corrupt, too new, saved under another metric or index, or
+			// unreachable — is a server-side fault, not a missing resource.
+			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, snapshotResponse{
-			Path: path, Size: size,
+			Seq: e.Info().Snapshot.LastSeq, Size: size,
 			LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
 		})
 	})
 	return mux
 }
 
-// saveSnapshotFile writes the engine snapshot to path through the shared
-// crash-safe helper (same-directory temp file, fsync, atomic rename,
-// directory fsync): a process killed at any instant leaves the previous
-// snapshot intact, never a torn one. The earlier hand-rolled version here
-// renamed without fsyncing — atomic against a crashed process, but a
-// power loss could still surface a truncated file.
-func saveSnapshotFile(e *Engine, path string) (int64, error) {
-	return blob.WriteFileAtomic(path, func(w io.Writer) error {
-		return e.SaveSnapshot(w)
-	})
-}
+// errNoStore answers the /snapshot endpoints of a server started without a
+// blob store.
+var errNoStore = errors.New("the server was started without a snapshot store (cedserve -store)")
 
 // Request bodies of the endpoints only a single server offers.
 type (
@@ -452,11 +417,10 @@ type (
 		Results []Prediction `json:"results"`
 		QueryMeta
 	}
-	// snapshotResponse answers the /snapshot endpoints. File-backed
-	// engines fill Path; store-backed engines fill Seq plus the
-	// incremental-save accounting (objects uploaded vs skipped).
+	// snapshotResponse answers the /snapshot endpoints: the manifest
+	// sequence plus, for saves, the incremental accounting (objects
+	// uploaded vs skipped).
 	snapshotResponse struct {
-		Path      string  `json:"path,omitempty"`
 		Seq       uint64  `json:"seq,omitempty"`
 		Uploaded  int     `json:"uploaded,omitempty"`
 		Skipped   int     `json:"skipped,omitempty"`

@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 
+	"ced/internal/blob"
 	"ced/internal/metric"
 )
 
@@ -142,9 +140,14 @@ func TestShardedEngineMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotRoundTrip saves a mutated engine to a store and
+// cold-starts a second engine from it: equal answers, the add present, the
+// tombstone kept, and a mismatched engine refused.
 func TestEngineSnapshotRoundTrip(t *testing.T) {
-	e, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
-		Config{Algorithm: "laesa", Pivots: 3, Shards: 2})
+	ctx := context.Background()
+	st := blob.NewMemStore()
+	cfg := Config{Algorithm: "laesa", Pivots: 3, Shards: 2, Store: st}
+	e, err := New(testCorpus, testLabels, metric.ContextualHeuristic(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,25 +156,23 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Delete(0)
-	var buf bytes.Buffer
-	if err := e.SaveSnapshot(&buf); err != nil {
+	if _, err := e.SaveToStore(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := e.KNearestCtx(context.Background(), "nuevo", 3)
+	want, _, _ := e.KNearestCtx(ctx, "nuevo", 3)
 
-	e2, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
-		Config{Algorithm: "laesa", Pivots: 3, Shards: 2})
+	e2, err := New(testCorpus, testLabels, metric.ContextualHeuristic(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, err := e2.LoadSnapshot(&buf)
+	size, err := e2.LoadFromStore(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != len(testCorpus) { // +1 add, -1 delete
 		t.Fatalf("restored size = %d, want %d", size, len(testCorpus))
 	}
-	got, _, err := e2.KNearestCtx(context.Background(), "nuevo", 3)
+	got, _, err := e2.KNearestCtx(ctx, "nuevo", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,35 +189,32 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// A mismatched engine must refuse the snapshot.
-	var buf2 bytes.Buffer
-	if err := e.SaveSnapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
 	e3, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
-		Config{Algorithm: "vptree", Shards: 2})
+		Config{Algorithm: "vptree", Shards: 2, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e3.LoadSnapshot(&buf2); err == nil {
+	if _, err := e3.LoadFromStore(ctx); err == nil {
 		t.Error("algorithm mismatch should fail")
 	}
 }
 
-func newMutableServer(t *testing.T, snapshotPath string) *httptest.Server {
+// newMutableServer serves a two-shard labelled engine over st (nil: no
+// store).
+func newMutableServer(t *testing.T, st blob.Store) *httptest.Server {
 	t.Helper()
 	e, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
-		Config{Algorithm: "laesa", Pivots: 3, Shards: 2, CacheSize: 64})
+		Config{Algorithm: "laesa", Pivots: 3, Shards: 2, CacheSize: 64, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetSnapshotPath(snapshotPath)
 	srv := httptest.NewServer(NewHandler(e))
 	t.Cleanup(srv.Close)
 	return srv
 }
 
 func TestAddDeleteEndpoints(t *testing.T) {
-	srv := newMutableServer(t, "")
+	srv := newMutableServer(t, nil)
 	var out struct {
 		ID   uint64 `json:"id"`
 		Size int    `json:"size"`
@@ -255,8 +253,7 @@ func TestAddDeleteEndpoints(t *testing.T) {
 }
 
 func TestSnapshotEndpoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.snap")
-	srv := newMutableServer(t, path)
+	srv := newMutableServer(t, blob.NewMemStore())
 
 	var add struct {
 		ID uint64 `json:"id"`
@@ -264,19 +261,12 @@ func TestSnapshotEndpoints(t *testing.T) {
 	if code := postJSON(t, srv, "/add", `{"value":"persistida","label":0}`, &add); code != http.StatusOK {
 		t.Fatalf("add status = %d", code)
 	}
-	var snap struct {
-		Path  string `json:"path"`
-		Bytes int64  `json:"bytes"`
-		Size  int    `json:"size"`
-	}
+	var snap snapshotResponse
 	if code := postJSON(t, srv, "/snapshot/save", ``, &snap); code != http.StatusOK {
 		t.Fatalf("save status = %d", code)
 	}
-	if snap.Path != path || snap.Bytes <= 0 || snap.Size != len(testCorpus)+1 {
+	if snap.Seq != 1 || snap.Bytes <= 0 || snap.Size != len(testCorpus)+1 {
 		t.Fatalf("save response = %+v", snap)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
 	}
 
 	// Mutate past the snapshot, then load it back: the add survives, the
@@ -300,12 +290,12 @@ func TestSnapshotEndpoints(t *testing.T) {
 		t.Fatalf("restored element missing: %+v", knn)
 	}
 
-	// Without a configured path both endpoints refuse.
-	bare := newMutableServer(t, "")
+	// Without a store both endpoints refuse.
+	bare := newMutableServer(t, nil)
 	if code := postJSON(t, bare, "/snapshot/save", ``, nil); code != http.StatusBadRequest {
-		t.Errorf("pathless save status = %d", code)
+		t.Errorf("storeless save status = %d", code)
 	}
 	if code := postJSON(t, bare, "/snapshot/load", ``, nil); code != http.StatusBadRequest {
-		t.Errorf("pathless load status = %d", code)
+		t.Errorf("storeless load status = %d", code)
 	}
 }

@@ -94,8 +94,13 @@ func (e *Engine) SaveToStore(ctx context.Context) (shard.SaveStats, error) {
 
 // LoadFromStore replaces the live corpus with the newest loadable
 // snapshot in the configured store — the restartless cold-start path —
-// and primes the saver so the next save is incremental. The swap follows
-// the same discipline as LoadSnapshot.
+// and primes the saver so the next save is incremental. The swap is
+// atomic: queries in flight finish against the old set, queries issued
+// after LoadFromStore returns see the new one, and no query ever blocks.
+// Mutations are serialised against the swap (an Add acknowledged against
+// the outgoing set would be silently lost), and a failed load leaves the
+// live set untouched. The snapshot's metric and index algorithm must
+// match the engine's.
 func (e *Engine) LoadFromStore(ctx context.Context) (int, error) {
 	e.countRequest()
 	if e.saver == nil {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -387,48 +385,67 @@ func TestSnapshotEndpointsWithStore(t *testing.T) {
 	}
 }
 
-// TestSnapshotFileTornLoad pins satellite 1 at the serve layer: a
-// snapshot file that a crash left truncated or overwritten with garbage
-// must fail /snapshot/load cleanly, leaving the live set untouched, and
-// the crash-safe writer must leave no temp litter behind.
-func TestSnapshotFileTornLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus.snap")
-	e := newTestEngine(t, "laesa")
-	e.SetSnapshotPath(path)
-	srv := httptest.NewServer(NewHandler(e))
-	defer srv.Close()
-
-	var save snapshotResponse
-	if code := postJSON(t, srv, "/snapshot/save", "", &save); code != 200 {
-		t.Fatalf("save status %d", code)
-	}
-	want := engineAnswers(t, e, storeProbes)
-	full, err := os.ReadFile(path)
-	if err != nil {
+// TestSnapshotStoreCorruptLoad pins /snapshot/load's failure answers: a
+// store that holds snapshots but cannot serve one — a corrupt object, only
+// torn manifests, a snapshot saved under another metric — answers 500 and
+// leaves the live set's answers unchanged; a store that holds no snapshot
+// at all answers 404.
+func TestSnapshotStoreCorruptLoad(t *testing.T) {
+	ctx := context.Background()
+	saved := blob.NewMemStore()
+	if _, err := newStoreEngine(t, saved, 0, 0).SaveToStore(ctx); err != nil {
 		t.Fatal(err)
 	}
+	objects, err := saved.List(ctx, "shards/")
+	if err != nil || len(objects) == 0 {
+		t.Fatalf("saved objects = %v, %v", objects, err)
+	}
+	manifests, err := saved.List(ctx, "manifest/")
+	if err != nil || len(manifests) == 0 {
+		t.Fatalf("saved manifests = %v, %v", manifests, err)
+	}
 
-	for _, mangle := range [][]byte{nil, full[:1], full[:len(full)/2], []byte("garbage, not a gob stream")} {
-		if err := os.WriteFile(path, mangle, 0o644); err != nil {
+	corruptObject := saved.Clone()
+	if !corruptObject.Corrupt(objects[0], 3) {
+		t.Fatalf("corrupting %s", objects[0])
+	}
+	tornManifests := saved.Clone()
+	for _, k := range manifests {
+		if !tornManifests.Corrupt(k, tornManifests.Size(k)/2) {
+			t.Fatalf("corrupting %s", k)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		store  blob.Store
+		metric metric.Metric
+		want   int
+	}{
+		{"corrupt object", corruptObject, metric.ContextualHeuristic(), http.StatusInternalServerError},
+		{"torn manifests only", tornManifests, metric.ContextualHeuristic(), http.StatusInternalServerError},
+		{"metric mismatch", saved.Clone(), metric.Levenshtein(), http.StatusInternalServerError},
+		{"empty store", blob.NewMemStore(), metric.ContextualHeuristic(), http.StatusNotFound},
+	} {
+		e, err := New(testCorpus, testLabels, tc.metric, Config{
+			Algorithm: "laesa", Pivots: 3, Shards: 4, CacheSize: 64, Store: tc.store,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		var out map[string]any
-		if code := postJSON(t, srv, "/snapshot/load", "", &out); code == 200 {
-			t.Fatalf("torn snapshot (%d bytes) loaded", len(mangle))
+		// A live set that differs from the stored one, so a partial swap
+		// would show in the answers.
+		if _, err := e.Add("vivo", 1); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewHandler(e))
+		want := engineAnswers(t, e, storeProbes)
+		var out errorResponse
+		if code := postJSON(t, srv, "/snapshot/load", "", &out); code != tc.want {
+			t.Errorf("%s: /snapshot/load status %d (%s), want %d", tc.name, code, out.Error, tc.want)
 		}
 		if got := engineAnswers(t, e, storeProbes); got != want {
-			t.Fatalf("failed load disturbed the live set:\ngot:\n%s\nwant:\n%s", got, want)
+			t.Errorf("%s: failed load disturbed the live set:\ngot:\n%s\nwant:\n%s", tc.name, got, want)
 		}
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if strings.Contains(ent.Name(), ".tmp") {
-			t.Errorf("temp file left behind: %s", ent.Name())
-		}
+		srv.Close()
 	}
 }

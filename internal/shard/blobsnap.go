@@ -15,9 +15,10 @@ import (
 
 	"ced/internal/blob"
 	"ced/internal/pool"
+	"ced/internal/search"
 )
 
-// The blob-store snapshot layout. One save produces:
+// A Set persists to a blob store (internal/blob). One save produces:
 //
 //	shards/<i>/base-e<epoch>-<sha12>   the shard's frozen base (index blob +
 //	                                   corpus strings/IDs/labels); immutable,
@@ -40,6 +41,18 @@ import (
 // fail closed on any object whose bytes disagree with the manifest's
 // digest: a valid manifest with a bad object is an integrity violation,
 // never a silent partial load.
+
+// envelopeVersion is the current version of the manifest and of the base
+// and overlay objects. Loaders accept anything up to it and refuse newer
+// ones explicitly, so an old binary pointed at a store written by newer
+// software fails with a version error instead of misreading fields.
+const envelopeVersion = 1
+
+// ErrNoSnapshot reports a store that holds no manifest at all — nothing
+// was ever saved there. Every other load failure (torn manifests only,
+// corrupt objects, a too-new version, a metric or index mismatch, store
+// I/O) is a different error.
+var ErrNoSnapshot = errors.New("shard: store holds no snapshot")
 
 // manifestMagic brands a manifest envelope so a loader can tell a torn or
 // foreign object from a manifest before trusting gob with it.
@@ -90,7 +103,14 @@ type Manifest struct {
 // snapshot's identity ("" for a manifest that never touched a store).
 func (m *Manifest) EnvelopeSHA() string { return m.envSHA }
 
-// baseObj is the gob form of a shard's frozen base object.
+// baseObj is the gob form of a shard's frozen base object. Kind names the
+// base index algorithm; Index holds its search.Save snapshot when the
+// algorithm has one (LAESA, VP-tree, BK-tree) and is empty otherwise — the
+// loader then rebuilds the index from BaseStrs with the configured build
+// function (cheap for linear, quadratic for aesa). The corpus strings are
+// stored alongside the index snapshot (which embeds its own copy) so every
+// kind loads the same way; snapshots trade that duplication for loaders
+// that never compute a distance.
 type baseObj struct {
 	Version    int
 	Kind       string
@@ -102,12 +122,21 @@ type baseObj struct {
 
 // ovlObj is the gob form of a shard's overlay object. All slices are
 // sorted or in delta order, so encoding a given state is deterministic
-// and the content hash doubles as a change detector.
+// and the content hash doubles as a change detector. Dead is the full
+// deleted-ID ledger (tombs plus delta deletions), so a reload keeps
+// refusing to resurrect IDs whose delta entries are gone.
 type ovlObj struct {
 	Version int
 	Tombs   []uint64
 	Dead    []uint64
 	Delta   []deltaSnap
+}
+
+// deltaSnap is one delta entry in the overlay object.
+type deltaSnap struct {
+	ID    uint64
+	Value string
+	Label int
 }
 
 // SaveStats reports what one incremental save actually moved.
@@ -223,8 +252,11 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 	}
 
 	// Capture every shard state first (one atomic read each; the epoch
-	// rides inside), then the ID allocator — same ordering argument as
-	// Set.Save.
+	// rides inside), then the ID allocator: an Add racing the capture may
+	// have published an ID >= an earlier-sampled nextID into a captured
+	// state, and a reload would then mint that ID twice. Sampling
+	// afterwards keeps the saved allocator beyond every saved element (a
+	// gap is harmless — IDs are never reused).
 	states := make([]*state, len(s.shards))
 	for i, sh := range s.shards {
 		states[i] = sh.state.Load()
@@ -305,34 +337,71 @@ func (sv *Saver) saveShard(ctx context.Context, i int, st *state) (ManifestShard
 			ms.BaseKey, ms.BaseSHA = prev.BaseKey, prev.BaseSHA
 			up.BasesSkipped++
 		} else {
-			ss, err := captureShard(i, st)
+			b, err := encodeBase(i, st)
 			if err != nil {
 				return ms, up, err
 			}
-			var buf bytes.Buffer
-			err = gob.NewEncoder(&buf).Encode(baseObj{
-				Version:    envelopeVersion,
-				Kind:       ss.Kind,
-				Index:      ss.Index,
-				BaseStrs:   ss.BaseStrs,
-				BaseIDs:    ss.BaseIDs,
-				BaseLabels: ss.BaseLabels,
-			})
-			if err != nil {
-				return ms, up, fmt.Errorf("shard: encoding shard %d base: %w", i, err)
-			}
-			sum := sha256.Sum256(buf.Bytes())
+			sum := sha256.Sum256(b)
 			sha := hex.EncodeToString(sum[:])
 			ms.BaseKey = fmt.Sprintf("shards/%d/base-e%d-%s", i, st.epoch, sha[:12])
 			ms.BaseSHA = sha
-			if err := blob.PutBytes(ctx, sv.store, ms.BaseKey, buf.Bytes()); err != nil {
+			if err := blob.PutBytes(ctx, sv.store, ms.BaseKey, b); err != nil {
 				return ms, up, fmt.Errorf("shard: uploading shard %d base: %w", i, err)
 			}
 			up.BasesUploaded++
-			up.BytesUploaded += int64(buf.Len())
+			up.BytesUploaded += int64(len(b))
 		}
 	}
 
+	b, err := encodeOverlay(i, st)
+	if err != nil {
+		return ms, up, err
+	}
+	sum := sha256.Sum256(b)
+	sha := hex.EncodeToString(sum[:])
+	ms.OverlayKey = fmt.Sprintf("shards/%d/ovl-%s", i, sha[:12])
+	ms.OverlaySHA = sha
+	if prev != nil && prev.OverlaySHA == sha {
+		up.OvlsSkipped++
+	} else {
+		if err := blob.PutBytes(ctx, sv.store, ms.OverlayKey, b); err != nil {
+			return ms, up, fmt.Errorf("shard: uploading shard %d overlay: %w", i, err)
+		}
+		up.OvlsUploaded++
+		up.BytesUploaded += int64(len(b))
+	}
+	return ms, up, nil
+}
+
+// encodeBase renders a shard's frozen base — its index snapshot, when the
+// algorithm has one, plus the corpus arrays — as a base object.
+func encodeBase(i int, st *state) ([]byte, error) {
+	bo := baseObj{
+		Version:    envelopeVersion,
+		BaseStrs:   st.baseStrs,
+		BaseIDs:    st.baseIDs,
+		BaseLabels: st.baseLabels,
+	}
+	if st.base != nil {
+		bo.Kind = st.base.Name()
+		var ix bytes.Buffer
+		switch err := search.Save(&ix, st.base); {
+		case err == nil:
+			bo.Index = ix.Bytes()
+		case !errors.Is(err, search.ErrNoCodec):
+			return nil, fmt.Errorf("shard: saving shard %d index: %w", i, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(bo); err != nil {
+		return nil, fmt.Errorf("shard: encoding shard %d base: %w", i, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// encodeOverlay renders a shard's mutable overlay deterministically:
+// tombstones and dead IDs sorted, the delta in insertion order.
+func encodeOverlay(i int, st *state) ([]byte, error) {
 	ov := ovlObj{Version: envelopeVersion}
 	for id := range st.tombs {
 		ov.Tombs = append(ov.Tombs, id)
@@ -347,22 +416,9 @@ func (sv *Saver) saveShard(ctx context.Context, i int, st *state) (ManifestShard
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ov); err != nil {
-		return ms, up, fmt.Errorf("shard: encoding shard %d overlay: %w", i, err)
+		return nil, fmt.Errorf("shard: encoding shard %d overlay: %w", i, err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	sha := hex.EncodeToString(sum[:])
-	ms.OverlayKey = fmt.Sprintf("shards/%d/ovl-%s", i, sha[:12])
-	ms.OverlaySHA = sha
-	if prev != nil && prev.OverlaySHA == sha {
-		up.OvlsSkipped++
-	} else {
-		if err := blob.PutBytes(ctx, sv.store, ms.OverlayKey, buf.Bytes()); err != nil {
-			return ms, up, fmt.Errorf("shard: uploading shard %d overlay: %w", i, err)
-		}
-		up.OvlsUploaded++
-		up.BytesUploaded += int64(buf.Len())
-	}
-	return ms, up, nil
+	return buf.Bytes(), nil
 }
 
 // gc deletes manifests older than the retention window, then any shard
@@ -491,9 +547,13 @@ func fetchManifest(ctx context.Context, store blob.Store, key string) (*Manifest
 // envelope — the only write a crashed save can tear — falls back to the
 // previous one, but a valid manifest referencing a missing or
 // digest-mismatched object fails closed (that is corruption, not a crash
-// artifact), as does a manifest version newer than this binary. The
-// returned Manifest is what a Saver should Attach so its first save is
-// incremental.
+// artifact), as does a manifest version newer than this binary. A store
+// with no manifest at all fails with ErrNoSnapshot. The shard count comes
+// from the manifest; cfg supplies the metric, build function, worker
+// budget and compaction threshold, and the metric and algorithm must match
+// the saved set's — index snapshots computed under one distance are
+// unsound under another. The returned Manifest is what a Saver should
+// Attach so its first save is incremental.
 func LoadFromStore(ctx context.Context, store blob.Store, cfg Config) (*Set, *Manifest, error) {
 	if cfg.Metric == nil {
 		return nil, nil, fmt.Errorf("shard: nil metric")
@@ -527,7 +587,7 @@ func LoadFromStore(ctx context.Context, store blob.Store, cfg Config) (*Set, *Ma
 		if lastErr != nil {
 			return nil, nil, fmt.Errorf("shard: no loadable manifest: %w", lastErr)
 		}
-		return nil, nil, fmt.Errorf("shard: store holds no snapshot")
+		return nil, nil, ErrNoSnapshot
 	}
 
 	if m.MetricName != cfg.Metric.Name() {
@@ -567,13 +627,12 @@ func LoadFromStore(ctx context.Context, store blob.Store, cfg Config) (*Set, *Ma
 
 // loadShardFromStore fetches, verifies and reassembles one shard.
 func (s *Set) loadShardFromStore(ctx context.Context, store blob.Store, i int, ms ManifestShard) (*state, error) {
-	ss := shardSnap{Epoch: ms.Epoch}
+	var bo baseObj
 	if ms.BaseKey != "" {
 		b, err := fetchVerified(ctx, store, ms.BaseKey, ms.BaseSHA)
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d base: %w", i, err)
 		}
-		var bo baseObj
 		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&bo); err != nil {
 			return nil, fmt.Errorf("shard: decoding shard %d base: %w", i, err)
 		}
@@ -581,23 +640,101 @@ func (s *Set) loadShardFromStore(ctx context.Context, store blob.Store, i int, m
 			return nil, fmt.Errorf("shard: shard %d base version %d is newer than this binary supports (max %d)",
 				i, bo.Version, envelopeVersion)
 		}
-		ss.Kind, ss.Index = bo.Kind, bo.Index
-		ss.BaseStrs, ss.BaseIDs, ss.BaseLabels = bo.BaseStrs, bo.BaseIDs, bo.BaseLabels
 	}
-	ob, err := fetchVerified(ctx, store, ms.OverlayKey, ms.OverlaySHA)
+	b, err := fetchVerified(ctx, store, ms.OverlayKey, ms.OverlaySHA)
 	if err != nil {
 		return nil, fmt.Errorf("shard: shard %d overlay: %w", i, err)
 	}
 	var ov ovlObj
-	if err := gob.NewDecoder(bytes.NewReader(ob)).Decode(&ov); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ov); err != nil {
 		return nil, fmt.Errorf("shard: decoding shard %d overlay: %w", i, err)
 	}
 	if ov.Version > envelopeVersion {
 		return nil, fmt.Errorf("shard: shard %d overlay version %d is newer than this binary supports (max %d)",
 			i, ov.Version, envelopeVersion)
 	}
-	ss.Tombs, ss.Dead, ss.Delta = ov.Tombs, ov.Dead, ov.Delta
-	return s.loadShardState(i, ss)
+	return s.loadShardState(i, ms.Epoch, bo, ov)
+}
+
+// loadShardState reconstructs one shard's state from its base and overlay
+// objects.
+//
+//ced:publish
+func (s *Set) loadShardState(i int, epoch uint64, bo baseObj, ov ovlObj) (*state, error) {
+	if len(bo.BaseIDs) != len(bo.BaseStrs) {
+		return nil, fmt.Errorf("shard: corrupt snapshot: shard %d has %d base ids for %d strings",
+			i, len(bo.BaseIDs), len(bo.BaseStrs))
+	}
+	if s.labelled && len(bo.BaseLabels) != len(bo.BaseStrs) {
+		return nil, fmt.Errorf("shard: corrupt snapshot: shard %d has %d labels for %d strings",
+			i, len(bo.BaseLabels), len(bo.BaseStrs))
+	}
+	st := &state{
+		baseStrs:   bo.BaseStrs,
+		baseIDs:    bo.BaseIDs,
+		baseLabels: bo.BaseLabels,
+		baseByID:   make(map[uint64]int, len(bo.BaseIDs)),
+		tombs:      map[uint64]struct{}{},
+		dead:       make(map[uint64]struct{}, len(ov.Dead)),
+		epoch:      epoch,
+	}
+	n := uint64(len(s.shards))
+	for pos, id := range bo.BaseIDs {
+		// IDs route to their shard by id mod N; a misplaced ID would be
+		// queryable but never deletable (Delete would look in the wrong
+		// shard forever).
+		if id%n != uint64(i) {
+			return nil, fmt.Errorf("shard: corrupt snapshot: ID %d in shard %d of %d (want shard %d)", id, i, n, id%n)
+		}
+		st.baseByID[id] = pos
+	}
+	if len(bo.BaseStrs) > 0 {
+		base, err := s.loadBase(i, bo)
+		if err != nil {
+			return nil, err
+		}
+		st.base = base
+	}
+	for _, id := range ov.Tombs {
+		if _, ok := st.baseByID[id]; !ok {
+			return nil, fmt.Errorf("shard: corrupt snapshot: shard %d tombstone %d not in base", i, id)
+		}
+		st.tombs[id] = struct{}{}
+	}
+	for _, id := range ov.Dead {
+		st.dead[id] = struct{}{}
+	}
+	for _, d := range ov.Delta {
+		if d.ID%n != uint64(i) {
+			return nil, fmt.Errorf("shard: corrupt snapshot: delta ID %d in shard %d of %d (want shard %d)", d.ID, i, n, d.ID%n)
+		}
+		st.appendDelta(s.metric, entry{id: d.ID, value: d.Value, runes: []rune(d.Value), label: d.Label})
+	}
+	return st, nil
+}
+
+// loadBase restores a shard's base index from its embedded snapshot, or
+// rebuilds it from the corpus when the algorithm has no snapshot form.
+func (s *Set) loadBase(i int, bo baseObj) (search.Index, error) {
+	if len(bo.Index) == 0 {
+		runes := make([][]rune, len(bo.BaseStrs))
+		for j, v := range bo.BaseStrs {
+			runes[j] = []rune(v)
+		}
+		return s.build(i, runes), nil
+	}
+	base, err := search.Load(bo.Kind, bytes.NewReader(bo.Index), s.metric)
+	if errors.Is(err, search.ErrNoCodec) {
+		return nil, fmt.Errorf("shard: corrupt snapshot: shard %d has an index blob for kind %q", i, bo.Kind)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
+	}
+	if base.Size() != len(bo.BaseStrs) {
+		return nil, fmt.Errorf("shard: corrupt snapshot: shard %d index holds %d elements for %d strings",
+			i, base.Size(), len(bo.BaseStrs))
+	}
+	return base, nil
 }
 
 // fetchVerified reads an object and fails closed unless its SHA-256

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -333,107 +331,5 @@ func TestBlobGCRetainsTwoSnapshots(t *testing.T) {
 		if _, man, err := LoadFromStore(ctx, c, storeCfg(m)); err != nil || man.Seq != seq {
 			t.Fatalf("retained snapshot %d not loadable: %v", seq, err)
 		}
-	}
-}
-
-// TestSnapshotVersionTooNewRejected covers the single-file envelope too.
-func TestSnapshotVersionTooNewRejected(t *testing.T) {
-	m := metric.Contextual()
-	s := newTestSet(t, unitCorpus, nil, 2)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap setSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != envelopeVersion {
-		t.Fatalf("saved envelope version = %d, want %d", snap.Version, envelopeVersion)
-	}
-	snap.Version = envelopeVersion + 1
-	var newer bytes.Buffer
-	if err := gob.NewEncoder(&newer).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&newer, storeCfg(m))
-	if err == nil || !strings.Contains(err.Error(), "newer than this binary") {
-		t.Fatalf("err = %v, want too-new rejection", err)
-	}
-}
-
-// legacySetSnapshot is the PR-5-era envelope: no Version, no Dead lists.
-// gob matches fields by name, so encoding it is exactly what an old
-// binary wrote.
-type legacySetSnapshot struct {
-	MetricName string
-	Algorithm  string
-	Labelled   bool
-	NextID     uint64
-	Shards     []legacyShardSnap
-}
-
-type legacyShardSnap struct {
-	Kind       string
-	Index      []byte
-	BaseStrs   []string
-	BaseIDs    []uint64
-	BaseLabels []int
-	Tombs      []uint64
-	Delta      []deltaSnap
-	Epoch      uint64
-}
-
-// TestLoadLegacyEnvelope: a pre-version envelope (Version absent ⇒ 0)
-// still loads, with tombstones doubling as the dead-ID ledger.
-func TestLoadLegacyEnvelope(t *testing.T) {
-	m := metric.Contextual()
-	legacy := legacySetSnapshot{
-		MetricName: m.Name(),
-		Algorithm:  "laesa",
-		NextID:     6,
-		Shards: []legacyShardSnap{
-			{
-				BaseStrs: []string{"casa", "cosa", "masa"},
-				BaseIDs:  []uint64{0, 2, 4},
-				Tombs:    []uint64{2},
-				Epoch:    3,
-			},
-			{
-				BaseStrs: []string{"gato", "pato"},
-				BaseIDs:  []uint64{1, 3},
-				Delta:    []deltaSnap{{ID: 5, Value: "plato"}},
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(&buf, storeCfg(m))
-	if err != nil {
-		t.Fatalf("loading legacy envelope: %v", err)
-	}
-	if s.Size() != 5 {
-		t.Fatalf("legacy size = %d, want 5", s.Size())
-	}
-	if s.Epoch(0) != 3 {
-		t.Fatalf("legacy epoch = %d, want 3", s.Epoch(0))
-	}
-	// The tombstoned ID must stay dead even without a Dead list.
-	if s.AddWithID(2, "back", 0) {
-		t.Fatal("legacy tombstone resurrected")
-	}
-	// And a re-save of the loaded set writes the current version.
-	var out bytes.Buffer
-	if err := s.Save(&out); err != nil {
-		t.Fatal(err)
-	}
-	var snap setSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(out.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != envelopeVersion {
-		t.Fatalf("re-saved version = %d, want %d", snap.Version, envelopeVersion)
 	}
 }

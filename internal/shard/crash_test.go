@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,26 +216,5 @@ func TestCrashRestartDifferentialHTTP(t *testing.T) {
 		if got := fx.requireConsistent(t, st); got != "A" {
 			t.Fatalf("fail-from-%d: failed save loads %s, want A", n, got)
 		}
-	}
-}
-
-// TestCrashMidSaveNeverTearsFileSnapshot pins satellite 1 at the shard
-// level: the single-file envelope written through blob.WriteFileAtomic
-// either fully lands or leaves the old file; a garbage file never loads.
-func TestCrashMidSaveNeverTearsFileSnapshot(t *testing.T) {
-	fx := newCrashFixture(t)
-	var torn strings.Builder
-	if err := fx.setB.Save(&torn); err != nil {
-		t.Fatal(err)
-	}
-	full := torn.String()
-	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
-		if _, err := Load(strings.NewReader(full[:cut]), fx.loadCfg()); err == nil {
-			t.Fatalf("truncated envelope (%d bytes) loaded", cut)
-		}
-	}
-	garbage := strings.Repeat("not a gob stream", 64)
-	if _, err := Load(strings.NewReader(garbage), fx.loadCfg()); err == nil {
-		t.Fatal("garbage envelope loaded")
 	}
 }

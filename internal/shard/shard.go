@@ -21,6 +21,10 @@
 // (element i has ID i), every Add mints the next integer, and IDs are never
 // reused. An ID's shard is ID mod N, so round-robin placement keeps shards
 // balanced under pure growth.
+//
+// A Set persists to a blob store only (blobsnap.go): a Saver publishes
+// incremental, manifest-committed snapshots and LoadFromStore restores the
+// newest one without computing a distance.
 package shard
 
 import (
@@ -37,8 +41,8 @@ import (
 const DefaultCompactThreshold = 256
 
 // BuildFunc constructs one shard's base index over its sub-corpus. It is
-// called at Set construction, by the background compactor, and by Load for
-// snapshots that do not embed a serialised index.
+// called at Set construction, by the background compactor, and by
+// LoadFromStore for bases that do not embed a serialised index.
 type BuildFunc func(shardIdx int, corpus [][]rune) search.Index
 
 // Config assembles a Set.

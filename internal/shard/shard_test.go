@@ -1,14 +1,15 @@
 package shard
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"ced/internal/blob"
 	"ced/internal/dataset"
 	"ced/internal/metric"
 	"ced/internal/search"
@@ -359,73 +360,116 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip round-trips a labelled, mutated set through a
+// store, for a base with a serialised index (laesa) and one rebuilt from
+// its corpus at load (linear): the reload computes no distance, answers
+// like the saved set, and keeps mutating correctly — the ID allocator
+// continues past every pre-save ID, and a pre-save tombstone can be
+// neither deleted again nor resurrected.
 func TestSaveLoadRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	labels := make([]int, len(unitCorpus))
 	for i := range labels {
 		labels[i] = i % 2
 	}
-	s := newTestSet(t, unitCorpus, labels, 3)
-	addID := s.Add("nuevo", 1)
-	s.Delete(2)
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m := metric.Contextual()
-	loaded, err := Load(&buf, Config{Metric: m, Build: testBuilder(m, 8, 42), Algorithm: "laesa"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Shards() != 3 || loaded.Size() != s.Size() || !loaded.Labelled() {
-		t.Fatalf("loaded shape: shards=%d size=%d labelled=%v", loaded.Shards(), loaded.Size(), loaded.Labelled())
-	}
-	if loaded.NextID() != s.NextID() {
-		t.Errorf("NextID = %d, want %d", loaded.NextID(), s.NextID())
-	}
-	for _, q := range []string{"casa", "nuevo", "gat", "xyz"} {
-		want, _ := knn(s, []rune(q), 4)
-		got, _ := knn(loaded, []rune(q), 4)
-		if len(got) != len(want) {
-			t.Fatalf("query %q: %d hits vs %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("query %q rank %d: %+v vs %+v", q, i, got[i], want[i])
+	for _, algo := range []string{"laesa", "linear"} {
+		t.Run(algo, func(t *testing.T) {
+			build := func(m metric.Metric) BuildFunc {
+				if algo == "linear" {
+					b, err := StandardBuild("linear", m, 0, 0, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return b
+				}
+				return testBuilder(m, 8, 42)
 			}
-		}
-	}
-	// The restored set must keep mutating correctly: the ID allocator and
-	// tombstones came along.
-	id2 := loaded.Add("tras", 0)
-	if id2 <= addID {
-		t.Errorf("post-load ID %d not beyond pre-save IDs", id2)
-	}
-	if loaded.Delete(2) {
-		t.Error("pre-save tombstone forgotten: delete of id 2 succeeded again")
+			m := metric.Contextual()
+			s, err := New(unitCorpus, labels, Config{Shards: 3, Metric: m, Build: build(m), Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addID := s.Add("nuevo", 1)
+			s.Delete(2)
+
+			store, err := blob.NewDirStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewSaver(store).Save(ctx, s); err != nil {
+				t.Fatal(err)
+			}
+			counter := &metric.Counter{M: metric.Contextual()}
+			loaded, _, err := LoadFromStore(ctx, store, Config{Metric: counter, Build: build(counter), Algorithm: algo, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counter.N != 0 {
+				t.Fatalf("loading computed %d distances, want 0", counter.N)
+			}
+			if loaded.Shards() != 3 || loaded.Size() != s.Size() || !loaded.Labelled() {
+				t.Fatalf("loaded shape: shards=%d size=%d labelled=%v", loaded.Shards(), loaded.Size(), loaded.Labelled())
+			}
+			if loaded.NextID() != s.NextID() {
+				t.Errorf("NextID = %d, want %d", loaded.NextID(), s.NextID())
+			}
+			for _, q := range []string{"casa", "nuevo", "gat", "xyz"} {
+				want, _ := knn(s, []rune(q), 4)
+				got, _ := knn(loaded, []rune(q), 4)
+				if len(got) != len(want) {
+					t.Fatalf("query %q: %d hits vs %d", q, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("query %q rank %d: %+v vs %+v", q, i, got[i], want[i])
+					}
+				}
+			}
+			id2 := loaded.Add("tras", 0)
+			if id2 <= addID {
+				t.Errorf("post-load ID %d not beyond pre-save IDs", id2)
+			}
+			if loaded.Delete(2) {
+				t.Error("pre-save tombstone forgotten: delete of id 2 succeeded again")
+			}
+			if loaded.AddWithID(2, "resurrect", 0) {
+				t.Error("pre-save tombstone resurrected")
+			}
+		})
 	}
 }
 
+// TestLoadRejectsMismatches: LoadFromStore refuses a snapshot saved under
+// another metric or algorithm, a store holding only unreadable manifests,
+// and an empty store — the last one, alone, as ErrNoSnapshot.
 func TestLoadRejectsMismatches(t *testing.T) {
+	ctx := context.Background()
 	s := newTestSet(t, unitCorpus, nil, 2)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	store := blob.NewMemStore()
+	if _, err := NewSaver(store).Save(ctx, s); err != nil {
 		t.Fatal(err)
 	}
-	saved := buf.Bytes()
 
 	m := metric.Levenshtein()
-	if _, err := Load(bytes.NewReader(saved), Config{Metric: m, Build: testBuilder(m, 8, 42)}); err == nil {
+	if _, _, err := LoadFromStore(ctx, store, Config{Metric: m, Build: testBuilder(m, 8, 42)}); err == nil {
 		t.Error("metric mismatch should fail")
 	} else if !strings.Contains(err.Error(), "dC") {
 		t.Errorf("error should name the saved metric: %v", err)
 	}
 	mc := metric.Contextual()
-	if _, err := Load(bytes.NewReader(saved), Config{Metric: mc, Build: testBuilder(mc, 8, 42), Algorithm: "vptree"}); err == nil {
+	if _, _, err := LoadFromStore(ctx, store, Config{Metric: mc, Build: testBuilder(mc, 8, 42), Algorithm: "vptree"}); err == nil {
 		t.Error("algorithm mismatch should fail")
 	}
-	if _, err := Load(bytes.NewReader([]byte("not gob")), Config{Metric: mc, Build: testBuilder(mc, 8, 42)}); err == nil {
-		t.Error("garbage input should fail")
+
+	garbage := blob.NewMemStore()
+	if err := blob.PutBytes(ctx, garbage, manifestKey(1), []byte("not a manifest")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadFromStore(ctx, garbage, storeCfg(mc)); err == nil || errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("garbage manifest: err = %v, want a load failure other than ErrNoSnapshot", err)
+	}
+	if _, _, err := LoadFromStore(ctx, blob.NewMemStore(), storeCfg(mc)); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("empty store: err = %v, want ErrNoSnapshot", err)
 	}
 }
 

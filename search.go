@@ -2,6 +2,7 @@ package ced
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -190,51 +191,38 @@ func toRunes(ss []string) [][]rune {
 // the structure-only linear and trie indexes have nothing worth persisting
 // and aesa's quadratic matrix is deliberately not serialised.
 func (ix *Index) Save(w io.Writer) error {
-	p, ok := ix.searcher.(search.Persister)
-	if !ok {
+	err := search.Save(w, ix.searcher)
+	if errors.Is(err, search.ErrNoCodec) {
 		return fmt.Errorf("ced: Save is only supported for laesa, vptree and bktree indexes (this is %q)", ix.Algorithm())
 	}
-	return p.Save(w)
+	return err
 }
 
 // LoadIndex restores an index written by (*Index).Save with zero distance
 // computations, attaching m as the query metric; algorithm and m must
 // match what the index was built with (the metric is checked by name).
 func LoadIndex(algorithm string, r io.Reader, m Metric) (*Index, error) {
-	switch algorithm {
-	case "laesa":
-		return LoadLAESAIndex(r, m)
-	case "vptree":
-		vt, err := search.LoadVPTree(r, internalMetric(m))
-		if err != nil {
-			return nil, err
-		}
-		return &Index{corpus: corpusOf(vt), searcher: vt}, nil
-	case "bktree":
-		bt, err := search.LoadBKTree(r, internalMetric(m))
-		if err != nil {
-			return nil, err
-		}
-		return &Index{corpus: corpusOf(bt), searcher: bt}, nil
-	default:
+	s, err := search.Load(algorithm, r, internalMetric(m))
+	if errors.Is(err, search.ErrNoCodec) {
 		return nil, fmt.Errorf("ced: no snapshot loader for algorithm %q (known: laesa, vptree, bktree)", algorithm)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Index{corpus: corpusOf(s), searcher: s}, nil
 }
 
 // LoadLAESAIndex restores an index written by (*Index).Save in O(pivots·n)
 // time with zero distance computations, attaching m as the query metric; m
 // must be the same distance the index was built with (checked by name).
 func LoadLAESAIndex(r io.Reader, m Metric) (*Index, error) {
-	la, err := search.LoadLAESA(r, internalMetric(m))
-	if err != nil {
-		return nil, err
-	}
-	return &Index{corpus: corpusOf(la), searcher: la}, nil
+	return LoadIndex("laesa", r, m)
 }
 
-// corpusOf rebuilds the string corpus view of a loaded searcher.
-func corpusOf(s interface{ Corpus() [][]rune }) []string {
-	rs := s.Corpus()
+// corpusOf rebuilds the string corpus view of a loaded searcher (every kind
+// with a snapshot form exposes its corpus).
+func corpusOf(s search.Index) []string {
+	rs := s.(interface{ Corpus() [][]rune }).Corpus()
 	corpus := make([]string, len(rs))
 	for i, r := range rs {
 		corpus[i] = string(r)

@@ -2,7 +2,6 @@ package ced
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"time"
 
@@ -65,18 +64,13 @@ type ServerConfig struct {
 	// schedules a background compaction after mutations; <= 0 uses the
 	// default (256).
 	CompactThreshold int
-	// SnapshotPath names the server-side file the /snapshot/save and
-	// /snapshot/load HTTP endpoints use; empty disables them. (The Go
-	// methods SaveSnapshot and LoadSnapshot take an io.Writer/io.Reader
-	// and work regardless.)
-	SnapshotPath string
 	// Store names a durable blob store for incremental snapshots: a local
 	// directory path or an http(s):// object-server URL (cedserve -store).
 	// When set, /snapshot/save publishes a consistent manifest-addressed
 	// snapshot into the store — re-uploading only the shards that changed
 	// since the last one — and /snapshot/load cold-starts from the newest
-	// manifest without recomputing a single index-build distance. Takes
-	// precedence over SnapshotPath for the HTTP endpoints.
+	// manifest without recomputing a single index-build distance. Empty
+	// disables both endpoints and SaveToStore/LoadFromStore.
 	Store string
 	// SnapshotEvery triggers a background store snapshot once that many
 	// mutations have accumulated since the last one (single-flight, with
@@ -146,7 +140,6 @@ func NewServer(corpus *Dataset, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetSnapshotPath(cfg.SnapshotPath)
 	return &Server{eng: eng}, nil
 }
 
@@ -242,23 +235,14 @@ func (s *Server) Add(value string, label int) (uint64, error) { return s.eng.Add
 // an error.
 func (s *Server) Delete(id uint64) (bool, error) { return s.eng.Delete(id) }
 
-// SaveSnapshot writes the whole sharded corpus — per shard: the base
-// index, the uncompacted delta and the tombstones — to w. LoadSnapshot
-// (or cedserve -load-snapshot) restores it without recomputing a single
-// index-build distance.
-func (s *Server) SaveSnapshot(w io.Writer) error { return s.eng.SaveSnapshot(w) }
-
-// LoadSnapshot atomically replaces the live corpus with the set saved in r
-// and reports the restored live size: queries in flight finish against the
-// old corpus, queries issued afterwards see the new one, and none block.
-// The snapshot's metric and index algorithm must match this server's.
-func (s *Server) LoadSnapshot(r io.Reader) (int, error) { return s.eng.LoadSnapshot(r) }
-
 // SaveToStore publishes one consistent incremental snapshot of the live
-// corpus into the configured blob store (ServerConfig.Store): per-shard
-// objects are uploaded first — skipping shards unchanged since the last
-// save — and a small versioned manifest last, so a crash at any instant
-// leaves the previous snapshot fully loadable.
+// corpus — per shard: the base index, the uncompacted delta and the
+// tombstones — into the configured blob store (ServerConfig.Store):
+// per-shard objects are uploaded first — skipping shards unchanged since
+// the last save — and a small versioned manifest last, so a crash at any
+// instant leaves the previous snapshot fully loadable. LoadFromStore (or
+// cedserve -load-snapshot) restores it without recomputing a single
+// index-build distance.
 func (s *Server) SaveToStore(ctx context.Context) error {
 	_, err := s.eng.SaveToStore(ctx)
 	return err
@@ -266,9 +250,12 @@ func (s *Server) SaveToStore(ctx context.Context) error {
 
 // LoadFromStore atomically replaces the live corpus with the newest
 // loadable snapshot in the configured blob store and reports the restored
-// live size. Object integrity is verified against the manifest's SHA-256
-// digests; a torn newest manifest falls back to the previous one, and a
-// manifest written by a newer binary is rejected outright.
+// live size: queries in flight finish against the old corpus, queries
+// issued afterwards see the new one, and none block. Object integrity is
+// verified against the manifest's SHA-256 digests; a torn newest manifest
+// falls back to the previous one, and a manifest written by a newer binary
+// is rejected outright. The snapshot's metric and index algorithm must
+// match this server's.
 func (s *Server) LoadFromStore(ctx context.Context) (int, error) { return s.eng.LoadFromStore(ctx) }
 
 // WaitSnapshots blocks until every in-flight background snapshot

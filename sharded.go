@@ -3,9 +3,9 @@ package ced
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
+	"ced/internal/blob"
 	"ced/internal/search"
 	"ced/internal/shard"
 )
@@ -175,27 +175,43 @@ func (ix *ShardedIndex) Shards() int { return ix.set.Shards() }
 func (ix *ShardedIndex) Algorithm() string { return ix.set.Algorithm() }
 
 // Compact folds every shard's mutation overlay into its base index and
-// waits for in-flight background compactions — useful before Save for a
+// waits for in-flight background compactions — useful before SaveTo for a
 // minimal, fully indexed snapshot. Background compaction also runs on its
 // own once a shard's overlay outgrows the threshold.
 func (ix *ShardedIndex) Compact() { ix.set.Compact() }
 
-// Save writes the whole index — per shard: the base index snapshot, the
-// uncompacted delta and the tombstones — so LoadShardedIndex restores it
-// without recomputing any index-build distances.
-func (ix *ShardedIndex) Save(w io.Writer) error { return ix.set.Save(w) }
+// SaveTo publishes the whole index — per shard: the base index snapshot,
+// the uncompacted delta and the tombstones — as one consistent snapshot in
+// store, a directory path or an http(s):// object-server URL (the same
+// stores as ServerConfig.Store). The manifest is written last, so a crash
+// mid-save leaves the previous snapshot in store fully loadable.
+// LoadShardedIndex restores it without recomputing any index-build
+// distances.
+func (ix *ShardedIndex) SaveTo(ctx context.Context, store string) error {
+	st, err := blob.Open(store)
+	if err != nil {
+		return err
+	}
+	_, err = shard.NewSaver(st).Save(ctx, ix.set)
+	return err
+}
 
-// LoadShardedIndex restores an index written by Save, attaching m (which
-// must match the saved metric by name, like LoadLAESAIndex). cfg supplies
-// the builder for algorithms without a serialised index form and the
-// worker/compaction tuning; cfg.Algorithm (default "laesa") must match the
-// saved algorithm, and the shard count comes from the snapshot.
-func LoadShardedIndex(r io.Reader, m Metric, cfg ShardedIndexConfig) (*ShardedIndex, error) {
+// LoadShardedIndex restores the newest snapshot SaveTo published in store,
+// attaching m (which must match the saved metric by name, like
+// LoadLAESAIndex). cfg supplies the builder for algorithms without a
+// serialised index form and the worker/compaction tuning; cfg.Algorithm
+// (default "laesa") must match the saved algorithm, and the shard count
+// comes from the snapshot.
+func LoadShardedIndex(ctx context.Context, store string, m Metric, cfg ShardedIndexConfig) (*ShardedIndex, error) {
 	setCfg, err := shardedConfig(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	set, err := shard.Load(r, setCfg)
+	st, err := blob.Open(store)
+	if err != nil {
+		return nil, err
+	}
+	set, _, err := shard.LoadFromStore(ctx, st, setCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,21 @@ package ced
 
 import (
 	"bytes"
+	"context"
+	"sync/atomic"
 	"testing"
 )
+
+// countingContextual is dC with a call counter, so a test can see whether
+// an operation computes any distance.
+type countingContextual struct{ n *atomic.Int64 }
+
+func (c countingContextual) Name() string { return "dC" }
+
+func (c countingContextual) Distance(a, b string) float64 {
+	c.n.Add(1)
+	return Contextual().Distance(a, b)
+}
 
 func shardedTestDataset() *Dataset {
 	return &Dataset{
@@ -65,16 +78,23 @@ func TestShardedIndexLifecycle(t *testing.T) {
 		}
 	}
 
-	// Snapshot round-trip: compaction first for a delta-free save, then
-	// reload and compare answers.
+	// Snapshot round-trip through a store directory: compaction first for
+	// a delta-free save, then a reload that computes no distance at all,
+	// and equal answers. A second save after a mutation carries the
+	// overlay too.
+	ctx := context.Background()
+	dir := t.TempDir()
 	ix.Compact()
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveTo(ctx, dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadShardedIndex(&buf, Contextual(), ShardedIndexConfig{Pivots: 3})
+	var calls atomic.Int64
+	loaded, err := LoadShardedIndex(ctx, dir, countingContextual{&calls}, ShardedIndexConfig{Pivots: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("loading the snapshot computed %d distances, want 0", n)
 	}
 	if loaded.Len() != ix.Len() || loaded.Shards() != ix.Shards() {
 		t.Fatalf("loaded shape: len=%d shards=%d", loaded.Len(), loaded.Shards())
@@ -87,6 +107,28 @@ func TestShardedIndexLifecycle(t *testing.T) {
 				t.Errorf("query %q rank %d: %+v vs %+v", q, i, got[i], want[i])
 			}
 		}
+	}
+	if loaded.Delete(0) {
+		t.Fatal("pre-save delete forgotten: id 0 deleted again after reload")
+	}
+	if id := loaded.Add("gatote", 3); id <= uint64(len(d.Strings)) {
+		t.Fatalf("post-load ID %d not beyond pre-save IDs", id)
+	}
+	if err := loaded.SaveTo(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	again, err := LoadShardedIndex(ctx, dir, Contextual(), ShardedIndexConfig{Pivots: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := again.Nearest("gatote"); !ok || r.Value != "gatote" || r.Distance != 0 {
+		t.Fatalf("second save lost the added element: %+v", r)
+	}
+	if _, err := LoadShardedIndex(ctx, dir, Levenshtein(), ShardedIndexConfig{Pivots: 3}); err == nil {
+		t.Error("metric mismatch should fail")
+	}
+	if _, err := LoadShardedIndex(ctx, t.TempDir(), Contextual(), ShardedIndexConfig{Pivots: 3}); err == nil {
+		t.Error("an empty store should fail to load")
 	}
 }
 

@@ -54,6 +54,8 @@
 // -shard-server turns the process into an empty shard host: it serves
 // logical shard slots under /shard/{slot}/... and waits for a coordinator
 // to seed them (corpus flags are refused — content arrives over the wire).
+// Slots take replicated writes, so -index trie is refused, and bktree
+// needs -d dE as everywhere.
 // Giving every shard server in a fleet the same -store enables the
 // coordinator's store-first replica re-sync: a healthy donor publishes an
 // incremental slot snapshot and the recovering node restores it from the
@@ -70,8 +72,10 @@
 //
 // Endpoints: GET /healthz; POST /distance, /distance/batch, /knn,
 // /knn/batch, /radius, /classify, /classify/batch, /add, /delete,
-// /snapshot/save, /snapshot/load. Coordinator mode serves GET /healthz and
-// POST /knn, /radius, /classify, /add, /delete, /compact. Every query
+// /snapshot/save, /snapshot/load. Coordinator mode answers POST /knn,
+// /radius, /classify, /add and /delete through the same routes as a
+// single server — same bodies, same statuses — plus its own GET /healthz
+// and POST /compact. Every query
 // response reports the number of distance computations spent, the
 // per-stage bound-ladder rejections among them and the server-side latency
 // in milliseconds; /healthz reports the lifetime rejection totals plus

@@ -87,20 +87,11 @@ func (c *Client) Base() string { return c.base }
 // Slot returns the slot index this client addresses.
 func (c *Client) Slot() int { return c.slot }
 
-// apiError is a non-retryable 4xx response from the shard server.
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string {
-	return fmt.Sprintf("shard server: %s (HTTP %d)", e.msg, e.status)
-}
-
 // do runs one transport call with retry: POST body (or GET when body is
 // nil) to /shard/{slot}/{op}, decoding the JSON response into out. 4xx
-// responses fail immediately; transport errors, truncated bodies and 5xx
-// retry up to the budget.
+// responses fail immediately as a serve.StatusError carrying the server's
+// status, which a coordinator passes through to its own client; transport
+// errors, truncated bodies and 5xx retry up to the budget.
 func (c *Client) do(ctx context.Context, method, op string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -124,8 +115,8 @@ func (c *Client) do(ctx context.Context, method, op string, body, out any) error
 		if err == nil {
 			return nil
 		}
-		var api *apiError
-		if errors.As(err, &api) {
+		var verdict *serve.StatusError
+		if errors.As(err, &verdict) {
 			return err // the server answered; retrying cannot change its mind
 		}
 		if ctx.Err() != nil {
@@ -176,7 +167,8 @@ func (c *Client) attempt(ctx context.Context, method, url string, payload []byte
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, errorMessage(raw))
 	}
 	if resp.StatusCode >= 400 {
-		return &apiError{status: resp.StatusCode, msg: errorMessage(raw)}
+		return &serve.StatusError{Status: resp.StatusCode,
+			Err: fmt.Errorf("shard server: %s (HTTP %d)", errorMessage(raw), resp.StatusCode)}
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {

@@ -67,16 +67,16 @@ func assertClusterRadius(t *testing.T, o *Oracle, c *Cluster, q string, r float6
 // assertClusterClassify pins a classification to a minimal-distance label.
 func assertClusterClassify(t *testing.T, o *Oracle, c *Cluster, q string, tag string) {
 	t.Helper()
-	hit, _, err := c.Coord.Classify(context.Background(), q)
+	p, _, err := serve.Classify(context.Background(), c.Coord, q)
 	if err != nil {
 		t.Fatalf("%s classify %q: %v", tag, q, err)
 	}
 	best, labels := o.BestLabels(q)
-	if hit.Distance != best {
-		t.Fatalf("%s classify %q: nearest at %v, oracle at %v", tag, q, hit.Distance, best)
+	if p.Neighbor.Distance != best {
+		t.Fatalf("%s classify %q: nearest at %v, oracle at %v", tag, q, p.Neighbor.Distance, best)
 	}
-	if !labels[hit.Label] {
-		t.Fatalf("%s classify %q: label %d is not the label of any minimal-distance element", tag, q, hit.Label)
+	if !labels[p.Label] {
+		t.Fatalf("%s classify %q: label %d is not the label of any minimal-distance element", tag, q, p.Label)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestClusterMatchesMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("add %q: %v", v, err)
 		}
-		engID, err := eng.Add(v, i%5)
+		engID, err := eng.Add(ctx, v, i%5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestClusterMatchesMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("delete %d: %v", victim, err)
 			}
-			delE, err := eng.Delete(victim)
+			delE, err := eng.Delete(ctx, victim)
 			if err != nil {
 				t.Fatal(err)
 			}

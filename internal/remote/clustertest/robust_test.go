@@ -14,6 +14,7 @@ import (
 	"ced/internal/dataset"
 	"ced/internal/remote"
 	"ced/internal/search"
+	"ced/internal/serve"
 )
 
 // TestClusterHedgeCancelsLoser pins the hedged-read cancellation fix: when
@@ -163,7 +164,7 @@ func TestClusterBreakerHalfOpenTrialReadmits(t *testing.T) {
 
 // TestClusterDegradedMode covers the opt-in partial-answer escape hatch:
 // with AllowDegraded and an entire shard gone, queries return the
-// surviving shards' exact hits tagged *remote.Degraded (and the HTTP layer
+// surviving shards' exact hits tagged *serve.Degraded (and the HTTP layer
 // surfaces "degraded": true with the missing-shard list) instead of
 // failing — while caller mistakes and full outages stay loud.
 func TestClusterDegradedMode(t *testing.T) {
@@ -187,9 +188,9 @@ func TestClusterDegradedMode(t *testing.T) {
 	// tagged degraded.
 	c.Nodes[1].SetFault(FaultDown)
 	hits, _, err := c.Coord.Query(ctx, "casa", search.KNN(10, math.Inf(1)))
-	var deg *remote.Degraded
+	var deg *serve.Degraded
 	if !errors.As(err, &deg) {
-		t.Fatalf("want a *remote.Degraded error, got %v", err)
+		t.Fatalf("want a *serve.Degraded error, got %v", err)
 	}
 	if len(deg.MissingShards) != 1 || deg.MissingShards[0] != 1 {
 		t.Fatalf("missing shards %v, want [1]", deg.MissingShards)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -48,20 +47,17 @@ type Config struct {
 	// exactness guarantee.
 	MetricName string
 
-	// Timeout, Retries and Backoff tune every per-replica client (see
+	// Timeout and Retries tune every per-replica client (see
 	// ClientConfig).
 	Timeout time.Duration
 	Retries int
-	Backoff time.Duration
 
 	// HedgeAfter is a fixed hedge delay: a query that outlives it races a
 	// second replica. 0 selects the adaptive policy — the
-	// HedgePercentile-th recent per-shard latency, clamped to
-	// [HedgeMin, HedgeMax]. Negative disables hedging (failover only).
-	HedgeAfter      time.Duration
-	HedgePercentile float64       // 0 = DefaultHedgePercentile
-	HedgeMin        time.Duration // 0 = DefaultHedgeMin
-	HedgeMax        time.Duration // 0 = DefaultHedgeMax
+	// DefaultHedgePercentile-th recent per-shard latency, clamped to
+	// [DefaultHedgeMin, DefaultHedgeMax]. Negative disables hedging
+	// (failover only).
+	HedgeAfter time.Duration
 
 	// FailThreshold ejects a replica after this many consecutive failed
 	// calls; <= 0 uses DefaultFailThreshold.
@@ -80,8 +76,8 @@ type Config struct {
 
 	// AllowDegraded opts the coordinator into partial answers: when every
 	// replica of some logical shard is unusable, a fanned query returns the
-	// hits of the shards that did answer together with a *Degraded error
-	// naming the missing shards, instead of failing outright. Off by
+	// hits of the shards that did answer together with a *serve.Degraded
+	// error naming the missing shards, instead of failing outright. Off by
 	// default — a silent partial answer would void the exactness guarantee,
 	// so callers must both opt in here and handle the tagged error.
 	AllowDegraded bool
@@ -96,19 +92,6 @@ type Config struct {
 
 	// HTTPClient optionally shares one transport across all replicas.
 	HTTPClient *http.Client
-}
-
-// Degraded is the error a degraded-mode fan-out attaches to a partial
-// answer: the listed logical shards contributed nothing (every replica
-// unusable), every other shard's hits are present and exact. It is only
-// ever returned when Config.AllowDegraded is set; transports surface it as
-// a tagged 200, never as a silent success.
-type Degraded struct {
-	MissingShards []int
-}
-
-func (e *Degraded) Error() string {
-	return fmt.Sprintf("remote: degraded answer: shards %v unavailable", e.MissingShards)
 }
 
 // Coordinator serves the cluster: it owns the placement (ID ranges over
@@ -135,12 +118,11 @@ type Coordinator struct {
 	rr      []atomic.Uint64
 	hedged  atomic.Uint64
 	retried atomic.Uint64
-	// gate is the client-facing admission controller (nil when disabled);
-	// degraded/cancelled/deadline count query outcomes for /healthz.
-	gate      *serve.Gate
-	degraded  atomic.Uint64
-	cancelled atomic.Uint64
-	deadline  atomic.Uint64
+	// gate is the client-facing front door (admission control, the
+	// cancellation counters, the error→status map); degraded counts the
+	// partial answers served for /healthz.
+	gate     *serve.Gate
+	degraded atomic.Uint64
 	// resyncRestores/resyncSeeds count how replica re-syncs were served:
 	// store-mediated restore (fast path) vs full dump transfer (fallback).
 	resyncRestores atomic.Uint64
@@ -172,15 +154,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
-	if cfg.HedgePercentile <= 0 || cfg.HedgePercentile >= 1 {
-		cfg.HedgePercentile = DefaultHedgePercentile
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = DefaultHedgeMin
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = DefaultHedgeMax
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
@@ -193,7 +166,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	ccfg := ClientConfig{
 		Timeout:    cfg.Timeout,
 		Retries:    cfg.Retries,
-		Backoff:    cfg.Backoff,
 		HTTPClient: cfg.HTTPClient,
 	}
 	c := &Coordinator{
@@ -327,21 +299,11 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	if c.cfg.HedgeAfter != 0 {
 		return c.cfg.HedgeAfter
 	}
-	d := c.lat.percentile(c.cfg.HedgePercentile)
+	d := c.lat.percentile(DefaultHedgePercentile)
 	if d == 0 {
-		return c.cfg.HedgeMax
+		return DefaultHedgeMax
 	}
-	return min(max(d, c.cfg.HedgeMin), c.cfg.HedgeMax)
-}
-
-// badRequestError marks a caller mistake (bad k, unlabelled classify) as
-// opposed to a cluster fault; the HTTP layer maps it to 400 vs 502.
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }
-
-func badRequestf(format string, a ...any) error {
-	return &badRequestError{msg: fmt.Sprintf(format, a...)}
+	return min(max(d, DefaultHedgeMin), DefaultHedgeMax)
 }
 
 // shardAnswer is one replica's reply to a fanned shard query.
@@ -440,12 +402,13 @@ func (c *Coordinator) queryShard(ctx context.Context, s int, call func(context.C
 // silently approximate, which this cluster never is. With
 // Config.AllowDegraded, shard-unavailability failures instead drop that
 // shard from the answer and Query returns the surviving shards' merged
-// answer with a *Degraded error naming the missing ones — but only if at
-// least one shard answered, and never for caller mistakes or the caller's
-// own cancellation, which stay loud.
+// answer with a *serve.Degraded error naming the missing ones — but only
+// if at least one shard answered, and never for the caller's own
+// cancellation, which stays loud. An invalid req is the caller's mistake:
+// a 400 serve.StatusError.
 func (c *Coordinator) Query(ctx context.Context, q string, req search.Request) ([]shard.Hit, shard.Stats, error) {
 	if err := req.Validate(); err != nil {
-		return nil, shard.Stats{}, badRequestf("remote: %v", err)
+		return nil, shard.Stats{}, &serve.StatusError{Status: http.StatusBadRequest, Err: fmt.Errorf("remote: %w", err)}
 	}
 	mg := shard.NewMerger(req)
 	stats := make([]shard.Stats, len(c.replicas))
@@ -483,42 +446,16 @@ func (c *Coordinator) Query(ctx context.Context, q string, req search.Request) (
 	}
 	if len(missing) > 0 {
 		c.degraded.Add(1)
-		return mg.Hits(), total, &Degraded{MissingShards: missing}
+		return mg.Hits(), total, &serve.Degraded{MissingShards: missing}
 	}
 	return mg.Hits(), total, nil
 }
 
 // degradable reports whether a shard failure may be absorbed into a
 // degraded answer: cluster faults qualify; the caller's own cancellation
-// or mistake never does (degrading those would mask the real outcome).
+// never does (degrading it would mask the real outcome).
 func degradable(err error) bool {
-	var bad *badRequestError
-	if errors.As(err, &bad) {
-		return false
-	}
 	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// Classify labels q with the class of its nearest live element (ties by
-// ID, like every searcher in this repository).
-func (c *Coordinator) Classify(ctx context.Context, q string) (shard.Hit, shard.Stats, error) {
-	if !c.labelled {
-		return shard.Hit{}, shard.Stats{}, badRequestf("remote: cluster corpus is unlabelled")
-	}
-	hits, st, err := c.Query(ctx, q, search.KNN(1, math.Inf(1)))
-	var deg *Degraded
-	if err != nil && !errors.As(err, &deg) {
-		return shard.Hit{}, shard.Stats{}, err
-	}
-	if len(hits) == 0 {
-		if deg != nil {
-			// Nothing to classify with: the degraded tag cannot soften a
-			// missing answer, only a partial one.
-			return shard.Hit{}, st, fmt.Errorf("remote: no usable shard answered: %w", err)
-		}
-		return shard.Hit{}, st, badRequestf("remote: empty cluster corpus")
-	}
-	return hits[0], st, err // nil, or the *Degraded tag on a partial answer
 }
 
 // writeReplicas applies op to every replica of shard s under the shard
@@ -537,6 +474,9 @@ func (c *Coordinator) writeReplicas(s int, op func(*replica) error) error {
 		} else {
 			rep.markStale()
 		}
+	}
+	if len(live) == 0 {
+		return fmt.Errorf("remote: shard %d: no live replica to write to", s)
 	}
 	var wg sync.WaitGroup
 	results := make([]error, len(live))
@@ -710,8 +650,8 @@ func (c *Coordinator) Probe(ctx context.Context) {
 				// with 404 "slot not seeded": it is alive but lost its
 				// state, which only the re-sync below can restore. Any
 				// other failure means still unreachable.
-				var api *apiError
-				if !errors.As(err, &api) || api.status != http.StatusNotFound {
+				var se *serve.StatusError
+				if !errors.As(err, &se) || se.Status != http.StatusNotFound {
 					continue // still unreachable; try again next cycle
 				}
 				rep.markStale()
@@ -805,6 +745,7 @@ type ClusterInfo struct {
 
 // Info returns the current cluster health snapshot.
 func (c *Coordinator) Info() ClusterInfo {
+	o := c.gate.Overload()
 	info := ClusterInfo{
 		Nodes:             c.cfg.Nodes,
 		Shards:            len(c.replicas),
@@ -815,9 +756,9 @@ func (c *Coordinator) Info() ClusterInfo {
 		Healthy:           true,
 		Hedged:            c.hedged.Load(),
 		Retried:           c.retried.Load(),
-		Shed:              c.gate.Shed(),
-		Cancelled:         c.cancelled.Load(),
-		DeadlineExceeded:  c.deadline.Load(),
+		Shed:              o.Shed,
+		Cancelled:         o.Cancelled,
+		DeadlineExceeded:  o.DeadlineExceeded,
 		DegradedServed:    c.degraded.Load(),
 		AllowDegraded:     c.cfg.AllowDegraded,
 		BreakerCooldownMS: float64(c.cfg.BreakerCooldown) / float64(time.Millisecond),
@@ -838,18 +779,3 @@ func (c *Coordinator) Info() ClusterInfo {
 	}
 	return info
 }
-
-// noteQueryError folds a failed client-facing query into the lifetime
-// cancellation counters (the transport layer calls it once per failure).
-func (c *Coordinator) noteQueryError(err error) {
-	switch {
-	case errors.Is(err, context.Canceled):
-		c.cancelled.Add(1)
-	case errors.Is(err, context.DeadlineExceeded):
-		c.deadline.Add(1)
-	}
-}
-
-// Unbounded is the +Inf pruning radius, exported for callers assembling
-// bounded queries by hand.
-func Unbounded() float64 { return math.Inf(1) }

@@ -14,6 +14,7 @@ import (
 	"ced/internal/dataset"
 	"ced/internal/metric"
 	"ced/internal/search"
+	"ced/internal/serve"
 	"ced/internal/shard"
 )
 
@@ -154,9 +155,31 @@ func TestShardServerRejectsMetricMismatch(t *testing.T) {
 	defer hs.Close()
 	cl := NewClient(hs.URL, 0, ClientConfig{Retries: -1})
 	err = cl.Seed(context.Background(), "dE", false, []shard.Element{{ID: 0, Value: "x"}})
-	var api *apiError
-	if !errors.As(err, &api) || api.status != http.StatusConflict {
+	var verdict *serve.StatusError
+	if !errors.As(err, &verdict) || verdict.Status != http.StatusConflict {
 		t.Fatalf("mismatched seed returned %v, want HTTP 409", err)
+	}
+}
+
+// TestShardServerIndexKinds: a slot serves only what its metric can
+// answer exactly — the bktree and the trie need dE — and takes replicated
+// writes, which the trie collapses at compaction, so the trie is refused
+// under any metric.
+func TestShardServerIndexKinds(t *testing.T) {
+	for _, tc := range []struct {
+		m         metric.Metric
+		algorithm string
+		ok        bool
+	}{
+		{metric.ContextualHeuristic(), "trie", false},
+		{metric.ContextualHeuristic(), "bktree", false},
+		{metric.Levenshtein(), "trie", false},
+		{metric.Levenshtein(), "bktree", true},
+	} {
+		_, err := NewShardServer(ServerConfig{Metric: tc.m, Algorithm: tc.algorithm})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s under %s: err = %v, want accepted = %v", tc.algorithm, tc.m.Name(), err, tc.ok)
+		}
 	}
 }
 
@@ -209,9 +232,9 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	defer hs.Close()
 	cl := NewClient(hs.URL, 0, ClientConfig{Retries: 3, Backoff: time.Millisecond})
 	_, err := cl.Info(context.Background())
-	var api *apiError
-	if !errors.As(err, &api) || api.status != http.StatusNotFound {
-		t.Fatalf("got %v, want a 404 apiError", err)
+	var verdict *serve.StatusError
+	if !errors.As(err, &verdict) || verdict.Status != http.StatusNotFound {
+		t.Fatalf("got %v, want a 404 serve.StatusError", err)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("server saw %d calls, want 1 (4xx must not retry)", got)

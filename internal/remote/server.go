@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"ced/internal/blob"
 	"ced/internal/metric"
@@ -54,15 +53,19 @@ type ShardServer struct {
 	slots  map[int]*shard.Set
 	savers map[int]*shard.Saver // lazily built per slot; reset on re-seed
 
-	// Cancellation outcome counters, surfaced on /healthz. A climbing
-	// cancelled count is the direct evidence that coordinator hedging (and
-	// client disconnects) actually stop shard-side computation instead of
-	// letting abandoned scans run to completion.
-	cancelled atomic.Uint64 // queries stopped by caller cancellation (499)
-	deadline  atomic.Uint64 // queries stopped by an exhausted budget (504)
+	// gate maps slot-query errors to statuses and counts their
+	// cancellation outcomes for /healthz; admission is off (the
+	// coordinator's own gate admits). A climbing cancelled count is the
+	// direct evidence that coordinator hedging (and client disconnects)
+	// actually stop shard-side computation instead of letting abandoned
+	// scans run to completion.
+	gate *serve.Gate
 }
 
-// NewShardServer builds an empty shard host; slots appear when seeded.
+// NewShardServer builds an empty shard host; slots appear when seeded. The
+// index kind must suit the metric (see shard.StandardBuild), and the trie
+// is refused: slots take replicated writes, and the trie collapses
+// duplicate strings at compaction.
 func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 	if cfg.Metric == nil {
 		return nil, fmt.Errorf("remote: nil metric")
@@ -73,6 +76,9 @@ func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 	if cfg.Pivots <= 0 {
 		cfg.Pivots = 16
 	}
+	if cfg.Algorithm == "trie" {
+		return nil, fmt.Errorf("remote: the trie index collapses duplicate strings and cannot back a shard slot, which takes writes; use laesa, vptree, bktree, aesa or linear")
+	}
 	// Resolve the builder once so a bad algorithm fails at startup, not at
 	// the first seed.
 	if _, err := shard.StandardBuild(cfg.Algorithm, cfg.Metric, cfg.Pivots, cfg.Seed, cfg.BuildWorkers); err != nil {
@@ -82,6 +88,7 @@ func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 		cfg:    cfg,
 		slots:  make(map[int]*shard.Set),
 		savers: make(map[int]*shard.Saver),
+		gate:   serve.NewGate(0, 0, 0),
 	}, nil
 }
 
@@ -220,13 +227,14 @@ var errNotSeeded = errors.New("slot not seeded")
 func (s *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		o := s.gate.Overload()
 		writeJSON(w, http.StatusOK, struct {
 			Status    string      `json:"status"`
 			Metric    string      `json:"metric"`
 			Slots     map[int]int `json:"slots"`
 			Cancelled uint64      `json:"cancelled"`
 			Deadline  uint64      `json:"deadline_exceeded"`
-		}{"ok", s.cfg.Metric.Name(), s.Slots(), s.cancelled.Load(), s.deadline.Load()})
+		}{"ok", s.cfg.Metric.Name(), s.Slots(), o.Cancelled, o.DeadlineExceeded})
 	})
 	mux.HandleFunc("POST /shard/{slot}/seed", s.withSlotIdx(func(w http.ResponseWriter, r *http.Request, idx int) {
 		var req seedRequest
@@ -376,27 +384,13 @@ func (s *ShardServer) query(w http.ResponseWriter, r *http.Request, set *shard.S
 	defer cancel()
 	hits, st, err := set.Query(ctx, []rune(q), req)
 	if err != nil {
-		s.writeQueryError(w, err)
+		// The scan fails only by cancellation: a vanished caller (the
+		// coordinator gave up, often because a hedged sibling won) is
+		// 499, an exhausted budget 504.
+		s.gate.Fail(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, queryResponse{Hits: hits, Computations: st.Computations, Rejections: st.Rejections})
-}
-
-// writeQueryError maps a failed slot query to a status and bumps the
-// node's cancellation counters: a vanished caller (the coordinator gave
-// up, often because a hedged sibling won) is 499, an exhausted budget is
-// 504, anything else is a plain bad request.
-func (s *ShardServer) writeQueryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.Canceled):
-		s.cancelled.Add(1)
-		writeRemoteError(w, serve.StatusClientClosedRequest, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.deadline.Add(1)
-		writeRemoteError(w, http.StatusGatewayTimeout, err)
-	default:
-		writeRemoteError(w, http.StatusBadRequest, err)
-	}
 }
 
 func writeRemoteError(w http.ResponseWriter, status int, err error) {

@@ -4,7 +4,12 @@
 // retry, and a Coordinator that places ID ranges over the slots, replicates
 // every write R ways, fans queries out with the same cross-shard pruning
 // bound the in-process Set uses, hedges slow replicas and tracks
-// per-replica health with ejection and re-sync-gated readmission.
+// per-replica health with ejection and re-sync-gated readmission. The
+// Coordinator is a serve.Corpus: its client-facing API is serve's client
+// routes (serve.NewMux) behind its own serve.Gate, so a cluster answers
+// with the same bodies, statuses and classification rule as one server;
+// this package adds only the coordinator's /healthz and /compact and the
+// shard transport.
 //
 // The exactness argument is the in-process one verbatim: dC is a metric
 // (triangle inequality), so a k-NN or radius query answered per shard under

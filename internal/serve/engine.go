@@ -7,6 +7,11 @@
 //
 // The engine is deliberately HTTP-agnostic: http.go wraps it in JSON
 // endpoints, and the public ced.Server facade re-exports it for embedding.
+// The client endpoints (/knn, /radius, /classify, /add, /delete) are
+// written once, over the Corpus interface, so a cluster coordinator
+// (internal/remote) answers them through the same routes, the same front
+// door (Gate: admission, cancellation counters, the error→status map) and
+// the same classification rule as a single engine.
 package serve
 
 import (
@@ -14,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,8 +44,9 @@ type Config struct {
 	// Algorithm is one of Algorithms. Empty defaults to "laesa". The
 	// bktree and trie indexes exploit the integer values respectively the
 	// prefix structure of the plain edit distance and are only accepted
-	// with metric dE; aesa precomputes the full n×n distance matrix
-	// (quadratic preprocessing and memory — ablation-grade corpus sizes).
+	// with metric dE (see shard.StandardBuild); aesa precomputes the full
+	// n×n distance matrix (quadratic preprocessing and memory —
+	// ablation-grade corpus sizes).
 	Algorithm string
 	// Pivots is the LAESA base-prototype count (ignored by the other
 	// algorithms). <= 0 defaults to 16, clamped to the corpus size.
@@ -175,14 +182,10 @@ type Engine struct {
 	requests atomic.Uint64
 	rejected [metric.NumStages]atomic.Int64 // lifetime ladder rejections, by rung
 
-	// Overload accounting (d of the robustness layer): the admission gate
-	// (nil when disabled) plus the lifetime counts of queries that ended
-	// in context.Canceled (client gone, hedge loser) or
-	// context.DeadlineExceeded (budget exhausted). The gate carries its
-	// own shed counter.
-	gate      *Gate
-	cancelled atomic.Uint64
-	deadline  atomic.Uint64
+	// gate is the engine's front door: admission control (off unless
+	// Config.MaxInFlight is set), the shed/cancelled/deadline-exceeded
+	// counters and the error→status map.
+	gate *Gate
 
 	// Durable-snapshot plumbing (store.go): the blob store and incremental
 	// saver fixed at startup, the mutation counter driving background
@@ -210,8 +213,8 @@ type Engine struct {
 
 // New builds an engine over corpus with the given metric and index
 // configuration. labels must be empty or exactly len(corpus) long; when
-// present they enable Classify. The BK-tree index prunes on integer
-// distance values, so it is only accepted with the plain edit distance dE.
+// present they enable Classify. The BK-tree and trie indexes are only
+// accepted with the plain edit distance dE.
 func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, error) {
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("serve: empty corpus")
@@ -227,19 +230,6 @@ func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, e
 	}
 	if cfg.Pivots <= 0 {
 		cfg.Pivots = 16
-	}
-	switch cfg.Algorithm {
-	case "laesa", "aesa", "linear", "vptree":
-	case "bktree":
-		if m.Name() != "dE" {
-			return nil, fmt.Errorf("serve: the bktree index prunes on integer distances and requires dE, not %q", m.Name())
-		}
-	case "trie":
-		if m.Name() != "dE" {
-			return nil, fmt.Errorf("serve: the trie index walks the edit-distance dynamic program and requires dE, not %q", m.Name())
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown index algorithm %q (known: %v)", cfg.Algorithm, Algorithms)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -269,6 +259,7 @@ func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, e
 		setCfg:        setCfg,
 		workers:       workers,
 		cache:         newRuneCache(cfg.CacheSize),
+		gate:          NewGate(cfg.MaxInFlight, cfg.MaxQueueWait, cfg.RetryAfter),
 		ev:            bulk.New(m),
 		store:         cfg.Store,
 		snapshotEvery: cfg.SnapshotEvery,
@@ -280,7 +271,6 @@ func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, e
 	if e.snapshotRetry <= 0 {
 		e.snapshotRetry = DefaultSnapshotRetry
 	}
-	e.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueueWait, cfg.RetryAfter)
 	e.set.Store(set)
 	return e, nil
 }
@@ -314,23 +304,6 @@ type Info struct {
 	Overload OverloadInfo `json:"overload"`
 }
 
-// OverloadInfo is the /healthz overload block.
-type OverloadInfo struct {
-	// AdmissionEnabled reports whether a max-in-flight gate is configured.
-	AdmissionEnabled bool `json:"admission_enabled"`
-	// MaxInFlight is the configured concurrency bound (0 when disabled).
-	MaxInFlight int `json:"max_in_flight"`
-	// InFlight is the number of query requests currently holding a slot.
-	InFlight int `json:"in_flight"`
-	// Shed counts requests rejected with 429 over the server's lifetime.
-	Shed uint64 `json:"shed"`
-	// Cancelled counts queries that ended in context.Canceled (client
-	// disconnect, hedge-loser cancellation).
-	Cancelled uint64 `json:"cancelled"`
-	// DeadlineExceeded counts queries that ran out of deadline budget.
-	DeadlineExceeded uint64 `json:"deadline_exceeded"`
-}
-
 // Info returns the current engine snapshot.
 func (e *Engine) Info() Info {
 	set := e.set.Load()
@@ -351,42 +324,13 @@ func (e *Engine) Info() Info {
 		Cache:    e.cache.Stats(),
 		Shards:   si,
 		Snapshot: e.snapshotInfo(),
-		Overload: e.overloadInfo(),
+		Overload: e.gate.Overload(),
 	}
 }
 
-// overloadInfo assembles the /healthz overload block.
-func (e *Engine) overloadInfo() OverloadInfo {
-	oi := OverloadInfo{
-		Cancelled:        e.cancelled.Load(),
-		DeadlineExceeded: e.deadline.Load(),
-	}
-	if e.gate != nil {
-		oi.AdmissionEnabled = true
-		oi.MaxInFlight = e.gate.Max()
-		oi.InFlight = e.gate.InFlight()
-		oi.Shed = e.gate.Shed()
-	}
-	return oi
-}
-
-// Gate returns the engine's admission gate, nil when admission control is
-// disabled. The HTTP layer acquires it around query endpoints; embedders
-// running their own transport can do the same.
+// Gate returns the engine's front door. The HTTP layer wraps the query
+// endpoints in it; embedders running their own transport can do the same.
 func (e *Engine) Gate() *Gate { return e.gate }
-
-// NoteQueryError folds a query error into the lifetime overload counters:
-// context.Canceled and context.DeadlineExceeded each have a /healthz
-// counter so operators can tell shed load from abandoned load. Transports
-// call it once per failed query when mapping errors to status codes.
-func (e *Engine) NoteQueryError(err error) {
-	switch {
-	case errors.Is(err, context.Canceled):
-		e.cancelled.Add(1)
-	case errors.Is(err, context.DeadlineExceeded):
-		e.deadline.Add(1)
-	}
-}
 
 // Labelled reports whether classification queries are possible.
 func (e *Engine) Labelled() bool { return e.set.Load().Labelled() }
@@ -453,21 +397,17 @@ func (e *Engine) BatchDistanceCtx(ctx context.Context, pairs []Pair) ([]float64,
 // cancelled query stops computing, returning ctx's error with the partial
 // work counted in Stats; answers are bit-identical whenever ctx is not
 // cancelled.
-func (e *Engine) Query(ctx context.Context, q string, req search.Request) ([]Neighbor, Stats, error) {
+func (e *Engine) Query(ctx context.Context, q string, req search.Request) ([]shard.Hit, Stats, error) {
 	e.countRequest()
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	hits, st, err := e.query(ctx, e.cache.Get(q), req)
-	if err != nil {
-		return nil, st, err
-	}
-	return Neighbors(hits), st, nil
+	return e.query(ctx, e.cache.Get(q), req)
 }
 
 // KNearestCtx returns the k nearest corpus elements to q: Query with
 // search.KNN(k, +Inf).
-func (e *Engine) KNearestCtx(ctx context.Context, q string, k int) ([]Neighbor, Stats, error) {
+func (e *Engine) KNearestCtx(ctx context.Context, q string, k int) ([]shard.Hit, Stats, error) {
 	return e.Query(ctx, q, search.KNN(k, math.Inf(1)))
 }
 
@@ -482,7 +422,7 @@ func (e *Engine) BatchKNearestCtx(ctx context.Context, queries []string, k int) 
 	}
 	req := search.KNN(k, math.Inf(1))
 	if err := req.Validate(); err != nil {
-		return nil, Stats{}, fmt.Errorf("serve: %w", err)
+		return nil, Stats{}, badRequest(fmt.Errorf("serve: %w", err))
 	}
 	out := make([][]Neighbor, len(queries))
 	stats := make([]Stats, len(queries))
@@ -504,7 +444,7 @@ func (e *Engine) BatchKNearestCtx(ctx context.Context, queries []string, k int) 
 // current set and folds its ladder rejections into the lifetime totals.
 func (e *Engine) query(ctx context.Context, q []rune, req search.Request) ([]shard.Hit, Stats, error) {
 	if err := req.Validate(); err != nil {
-		return nil, Stats{}, fmt.Errorf("serve: %w", err)
+		return nil, Stats{}, badRequest(fmt.Errorf("serve: %w", err))
 	}
 	hits, st, err := e.set.Load().Query(ctx, q, req)
 	e.record(st.Rejections)
@@ -525,16 +465,17 @@ func Neighbors(hits []shard.Hit) []Neighbor {
 	return out
 }
 
-// ClassifyCtx labels q with the class of its nearest corpus element (the
-// paper's §4.4 protocol, one query at a time) and reports the work spent,
-// with cooperative cancellation like Query. It fails when the corpus is
-// unlabelled.
-func (e *Engine) ClassifyCtx(ctx context.Context, q string) (Prediction, Stats, error) {
-	e.countRequest()
-	if err := ctx.Err(); err != nil {
-		return Prediction{}, Stats{}, err
-	}
-	return e.classify(ctx, e.cache.Get(q))
+// Classify labels q with the class of its nearest live element in c — the
+// paper's §4.4 decision rule, one query at a time — and reports the work
+// spent. It fails with a 400 StatusError when c is unlabelled or empty. A
+// degraded coordinator answer (see Degraded) still classifies when the
+// shards that answered hold a live element, returning the *Degraded tag
+// with the prediction; when they hold none there is nothing to label and
+// the failure is the cluster's (502), not the caller's.
+func Classify(ctx context.Context, c Corpus, q string) (Prediction, Stats, error) {
+	return classify(c.Labelled(), func(req search.Request) ([]shard.Hit, Stats, error) {
+		return c.Query(ctx, q, req)
+	})
 }
 
 // BatchClassifyCtx classifies every query over the worker pool (decoding
@@ -551,7 +492,9 @@ func (e *Engine) BatchClassifyCtx(ctx context.Context, queries []string) ([]Pred
 	stats := make([]Stats, len(queries))
 	errs := make([]error, len(queries))
 	e.fanOut(len(queries), func(i int) {
-		out[i], stats[i], errs[i] = e.classify(ctx, []rune(queries[i]))
+		out[i], stats[i], errs[i] = classify(true, func(req search.Request) ([]shard.Hit, Stats, error) {
+			return e.query(ctx, []rune(queries[i]), req)
+		})
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -561,20 +504,31 @@ func (e *Engine) BatchClassifyCtx(ctx context.Context, queries []string) ([]Pred
 	return out, sumStats(stats), nil
 }
 
-var errUnlabelled = fmt.Errorf("serve: corpus is unlabelled; /classify needs a corpus file with \"string\\tlabel\" lines")
+var (
+	errUnlabelled  = badRequest(errors.New("serve: corpus is unlabelled; /classify needs a corpus file with \"string\\tlabel\" lines"))
+	errEmptyCorpus = badRequest(errors.New("serve: empty corpus"))
+)
 
-func (e *Engine) classify(ctx context.Context, q []rune) (Prediction, Stats, error) {
-	if !e.Labelled() {
+// classify is the one classification rule: a labelled corpus, its 1-NN
+// under query, that neighbour's label.
+func classify(labelled bool, query func(search.Request) ([]shard.Hit, Stats, error)) (Prediction, Stats, error) {
+	if !labelled {
 		return Prediction{}, Stats{}, errUnlabelled
 	}
-	hits, st, err := e.query(ctx, q, search.KNN(1, math.Inf(1)))
-	if err != nil {
+	hits, st, err := query(search.KNN(1, math.Inf(1)))
+	_, degraded := partial(err)
+	switch {
+	case err != nil && !degraded:
 		return Prediction{}, st, err
+	case len(hits) == 0 && degraded:
+		// %v, not %w: the tag must not unwrap into a "partial answer"
+		// with no label in it.
+		return Prediction{}, st, &StatusError{Status: http.StatusBadGateway,
+			Err: fmt.Errorf("serve: no shard that answered holds a live element (%v)", err)}
+	case len(hits) == 0:
+		return Prediction{}, st, errEmptyCorpus
 	}
-	if len(hits) == 0 {
-		return Prediction{}, st, fmt.Errorf("serve: empty corpus")
-	}
-	return Prediction{Label: hits[0].Label, Neighbor: Neighbors(hits)[0]}, st, nil
+	return Prediction{Label: hits[0].Label, Neighbor: Neighbors(hits[:1])[0]}, st, err
 }
 
 // errTrieMutation: the trie keeps one node per *distinct* string (first
@@ -582,7 +536,7 @@ func (e *Engine) classify(ctx context.Context, q []rune) (Prediction, Stats, err
 // would silently collapse at the next compaction — and deleting the
 // surviving element would hide its live duplicates from every query. A
 // trie-backed engine therefore serves its startup corpus frozen.
-var errTrieMutation = fmt.Errorf("serve: the trie index collapses duplicate strings and cannot serve a mutable corpus; use laesa, vptree, bktree, aesa or linear")
+var errTrieMutation = badRequest(errors.New("serve: the trie index collapses duplicate strings and cannot serve a mutable corpus; use laesa, vptree, bktree, aesa or linear"))
 
 // checkMutable rejects mutation on index kinds that cannot support it.
 func (e *Engine) checkMutable() error {
@@ -596,8 +550,9 @@ func (e *Engine) checkMutable() error {
 // as Neighbor.Index from then on). label is recorded when the corpus is
 // labelled and ignored otherwise. The element is visible to every query
 // issued after Add returns; a background compaction folds it into its
-// shard's base index once the shard's delta outgrows the threshold.
-func (e *Engine) Add(value string, label int) (uint64, error) {
+// shard's base index once the shard's delta outgrows the threshold. The
+// insert is local and brief, so ctx is not consulted.
+func (e *Engine) Add(_ context.Context, value string, label int) (uint64, error) {
 	e.countRequest()
 	if err := e.checkMutable(); err != nil {
 		return 0, err
@@ -611,8 +566,8 @@ func (e *Engine) Add(value string, label int) (uint64, error) {
 
 // Delete removes the element with the given ID from the live corpus,
 // reporting whether it was present. Deleted IDs are never reused and never
-// resurface in query results.
-func (e *Engine) Delete(id uint64) (bool, error) {
+// resurface in query results. Like Add, it does not consult ctx.
+func (e *Engine) Delete(_ context.Context, id uint64) (bool, error) {
 	e.countRequest()
 	if err := e.checkMutable(); err != nil {
 		return false, err
@@ -625,6 +580,9 @@ func (e *Engine) Delete(id uint64) (bool, error) {
 	}
 	return deleted, nil
 }
+
+// Size returns the live element count; it never fails.
+func (e *Engine) Size(context.Context) (int, error) { return e.set.Load().Size(), nil }
 
 // Compact synchronously folds every shard's delta and tombstones into its
 // base index (testing and pre-snapshot hook; background compaction runs on

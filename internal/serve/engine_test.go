@@ -140,7 +140,7 @@ func TestBatchKNearestMatchesSingles(t *testing.T) {
 func TestClassify(t *testing.T) {
 	for _, alg := range Algorithms {
 		e := newTestEngine(t, alg)
-		p, st, err := e.ClassifyCtx(context.Background(), "gatito")
+		p, st, err := Classify(context.Background(), e, "gatito")
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -168,7 +168,7 @@ func TestClassifyUnlabelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.ClassifyCtx(context.Background(), "gato"); err == nil {
+	if _, _, err := Classify(context.Background(), e, "gato"); err == nil {
 		t.Error("classify on unlabelled corpus should fail")
 	}
 	if _, _, err := e.BatchClassifyCtx(context.Background(), []string{"gato"}); err == nil {

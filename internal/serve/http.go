@@ -57,158 +57,99 @@ func RequestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(ctx, d)
 }
 
-// writeQueryError maps a failed query to its status code: shed load is 429
-// with a Retry-After hint, a client that vanished is 499, an exhausted
-// deadline budget is 504, anything else is the caller's fault (400). The
-// cancellation outcomes are folded into the engine's /healthz counters.
-func writeQueryError(e *Engine, w http.ResponseWriter, err error) {
-	e.NoteQueryError(err)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(e.gate.RetryAfter()))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-	default:
-		writeError(w, http.StatusBadRequest, err)
-	}
+// Corpus is what the client endpoints serve: a single Engine or a cluster
+// coordinator (internal/remote). Query answers the k nearest live
+// elements or every element within a radius, closest first (ties by ID);
+// Add mints the new element's stable ID; Delete reports whether the ID
+// was live; Size is the live element count.
+type Corpus interface {
+	Query(ctx context.Context, q string, req search.Request) ([]shard.Hit, Stats, error)
+	Add(ctx context.Context, value string, label int) (uint64, error)
+	Delete(ctx context.Context, id uint64) (bool, error)
+	Size(ctx context.Context) (int, error)
+	Labelled() bool
 }
 
-// NewHandler wraps an engine in the cedserve JSON API:
-//
-//	GET  /healthz            liveness + engine/cache/shard statistics
-//	POST /distance           {"a": ..., "b": ...}
-//	POST /distance/batch     {"pairs": [{"a": ..., "b": ...}, ...]}
-//	POST /knn                {"query": ..., "k": ...}
-//	POST /knn/batch          {"queries": [...], "k": ...}
-//	POST /radius             {"query": ..., "radius": ...}
-//	POST /classify           {"query": ...}
-//	POST /classify/batch     {"queries": [...]}
-//	POST /add                {"value": ..., "label": ...}
-//	POST /delete             {"id": ...}
-//	POST /snapshot/save      (no body; publishes a snapshot to the store)
-//	POST /snapshot/load      (no body; swaps the newest one back in)
-//
-// Every query response carries the number of distance computations spent
-// and the server-side latency in milliseconds, so clients can monitor
-// index effectiveness per request. The mutation endpoints return the
-// element's stable ID (Add) and the live corpus size; the snapshot
-// endpoints read and write only the blob store fixed at startup (cedserve
-// -store), never a client-supplied location.
-func NewHandler(e *Engine) http.Handler {
-	mux := http.NewServeMux()
-	// query wraps the search/distance endpoints in the robustness layer:
-	// admission control (a saturating flood is shed with 429 + Retry-After
-	// instead of queueing unboundedly) and the cancellable query context
-	// (client disconnect, server shutdown, BudgetHeader deadline). The
-	// health, mutation and snapshot endpoints stay ungated — health checks
-	// and drains must succeed exactly when the server is saturated.
-	query := func(h func(ctx context.Context, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if err := e.gate.Acquire(r.Context()); err != nil {
-				writeQueryError(e, w, err)
-				return
-			}
-			defer e.gate.Release()
-			ctx, cancel := RequestContext(r)
-			defer cancel()
-			h(ctx, w, r)
-		}
+// Degraded is the error a coordinator's degraded-mode fan-out attaches to
+// a partial answer: the listed logical shards contributed nothing (every
+// replica unusable), every other shard's hits are present and exact. A
+// single server never degrades. The client endpoints answer it as a 200
+// tagged "degraded": true with the missing-shard list, never as a silent
+// success.
+type Degraded struct {
+	MissingShards []int
+}
+
+func (e *Degraded) Error() string {
+	return fmt.Sprintf("degraded answer: shards %v unavailable", e.MissingShards)
+}
+
+// partial reports whether err only tags a partial answer, returning the
+// response metadata that says so.
+func partial(err error) (degradedMeta, bool) {
+	var d *Degraded
+	if !errors.As(err, &d) {
+		return degradedMeta{}, false
 	}
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Info: e.Info()})
-	})
-	mux.HandleFunc("POST /distance", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req distanceRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		start := time.Now()
-		d, st := e.Distance(req.A, req.B)
-		writeJSON(w, http.StatusOK, distanceResponse{
-			Metric: e.m.Name(), Distance: d, QueryMeta: Meta(st, start),
-		})
-	}))
-	mux.HandleFunc("POST /distance/batch", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req batchDistanceRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		start := time.Now()
-		ds, st, err := e.BatchDistanceCtx(ctx, req.Pairs)
-		if err != nil {
-			writeQueryError(e, w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, batchDistanceResponse{
-			Metric: e.m.Name(), Distances: ds, QueryMeta: Meta(st, start),
-		})
-	}))
+	return degradedMeta{Degraded: true, MissingShards: d.MissingShards}, true
+}
+
+// NewMux returns a mux serving the client endpoints a single server and a
+// cluster coordinator both answer, over c, through the front door g:
+//
+//	POST /knn       {"query": ..., "k": ...}
+//	POST /radius    {"query": ..., "radius": ...}
+//	POST /classify  {"query": ...}
+//	POST /add       {"value": ..., "label": ...}
+//	POST /delete    {"id": ...}
+//
+// The query endpoints run through g.Query (admission control and the
+// cancellable budget context); the mutations run ungated. Every query
+// response carries the computations spent and the server-side latency;
+// the mutation endpoints return the element's stable ID and the live
+// corpus size. A client moves from one server to a coordinator by
+// changing only the URL.
+func NewMux(c Corpus, g *Gate) *http.ServeMux {
+	mux := http.NewServeMux()
 	// answer serves the single-query search endpoints.
 	answer := func(ctx context.Context, w http.ResponseWriter, q string, req search.Request) {
 		start := time.Now()
-		ns, st, err := e.Query(ctx, q, req)
-		if err != nil {
-			writeQueryError(e, w, err)
+		hits, st, err := c.Query(ctx, q, req)
+		dm, ok := partial(err)
+		if err != nil && !ok {
+			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, KNNResponse{Results: ns, QueryMeta: Meta(st, start)})
+		writeJSON(w, http.StatusOK, knnResponse{Results: Neighbors(hits), queryMeta: meta(st, start), degradedMeta: dm})
 	}
-	mux.HandleFunc("POST /knn", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req KNNRequest
+	mux.HandleFunc("POST /knn", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req knnRequest
 		if decode(w, r, &req) {
 			answer(ctx, w, req.Query, search.KNN(req.K, math.Inf(1)))
 		}
 	}))
-	mux.HandleFunc("POST /knn/batch", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req batchKNNRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		start := time.Now()
-		ns, st, err := e.BatchKNearestCtx(ctx, req.Queries, req.K)
-		if err != nil {
-			writeQueryError(e, w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, batchKNNResponse{Results: ns, QueryMeta: Meta(st, start)})
-	}))
-	mux.HandleFunc("POST /radius", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req RadiusRequest
+	mux.HandleFunc("POST /radius", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req radiusRequest
 		if decode(w, r, &req) {
 			answer(ctx, w, req.Query, search.Within(req.Radius))
 		}
 	}))
-	mux.HandleFunc("POST /classify", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req ClassifyRequest
+	mux.HandleFunc("POST /classify", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req classifyRequest
 		if !decode(w, r, &req) {
 			return
 		}
 		start := time.Now()
-		p, st, err := e.ClassifyCtx(ctx, req.Query)
-		if err != nil {
-			writeQueryError(e, w, err)
+		p, st, err := Classify(ctx, c, req.Query)
+		dm, ok := partial(err)
+		if err != nil && !ok {
+			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ClassifyResponse{Prediction: p, QueryMeta: Meta(st, start)})
-	}))
-	mux.HandleFunc("POST /classify/batch", query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
-		var req batchClassifyRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		start := time.Now()
-		ps, st, err := e.BatchClassifyCtx(ctx, req.Queries)
-		if err != nil {
-			writeQueryError(e, w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, batchClassifyResponse{Results: ps, QueryMeta: Meta(st, start)})
+		writeJSON(w, http.StatusOK, classifyResponse{Prediction: p, queryMeta: meta(st, start), degradedMeta: dm})
 	}))
 	mux.HandleFunc("POST /add", func(w http.ResponseWriter, r *http.Request) {
-		var req AddRequest
+		var req addRequest
 		if !decode(w, r, &req) {
 			return
 		}
@@ -216,7 +157,7 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("add needs a \"value\" field"))
 			return
 		}
-		if e.Labelled() && req.Label == nil {
+		if c.Labelled() && req.Label == nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("the corpus is labelled; add needs a \"label\" field"))
 			return
 		}
@@ -224,15 +165,16 @@ func NewHandler(e *Engine) http.Handler {
 		if req.Label != nil {
 			label = *req.Label
 		}
-		id, err := e.Add(*req.Value, label)
+		id, err := c.Add(r.Context(), *req.Value, label)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, MutateResponse{ID: id, Size: e.Info().CorpusSize})
+		size, _ := c.Size(r.Context()) // best effort; 0 when a cluster probe fails
+		writeJSON(w, http.StatusOK, mutateResponse{ID: id, Size: size})
 	})
 	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) {
-		var req DeleteRequest
+		var req deleteRequest
 		if !decode(w, r, &req) {
 			return
 		}
@@ -240,17 +182,94 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("delete needs an \"id\" field"))
 			return
 		}
-		deleted, err := e.Delete(*req.ID)
+		deleted, err := c.Delete(r.Context(), *req.ID)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			g.Fail(w, err)
 			return
 		}
 		if !deleted {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no live element with id %d", *req.ID))
 			return
 		}
-		writeJSON(w, http.StatusOK, MutateResponse{ID: *req.ID, Size: e.Info().CorpusSize})
+		size, _ := c.Size(r.Context())
+		writeJSON(w, http.StatusOK, mutateResponse{ID: *req.ID, Size: size})
 	})
+	return mux
+}
+
+// NewHandler wraps an engine in the cedserve JSON API: the client
+// endpoints of NewMux plus the ones only a single server offers:
+//
+//	GET  /healthz            liveness + engine/cache/shard statistics
+//	POST /distance           {"a": ..., "b": ...}
+//	POST /distance/batch     {"pairs": [{"a": ..., "b": ...}, ...]}
+//	POST /knn/batch          {"queries": [...], "k": ...}
+//	POST /classify/batch     {"queries": [...]}
+//	POST /snapshot/save      (no body; publishes a snapshot to the store)
+//	POST /snapshot/load      (no body; swaps the newest one back in)
+//
+// The distance and batch endpoints run through the engine's gate like the
+// single queries; the snapshot endpoints read and write only the blob
+// store fixed at startup (cedserve -store), never a client-supplied
+// location.
+func NewHandler(e *Engine) http.Handler {
+	g := e.gate
+	mux := NewMux(e, g)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Info: e.Info()})
+	})
+	mux.HandleFunc("POST /distance", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req distanceRequest
+		if !decode(w, r, &req) {
+			return
+		}
+		start := time.Now()
+		d, st := e.Distance(req.A, req.B)
+		writeJSON(w, http.StatusOK, distanceResponse{
+			Metric: e.m.Name(), Distance: d, queryMeta: meta(st, start),
+		})
+	}))
+	mux.HandleFunc("POST /distance/batch", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req batchDistanceRequest
+		if !decode(w, r, &req) {
+			return
+		}
+		start := time.Now()
+		ds, st, err := e.BatchDistanceCtx(ctx, req.Pairs)
+		if err != nil {
+			g.Fail(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, batchDistanceResponse{
+			Metric: e.m.Name(), Distances: ds, queryMeta: meta(st, start),
+		})
+	}))
+	mux.HandleFunc("POST /knn/batch", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req batchKNNRequest
+		if !decode(w, r, &req) {
+			return
+		}
+		start := time.Now()
+		ns, st, err := e.BatchKNearestCtx(ctx, req.Queries, req.K)
+		if err != nil {
+			g.Fail(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, batchKNNResponse{Results: ns, queryMeta: meta(st, start)})
+	}))
+	mux.HandleFunc("POST /classify/batch", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+		var req batchClassifyRequest
+		if !decode(w, r, &req) {
+			return
+		}
+		start := time.Now()
+		ps, st, err := e.BatchClassifyCtx(ctx, req.Queries)
+		if err != nil {
+			g.Fail(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, batchClassifyResponse{Results: ps, queryMeta: meta(st, start)})
+	}))
 	mux.HandleFunc("POST /snapshot/save", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if !e.StoreConfigured() {
@@ -300,8 +319,30 @@ func NewHandler(e *Engine) http.Handler {
 // blob store.
 var errNoStore = errors.New("the server was started without a snapshot store (cedserve -store)")
 
-// Request bodies of the endpoints only a single server offers.
+// Request bodies.
 type (
+	knnRequest struct {
+		Query string `json:"query"`
+		K     int    `json:"k"`
+	}
+	radiusRequest struct {
+		Query  string  `json:"query"`
+		Radius float64 `json:"radius"`
+	}
+	classifyRequest struct {
+		Query string `json:"query"`
+	}
+	// addRequest uses pointers so a missing field is distinguishable from
+	// the zero value: an empty string is a legal corpus element, and a
+	// labelled corpus must reject unlabelled adds rather than default to
+	// class 0.
+	addRequest struct {
+		Value *string `json:"value"`
+		Label *int    `json:"label"`
+	}
+	deleteRequest struct {
+		ID *uint64 `json:"id"`
+	}
 	distanceRequest      struct{ A, B string }
 	batchDistanceRequest struct {
 		Pairs []Pair `json:"pairs"`
@@ -315,37 +356,11 @@ type (
 	}
 )
 
-// The client JSON API shared with the cluster coordinator
-// (internal/remote): both decode these requests and encode these
-// responses, so a client moves from one server to a coordinator by
-// changing only the URL.
+// Response bodies.
 type (
-	KNNRequest struct {
-		Query string `json:"query"`
-		K     int    `json:"k"`
-	}
-	RadiusRequest struct {
-		Query  string  `json:"query"`
-		Radius float64 `json:"radius"`
-	}
-	ClassifyRequest struct {
-		Query string `json:"query"`
-	}
-	// AddRequest uses pointers so a missing field is distinguishable from
-	// the zero value: an empty string is a legal corpus element, and a
-	// labelled corpus must reject unlabelled adds rather than default to
-	// class 0.
-	AddRequest struct {
-		Value *string `json:"value"`
-		Label *int    `json:"label"`
-	}
-	DeleteRequest struct {
-		ID *uint64 `json:"id"`
-	}
-
-	// QueryMeta carries the per-request metrics embedded in every query
+	// queryMeta carries the per-request metrics embedded in every query
 	// response.
-	QueryMeta struct {
+	queryMeta struct {
 		// Computations is the number of distance evaluations the request
 		// spent — the paper's search-cost measure, summed over a batch.
 		Computations int `json:"computations"`
@@ -357,44 +372,29 @@ type (
 		// LatencyMS is the server-side handling time in milliseconds.
 		LatencyMS float64 `json:"latency_ms"`
 	}
-	// DegradedMeta tags a partial answer a coordinator served under
+	// degradedMeta tags a partial answer a coordinator served under
 	// AllowDegraded: the named logical shards contributed nothing. The
-	// fields are omitted on every complete answer, and a single server
-	// never degrades.
-	DegradedMeta struct {
+	// fields are omitted on every complete answer.
+	degradedMeta struct {
 		Degraded      bool  `json:"degraded,omitempty"`
 		MissingShards []int `json:"missing_shards,omitempty"`
 	}
-	KNNResponse struct {
+	knnResponse struct {
 		Results []Neighbor `json:"results"`
-		QueryMeta
-		DegradedMeta
+		queryMeta
+		degradedMeta
 	}
-	ClassifyResponse struct {
+	classifyResponse struct {
 		Prediction
-		QueryMeta
-		DegradedMeta
+		queryMeta
+		degradedMeta
 	}
-	// MutateResponse answers /add and /delete: the element's stable ID and
+	// mutateResponse answers /add and /delete: the element's stable ID and
 	// the live corpus size after the mutation.
-	MutateResponse struct {
+	mutateResponse struct {
 		ID   uint64 `json:"id"`
 		Size int    `json:"size"`
 	}
-)
-
-// Meta builds the query metadata for a request that started at start and
-// spent st.
-func Meta(st Stats, start time.Time) QueryMeta {
-	return QueryMeta{
-		Computations: st.Computations,
-		Rejections:   stageRejections(st.Rejections),
-		LatencyMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	}
-}
-
-// Response bodies of the endpoints only a single server offers.
-type (
 	healthResponse struct {
 		Status string `json:"status"`
 		Info   Info   `json:"info"`
@@ -402,20 +402,20 @@ type (
 	distanceResponse struct {
 		Metric   string  `json:"metric"`
 		Distance float64 `json:"distance"`
-		QueryMeta
+		queryMeta
 	}
 	batchDistanceResponse struct {
 		Metric    string    `json:"metric"`
 		Distances []float64 `json:"distances"`
-		QueryMeta
+		queryMeta
 	}
 	batchKNNResponse struct {
 		Results [][]Neighbor `json:"results"`
-		QueryMeta
+		queryMeta
 	}
 	batchClassifyResponse struct {
 		Results []Prediction `json:"results"`
-		QueryMeta
+		queryMeta
 	}
 	// snapshotResponse answers the /snapshot endpoints: the manifest
 	// sequence plus, for saves, the incremental accounting (objects
@@ -429,6 +429,16 @@ type (
 		LatencyMS float64 `json:"latency_ms"`
 	}
 )
+
+// meta builds the query metadata for a request that started at start and
+// spent st.
+func meta(st Stats, start time.Time) queryMeta {
+	return queryMeta{
+		Computations: st.Computations,
+		Rejections:   stageRejections(st.Rejections),
+		LatencyMS:    float64(time.Since(start)) / float64(time.Millisecond),
+	}
+}
 
 type errorResponse struct {
 	Error string `json:"error"`

@@ -12,7 +12,7 @@ import (
 
 func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 	e := newTestEngine(t, "laesa")
-	id, err := e.Add("zzyzx", 2)
+	id, err := e.Add(context.Background(), "zzyzx", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,17 +23,17 @@ func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ns) != 1 || ns[0].Index != int(id) || ns[0].Distance != 0 {
+	if len(ns) != 1 || ns[0].ID != id || ns[0].Distance != 0 {
 		t.Fatalf("added element not nearest to itself: %+v", ns)
 	}
-	p, _, err := e.ClassifyCtx(context.Background(), "zzyzx")
+	p, _, err := Classify(context.Background(), e, "zzyzx")
 	if err != nil || p.Label != 2 {
 		t.Fatalf("classify after add = %+v, err %v", p, err)
 	}
-	if ok, err := e.Delete(id); err != nil || !ok {
+	if ok, err := e.Delete(context.Background(), id); err != nil || !ok {
 		t.Fatalf("delete of live element failed: ok=%v err=%v", ok, err)
 	}
-	if ok, _ := e.Delete(id); ok {
+	if ok, _ := e.Delete(context.Background(), id); ok {
 		t.Fatal("double delete succeeded")
 	}
 	ns, _, err = e.KNearestCtx(context.Background(), "zzyzx", len(testCorpus))
@@ -41,7 +41,7 @@ func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range ns {
-		if n.Index == int(id) {
+		if n.ID == id {
 			t.Fatalf("deleted element resurfaced: %+v", n)
 		}
 	}
@@ -55,10 +55,10 @@ func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 // lose live duplicates at compaction — Add and Delete must refuse.
 func TestTrieEngineRefusesMutation(t *testing.T) {
 	e := newTestEngine(t, "trie")
-	if _, err := e.Add("nuevo", 0); err == nil {
+	if _, err := e.Add(context.Background(), "nuevo", 0); err == nil {
 		t.Error("Add on a trie engine should fail")
 	}
-	if _, err := e.Delete(0); err == nil {
+	if _, err := e.Delete(context.Background(), 0); err == nil {
 		t.Error("Delete on a trie engine should fail")
 	}
 	// Queries still work: the trie serves its startup corpus frozen.
@@ -73,9 +73,9 @@ func TestInfoReportsLiveSizeAndShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Add("uno", 0)
-	e.Add("dos", 1)
-	e.Delete(0)
+	e.Add(context.Background(), "uno", 0)
+	e.Add(context.Background(), "dos", 1)
+	e.Delete(context.Background(), 0)
 	info := e.Info()
 	if info.CorpusSize != len(testCorpus)+1 {
 		t.Errorf("live corpus size = %d, want %d", info.CorpusSize, len(testCorpus)+1)
@@ -126,11 +126,11 @@ func TestShardedEngineMatchesMonolithic(t *testing.T) {
 				t.Errorf("query %q rank %d: distance %v vs %v", q, i, got[i].Distance, want[i].Distance)
 			}
 		}
-		pw, _, err := mono.ClassifyCtx(context.Background(), q)
+		pw, _, err := Classify(context.Background(), mono, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, _, err := sharded.ClassifyCtx(context.Background(), q)
+		pg, _, err := Classify(context.Background(), sharded, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +151,11 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := e.Add("nuevo", 1)
+	id, err := e.Add(context.Background(), "nuevo", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Delete(0)
+	e.Delete(context.Background(), 0)
 	if _, err := e.SaveToStore(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,10 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("rank %d: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if got[0].Index != int(id) || got[0].Distance != 0 {
+	if got[0].ID != id || got[0].Distance != 0 {
 		t.Errorf("restored add missing: %+v", got[0])
 	}
-	if ok, _ := e2.Delete(0); ok {
+	if ok, _ := e2.Delete(context.Background(), 0); ok {
 		t.Error("restored tombstone forgotten: delete of id 0 succeeded again")
 	}
 

@@ -132,7 +132,8 @@ func TestHandlerShedsWhenSaturated(t *testing.T) {
 // TestGateSemantics pins the admission primitive itself: a caller that
 // gives up while queued gets its own context error (not ErrOverloaded, and
 // not counted as a shed — nobody is left to read the 429), the queue wait
-// sheds on expiry, and the disabled gate admits everything for free.
+// sheds on expiry, and a gate with admission off admits everything for
+// free.
 func TestGateSemantics(t *testing.T) {
 	g := NewGate(1, 5*time.Millisecond, 3)
 	if err := g.Acquire(context.Background()); err != nil {
@@ -141,8 +142,8 @@ func TestGateSemantics(t *testing.T) {
 	if err := g.Acquire(context.Background()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second acquire returned %v, want ErrOverloaded", err)
 	}
-	if g.Shed() != 1 {
-		t.Fatalf("shed = %d, want 1", g.Shed())
+	if shed := g.Overload().Shed; shed != 1 {
+		t.Fatalf("shed = %d, want 1", shed)
 	}
 
 	gone, cancel := context.WithCancel(context.Background())
@@ -150,8 +151,8 @@ func TestGateSemantics(t *testing.T) {
 	if err := g.Acquire(gone); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
 	}
-	if g.Shed() != 1 {
-		t.Fatalf("a cancelled waiter must not count as shed: %d", g.Shed())
+	if shed := g.Overload().Shed; shed != 1 {
+		t.Fatalf("a cancelled waiter must not count as shed: %d", shed)
 	}
 
 	g.Release()
@@ -160,14 +161,14 @@ func TestGateSemantics(t *testing.T) {
 	}
 	g.Release()
 
-	var disabled *Gate
+	disabled := NewGate(0, 0, 0)
 	for i := 0; i < 100; i++ {
 		if err := disabled.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	disabled.Release()
-	if NewGate(0, 0, 0) != nil {
-		t.Fatal("maxInFlight <= 0 must disable the gate")
+	if oi := disabled.Overload(); oi.AdmissionEnabled || oi.MaxInFlight != 0 || oi.InFlight != 0 {
+		t.Fatalf("maxInFlight <= 0 must disable admission: %+v", oi)
 	}
 }

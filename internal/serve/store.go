@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ced/internal/blob"
 	"ced/internal/shard"
 )
 
@@ -185,7 +184,3 @@ func (e *Engine) snapshotInfo() SnapshotInfo {
 	}
 	return si
 }
-
-// Store returns the configured blob store (nil when none) — the remote
-// layer asks for it when wiring per-slot stores.
-func (e *Engine) Store() blob.Store { return e.store }

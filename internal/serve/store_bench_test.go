@@ -56,7 +56,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 				if mode == "full" {
 					e.saver.Reset()
 				} else {
-					if _, err := e.Add(fmt.Sprintf("bench%d", i), 0); err != nil {
+					if _, err := e.Add(context.Background(), fmt.Sprintf("bench%d", i), 0); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -43,9 +43,9 @@ func engineAnswers(t *testing.T, e *Engine, probes []string) string {
 			t.Fatal(err)
 		}
 		for _, n := range ns {
-			fmt.Fprintf(&b, "knn %s %d %s %.17g\n", q, n.Index, n.Value, n.Distance)
+			fmt.Fprintf(&b, "knn %s %d %s %.17g\n", q, n.ID, n.Value, n.Distance)
 		}
-		p, _, err := e.ClassifyCtx(context.Background(), q)
+		p, _, err := Classify(context.Background(), e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,10 +82,10 @@ func TestStoreSaveLoadColdStart(t *testing.T) {
 	if !e.StoreConfigured() {
 		t.Fatal("StoreConfigured = false with a store attached")
 	}
-	if _, err := e.Add("nuevo", 1); err != nil {
+	if _, err := e.Add(context.Background(), "nuevo", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Delete(2); err != nil {
+	if _, err := e.Delete(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := e.SaveToStore(ctx)
@@ -153,7 +153,7 @@ func TestAutoSnapshotThresholdIncremental(t *testing.T) {
 	e := newStoreEngine(t, fs, 3, time.Minute)
 
 	for i, w := range []string{"uno", "dos", "tres"} {
-		if _, err := e.Add(w, i%3); err != nil {
+		if _, err := e.Add(context.Background(), w, i%3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,13 +164,13 @@ func TestAutoSnapshotThresholdIncremental(t *testing.T) {
 	}
 
 	fs.ResetCounters()
-	if _, err := e.Add("cuatro", 0); err != nil {
+	if _, err := e.Add(context.Background(), "cuatro", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Add("cinco", 1); err != nil {
+	if _, err := e.Add(context.Background(), "cinco", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Add("seis", 2); err != nil {
+	if _, err := e.Add(context.Background(), "seis", 2); err != nil {
 		t.Fatal(err)
 	}
 	e.WaitSnapshots()
@@ -209,10 +209,10 @@ func TestAutoSnapshotFailureCooldown(t *testing.T) {
 	e := newStoreEngine(t, fs, 2, time.Hour)
 	fs.FailPut(1, false)
 
-	if _, err := e.Add("uno", 0); err != nil {
+	if _, err := e.Add(context.Background(), "uno", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Add("dos", 1); err != nil {
+	if _, err := e.Add(context.Background(), "dos", 1); err != nil {
 		t.Fatal(err)
 	}
 	e.WaitSnapshots()
@@ -227,7 +227,7 @@ func TestAutoSnapshotFailureCooldown(t *testing.T) {
 	// Inside the hour-long cool-down, threshold crossings stay silent.
 	fs.ResetCounters()
 	for i := 0; i < 6; i++ {
-		if _, err := e.Add(fmt.Sprintf("mut%d", i), i%3); err != nil {
+		if _, err := e.Add(context.Background(), fmt.Sprintf("mut%d", i), i%3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestSnapshotMutationStress(t *testing.T) {
 				mu.Lock()
 				ledger[w] = true
 				mu.Unlock()
-				id, err := e.Add(w, g%3)
+				id, err := e.Add(context.Background(), w, g%3)
 				if err != nil {
 					t.Error(err)
 					return
@@ -283,7 +283,7 @@ func TestSnapshotMutationStress(t *testing.T) {
 				if i%7 == 6 {
 					// Deleting an own earlier id races the snapshot swap;
 					// either outcome keeps the value inside the ledger.
-					if _, err := e.Delete(mine[len(mine)/2]); err != nil {
+					if _, err := e.Delete(context.Background(), mine[len(mine)/2]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -350,7 +350,7 @@ func TestSnapshotEndpointsWithStore(t *testing.T) {
 	if save.Seq != 1 || save.Uploaded == 0 || save.Bytes == 0 {
 		t.Fatalf("save response %+v", save)
 	}
-	if _, err := e.Add("nuevo", 1); err != nil {
+	if _, err := e.Add(context.Background(), "nuevo", 1); err != nil {
 		t.Fatal(err)
 	}
 	if code := postJSON(t, srv, "/snapshot/save", "", &save); code != 200 {
@@ -434,7 +434,7 @@ func TestSnapshotStoreCorruptLoad(t *testing.T) {
 		}
 		// A live set that differs from the stored one, so a partial swap
 		// would show in the answers.
-		if _, err := e.Add("vivo", 1); err != nil {
+		if _, err := e.Add(context.Background(), "vivo", 1); err != nil {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(NewHandler(e))

@@ -11,10 +11,12 @@ import (
 // kinds — the same constructors the monolithic engine used, applied per
 // shard. The random seed is offset by the shard index so shards draw
 // distinct but reproducible choices; with one shard the built index is
-// bit-identical to the monolithic one for the same parameters. Metric
-// restrictions (bktree and trie require dE) are the caller's to enforce —
-// this function only resolves names.
+// bit-identical to the monolithic one for the same parameters. The bktree (which prunes on integer distances) and the trie (which walks
+// the edit-distance dynamic program) are refused under any metric but dE.
 func StandardBuild(algorithm string, m metric.Metric, pivots int, seed int64, buildWorkers int) (BuildFunc, error) {
+	if (algorithm == "bktree" || algorithm == "trie") && m.Name() != "dE" {
+		return nil, fmt.Errorf("shard: the %s index requires dE, not %q", algorithm, m.Name())
+	}
 	switch algorithm {
 	case "laesa":
 		return func(shardIdx int, runes [][]rune) search.Index {

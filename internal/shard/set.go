@@ -173,15 +173,21 @@ func (st *state) deltaHit(r search.Result) Hit {
 
 // queryShard answers one shard's part of a query: the base index (a k-NN
 // request over-fetching one slot per tombstone, so deleted elements cannot
-// crowd live ones out of the answer), then the linear delta scan under the
-// same request. The returned Stats always reflect the work actually spent.
+// crowd live ones out of the answer; the count saturates at math.MaxInt
+// rather than wrap negative for a client's huge k), then the linear delta
+// scan under the same request. The returned Stats always reflect the work
+// actually spent.
 func (s *Set) queryShard(ctx context.Context, st *state, q []rune, req search.Request) ([]Hit, Stats, error) {
 	var cands []Hit
 	var stats Stats
 	if st.base != nil {
 		baseReq := req
 		if !req.IsRadius() {
-			baseReq = search.KNN(req.K()+len(st.tombs), req.Bound())
+			k := req.K() + len(st.tombs)
+			if k < req.K() {
+				k = math.MaxInt
+			}
+			baseReq = search.KNN(k, req.Bound())
 		}
 		ans, err := st.base.Query(ctx, q, baseReq)
 		stats.Add(ans.Stats)

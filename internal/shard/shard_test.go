@@ -156,7 +156,8 @@ func TestQueriesSeeMutationsImmediately(t *testing.T) {
 
 func TestTombstonesDoNotCrowdOutLiveResults(t *testing.T) {
 	// Delete the 3 nearest elements to the query; a k=3 query must then
-	// return the next 3 live ones, not fewer.
+	// return the next 3 live ones, not fewer, and a k near math.MaxInt
+	// every live one (the per-tombstone over-fetch must not wrap).
 	s := newTestSet(t, unitCorpus, nil, 1)
 	hits, _ := knn(s, []rune("cas"), 3)
 	for _, h := range hits {
@@ -165,6 +166,9 @@ func TestTombstonesDoNotCrowdOutLiveResults(t *testing.T) {
 	after, _ := knn(s, []rune("cas"), 3)
 	if len(after) != 3 {
 		t.Fatalf("got %d hits, want 3", len(after))
+	}
+	if all, _ := knn(s, []rune("cas"), math.MaxInt); len(all) != s.Size() {
+		t.Fatalf("k = MaxInt: got %d hits, want all %d live elements", len(all), s.Size())
 	}
 	for _, h := range after {
 		for _, d := range hits {

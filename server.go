@@ -8,6 +8,7 @@ import (
 	"ced/internal/blob"
 	"ced/internal/search"
 	"ced/internal/serve"
+	"ced/internal/shard"
 )
 
 // Neighbor is one k-NN answer element returned by the serving layer. It
@@ -190,8 +191,7 @@ func (s *Server) KNearest(q string, k int) ([]Neighbor, int, error) {
 // the distance evaluations spent before the stop, and an uncancelled query
 // is bit-identical to KNearest.
 func (s *Server) KNearestCtx(ctx context.Context, q string, k int) ([]Neighbor, int, error) {
-	ns, st, err := s.eng.KNearestCtx(ctx, q, k)
-	return ns, st.Computations, err
+	return neighbors(s.eng.KNearestCtx(ctx, q, k))
 }
 
 // Radius returns every corpus element within distance r of q (inclusive),
@@ -204,8 +204,16 @@ func (s *Server) Radius(q string, r float64) ([]Neighbor, int, error) {
 
 // RadiusCtx is Radius with cooperative cancellation (see KNearestCtx).
 func (s *Server) RadiusCtx(ctx context.Context, q string, r float64) ([]Neighbor, int, error) {
-	ns, st, err := s.eng.Query(ctx, q, search.Within(r))
-	return ns, st.Computations, err
+	return neighbors(s.eng.Query(ctx, q, search.Within(r)))
+}
+
+// neighbors converts an engine answer to the facade's form: no neighbours
+// on error, the computations spent either way.
+func neighbors(hits []shard.Hit, st serve.Stats, err error) ([]Neighbor, int, error) {
+	if err != nil {
+		return nil, st.Computations, err
+	}
+	return serve.Neighbors(hits), st.Computations, nil
 }
 
 // Classify labels q with the class of its nearest corpus element. The
@@ -216,7 +224,7 @@ func (s *Server) Classify(q string) (Prediction, int, error) {
 
 // ClassifyCtx is Classify with cooperative cancellation (see KNearestCtx).
 func (s *Server) ClassifyCtx(ctx context.Context, q string) (Prediction, int, error) {
-	p, st, err := s.eng.ClassifyCtx(ctx, q)
+	p, st, err := serve.Classify(ctx, s.eng, q)
 	return p, st.Computations, err
 }
 
@@ -227,13 +235,15 @@ func (s *Server) ClassifyCtx(ctx context.Context, q string) (Prediction, int, er
 // Add returns; a background compaction later folds it into its shard's
 // base index without ever blocking queries. Trie-backed servers are
 // immutable (the trie collapses duplicate strings) and return an error.
-func (s *Server) Add(value string, label int) (uint64, error) { return s.eng.Add(value, label) }
+func (s *Server) Add(value string, label int) (uint64, error) {
+	return s.eng.Add(context.Background(), value, label)
+}
 
 // Delete removes the element with the given ID from the live corpus,
 // reporting whether it was present. Deleted IDs are never reused and never
 // resurface in query results. Trie-backed servers are immutable and return
 // an error.
-func (s *Server) Delete(id uint64) (bool, error) { return s.eng.Delete(id) }
+func (s *Server) Delete(id uint64) (bool, error) { return s.eng.Delete(context.Background(), id) }
 
 // SaveToStore publishes one consistent incremental snapshot of the live
 // corpus — per shard: the base index, the uncompacted delta and the

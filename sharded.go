@@ -100,9 +100,6 @@ func shardedConfig(m Metric, cfg ShardedIndexConfig) (shard.Config, error) {
 		// silently collapse at the next compaction.
 		return shard.Config{}, fmt.Errorf("ced: the trie index collapses duplicate strings and cannot back a mutable sharded index")
 	}
-	if cfg.Algorithm == "bktree" && m.Name() != "dE" {
-		return shard.Config{}, fmt.Errorf("ced: the bktree index requires dE, not %q", m.Name())
-	}
 	im := internalMetric(m)
 	build, err := shard.StandardBuild(cfg.Algorithm, im, cfg.Pivots, cfg.Seed, cfg.BuildWorkers)
 	if err != nil {

@@ -199,7 +199,7 @@ func TestClientAPIStatus(t *testing.T) {
 		c = Start(t, Config{Nodes: 2, Shards: 2, Timeout: 200 * time.Millisecond}, apiCorpus, apiLabels)
 		c.Nodes[1].Restart(t)
 		check(t, "cluster", remote.NewCoordinatorHandler(c.Coord),
-			probe{name: "knn with an unseeded slot", path: "/knn", body: `{"query":"casa","k":2}`, status: http.StatusNotFound})
+			probe{name: "knn with an unseeded slot", path: "/knn", body: `{"query":"casa","k":2}`, status: http.StatusBadGateway})
 	})
 
 	t.Run("degraded", func(t *testing.T) {

@@ -8,6 +8,7 @@
 package clustertest
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
@@ -162,6 +163,15 @@ func (n *Node) inject() http.Handler {
 			panic(http.ErrAbortHandler)
 		case FaultSlow:
 			n.faulted.Add(1)
+			// Buffer the body before the wait, for the reason FaultHang
+			// drains it: otherwise a caller that gives up mid-sleep goes
+			// unnoticed and holds the request (and the listener's Close)
+			// for the whole delay. The shard handler reads the copy.
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			select {
 			case <-time.After(time.Duration(n.slowNS.Load())):
 			case <-r.Context().Done():

@@ -42,11 +42,47 @@ func TestClusterHedgeCancelsLoser(t *testing.T) {
 	if slow.Faulted() == 0 {
 		t.Fatal("the slow replica never saw a request — hedging was not exercised")
 	}
+	// Close returns once the node has finished every request it still
+	// holds, so a loser whose cancellation went unnoticed is counted.
+	slow.Srv.Close()
 	if got := slow.Served("knn"); got != 0 {
 		t.Fatalf("slow replica served %d knn requests after losing the race — hedge losers are not being cancelled", got)
 	}
 	if hedged := c.Coord.Info().Hedged; hedged == 0 {
 		t.Fatal("no hedged request was ever launched")
+	}
+}
+
+// TestFaultSlowReleasesCancelledCaller pins the FaultSlow fix: a caller
+// that gives up mid-sleep releases the node at once. The fault layer
+// buffers the request body before the wait; a server whose handler has not
+// consumed the body never sees the caller leave, so the request held on for
+// the whole delay, and the listener's Close blocked with it.
+func TestFaultSlowReleasesCancelledCaller(t *testing.T) {
+	d := dataset.Spanish(20, 13)
+	c := Start(t, Config{Nodes: 1, Shards: 1}, d.Strings, nil)
+	n := c.Nodes[0]
+	n.SetSlow(time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, _, err := n.ReplicaClient(0).Query(ctx, "casa", search.KNN(1, math.Inf(1))); err == nil {
+		t.Fatal("a node slowed by a minute answered within 50ms")
+	}
+	if n.Faulted() == 0 {
+		t.Fatal("the fault layer never saw the request")
+	}
+	closed := make(chan struct{})
+	go func() {
+		n.Srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node still holds the cancelled request after 5s")
+	}
+	if got := n.Served("knn"); got != 0 {
+		t.Fatalf("the node served %d knn requests its caller had abandoned", got)
 	}
 }
 

@@ -322,7 +322,9 @@ type shardAnswer struct {
 // an answer nobody will read; with the budget header the cancellation
 // reaches all the way into the shard-side scan loop. The first success
 // wins (all answers are exact — replicas are interchangeable) and health
-// is recorded per replica.
+// is recorded per replica. When every replica fails, the error is the
+// caller's own cancellation or deadline if there is one, and otherwise a
+// cluster fault that answers 502 whatever status a replica gave.
 func (c *Coordinator) queryShard(ctx context.Context, s int, call func(context.Context, *Client) ([]shard.Hit, shard.Stats, error)) ([]shard.Hit, shard.Stats, error) {
 	order := c.queryOrder(s)
 	if len(order) == 0 {
@@ -388,7 +390,14 @@ func (c *Coordinator) queryShard(ctx context.Context, s int, call func(context.C
 			return nil, shard.Stats{}, ctx.Err()
 		}
 	}
-	return nil, shard.Stats{}, fmt.Errorf("remote: shard %d: every replica failed: %w", s, lastErr)
+	if err := ctx.Err(); err != nil {
+		return nil, shard.Stats{}, err
+	}
+	// %v, not %w: a replica's own verdict (a restarted host's 404 "slot not
+	// seeded", its per-attempt timeout) describes that replica, not the
+	// caller's request. With every replica gone the shard is a fault behind
+	// the coordinator, answered 502.
+	return nil, shard.Stats{}, fmt.Errorf("remote: shard %d: every replica failed: %v", s, lastErr)
 }
 
 // Query answers req over the live cluster — the k nearest elements (ties

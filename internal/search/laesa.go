@@ -1,8 +1,10 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"ced/internal/metric"
@@ -72,14 +74,16 @@ func rowOfPivots(n int, pivots []int) []int {
 // Preprocessing fans the pivot-matrix rows over all CPUs; the index is
 // bit-identical for any worker count (NewLAESAWorkers controls the count).
 //
-// When the metric implements metric.Staged the query loop evaluates
-// non-pivot candidates under the current pruning bound: a candidate whose
-// distance provably exceeds the bound is rejected at a fraction of a full
-// evaluation. Pivot candidates are always evaluated exactly — their
-// distances feed the triangle-inequality bounds of the remaining
-// candidates. Bounded evaluations count as ordinary distance computations
-// (they are evaluations; only their internal work shrinks), so the
-// comps/query statistics stay comparable with the paper's.
+// A query runs in two phases (see Query). The pivot phase evaluates base
+// prototypes exactly, since their distances feed the triangle-inequality
+// bounds of the remaining candidates. The walk phase then visits the
+// surviving non-pivots once, in bound order. When the metric implements
+// metric.Staged the walk evaluates each under the current pruning bound: a
+// candidate whose distance provably exceeds the bound is rejected at a
+// fraction of a full evaluation. Bounded evaluations count as ordinary
+// distance computations (they are evaluations; only their internal work
+// shrinks), so the comps/query statistics stay comparable with the
+// paper's.
 func NewLAESA(corpus [][]rune, m metric.Metric, numPivots int, strategy PivotStrategy, seed int64) *LAESA {
 	return NewLAESAWorkers(corpus, m, numPivots, strategy, seed, 0)
 }
@@ -146,16 +150,27 @@ func (s *LAESA) Search(q []rune) Nearest { return nearest(s, q) }
 // KNearest returns the k nearest corpus elements, closest first.
 func (s *LAESA) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
 
-// Query answers req with the LAESA elimination loop.
+// Query answers req with the LAESA elimination loop, in two phases.
 //
 // The loop keeps a lower bound g[u] = max over computed pivots p of
-// |d(q,p) − d(p,u)| for every live candidate u. Each iteration selects the
-// live candidate with the smallest bound — preferring base prototypes while
-// any remain, since only they tighten bounds — computes its distance and
-// eliminates every candidate whose bound exceeds the pruning bound τ (the
-// radius, or the k-th best distance so far). For k = 1 this is the 1-NN
-// search of the paper; larger k eliminates less, since τ is the k-th best
-// rather than the best (k-NN is intrinsically more expensive).
+// |d(q,p) − d(p,u)| for every live candidate u, and eliminates every
+// candidate whose bound exceeds the pruning bound τ (the radius, or the
+// k-th best distance so far).
+//
+//  1. Pivot phase. While a live base prototype remains, select the one with
+//     the smallest bound, compute its distance exactly, tighten every live
+//     bound with its row and eliminate.
+//  2. Walk phase. Only pivots tighten bounds, so once none is live the
+//     bounds are final: sort the survivors once by (g, corpus index) and
+//     evaluate them in that order under the current τ, stopping at the
+//     first g > τ.
+//
+// The walk evaluates exactly the candidates that selecting the smallest
+// live bound and eliminating after every evaluation would, since τ only
+// shrinks; only the order among equal bounds is fixed by corpus index. For
+// k = 1 this is the 1-NN search of the paper; larger k eliminates less,
+// since τ is the k-th best rather than the best (k-NN is intrinsically
+// more expensive).
 func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	n := len(s.corpus)
 	c := newCollector(ctx, req, n)
@@ -165,52 +180,33 @@ func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error
 	sc := s.checkoutScratch()
 	defer s.scratch.Put(sc)
 	g, alive := sc.g, sc.alive
-	pivotsLeft := len(s.pivots)
 
-	for len(alive) > 0 {
+	// Pivot phase: pivots need their exact distance, since it tightens
+	// every remaining bound.
+	for pivotsLeft := len(s.pivots); pivotsLeft > 0; {
 		if c.chk.Hit() {
-			break
+			return c.answer()
 		}
-		// Select: the live pivot with the smallest bound while pivots
-		// remain, otherwise the live non-pivot with the smallest bound.
 		selPos := -1
-		selPivot := false
 		for pos, u := range alive {
-			isPivot := s.rowOf[u] >= 0
-			if pivotsLeft > 0 && isPivot != selPivot {
-				if isPivot {
-					selPos, selPivot = pos, true
-				}
-				continue
-			}
-			if selPos < 0 || g[u] < g[alive[selPos]] {
+			if s.rowOf[u] >= 0 && (selPos < 0 || g[u] < g[alive[selPos]]) {
 				selPos = pos
 			}
 		}
 		u := alive[selPos]
 		alive[selPos] = alive[len(alive)-1]
 		alive = alive[:len(alive)-1]
+		pivotsLeft--
 
-		// Pivots need their exact distance (it tightens every remaining
-		// bound); non-pivots only race τ, so τ caps how much of the
-		// evaluation matters.
-		if row := s.rowOf[u]; row >= 0 {
-			c.st.Computations++
-			d := s.m.Distance(q, s.corpus[u])
-			c.offer(u, d)
-			pivotsLeft--
-			r := s.rows[row]
-			for _, v := range alive {
-				if lb := math.Abs(d - r[v]); lb > g[v] {
-					g[v] = lb
-				}
-			}
-		} else if d, exact := c.eval(s.eval, q, s.corpus[u], c.tau); exact {
-			c.offer(u, d)
-		}
-		// Eliminate.
+		c.st.Computations++
+		d := s.m.Distance(q, s.corpus[u])
+		c.offer(u, d)
+		r := s.rows[s.rowOf[u]]
 		w := alive[:0]
 		for _, v := range alive {
+			if lb := math.Abs(d - r[v]); lb > g[v] {
+				g[v] = lb
+			}
 			if g[v] <= c.tau {
 				w = append(w, v)
 			} else if s.rowOf[v] >= 0 {
@@ -218,6 +214,23 @@ func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error
 			}
 		}
 		alive = w
+	}
+
+	// Walk phase: non-pivots only race τ, so τ caps how much of each
+	// evaluation matters.
+	slices.SortFunc(alive, func(a, b int) int {
+		if c := cmp.Compare(g[a], g[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for _, u := range alive {
+		if c.chk.Hit() || g[u] > c.tau {
+			break
+		}
+		if d, exact := c.eval(s.eval, q, s.corpus[u], c.tau); exact {
+			c.offer(u, d)
+		}
 	}
 	return c.answer()
 }

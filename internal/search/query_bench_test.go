@@ -56,6 +56,9 @@ var (
 
 	linContourOnce sync.Once
 	linContour     *Linear
+
+	linSpanishDEOnce sync.Once
+	linSpanishDE     *Linear
 )
 
 func spanishFixture() queryFixture {
@@ -121,6 +124,13 @@ func spanishLinear() *Linear {
 		linSpanish = NewLinear(spanishFixture().corpus, metric.Contextual())
 	})
 	return linSpanish
+}
+
+func spanishLinearDE() *Linear {
+	linSpanishDEOnce.Do(func() {
+		linSpanishDE = NewLinear(spanishFixture().corpus, metric.Levenshtein())
+	})
+	return linSpanishDE
 }
 
 func contourLinear() *Linear {
@@ -206,6 +216,8 @@ func BenchmarkQueryKNNSpanishBKTreeDE(b *testing.B) {
 // The exhaustive scans evaluate every corpus element per query — the purest
 // measure of what a miss costs, with no index pruning in front of the
 // kernel (and the cost model of the serving layer's "linear" algorithm).
+// Each index is priced against the scan under its own metric, so the
+// BK-tree has dE scans of its own.
 
 func BenchmarkQueryKNNSpanishLinear(b *testing.B) {
 	benchKNN(b, spanishLinear(), spanishFixture().queries, 3)
@@ -213,6 +225,14 @@ func BenchmarkQueryKNNSpanishLinear(b *testing.B) {
 
 func BenchmarkQueryRadiusSpanishLinear(b *testing.B) {
 	benchRadius(b, spanishLinear(), spanishFixture().queries, spanishRadius)
+}
+
+func BenchmarkQueryRadiusSpanishLinearDE(b *testing.B) {
+	benchRadius(b, spanishLinearDE(), spanishFixture().queries, 2)
+}
+
+func BenchmarkQueryKNNSpanishLinearDE(b *testing.B) {
+	benchKNN(b, spanishLinearDE(), spanishFixture().queries, 3)
 }
 
 func BenchmarkQueryKNNContoursLinear(b *testing.B) {

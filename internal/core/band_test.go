@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"ced/internal/editdist"
 )
 
 // checkBandKernelsAgree pins the Stage 3 kernel against itself and the
@@ -10,7 +12,8 @@ import (
 //
 //   - banding is a restriction: for every kmax in [|m−n|, m+n+3], the
 //     banded sweep's final band on [|m−n|, min(kmax, m+n)] equals the
-//     full-band sweep's, cell for cell;
+//     full-band sweep's, cell for cell, on reused scratch planes;
+//   - the full band holds the sentinel below dE, where no path exists;
 //   - the full band through finishBand equals computeReference, compared
 //     with ==, not a tolerance.
 func checkBandKernelsAgree(t *testing.T, x, y []rune) {
@@ -20,8 +23,14 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 	if gap < 0 {
 		gap = -gap
 	}
-	var fullPrev, fullCur []int32
-	full := bandSweep(x, y, m+n, &fullPrev, &fullCur)
+	de := editdist.Distance(x, y)
+	var fresh Workspace
+	full := fresh.bandSweep(x, y, m+n)
+	for k := 0; k < de; k++ {
+		if full[k] != 0 {
+			t.Fatalf("full band holds %d at k=%d below dE=%d for %q %q", full[k], k, de, string(x), string(y))
+		}
+	}
 
 	var w Workspace
 	got := w.finishBand(m, n, m+n, gap, full)
@@ -32,11 +41,10 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 			string(x), string(y), got, want)
 	}
 
-	// One pair of buffers across every kmax, so stale cells left by a wider
-	// band are in play when a narrower one runs.
-	var prev, cur []int32
-	for kmax := gap; kmax <= m+n+3; kmax++ {
-		banded := bandSweep(x, y, kmax, &prev, &cur)
+	// One workspace across every kmax, widest first, so stale cells left by
+	// a wider band are in play when a narrower one runs.
+	for kmax := m + n + 3; kmax >= gap; kmax-- {
+		banded := w.bandSweep(x, y, kmax)
 		for k := gap; k <= min(kmax, m+n); k++ {
 			if banded[k] != full[k] {
 				t.Fatalf("band kmax=%d diverged from the full band for %q %q at k=%d: %d != %d",

@@ -61,9 +61,10 @@ type Result struct {
 }
 
 // Distance returns the exact contextual normalised edit distance between x
-// and y, running the banded Algorithm 1 of the paper in
+// and y, running the banded Algorithm 1 of the paper in at most
 // O(|x|·|y|·kmax) time — kmax ≤ |x|+|y| is the heuristic-derived edit-length
-// band, see workspace.go — and O(|y|·kmax) space, allocation-free at steady
+// band, see workspace.go, and each cell keeps only its own part of it, see
+// band.go — and O(|x|·|y| + |y|·kmax) space, allocation-free at steady
 // state.
 func Distance(x, y []rune) float64 {
 	return Compute(x, y).Distance

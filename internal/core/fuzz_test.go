@@ -82,9 +82,11 @@ func FuzzDistanceBounded(f *testing.F) {
 //
 //	lb(||x|−|y||)  <=  lb(dE)  <=  dC  <=  dC,h  <=  UpperBound(|x|, |y|)
 //
-// with lb(k) = 2k/(|x|+|y|+k). A rung rejecting against a cutoff between
-// its bound and dC is therefore always sound, and bounded Myers feeding the
-// edit rung must agree with the unbounded engine whenever definite.
+// with lb = pathLowerBound, the Lemma 1 minimum. lb itself must be monotone
+// in k and never below the cruder 2k/(|x|+|y|+k). A rung rejecting against
+// a cutoff between its bound and dC is therefore always sound, and bounded
+// Myers feeding the edit rung must agree with the unbounded engine whenever
+// definite.
 func FuzzLadderInvariants(f *testing.F) {
 	f.Add("ababa", "baab", 0.5)
 	f.Add("", "abc", 0.0)
@@ -103,14 +105,26 @@ func FuzzLadderInvariants(f *testing.F) {
 		if gap < 0 {
 			gap = -gap
 		}
+		h := harmonicPrefix(m + n)
+		for k := gap; k <= m+n; k++ {
+			lb := pathLowerBound(h, m, n, k)
+			if crude := 2 * float64(k) / float64(m+n+k); lb < crude-1e-12 {
+				t.Fatalf("lb(%d) = %v below 2k/(m+n+k) = %v for m=%d n=%d", k, lb, crude, m, n)
+			}
+			if k > gap {
+				if prev := pathLowerBound(h, m, n, k-1); lb < prev {
+					t.Fatalf("lb not monotone for m=%d n=%d: lb(%d) = %v < lb(%d) = %v", m, n, k, lb, k-1, prev)
+				}
+			}
+		}
 		de := editdist.Distance(x, y)
 		exact := computeReference(x, y)
 		heur := Heuristic(x, y)
-		lbGap, lbDe := pathLowerBound(m, n, gap), pathLowerBound(m, n, de)
+		lbGap, lbDe := pathLowerBound(h, m, n, gap), pathLowerBound(h, m, n, de)
 		if lbGap > lbDe {
 			t.Fatalf("length bound %v above edit bound %v for %q %q", lbGap, lbDe, sx, sy)
 		}
-		if lbDe > exact.Distance+1e-12 {
+		if lbDe > exact.Distance {
 			t.Fatalf("edit bound %v above exact dC %v for %q %q", lbDe, exact.Distance, sx, sy)
 		}
 		if exact.Distance > heur+1e-12 {

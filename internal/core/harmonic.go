@@ -54,6 +54,16 @@ func UpperBound(m, n int) float64 {
 	return 2*s - hm - hn
 }
 
+// upperBound is UpperBound read off a harmonic prefix covering [0, m+n].
+// The prefix accumulates the same running sum, so the value is the same to
+// the bit, without UpperBound's m+n divisions.
+func upperBound(h []float64, m, n int) float64 {
+	if n < m {
+		m, n = n, m
+	}
+	return 2*h[m+n] - h[m] - h[n]
+}
+
 // OperationCost returns the contextual cost of a single elementary operation
 // applied to a string of length l: 1/l for a substitution or a deletion,
 // 1/(l+1) for an insertion (the operation's weight is 1/max(|u|,|v|) for a

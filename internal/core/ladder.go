@@ -3,11 +3,13 @@ package core
 // This file implements the staged bound ladder behind ComputeBounded: a
 // sequence of ever-more-expensive lower bounds on dC, each able to reject a
 // candidate against the caller's cutoff before the next rung spends more
-// work. The rungs, in order of cost:
+// work. Every rung's lower bound is lb(k), the Lemma 1 minimum cost of a
+// k-operation path (pathLowerBound, workspace.go), at the best edit length
+// the rung has proven. The rungs, in order of cost:
 //
 //	Stage 0 (length, O(1)):          any path needs k >= ||x|−|y|| operations,
-//	                                 so dC >= 2·||x|−|y||/(|x|+|y|+||x|−|y||).
-//	Stage 1 (edit, O(|x|) bit-par.): k >= dE(x, y), so dC >= 2·dE/(|x|+|y|+dE).
+//	                                 so dC >= lb(||x|−|y||) = |H(|x|) − H(|y|)|.
+//	Stage 1 (edit, O(|x|) bit-par.): k >= dE(x, y), so dC >= lb(dE).
 //	                                 The cutoff inverts into a maximum edit
 //	                                 length and the bounded Myers kernel
 //	                                 (internal/editdist) resolves dE against
@@ -16,18 +18,20 @@ package core
 //	                                 edit-length band; when the cutoff-
 //	                                 tightened band is empty beyond dE the
 //	                                 candidate resolves without the exact DP.
-//	Stage 3 (exact, O(|x|·|y|·k)):   the banded Algorithm 1 sweep, entered
+//	Stage 3 (exact):                 the banded Algorithm 1 sweep, entered
 //	                                 with the band narrowed on both ends
 //	                                 (kmin = dE from stage 1/2, kmax from the
-//	                                 cutoff and the dC,h bound).
+//	                                 cutoff and the dC,h bound), each cell
+//	                                 restricted further by its prefix and
+//	                                 suffix edit distances (band.go).
 //
-// Every rung's bound is monotone in k (see workspace.go), so a rejection is
-// a proof that dC exceeds the cutoff — the ladder never changes results,
-// only the cost of reaching them. Metric-space searchers run almost all of
-// their candidates into a rejection; the ladder prices those misses at the
-// cheapest rung that can decide them, the same bounded-evaluation structure
-// Fisman et al. (arXiv:2201.06115) and Pepin (arXiv:2011.04072) use to make
-// normalised metrics searchable.
+// lb is monotone in k (see workspace.go), so a rejection is a proof that dC
+// exceeds the cutoff — the ladder never changes results, only the cost of
+// reaching them. Metric-space searchers run almost all of their candidates
+// into a rejection; the ladder prices those misses at the cheapest rung
+// that can decide them, the same bounded-evaluation structure Fisman et al.
+// (arXiv:2201.06115) and Pepin (arXiv:2011.04072) use to make normalised
+// metrics searchable.
 
 // Stage identifies the ladder rung that resolved one bounded evaluation.
 type Stage uint8
@@ -99,25 +103,26 @@ func (w *Workspace) ComputeBoundedStaged(x, y []rune, cutoff float64) (Result, b
 	}
 
 	// Stage 0: the length gap alone caps how cheap any path can be. Nothing
-	// has been allocated or touched beyond the two lengths.
+	// is touched beyond the two lengths and the harmonic table.
 	gap := m - n
 	if gap < 0 {
 		gap = -gap
 	}
-	if pathLowerBound(m, n, gap) > cutoff+bailSlack {
-		return Result{Distance: UpperBound(m, n)}, false, StageLength
+	h := w.harmonic(m + n)
+	if pathLowerBound(h, m, n, gap) > cutoff+bailSlack {
+		return Result{Distance: upperBound(h, m, n)}, false, StageLength
 	}
 
 	// Stage 1: invert the cutoff into the largest edit length it admits and
 	// resolve dE against it with the bounded Myers kernel. When the cutoff
 	// admits every feasible edit length (kcut >= max(m, n) >= dE) the scan
 	// cannot reject and is skipped — dE falls out of the heuristic anyway.
-	kcut := kBand(m, n, cutoff, gap)
+	kcut := kBand(h, m, n, cutoff, gap)
 	if maxLen := max(m, n); kcut < maxLen {
 		if de := w.ed.MyersBounded(x, y, kcut); de > kcut {
 			// dE > kcut, so every feasible edit length is beyond the band the
-			// cutoff admits: dC >= pathLowerBound(m, n, dE) > cutoff.
-			return Result{Distance: UpperBound(m, n)}, false, StageEdit
+			// cutoff admits: dC >= pathLowerBound(h, m, n, dE) > cutoff.
+			return Result{Distance: upperBound(h, m, n)}, false, StageEdit
 		}
 	}
 
@@ -125,12 +130,12 @@ func (w *Workspace) ComputeBoundedStaged(x, y []rune, cutoff float64) (Result, b
 	// (tightening the ladder's k lower bound to a definite value) and its
 	// distance is an upper bound of dC that caps the band from above.
 	hres := w.HeuristicCompute(x, y)
-	if pathLowerBound(m, n, hres.K) > cutoff+bailSlack {
+	if pathLowerBound(h, m, n, hres.K) > cutoff+bailSlack {
 		// Only reachable in the slack window stage 1 refuses to decide
 		// (bandSlack-conservative versus this bailSlack comparison).
 		return hres, false, StageHeuristic
 	}
-	kmaxUb := kBand(m, n, hres.Distance, hres.K)
+	kmaxUb := kBand(h, m, n, hres.Distance, hres.K)
 	kmax := kmaxUb
 	if kcut < kmax {
 		kmax = kcut

@@ -10,25 +10,33 @@ import (
 // DistanceBounded: Algorithm 1 restricted to a provably sufficient band of
 // edit lengths, running on reusable scratch memory.
 //
-// The pruning argument: every elementary operation on an internal path with
-// exactly k operations costs at least 1/L where L is the longest
-// intermediate string. With ni insertions the longest intermediate string
-// has length |x|+ni, and feasibility (nd = |x|−|y|+ni ≥ 0, ns ≥ 0) caps
-// ni at (k+|y|−|x|)/2, so L ≤ (|x|+|y|+k)/2 and
+// The pruning argument is the paper's own Lemma 1. A path with exactly k
+// operations, ni of them insertions, costs at least the closed formula of
+// its insertions-first ordering; with nd = |x|−|y|+ni and ns = k−ni−nd, and
+// a = |x|+ni the longest intermediate string,
 //
-//	cost(any k-operation path) ≥ 2k / (|x|+|y|+k).
+//	cost(k, ni) = 2H(a) − H(|x|) − H(|y|) + ns/a.
 //
-// (This dominates the simpler k/(|x|+k) bound obtained from ni ≤ k.) The
-// bound grows monotonically in k while dC,h — the §4.1 heuristic, an upper
-// bound of dC that Compute must evaluate anyway via the k = dE candidate —
-// is fixed, so every k beyond
+// Trading two substitutions for an insertion and a deletion lowers it
+// (ns/a − ns/(a+1) > 0), so over all decompositions of k the minimum sits
+// at the most insertions feasibility allows:
 //
-//	kmax = max k with 2k/(|x|+|y|+k) ≤ dC,h
+//	ni* = ⌊(k+|y|−|x|)/2⌋,  ns* = (k+|y|−|x|) mod 2.
 //
-// is provably not the argmin and the O(|x|·|y|·(|x|+|y|)) sweep of
-// Algorithm 1 shrinks to O(|x|·|y|·kmax). Related normalised-metric systems
-// use the same bounded-evaluation idea to make metric search practical
-// (Fisman et al., arXiv:2201.06115; Pepin, arXiv:2011.04072).
+// For ns* = 0 this is the harmonic indel cost 2H(L) − H(|x|) − H(|y|) of
+// Pepin's harmonic edit distance (arXiv:2011.04072). pathLowerBound
+// evaluates it. It is monotone in k and never below 2k/(|x|+|y|+k), the
+// bound every operation costing at least 1/a gives. dC,h — the §4.1
+// heuristic, an upper bound of dC that Compute evaluates anyway as the
+// k = dE candidate — is fixed, so every k beyond
+//
+//	kmax = max k with pathLowerBound(|x|, |y|, k) ≤ dC,h
+//
+// is provably not the argmin, and the O(|x|·|y|·(|x|+|y|)) sweep of
+// Algorithm 1 shrinks to the cells and edit lengths band.go keeps. Related
+// normalised-metric systems use the same bounded-evaluation idea to make
+// metric search practical (Fisman et al., arXiv:2201.06115; Pepin,
+// arXiv:2011.04072).
 
 // bandSlack widens the band by a little more than the worst-case float
 // rounding of a candidate cost (a sum of at most |x|+|y| harmonic terms),
@@ -38,15 +46,16 @@ import (
 const bandSlack = 1e-9
 
 // bailSlack guards the early-bail comparison of ComputeBounded the same
-// way: the kernel only reports "dC > cutoff" when the analytic lower bound
+// way: the kernel only reports "dC > cutoff" when the Lemma 1 lower bound
 // clears the cutoff by more than any rounding in the bound itself.
 const bailSlack = 1e-12
 
 // Workspace holds the scratch memory for the contextual-distance dynamic
-// programs: the two rolling (j, k) planes of Algorithm 1, the two rows of
-// the §4.1 heuristic and a growing harmonic-number prefix table. Buffers
-// grow to the largest problem seen and are reused verbatim afterwards, so
-// steady-state distance evaluations allocate nothing.
+// programs: the two rolling (j, k) planes of Algorithm 1 and the edit
+// distances that band their cells, the two rows of the §4.1 heuristic and
+// a growing harmonic-number prefix table. Buffers grow to the largest
+// problem seen and are reused verbatim afterwards, so steady-state
+// distance evaluations allocate nothing.
 //
 // A Workspace is not safe for concurrent use: callers either keep one per
 // goroutine (internal/serve gives each striped batch worker its own) or go
@@ -56,6 +65,7 @@ const bailSlack = 1e-12
 // The zero value is ready to use; NewWorkspace is a readable constructor.
 type Workspace struct {
 	prev, cur []int32          // rolling (j, k) planes of the band sweep (band.go)
+	eds       []int32          // band sweep's edit distances: suffix matrix, two prefix rows
 	kr, ir    []int32          // heuristic rows: min edit length, max insertions
 	h         []float64        // harmonic prefix: h[i] = H(i), grows monotonically
 	ed        editdist.Scratch // bounded-Myers scratch for the ladder's edit stage
@@ -100,41 +110,46 @@ func grow32(buf *[]int32, n int) []int32 {
 	return (*buf)[:n]
 }
 
-// pathLowerBound returns the analytic lower bound on the contextual cost of
-// any internal path from a length-m string to a length-n string using
-// exactly k elementary operations (see the file comment).
-func pathLowerBound(m, n, k int) float64 {
-	return 2 * float64(k) / float64(m+n+k)
+// pathLowerBound returns the Lemma 1 minimum: the contextual cost of the
+// cheapest path from a length-m string to a length-n string with exactly
+// k ≥ |m−n| operations (see the file comment). h is a harmonic prefix
+// covering [0, m+n]. The terms are summed in the order finishBand sums a
+// candidate's, so at ni = ni* the two agree to the bit.
+func pathLowerBound(h []float64, m, n, k int) float64 {
+	s := k + n - m // 2·ni* + ns*
+	a := m + s/2   // the longest intermediate string, m + ni*
+	d := h[a] - h[m] + h[a] - h[n]
+	if s%2 != 0 {
+		d += 1 / float64(a)
+	}
+	return d
 }
 
 // kBand returns the largest edit length not ruled out against bound: the
-// result kmax satisfies pathLowerBound(m, n, k) > bound + bandSlack for
+// result kmax satisfies pathLowerBound(h, m, n, k) > bound + bandSlack for
 // every k in (kmax, m+n], so restricting Algorithm 1 to k ≤ kmax cannot
-// change its minimum. The result is clamped to [de, m+n]; de (= dE(x, y),
-// the minimal feasible edit length) keeps the band non-empty.
-func kBand(m, n int, bound float64, de int) int {
+// change its minimum. The result is clamped to [de, m+n]; de ≥ |m−n| (dE
+// of the pair, or the length gap) keeps the band non-empty. A NaN bound
+// prunes nothing. h is a harmonic prefix covering [0, m+n].
+func kBand(h []float64, m, n int, bound float64, de int) int {
 	total := m + n
-	kmax := total
-	if b := bound + bandSlack; b < 2 { // the lower bound never reaches 2
-		if q := b * float64(total) / (2 - b); q < float64(total) {
-			kmax = int(q)
-			if kmax < 0 {
-				kmax = 0
-			}
-			// The closed-form floor can round low; walk up until the next k
-			// is genuinely excluded so pruning stays conservative.
-			for kmax < total && pathLowerBound(m, n, kmax+1) <= b {
-				kmax++
-			}
+	b := bound + bandSlack
+	if !(b < pathLowerBound(h, m, n, total)) {
+		return total
+	}
+	// The bound is monotone in k: binary search for the last k it admits,
+	// keeping pathLowerBound(lo) ≤ b (or lo below de) and
+	// pathLowerBound(hi) > b.
+	lo, hi := de-1, total
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if pathLowerBound(h, m, n, mid) <= b {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	if kmax > total {
-		kmax = total
-	}
-	if kmax < de {
-		kmax = de
-	}
-	return kmax
+	return max(lo, de)
 }
 
 // Compute is the workspace form of the package-level Compute: the exact
@@ -148,7 +163,7 @@ func (w *Workspace) Compute(x, y []rune) Result {
 		return Result{Exact: true}
 	}
 	hres := w.HeuristicCompute(x, y)
-	kmax := kBand(m, n, hres.Distance, hres.K)
+	kmax := kBand(w.harmonic(m+n), m, n, hres.Distance, hres.K)
 	if kmax == hres.K {
 		// The band collapsed to the single edit length the heuristic already
 		// evaluated: the heuristic value is provably exact.

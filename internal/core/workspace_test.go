@@ -163,7 +163,7 @@ func TestKBandNeverPrunesTheWinner(t *testing.T) {
 		}
 		ref := computeReference(x, y)
 		h := HeuristicCompute(x, y)
-		kmax := kBand(len(x), len(y), h.Distance, h.K)
+		kmax := kBand(harmonicPrefix(len(x)+len(y)), len(x), len(y), h.Distance, h.K)
 		if ref.K > kmax {
 			t.Fatalf("band [dE=%d, kmax=%d] excludes the winning k=%d for %q %q",
 				h.K, kmax, ref.K, string(x), string(y))
@@ -173,20 +173,72 @@ func TestKBandNeverPrunesTheWinner(t *testing.T) {
 
 // TestKBandDegenerateBounds exercises the clamping paths of kBand.
 func TestKBandDegenerateBounds(t *testing.T) {
-	if got := kBand(3, 4, math.Inf(1), 1); got != 7 {
+	h7, h2000, h20 := harmonicPrefix(7), harmonicPrefix(2000), harmonicPrefix(20)
+	if got := kBand(h7, 3, 4, math.Inf(1), 1); got != 7 {
 		t.Errorf("infinite bound: kmax = %d, want 7", got)
 	}
-	if got := kBand(3, 4, math.NaN(), 1); got != 7 {
+	if got := kBand(h7, 3, 4, math.NaN(), 1); got != 7 {
 		t.Errorf("NaN bound must disable pruning: kmax = %d, want 7", got)
 	}
-	if got := kBand(3, 4, -1, 2); got != 2 {
+	if got := kBand(h7, 3, 4, -1, 2); got != 2 {
 		t.Errorf("negative bound must clamp to dE: kmax = %d, want 2", got)
 	}
-	if got := kBand(1000, 1000, 2-1e-16, 1); got != 2000 {
-		t.Errorf("bound at the asymptote must not overflow: kmax = %d, want 2000", got)
+	if got := kBand(h7, 3, 4, math.Inf(-1), 1); got != 1 {
+		t.Errorf("-Inf bound must clamp to dE: kmax = %d, want 1", got)
 	}
-	if got := kBand(10, 10, 3, 2); got != 20 {
+	if got := kBand(h2000, 1000, 1000, 2-1e-16, 1); got != 2000 {
+		t.Errorf("bound at the old asymptote must not overflow: kmax = %d, want 2000", got)
+	}
+	if got := kBand(h20, 10, 10, 3, 2); got != 20 {
 		t.Errorf("bound above 2 prunes nothing: kmax = %d, want 20", got)
+	}
+}
+
+// TestPathLowerBoundIsLemma1Minimum pins pathLowerBound to its definition:
+// for every m, n ≤ 40 and every feasible edit length k, it equals, to the
+// bit, the minimum over the insertion count ni of the Lemma 1 cost summed
+// the way the reference algorithm sums a candidate.
+func TestPathLowerBoundIsLemma1Minimum(t *testing.T) {
+	const maxLen = 40
+	h := harmonicPrefix(2 * maxLen)
+	for m := 0; m <= maxLen; m++ {
+		for n := 0; n <= maxLen; n++ {
+			gap := m - n
+			if gap < 0 {
+				gap = -gap
+			}
+			for k := gap; k <= m+n; k++ {
+				best := math.Inf(1)
+				for ni := 0; ni <= k; ni++ {
+					nd := m - n + ni
+					ns := k - ni - nd
+					if nd < 0 || ns < 0 {
+						continue
+					}
+					d := h[m+ni] - h[m] + h[n+nd] - h[n]
+					if ns > 0 {
+						d += float64(ns) / float64(m+ni)
+					}
+					best = min(best, d)
+				}
+				if got := pathLowerBound(h, m, n, k); got != best {
+					t.Fatalf("pathLowerBound(%d, %d, %d) = %v, brute-force minimum %v", m, n, k, got, best)
+				}
+			}
+		}
+	}
+}
+
+// TestUpperBoundFromTable pins the ladder's table lookup to UpperBound,
+// bit for bit, for every m, n ≤ 40.
+func TestUpperBoundFromTable(t *testing.T) {
+	h := harmonicPrefix(80)
+	for m := 0; m <= 40; m++ {
+		for n := 0; n <= 40; n++ {
+			if got, want := upperBound(h, m, n), UpperBound(m, n); got != want {
+				t.Fatalf("upperBound(%d, %d) = %v, UpperBound = %v", m, n, got, want)
+			}
+		}
 	}
 }
 

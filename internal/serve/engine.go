@@ -62,7 +62,8 @@ type Config struct {
 	// engine's cold-start time. <= 0 uses all CPUs. The built index is
 	// bit-identical for any value (fixed Seed ⇒ identical index).
 	BuildWorkers int
-	// CacheSize bounds the query→[]rune LRU cache. <= 0 disables it.
+	// CacheSize bounds the query→[]rune cache (second-chance eviction).
+	// <= 0 disables it.
 	CacheSize int
 	// Shards partitions the corpus across this many independent indexes
 	// (round-robin by stable element ID). Queries fan out across shards
@@ -202,6 +203,12 @@ type Engine struct {
 	snapStatus    atomic.Pointer[snapStatus]
 	saveOK        atomic.Uint64
 	saveFail      atomic.Uint64
+	// snapMu orders saves against loads. SaveToStore holds it across its
+	// set capture and the upload, LoadFromStore across the load, the swap
+	// and Attach. A load is then never overtaken by saves that would
+	// garbage-collect the objects it is reading, and the manifest it
+	// attaches is always the newest one.
+	snapMu sync.Mutex
 
 	// ev is the session-threaded evaluation layer behind the batch
 	// endpoints: each striped batch worker evaluates through a private
@@ -365,7 +372,7 @@ func (e *Engine) Distance(a, b string) (float64, Stats) {
 // bulk.FanCtx) and a cancelled batch returns ctx's error with no output —
 // distances are all-or-nothing.
 //
-// Batch methods decode runes inline rather than through the LRU cache:
+// Batch methods decode runes inline rather than through the rune cache:
 // bulk payloads are dominated by one-off strings, which would serialise
 // the workers on the cache mutex and evict the hot interactive-query
 // entries the cache exists for.

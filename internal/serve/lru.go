@@ -1,15 +1,20 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// runeCache is a thread-safe LRU cache mapping query strings to their
-// []rune decodings. The serving hot path converts every incoming query
-// string to runes before handing it to a metric or searcher; repeated
-// queries (the common case behind a load balancer) hit the cache and skip
-// the UTF-8 decode and allocation entirely.
+// runeCache is a thread-safe cache mapping query strings to their []rune
+// decodings. The serving hot path converts every incoming query string to
+// runes before handing it to a metric or searcher; repeated queries (the
+// common case behind a load balancer) hit the cache and skip the UTF-8
+// decode and allocation entirely.
+//
+// Entries live in a ring of slots that grows on demand up to the capacity,
+// indexed by key, so an entry costs its decoding, one slot and one index
+// entry: no list element, no boxed entry, and no map sized up front for a
+// capacity a workload may never reach. Eviction is second-chance (CLOCK),
+// the usual approximation of LRU: a hit marks its slot, and the hand
+// passes over marked slots once, clearing the mark, before it evicts an
+// unmarked one.
 //
 // Cached slices are shared between callers and must be treated as
 // immutable — every consumer in internal/search and internal/metric reads
@@ -17,15 +22,17 @@ import (
 type runeCache struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recently used; values are *cacheEntry
-	entries  map[string]*list.Element
+	index    map[string]int32 // key → slot
+	slots    []cacheSlot
+	hand     int // next slot the eviction scan considers
 
 	hits, misses, evictions uint64
 }
 
-type cacheEntry struct {
+type cacheSlot struct {
 	key   string
 	runes []rune
+	used  bool // hit since the hand last passed
 }
 
 // CacheStats is a snapshot of the cache counters, reported by /healthz.
@@ -40,12 +47,7 @@ type CacheStats struct {
 // newRuneCache builds a cache holding at most capacity entries.
 // capacity <= 0 disables caching: Get always decodes.
 func newRuneCache(capacity int) *runeCache {
-	c := &runeCache{capacity: capacity}
-	if capacity > 0 {
-		c.order = list.New()
-		c.entries = make(map[string]*list.Element, capacity)
-	}
-	return c
+	return &runeCache{capacity: capacity}
 }
 
 // Get returns the rune decoding of s, from cache when possible.
@@ -54,10 +56,10 @@ func (c *runeCache) Get(s string) []rune {
 		return []rune(s)
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[s]; ok {
-		c.order.MoveToFront(el)
+	if i, ok := c.index[s]; ok {
+		c.slots[i].used = true
 		c.hits++
-		rs := el.Value.(*cacheEntry).runes
+		rs := c.slots[i].runes
 		c.mu.Unlock()
 		return rs
 	}
@@ -65,37 +67,58 @@ func (c *runeCache) Get(s string) []rune {
 	c.mu.Unlock()
 
 	// Decode outside the lock: conversion cost dominates for long strings,
-	// and racing inserts of the same key are harmless (last one wins).
+	// and racing inserts of the same key are harmless (first one wins).
 	rs := []rune(s)
 
 	c.mu.Lock()
-	if el, ok := c.entries[s]; ok {
-		// Lost the race to another goroutine; reuse its entry. Capture the
-		// slice before releasing the lock: once c.mu is free a concurrent
-		// eviction may mutate the list element this entry lives in.
-		won := el.Value.(*cacheEntry).runes
-		c.order.MoveToFront(el)
-		c.mu.Unlock()
-		return won
+	defer c.mu.Unlock()
+	if i, ok := c.index[s]; ok {
+		// Lost the race to another goroutine; reuse its entry. The slice is
+		// read under the lock: a concurrent eviction may reuse the slot.
+		c.slots[i].used = true
+		return c.slots[i].runes
 	}
-	c.entries[s] = c.order.PushFront(&cacheEntry{key: s, runes: rs})
-	if c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	c.mu.Unlock()
+	c.insert(s, rs)
 	return rs
+}
+
+// insert stores a new entry, growing the ring while it is below capacity
+// and otherwise evicting the first unmarked slot from the hand on.
+// c.mu must be held.
+func (c *runeCache) insert(s string, rs []rune) {
+	if c.index == nil {
+		c.index = make(map[string]int32)
+	}
+	if len(c.slots) < c.capacity {
+		if len(c.slots) == cap(c.slots) {
+			grown := make([]cacheSlot, len(c.slots), min(max(2*len(c.slots), 16), c.capacity))
+			copy(grown, c.slots)
+			c.slots = grown
+		}
+		c.index[s] = int32(len(c.slots))
+		c.slots = append(c.slots, cacheSlot{key: s, runes: rs})
+		return
+	}
+	for c.slots[c.hand].used {
+		c.slots[c.hand].used = false
+		c.hand = (c.hand + 1) % len(c.slots)
+	}
+	delete(c.index, c.slots[c.hand].key)
+	c.slots[c.hand] = cacheSlot{key: s, runes: rs}
+	c.index[s] = int32(c.hand)
+	c.hand = (c.hand + 1) % len(c.slots)
+	c.evictions++
 }
 
 // Stats returns a consistent snapshot of the counters.
 func (c *runeCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CacheStats{Capacity: c.capacity, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
-	if c.order != nil {
-		st.Size = c.order.Len()
+	return CacheStats{
+		Size:      len(c.slots),
+		Capacity:  c.capacity,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
 	}
-	return st
 }

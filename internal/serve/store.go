@@ -64,12 +64,15 @@ func (e *Engine) StoreConfigured() bool { return e.saver != nil }
 
 // SaveToStore captures the live set and publishes one consistent
 // incremental snapshot into the configured store (objects first, manifest
-// last — see internal/shard). Concurrent calls serialise on the saver.
+// last — see internal/shard). Concurrent calls, and LoadFromStore, take
+// turns on the engine's snapshot lock.
 func (e *Engine) SaveToStore(ctx context.Context) (shard.SaveStats, error) {
 	e.countRequest()
 	if e.saver == nil {
 		return shard.SaveStats{}, fmt.Errorf("serve: no blob store configured (cedserve -store)")
 	}
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
 	e.mutations.Store(0)
 	set := e.set.Load()
 	stats, err := e.saver.Save(ctx, set)
@@ -99,12 +102,16 @@ func (e *Engine) SaveToStore(ctx context.Context) (shard.SaveStats, error) {
 // Mutations are serialised against the swap (an Add acknowledged against
 // the outgoing set would be silently lost), and a failed load leaves the
 // live set untouched. The snapshot's metric and index algorithm must
-// match the engine's.
+// match the engine's. Saves wait for the load: one that ran meanwhile
+// could delete the objects being read, or publish a manifest newer than
+// the one attached.
 func (e *Engine) LoadFromStore(ctx context.Context) (int, error) {
 	e.countRequest()
 	if e.saver == nil {
 		return 0, fmt.Errorf("serve: no blob store configured (cedserve -store)")
 	}
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
 	set, man, err := shard.LoadFromStore(ctx, e.store, e.setCfg)
 	if err != nil {
 		return 0, fmt.Errorf("serve: %w", err)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,6 +333,118 @@ func TestSnapshotMutationStress(t *testing.T) {
 	}
 	if stats.BasesUploaded != 0 || stats.OvlsUploaded != 0 {
 		t.Fatalf("save of a quiesced corpus uploaded objects: %+v", stats)
+	}
+}
+
+// holdFirstObjectRead is a store that, once armed, parks the first read
+// of a snapshot object (anything but a manifest) until release is closed,
+// so a test can act while a load is mid-flight.
+type holdFirstObjectRead struct {
+	blob.Store
+	armed   atomic.Bool
+	once    sync.Once
+	held    chan struct{} // closed when the parked read arrives
+	release chan struct{}
+}
+
+func (h *holdFirstObjectRead) Get(ctx context.Context, key string) (io.ReadCloser, error) {
+	if h.armed.Load() && !strings.HasPrefix(key, "manifest/") {
+		first := false
+		h.once.Do(func() { first = true })
+		if first {
+			close(h.held)
+			<-h.release
+		}
+	}
+	return h.Store.Get(ctx, key)
+}
+
+// TestLoadNotOvertakenBySaves is the regression test for a load that two
+// saves overtake. The load's first object read is held while two saves,
+// each after a write to every shard, are issued. Two saves are what
+// garbage-collects the overlays of the manifest the load is reading. The
+// load must succeed, and a save after it must publish a snapshot that
+// cold-starts into the live engine's answers.
+func TestLoadNotOvertakenBySaves(t *testing.T) {
+	ctx := context.Background()
+	st := &holdFirstObjectRead{Store: blob.NewMemStore(), held: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(st.release) }) }
+	t.Cleanup(release)
+	e := newStoreEngine(t, st, 0, 0)
+	// One write to every shard (IDs go round-robin), so every shard of the
+	// snapshot carries an overlay.
+	writeAll := func(tag string) error {
+		for i := 0; i < 4; i++ {
+			if _, err := e.Add(ctx, fmt.Sprintf("%s-%d", tag, i), i%3); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := writeAll("first"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SaveToStore(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	st.armed.Store(true)
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := e.LoadFromStore(ctx)
+		loaded <- err
+	}()
+	<-st.held
+
+	saved := make(chan error, 1)
+	go func() {
+		for _, tag := range []string{"second", "third"} {
+			if err := writeAll(tag); err != nil {
+				saved <- err
+				return
+			}
+			if _, err := e.SaveToStore(ctx); err != nil {
+				saved <- err
+				return
+			}
+		}
+		saved <- nil
+	}()
+	// Unsynchronised saves finish in well under this; saves that wait for
+	// the load are still waiting when it ends.
+	savesDone := false
+	select {
+	case err := <-saved:
+		if err != nil {
+			t.Fatal(err)
+		}
+		savesDone = true
+	case <-time.After(250 * time.Millisecond):
+	}
+	release()
+	if err := <-loaded; err != nil {
+		t.Fatalf("LoadFromStore overtaken by two saves: %v", err)
+	}
+	if !savesDone {
+		if err := <-saved; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := writeAll("fourth"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SaveToStore(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := engineAnswers(t, e, storeProbes)
+	cold := newStoreEngine(t, st.Store, 0, 0)
+	if _, err := cold.LoadFromStore(ctx); err != nil {
+		t.Fatalf("newest snapshot after the load cannot be restored: %v", err)
+	}
+	if got := engineAnswers(t, cold, storeProbes); got != want {
+		t.Fatalf("cold start diverges from live engine:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -52,7 +52,7 @@ type ServerConfig struct {
 	// server's cold-start time; <= 0 uses all CPUs. The built index is
 	// bit-identical for any value.
 	BuildWorkers int
-	// CacheSize bounds the LRU cache of query→rune decodings; < 0
+	// CacheSize bounds the cache of query→rune decodings; < 0
 	// disables the cache and 0 defaults to 4096 entries.
 	CacheSize int
 	// Shards partitions the corpus across this many independent indexes

@@ -164,7 +164,7 @@ func benchMetric(b *testing.B, m metric.Metric, kind string, n int) {
 	}
 }
 
-// --- Ablation: cutoff-bounded exact kernel (BENCH_kernel.json) ---
+// --- Ablation: cutoff-bounded exact kernel ---
 
 // BenchmarkContextualBoundedDNA200 measures core.DistanceBounded under a
 // cutoff of half the true distance — the regime a metric-space searcher
@@ -307,7 +307,7 @@ func BenchmarkContextualWindowed(b *testing.B) {
 // 96 Spanish-like words = 4,560 exact-dC evaluations per op. The acceptance
 // measure is allocs/op divided by the evaluation count: the session-threaded
 // fan keeps it at zero per evaluation (the ~n fixed allocations are the
-// result matrix and rune decodings). BENCH_build.json records the medians.
+// result matrix and rune decodings).
 func BenchmarkDistanceMatrixContextual(b *testing.B) {
 	data := dataset.Spanish(96, 9).Strings
 	m := ced.Contextual()
@@ -323,7 +323,7 @@ func BenchmarkDistanceMatrixContextual(b *testing.B) {
 // shape of a spell-check /distance/batch call. The win over the seed is the
 // dE session: each worker answers through the bit-parallel Myers kernel
 // with pooled scratch instead of allocating a fresh O(|a|·|b|) DP table per
-// pair. BENCH_kernel.json records the medians.
+// pair.
 func BenchmarkBatchDistanceDE(b *testing.B) {
 	data := dataset.Spanish(128, 17).Strings
 	pairs := make([]ced.Pair, 4096)

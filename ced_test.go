@@ -80,6 +80,16 @@ func TestContextualDecompose(t *testing.T) {
 	}
 }
 
+// mustIndex builds an index by name or fails the test.
+func mustIndex(t *testing.T, algorithm string, corpus []string, m ced.Metric, pivots int) *ced.Index {
+	t.Helper()
+	ix, err := ced.NewIndex(algorithm, corpus, m, pivots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func TestIndexSearch(t *testing.T) {
 	corpus := []string{"casa", "cosa", "caso", "masa", "pasa", "queso", "beso"}
 	for _, build := range []struct {
@@ -88,7 +98,7 @@ func TestIndexSearch(t *testing.T) {
 	}{
 		{"laesa", ced.NewLAESA(corpus, ced.ContextualHeuristic(), 3)},
 		{"linear", ced.NewLinear(corpus, ced.ContextualHeuristic())},
-		{"vptree", ced.NewVPTree(corpus, ced.ContextualHeuristic())},
+		{"aesa", mustIndex(t, "aesa", corpus, ced.ContextualHeuristic(), 0)},
 	} {
 		r := build.ix.Nearest("casa")
 		if r.Value != "casa" || r.Distance != 0 {
@@ -109,7 +119,7 @@ func TestIndexSearch(t *testing.T) {
 
 func TestNewIndexByName(t *testing.T) {
 	corpus := []string{"a", "b"}
-	for _, alg := range []string{"laesa", "linear", "vptree", "bktree"} {
+	for _, alg := range []string{"laesa", "linear", "aesa", "bktree"} {
 		ix, err := ced.NewIndex(alg, corpus, ced.Levenshtein(), 1)
 		if err != nil {
 			t.Fatalf("NewIndex(%s): %v", alg, err)
@@ -132,14 +142,14 @@ func TestIndexAgreesAcrossAlgorithms(t *testing.T) {
 	m := ced.Levenshtein()
 	lin := ced.NewLinear(words.Strings, m)
 	laesa := ced.NewLAESA(words.Strings, m, 20)
-	vp := ced.NewVPTree(words.Strings, m)
+	bk := mustIndex(t, "bktree", words.Strings, m, 0)
 	for _, q := range queries.Strings {
 		want := lin.Nearest(q).Distance
 		if got := laesa.Nearest(q).Distance; got != want {
 			t.Fatalf("laesa Nearest(%q) distance %v, want %v", q, got, want)
 		}
-		if got := vp.Nearest(q).Distance; got != want {
-			t.Fatalf("vptree Nearest(%q) distance %v, want %v", q, got, want)
+		if got := bk.Nearest(q).Distance; got != want {
+			t.Fatalf("bktree Nearest(%q) distance %v, want %v", q, got, want)
 		}
 	}
 }
@@ -228,7 +238,7 @@ func TestIndexKNearestAndRadius(t *testing.T) {
 	for _, ix := range []*ced.Index{
 		ced.NewLAESA(corpus, ced.Levenshtein(), 2),
 		ced.NewLinear(corpus, ced.Levenshtein()),
-		ced.NewVPTree(corpus, ced.Levenshtein()),
+		mustIndex(t, "bktree", corpus, ced.Levenshtein(), 0),
 	} {
 		top := ix.KNearest("casa", 3)
 		if len(top) != 3 {
@@ -258,37 +268,6 @@ func TestIndexKNearestAndRadius(t *testing.T) {
 		if found["queso"] {
 			t.Errorf("%s: radius included queso", ix.Algorithm())
 		}
-	}
-}
-
-func TestNewTrieIndex(t *testing.T) {
-	corpus := []string{"casa", "cosa", "caso", "queso"}
-	ix := ced.NewTrie(corpus)
-	if ix.Algorithm() != "trie" || ix.Len() != 4 {
-		t.Fatalf("trie index metadata: %s %d", ix.Algorithm(), ix.Len())
-	}
-	if r := ix.Nearest("cas"); r.Value != "casa" && r.Value != "caso" {
-		t.Errorf("Nearest(cas) = %q", r.Value)
-	}
-	hits := ix.Radius("casa", 1)
-	if len(hits) != 3 {
-		t.Errorf("radius hits = %d, want 3", len(hits))
-	}
-	viaName, err := ced.NewIndex("trie", corpus, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaName.Algorithm() != "trie" {
-		t.Error("NewIndex(trie) wrong algorithm")
-	}
-	// The trie answers k-NN since the ladder PR: same ranking as the
-	// exhaustive dE scan, ties by corpus index.
-	got := ix.KNearest("casa", 2)
-	if len(got) != 2 || got[0].Value != "casa" || got[0].Distance != 0 {
-		t.Errorf("trie KNearest = %+v", got)
-	}
-	if got[1].Value != "cosa" || got[1].Distance != 1 {
-		t.Errorf("trie KNearest rank 2 = %+v (want cosa at dE 1, the lowest-index tie)", got[1])
 	}
 }
 

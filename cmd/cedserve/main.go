@@ -54,8 +54,7 @@
 // -shard-server turns the process into an empty shard host: it serves
 // logical shard slots under /shard/{slot}/... and waits for a coordinator
 // to seed them (corpus flags are refused — content arrives over the wire).
-// Slots take replicated writes, so -index trie is refused, and bktree
-// needs -d dE as everywhere.
+// -index takes the same kinds as every mode, and bktree needs -d dE.
 // Giving every shard server in a fleet the same -store enables the
 // coordinator's store-first replica re-sync: a healthy donor publishes an
 // incremental slot snapshot and the recovering node restores it from the
@@ -122,6 +121,7 @@ import (
 	"ced/internal/blob"
 	"ced/internal/metric"
 	"ced/internal/remote"
+	"ced/internal/shard"
 )
 
 func main() {
@@ -130,7 +130,7 @@ func main() {
 		corpus     = flag.String("corpus", "", "dataset file to serve (string [\\tlabel] per line)")
 		sample     = flag.Int("sample", 0, "serve a generated Spanish-like dictionary of this size instead of -corpus")
 		dist       = flag.String("d", "dC,h", "distance to serve (see ced -list)")
-		index      = flag.String("index", "laesa", "search index: laesa, aesa, vptree, bktree (dE only), trie (dE only), linear")
+		index      = flag.String("index", "laesa", "search index: one of "+strings.Join(shard.Kinds, ", ")+" (bktree needs -d dE)")
 		pivots     = flag.Int("pivots", 16, "LAESA pivot count")
 		workers    = flag.Int("workers", 0, "batch worker pool size (0 = all CPUs)")
 		buildWrk   = flag.Int("build-workers", 0, "index-construction worker pool size (0 = all CPUs); the built index is identical for any value")

@@ -14,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"ced/internal/shard"
 )
 
 // writeCorpus writes a small labelled corpus in the dataset file format.
@@ -47,11 +49,11 @@ func post(t *testing.T, url, body string, out any) int {
 // kind, exercising /distance, /distance/batch, /knn and /classify.
 func TestEndToEndAllIndexKinds(t *testing.T) {
 	corpus := writeCorpus(t)
-	for _, index := range []string{"laesa", "aesa", "vptree", "bktree", "trie", "linear"} {
+	for _, index := range shard.Kinds {
 		t.Run(index, func(t *testing.T) {
 			dist := "dC,h"
-			if index == "bktree" || index == "trie" {
-				dist = "dE" // both prune on the structure of integer dE
+			if index == "bktree" {
+				dist = "dE" // it prunes on integer dE values
 			}
 			srv, info, err := build(buildOpts{corpusPath: corpus, dist: dist, index: index, pivots: 4, workers: 2, buildWorkers: 4, cache: 128, seed: 1})
 			if err != nil {
@@ -161,9 +163,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, _, err := build(buildOpts{corpusPath: corpus, dist: "dC,h", index: "bktree", pivots: 4, seed: 1}); err == nil {
 		t.Error("bktree with fractional metric should fail")
-	}
-	if _, _, err := build(buildOpts{corpusPath: corpus, dist: "dC,h", index: "trie", pivots: 4, seed: 1}); err == nil {
-		t.Error("trie with a non-dE metric should fail")
 	}
 }
 

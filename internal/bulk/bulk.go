@@ -1,6 +1,6 @@
 // Package bulk is the session-threaded parallel evaluation layer shared by
 // every bulk distance workload in the repository: index construction
-// (LAESA pivot rows, VP-tree partitions, BK-tree levels), the batch APIs
+// (LAESA pivot rows, the AESA matrix, BK-tree levels), the batch APIs
 // (ced.DistanceMatrix, ced.BatchDistance, the serving engine's batch
 // endpoints) and the experiment sweeps.
 //
@@ -49,9 +49,9 @@ func (e *Evaluator) Metric() metric.Metric { return e.m }
 // Session checks out a metric confined to the calling goroutine: a private
 // session when the metric can mint one, the shared metric otherwise. Pair
 // with Release so the session's scratch memory stays warm for the next
-// caller. Use Session/Release directly for irregular concurrency (the
-// VP-tree's concurrent subtree builds); the fan methods below handle the
-// common striped case.
+// caller. Use Session/Release directly for work that is not a fan (the
+// BK-tree's serial insertion); the fan methods below handle the common
+// striped case.
 //
 //ced:poolleak-ok: ownership transfers to the caller, which pairs with Release.
 func (e *Evaluator) Session() metric.Metric {

@@ -228,9 +228,12 @@ func (c *Client) Delete(ctx context.Context, id uint64) (applied bool, size int,
 	return resp.Applied, resp.Size, err
 }
 
-// Compact folds the slot's mutation overlay into its base index.
-func (c *Client) Compact(ctx context.Context) error {
-	return c.do(ctx, http.MethodPost, "compact", struct{}{}, nil)
+// Compact folds the slot's mutation overlay into its base index; size is
+// the slot's live size, which compaction leaves as it was.
+func (c *Client) Compact(ctx context.Context) (size int, err error) {
+	var resp mutateResponse
+	err = c.do(ctx, http.MethodPost, "compact", struct{}{}, &resp)
+	return resp.Size, err
 }
 
 // Info fetches the slot's identity and live size (also the health probe).

@@ -136,9 +136,6 @@ func TestClientAPIStatus(t *testing.T) {
 		}
 		_, h = engine(nil, "linear", metric.Contextual())
 		check(t, "engine", h, unlabelledRow)
-		_, h = engine(nil, "trie", metric.Levenshtein())
-		check(t, "engine", h, probe{name: "add to a trie", path: "/add", body: `{"value":"nuevo"}`, status: http.StatusBadRequest})
-		check(t, "engine", h, probe{name: "delete from a trie", path: "/delete", body: `{"id":0}`, status: http.StatusBadRequest})
 	})
 
 	t.Run("coordinator", func(t *testing.T) {

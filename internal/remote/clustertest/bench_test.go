@@ -33,7 +33,7 @@ func benchQueries(n int) []string {
 // stack: coordinator fan-out over a loopback 2-node, 2-shard, R=2 cluster,
 // JSON wire hops, merge with the cross-shard bound. Compare against
 // BenchmarkMonolithicKNN (same corpus, same logical sharding, no wire) for
-// the distribution overhead; see BENCH.md "Cluster benchmarks".
+// the distribution overhead; BENCH.md gives the command.
 func BenchmarkClusterKNN(b *testing.B) {
 	d := dataset.Spanish(benchCorpusSize, 5)
 	c := Start(b, Config{

@@ -2,13 +2,18 @@ package clustertest
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"ced/internal/dataset"
 	"ced/internal/metric"
+	"ced/internal/remote"
 	"ced/internal/search"
 	"ced/internal/serve"
 )
@@ -193,11 +198,7 @@ func TestClusterMatchesMonolithic(t *testing.T) {
 
 	check("mutated", append(queries, "mut005", "mut119"))
 
-	size, err := c.Coord.Size(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != o.Size() {
+	if size := c.Coord.Size(); size != o.Size() {
 		t.Fatalf("cluster live size %d, oracle %d", size, o.Size())
 	}
 	if got := eng.Info().CorpusSize; got != o.Size() {
@@ -246,5 +247,57 @@ func TestClusterInfoTopology(t *testing.T) {
 	}
 	if info.RangeWidth != 25 {
 		t.Fatalf("range width %d, want 25 (ceil(100/4))", info.RangeWidth)
+	}
+}
+
+// TestClusterWriteSizeFromAcks: a cluster /add or /delete answers the live
+// corpus size from the sizes its write acknowledgements carried, so a
+// write asks no shard for its size: no node serves an info call while
+// nothing is ejected.
+func TestClusterWriteSizeFromAcks(t *testing.T) {
+	d := dataset.Spanish(60, 5)
+	c := Start(t, Config{Nodes: 2, Shards: 4, Replicas: 2}, d.Strings, nil)
+	o := NewOracle(c.Metric, d.Strings, nil)
+	h := remote.NewCoordinatorHandler(c.Coord)
+	post := func(path, body string) (id uint64, size int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d: %s", path, body, rec.Code, rec.Body)
+		}
+		var resp struct {
+			ID   uint64 `json:"id"`
+			Size int    `json:"size"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.ID, resp.Size
+	}
+	for i := 0; i < 12; i++ {
+		v := fmt.Sprintf("nuevo%02d", i)
+		id, size := post("/add", fmt.Sprintf(`{"value":%q}`, v))
+		o.Add(id, v, 0)
+		if size != o.Size() {
+			t.Fatalf("add %d: size %d, oracle %d", i, size, o.Size())
+		}
+		if i%3 != 0 {
+			continue
+		}
+		victim := uint64(i * 5)
+		if _, size := post("/delete", fmt.Sprintf(`{"id":%d}`, victim)); !o.Delete(victim) || size != o.Size() {
+			t.Fatalf("delete %d: size %d, oracle %d", victim, size, o.Size())
+		}
+		if i == 6 {
+			post("/compact", `{}`)
+		}
+	}
+	var info int64
+	for _, n := range c.Nodes {
+		info += n.Served("info")
+	}
+	if info != 0 {
+		t.Errorf("the writes made %d shard info calls, want 0", info)
 	}
 }

@@ -106,6 +106,11 @@ type Coordinator struct {
 	// readmission needs — so a recovering replica can never miss a write
 	// that lands between its dump and its reseed.
 	writeMu []sync.Mutex
+	// sizes holds each logical shard's live element count: Seed sets it,
+	// and every successful write sets it from its acknowledgement under
+	// the shard's writeMu. All live replicas apply the same writes under
+	// that lock, so any replica's acknowledged size is the shard's.
+	sizes []atomic.Int64
 
 	labelled   bool
 	rangeWidth int
@@ -172,6 +177,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		replicas:   make([][]*replica, cfg.Shards),
 		writeMu:    make([]sync.Mutex, cfg.Shards),
+		sizes:      make([]atomic.Int64, cfg.Shards),
 		rr:         make([]atomic.Uint64, cfg.Shards),
 		rangeWidth: cfg.RangeWidth,
 		gate:       serve.NewGate(cfg.MaxInFlight, cfg.MaxQueueWait, cfg.RetryAfter),
@@ -265,6 +271,9 @@ func (c *Coordinator) Seed(ctx context.Context, corpus []string, labels []int) e
 		if err != nil {
 			return err
 		}
+	}
+	for s := range slices {
+		c.sizes[s].Store(int64(len(slices[s])))
 	}
 	c.nextID.Store(uint64(len(corpus)))
 	return nil
@@ -471,8 +480,9 @@ func degradable(err error) bool {
 // write lock. Ejected replicas are skipped and marked stale (they are
 // missing this write until a re-sync); replicas whose op fails after the
 // client's retries are ejected and marked stale. The write succeeds if at
-// least one replica applied it.
-func (c *Coordinator) writeReplicas(s int, op func(*replica) error) error {
+// least one replica applied it, and then the shard's live size becomes
+// the size op returned from that replica's acknowledgement.
+func (c *Coordinator) writeReplicas(s int, op func(*replica) (size int, err error)) error {
 	c.writeMu[s].Lock()
 	defer c.writeMu[s].Unlock()
 	reps := c.replicas[s]
@@ -489,11 +499,12 @@ func (c *Coordinator) writeReplicas(s int, op func(*replica) error) error {
 	}
 	var wg sync.WaitGroup
 	results := make([]error, len(live))
+	sizes := make([]int, len(live))
 	for i, rep := range live {
 		wg.Add(1)
 		go func(i int, rep *replica) {
 			defer wg.Done()
-			results[i] = op(rep)
+			sizes[i], results[i] = op(rep)
 		}(i, rep)
 	}
 	wg.Wait()
@@ -502,6 +513,7 @@ func (c *Coordinator) writeReplicas(s int, op func(*replica) error) error {
 	for i, rep := range live {
 		if results[i] == nil {
 			rep.recordSuccess()
+			c.sizes[s].Store(int64(sizes[i]))
 			ok++
 		} else {
 			lastErr = results[i]
@@ -523,9 +535,9 @@ func (c *Coordinator) writeReplicas(s int, op func(*replica) error) error {
 func (c *Coordinator) Add(ctx context.Context, value string, label int) (uint64, error) {
 	id := c.nextID.Add(1) - 1
 	s := c.owner(id)
-	err := c.writeReplicas(s, func(rep *replica) error {
-		_, _, err := rep.client.Add(ctx, shard.Element{ID: id, Value: value, Label: label})
-		return err
+	err := c.writeReplicas(s, func(rep *replica) (int, error) {
+		_, size, err := rep.client.Add(ctx, shard.Element{ID: id, Value: value, Label: label})
+		return size, err
 	})
 	if err != nil {
 		return 0, err
@@ -543,14 +555,14 @@ func (c *Coordinator) Delete(ctx context.Context, id uint64) (bool, error) {
 	s := c.owner(id)
 	var mu sync.Mutex
 	deleted := false
-	err := c.writeReplicas(s, func(rep *replica) error {
-		applied, _, err := rep.client.Delete(ctx, id)
+	err := c.writeReplicas(s, func(rep *replica) (int, error) {
+		applied, size, err := rep.client.Delete(ctx, id)
 		if err == nil && applied {
 			mu.Lock()
 			deleted = true
 			mu.Unlock()
 		}
-		return err
+		return size, err
 	})
 	if err != nil {
 		return false, err
@@ -567,7 +579,7 @@ func (c *Coordinator) Compact(ctx context.Context) error {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			err := c.writeReplicas(s, func(rep *replica) error {
+			err := c.writeReplicas(s, func(rep *replica) (int, error) {
 				return rep.client.Compact(ctx)
 			})
 			if err != nil {
@@ -583,24 +595,14 @@ func (c *Coordinator) Compact(ctx context.Context) error {
 	return firstErr
 }
 
-// Size sums the live element count over the logical shards (one usable
-// replica each).
-func (c *Coordinator) Size(ctx context.Context) (int, error) {
+// Size sums the logical shards' live sizes, as Seed and each shard's last
+// write acknowledgement set them; it makes no shard call.
+func (c *Coordinator) Size() int {
 	total := 0
-	for s := range c.replicas {
-		_, st, err := c.queryShard(ctx, s, func(ctx context.Context, cl *Client) ([]shard.Hit, shard.Stats, error) {
-			info, err := cl.Info(ctx)
-			if err != nil {
-				return nil, shard.Stats{}, err
-			}
-			return nil, shard.Stats{Computations: info.Size}, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		total += st.Computations
+	for s := range c.sizes {
+		total += int(c.sizes[s].Load())
 	}
-	return total, nil
+	return total
 }
 
 // Elements dumps the full live cluster content sorted by ID (differential

@@ -162,9 +162,8 @@ func TestShardServerRejectsMetricMismatch(t *testing.T) {
 }
 
 // TestShardServerIndexKinds: a slot serves only what its metric can
-// answer exactly — the bktree and the trie need dE — and takes replicated
-// writes, which the trie collapses at compaction, so the trie is refused
-// under any metric.
+// answer exactly — the bktree needs dE — and only the kinds of
+// shard.Kinds, so the retired trie is refused under any metric.
 func TestShardServerIndexKinds(t *testing.T) {
 	for _, tc := range []struct {
 		m         metric.Metric

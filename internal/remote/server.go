@@ -63,9 +63,8 @@ type ShardServer struct {
 }
 
 // NewShardServer builds an empty shard host; slots appear when seeded. The
-// index kind must suit the metric (see shard.StandardBuild), and the trie
-// is refused: slots take replicated writes, and the trie collapses
-// duplicate strings at compaction.
+// index kind is one of shard.Kinds and must suit the metric (see
+// shard.StandardBuild).
 func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 	if cfg.Metric == nil {
 		return nil, fmt.Errorf("remote: nil metric")
@@ -75,9 +74,6 @@ func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 	}
 	if cfg.Pivots <= 0 {
 		cfg.Pivots = 16
-	}
-	if cfg.Algorithm == "trie" {
-		return nil, fmt.Errorf("remote: the trie index collapses duplicate strings and cannot back a shard slot, which takes writes; use laesa, vptree, bktree, aesa or linear")
 	}
 	// Resolve the builder once so a bad algorithm fails at startup, not at
 	// the first seed.

@@ -15,8 +15,9 @@ import (
 // candidates. AESA achieves the fewest distance computations per query of
 // the classic pivot methods at the price of O(n²) preprocessing time and
 // memory — which is why the paper uses LAESA (linear preprocessing) for its
-// experiments. AESA is provided for the ablation benches (cf. Rico-Juan and
-// Micó 2003, comparing AESA and LAESA on string edit distances).
+// experiments. It is a serving kind too: on some query shapes of the query
+// benchmarks it is the fastest dC searcher (cf. Rico-Juan and Micó 2003,
+// comparing AESA and LAESA on string edit distances).
 type AESA struct {
 	corpus [][]rune
 	eval   evaluator

@@ -13,8 +13,8 @@ import (
 // BKTree is a Burkhard-Keller tree: a tree for *integer-valued* metrics
 // (here the plain edit distance dE) where each child edge is labelled with
 // a distance value. Queries prune edges outside [d − best, d + best]. It is
-// the classic dictionary-search structure and serves as the dE-only
-// ablation baseline; real-valued metrics like dC need LAESA or a VP-tree.
+// the classic dictionary-search structure and the dE-only serving kind;
+// real-valued metrics like dC need LAESA or AESA.
 type BKTree struct {
 	corpus [][]rune
 	eval   evaluator

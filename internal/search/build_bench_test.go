@@ -14,7 +14,7 @@ import (
 // sub-benchmarks expose the parallel build layer: on an N-core machine the
 // wall clock should shrink close to linearly until workers reaches N, with
 // the built index bit-identical throughout (see build_parallel_test.go).
-// BENCH.md records the recipe and BENCH_build.json the measured medians.
+// BENCH.md gives the command.
 
 const buildBenchCorpusSize = 2048
 
@@ -32,19 +32,6 @@ func BenchmarkLAESABuild2k(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				NewLAESAWorkers(corpus, m, 16, MaxSum, 1, w)
-			}
-		})
-	}
-}
-
-func BenchmarkVPTreeBuild2k(b *testing.B) {
-	corpus := buildBenchCorpus()
-	m := metric.Contextual()
-	for _, w := range buildBenchWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewVPTreeWorkers(corpus, m, 1, w)
 			}
 		})
 	}

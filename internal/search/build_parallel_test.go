@@ -80,39 +80,6 @@ func TestNewLAESAWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// sameVPTree reports whether two VP-trees have identical shape, vantage
-// indices and radii (exact float equality).
-func sameVPTree(a, b *vpNode) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.index == b.index && a.radius == b.radius &&
-		sameVPTree(a.inside, b.inside) && sameVPTree(a.outside, b.outside)
-}
-
-func TestNewVPTreeWorkersBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	// Big enough that the build actually fans and spawns subtree
-	// goroutines (vpFanCutoff) instead of degenerating to the serial path.
-	corpus := randomCorpus(rng, 400, 8, alpha)
-	for _, m := range buildTestMetrics() {
-		serial := NewVPTreeWorkers(corpus, m, 17, 1)
-		if serial.PreprocessComputations <= 0 {
-			t.Fatalf("%s: no preprocessing computations counted", m.Name())
-		}
-		for _, workers := range buildWorkerCounts()[1:] {
-			parallel := NewVPTreeWorkers(corpus, m, 17, workers)
-			if !sameVPTree(parallel.root, serial.root) {
-				t.Fatalf("%s workers=%d: tree shape differs from serial build", m.Name(), workers)
-			}
-			if parallel.PreprocessComputations != serial.PreprocessComputations {
-				t.Fatalf("%s workers=%d: PreprocessComputations %d, serial %d",
-					m.Name(), workers, parallel.PreprocessComputations, serial.PreprocessComputations)
-			}
-		}
-	}
-}
-
 // sameBKTree reports whether two BK-trees are identical: same node indices,
 // same edge labels, same maxEdge, same children.
 func sameBKTree(a, b *bkNode) bool {
@@ -183,21 +150,13 @@ func TestParallelBuiltIndexesAnswerIdentically(t *testing.T) {
 	corpus := randomCorpus(rng, 200, 8, alpha)
 	queries := randomCorpus(rng, 25, 8, alpha)
 	m := metric.Contextual()
-	laS := NewLAESAWorkers(corpus, m, 12, MaxSum, 9, 1)
-	vpS := NewVPTreeWorkers(corpus, m, 9, 1)
+	serial := NewLAESAWorkers(corpus, m, 12, MaxSum, 9, 1)
 	for _, workers := range buildWorkerCounts()[1:] {
-		laP := NewLAESAWorkers(corpus, m, 12, MaxSum, 9, workers)
-		vpP := NewVPTreeWorkers(corpus, m, 9, workers)
+		parallel := NewLAESAWorkers(corpus, m, 12, MaxSum, 9, workers)
 		for _, q := range queries {
-			for _, pair := range []struct {
-				name          string
-				serial, paral Index
-			}{{"laesa", laS, laP}, {"vptree", vpS, vpP}} {
-				a, b := pair.serial.Search(q), pair.paral.Search(q)
-				if a != b {
-					t.Fatalf("%s workers=%d query %q: serial %+v, parallel %+v",
-						pair.name, workers, string(q), a, b)
-				}
+			if a, b := serial.Search(q), parallel.Search(q); a != b {
+				t.Fatalf("laesa workers=%d query %q: serial %+v, parallel %+v",
+					workers, string(q), a, b)
 			}
 		}
 	}

@@ -12,8 +12,8 @@ const (
 	buildSpawnCutoff = 24
 )
 
-// buildPool is the shared goroutine budget of one parallel index build
-// (VP-tree, BK-tree): one implicit slot for the goroutine that entered the
+// buildPool is the shared goroutine budget of one parallel BK-tree
+// build: one implicit slot for the goroutine that entered the
 // build plus workers−1 spare tokens, drawn from by both the per-node
 // distance fans and the concurrent subtree builds. Because every extra
 // goroutine — fan worker or subtree builder — holds a token for its

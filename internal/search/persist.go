@@ -10,21 +10,20 @@ import (
 	"ced/internal/metric"
 )
 
-// ErrNoCodec reports an index kind without a snapshot form: the
-// structure-only linear and trie indexes have nothing worth persisting, and
-// aesa's quadratic matrix is deliberately not serialised. Callers that
-// persist a corpus alongside the index rebuild those kinds from it.
+// ErrNoCodec reports an index kind without a snapshot form: the linear
+// index has nothing worth persisting, aesa's quadratic matrix is
+// deliberately not serialised, and the ablation-only VP-tree and trie are
+// never persisted. Callers that persist a corpus alongside the index
+// rebuild those kinds from it.
 var ErrNoCodec = errors.New("search: index kind has no snapshot form")
 
 // Save writes ix as a gob snapshot (corpus plus every preprocessing
-// distance) so Load can restore it without recomputing any distance. LAESA,
-// VP-tree and BK-tree indexes have a snapshot form; every other kind fails
-// with ErrNoCodec.
+// distance) so Load can restore it without recomputing any distance. LAESA
+// and BK-tree indexes have a snapshot form; every other kind fails with
+// ErrNoCodec.
 func Save(w io.Writer, ix Index) error {
 	switch ix := ix.(type) {
 	case *LAESA:
-		return ix.save(w)
-	case *VPTree:
 		return ix.save(w)
 	case *BKTree:
 		return ix.save(w)
@@ -42,8 +41,6 @@ func Load(kind string, r io.Reader, m metric.Metric) (Index, error) {
 	switch kind {
 	case "laesa":
 		return loadLAESA(r, m)
-	case "vptree":
-		return loadVPTree(r, m)
 	case "bktree":
 		return loadBKTree(r, m)
 	default:
@@ -102,92 +99,6 @@ func loadLAESA(r io.Reader, m metric.Metric) (Index, error) {
 		}
 	}
 	return newLAESA(corpus, m, snap.Pivots, snap.Rows, snap.Preprocess), nil
-}
-
-// vpFlatNode is one VP-tree node in the flattened wire form: children are
-// positions into the node slice, -1 for nil.
-type vpFlatNode struct {
-	Index   int
-	Radius  float64
-	Inside  int
-	Outside int
-}
-
-// vptreeSnapshot is the gob wire format of a VP-tree: the corpus plus the
-// tree flattened in preorder (every radius is a preprocessing distance, so
-// loading skips the O(n log n) build evaluations).
-type vptreeSnapshot struct {
-	MetricName string
-	Corpus     []string
-	Nodes      []vpFlatNode
-	Preprocess int
-}
-
-// save writes the index (corpus and tree shape — every node's vantage
-// element and split radius) to w.
-func (t *VPTree) save(w io.Writer) error {
-	snap := vptreeSnapshot{
-		MetricName: t.eval.m.Name(),
-		Corpus:     runesToStrings(t.corpus),
-		Preprocess: t.PreprocessComputations,
-	}
-	var flatten func(n *vpNode) int
-	flatten = func(n *vpNode) int {
-		if n == nil {
-			return -1
-		}
-		pos := len(snap.Nodes)
-		snap.Nodes = append(snap.Nodes, vpFlatNode{Index: n.index, Radius: n.radius})
-		snap.Nodes[pos].Inside = flatten(n.inside)
-		snap.Nodes[pos].Outside = flatten(n.outside)
-		return pos
-	}
-	flatten(t.root)
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("search: saving VP-tree index: %w", err)
-	}
-	return nil
-}
-
-// loadVPTree restores a VP-tree written by save.
-func loadVPTree(r io.Reader, m metric.Metric) (Index, error) {
-	var snap vptreeSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("search: loading VP-tree index: %w", err)
-	}
-	if snap.MetricName != m.Name() {
-		return nil, fmt.Errorf("search: index was built with metric %q, loader supplied %q",
-			snap.MetricName, m.Name())
-	}
-	if len(snap.Nodes) != len(snap.Corpus) {
-		return nil, fmt.Errorf("search: corrupt index: %d nodes for corpus of %d", len(snap.Nodes), len(snap.Corpus))
-	}
-	corpus := stringsToRunes(snap.Corpus)
-	nodes := make([]vpNode, len(snap.Nodes))
-	for i, f := range snap.Nodes {
-		if f.Index < 0 || f.Index >= len(corpus) {
-			return nil, fmt.Errorf("search: corrupt index: node %d vantage %d out of corpus range", i, f.Index)
-		}
-		nodes[i] = vpNode{index: f.Index, radius: f.Radius}
-		// Preorder flattening means children always sit at higher
-		// positions, which also rules out cycles.
-		for _, child := range []int{f.Inside, f.Outside} {
-			if child != -1 && (child <= i || child >= len(nodes)) {
-				return nil, fmt.Errorf("search: corrupt index: node %d child %d out of preorder range", i, child)
-			}
-		}
-		if f.Inside != -1 {
-			nodes[i].inside = &nodes[f.Inside]
-		}
-		if f.Outside != -1 {
-			nodes[i].outside = &nodes[f.Outside]
-		}
-	}
-	t := &VPTree{corpus: corpus, eval: newEvaluator(m), PreprocessComputations: snap.Preprocess}
-	if len(nodes) > 0 {
-		t.root = &nodes[0]
-	}
-	return t, nil
 }
 
 // bkFlatNode is one BK-tree node in the flattened wire form: Edges[i] is

@@ -40,45 +40,6 @@ func TestLAESASaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVPTreeSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(121))
-	corpus := randomCorpus(rng, 120, 9, alpha)
-	queries := randomCorpus(rng, 25, 9, alpha)
-	m := metric.Contextual()
-	orig := NewVPTree(corpus, m, 9)
-
-	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Load("vptree", &buf, metric.Contextual())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := ix.(*VPTree)
-	if loaded.Size() != orig.Size() {
-		t.Fatalf("loaded size %d, want %d", loaded.Size(), orig.Size())
-	}
-	if loaded.PreprocessComputations != orig.PreprocessComputations {
-		t.Error("preprocess count not preserved")
-	}
-	for _, q := range queries {
-		a, b := orig.Search(q), loaded.Search(q)
-		if a.Index != b.Index || a.Distance != b.Distance || a.Computations != b.Computations {
-			t.Fatalf("loaded tree differs on %q: %+v vs %+v", string(q), a, b)
-		}
-		ka, kb := orig.KNearest(q, 3), loaded.KNearest(q, 3)
-		for i := range ka {
-			if ka[i] != kb[i] {
-				t.Fatalf("loaded tree k-NN differs on %q rank %d: %+v vs %+v", string(q), i, ka[i], kb[i])
-			}
-		}
-	}
-	if _, err := Load("vptree", bytes.NewBufferString("junk"), m); err == nil {
-		t.Error("garbage input should fail")
-	}
-}
-
 func TestBKTreeSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	corpus := randomCorpus(rng, 120, 9, alpha)

@@ -10,10 +10,11 @@ import (
 	"ced/internal/metric"
 )
 
-// Query-path benchmarks (BENCH_query.json): k-NN and radius queries under
-// the exact contextual distance over the two corpus families of the paper's
+// Query-path benchmarks: k-NN and radius queries under the exact
+// contextual distance over the two corpus families of the paper's
 // evaluation — short Spanish-like dictionary words and long synthetic digit
-// contour strings — plus the dE dictionary workload on the BK-tree. The
+// contour strings — for every serving index kind (shard.Kinds), plus the dE
+// dictionary workload on the BK-tree. The
 // queries are corpus words perturbed by a few edits, so every query has
 // close neighbours and the bulk of the corpus is far away: the regime where
 // the bounded-evaluation ladder decides most candidates without touching
@@ -22,7 +23,9 @@ import (
 // return a handful of hits, not the whole corpus.
 //
 // Index construction is cached per process: `-count=N` remeasures queries,
-// not builds (build benchmarks live in build_bench_test.go).
+// not builds (build benchmarks live in build_bench_test.go). The AESA
+// fixtures hold the full n×n matrix: 2,000² distances for the Spanish
+// words, 160² for the contours.
 
 type queryFixture struct {
 	corpus  [][]rune
@@ -39,14 +42,14 @@ var (
 	laesaSpanishOnce sync.Once
 	laesaSpanish     *LAESA
 
-	vpSpanishOnce sync.Once
-	vpSpanish     *VPTree
+	aesaSpanishOnce sync.Once
+	aesaSpanish     *AESA
 
 	laesaContourOnce sync.Once
 	laesaContour     *LAESA
 
-	vpContourOnce sync.Once
-	vpContour     *VPTree
+	aesaContourOnce sync.Once
+	aesaContour     *AESA
 
 	bkSpanishOnce sync.Once
 	bkSpanish     *BKTree
@@ -91,11 +94,11 @@ func spanishLAESA() *LAESA {
 	return laesaSpanish
 }
 
-func spanishVPTree() *VPTree {
-	vpSpanishOnce.Do(func() {
-		vpSpanish = NewVPTree(spanishFixture().corpus, metric.Contextual(), 20)
+func spanishAESA() *AESA {
+	aesaSpanishOnce.Do(func() {
+		aesaSpanish = NewAESA(spanishFixture().corpus, metric.Contextual())
 	})
-	return vpSpanish
+	return aesaSpanish
 }
 
 func contourLAESA() *LAESA {
@@ -105,11 +108,11 @@ func contourLAESA() *LAESA {
 	return laesaContour
 }
 
-func contourVPTree() *VPTree {
-	vpContourOnce.Do(func() {
-		vpContour = NewVPTree(contourFixture().corpus, metric.Contextual(), 22)
+func contourAESA() *AESA {
+	aesaContourOnce.Do(func() {
+		aesaContour = NewAESA(contourFixture().corpus, metric.Contextual())
 	})
-	return vpContour
+	return aesaContour
 }
 
 func spanishBKTree() *BKTree {
@@ -177,32 +180,32 @@ func BenchmarkQueryKNNSpanishLAESA(b *testing.B) {
 	benchKNN(b, spanishLAESA(), spanishFixture().queries, 3)
 }
 
-func BenchmarkQueryKNNSpanishVPTree(b *testing.B) {
-	benchKNN(b, spanishVPTree(), spanishFixture().queries, 3)
+func BenchmarkQueryKNNSpanishAESA(b *testing.B) {
+	benchKNN(b, spanishAESA(), spanishFixture().queries, 3)
 }
 
 func BenchmarkQueryRadiusSpanishLAESA(b *testing.B) {
 	benchRadius(b, spanishLAESA(), spanishFixture().queries, spanishRadius)
 }
 
-func BenchmarkQueryRadiusSpanishVPTree(b *testing.B) {
-	benchRadius(b, spanishVPTree(), spanishFixture().queries, spanishRadius)
+func BenchmarkQueryRadiusSpanishAESA(b *testing.B) {
+	benchRadius(b, spanishAESA(), spanishFixture().queries, spanishRadius)
 }
 
 func BenchmarkQueryKNNContoursLAESA(b *testing.B) {
 	benchKNN(b, contourLAESA(), contourFixture().queries, 3)
 }
 
-func BenchmarkQueryKNNContoursVPTree(b *testing.B) {
-	benchKNN(b, contourVPTree(), contourFixture().queries, 3)
+func BenchmarkQueryKNNContoursAESA(b *testing.B) {
+	benchKNN(b, contourAESA(), contourFixture().queries, 3)
 }
 
 func BenchmarkQueryRadiusContoursLAESA(b *testing.B) {
 	benchRadius(b, contourLAESA(), contourFixture().queries, contourRadius)
 }
 
-func BenchmarkQueryRadiusContoursVPTree(b *testing.B) {
-	benchRadius(b, contourVPTree(), contourFixture().queries, contourRadius)
+func BenchmarkQueryRadiusContoursAESA(b *testing.B) {
+	benchRadius(b, contourAESA(), contourFixture().queries, contourRadius)
 }
 
 func BenchmarkQueryRadiusSpanishBKTreeDE(b *testing.B) {

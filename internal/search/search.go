@@ -1,7 +1,8 @@
 // Package search implements the nearest-neighbour searchers of the paper's
 // evaluation: LAESA (the algorithm used in §4.3–§4.4), plus AESA, an
-// exhaustive linear scan, a vantage-point tree, a BK-tree and a trie for
-// ablation comparisons.
+// exhaustive linear scan and a BK-tree, which the serving layers also
+// offer (shard.Kinds), and a vantage-point tree and a trie, which only the
+// searcher ablation and the exactness tests build.
 //
 // Every searcher is an Index and answers through one call, Query, which
 // runs a bounded k-NN query (KNN) or a radius query (Within) over the

@@ -3,12 +3,9 @@ package search
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ced/internal/bulk"
 	"ced/internal/metric"
-	"ced/internal/pool"
 )
 
 // VPTree is a vantage-point tree (Yianilos 1993): a binary tree where each
@@ -16,8 +13,8 @@ import (
 // elements below; queries prune whole subtrees with the triangle
 // inequality. It needs only O(n log n) preprocessing distance computations
 // (vs LAESA's pivots×n) but prunes less aggressively per computed distance.
-// Included for the "other methods that use metric properties" ablation of
-// §4.3.
+// It is the "other methods that use metric properties" row of the §4.3
+// searcher ablation, and no serving entry point builds it.
 type VPTree struct {
 	corpus [][]rune
 	eval   evaluator
@@ -41,61 +38,38 @@ type vpNode struct {
 	outside *vpNode
 }
 
-// NewVPTree builds a vantage-point tree over corpus; seed drives the random
-// vantage-point choices. Construction fans partition distances and subtree
-// builds over all CPUs; the tree is identical for any worker count
-// (NewVPTreeWorkers controls the count).
+// NewVPTree builds a vantage-point tree over corpus on the calling
+// goroutine; seed drives the random vantage-point choices. Vantage choices
+// come from a split-deterministic RNG — every node derives its own seed
+// from its parent's, not from a shared sequence — so the tree shape, every
+// radius and PreprocessComputations depend only on the seed.
 func NewVPTree(corpus [][]rune, m metric.Metric, seed int64) *VPTree {
-	return NewVPTreeWorkers(corpus, m, seed, 0)
-}
-
-// NewVPTreeWorkers is NewVPTree with an explicit build worker count
-// (<= 0 uses all CPUs).
-//
-// Parallelism has two levels — each node's partition distances fan over
-// striped workers with private metric sessions, and the two subtrees below
-// a split build concurrently — both drawing goroutines from one buildPool
-// budget, so the build never evaluates distances on more than workers
-// goroutines at once. Vantage choices come from a split-deterministic
-// RNG — every node derives its own seed from its parent's, not from a
-// shared sequence — so the tree shape, every radius and
-// PreprocessComputations are identical for any worker count and depend
-// only on the seed. (The vantage sequence differs from the pre-split
-// serial builder, which threaded one RNG through the recursion; fixed-seed
-// trees built before this change are therefore not reproduced node for
-// node.)
-func NewVPTreeWorkers(corpus [][]rune, m metric.Metric, seed int64, workers int) *VPTree {
 	t := &VPTree{corpus: corpus, eval: newEvaluator(m)}
 	n := len(corpus)
 	if n == 0 {
 		return t
 	}
-	b := &vpBuilder{
-		t:    t,
-		ev:   bulk.New(m),
-		pool: newBuildPool(pool.Workers(n, workers)),
-	}
+	b := &vpBuilder{t: t, ev: bulk.New(m)}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	t.root = b.build(idx, splitmix(uint64(seed)))
-	t.PreprocessComputations = int(b.comps.Load())
+	t.PreprocessComputations = b.comps
 	return t
 }
 
-// vpBuilder carries the shared state of one parallel VP-tree construction.
+// vpBuilder carries the state of one VP-tree construction.
 type vpBuilder struct {
 	t     *VPTree
 	ev    *bulk.Evaluator
-	pool  *buildPool
-	comps atomic.Int64 // deterministic: one evaluation per (node, element below it)
+	comps int // one evaluation per (node, element below it)
 }
 
 // splitmix is the SplitMix64 mixer (Steele, Lea, Flood 2014): the per-node
 // seed derivation behind the split-deterministic RNG. Each build node mixes
-// its seed once for the vantage choice and derives independent child seeds,
-// so no RNG state is shared between concurrent subtree builds.
+// its seed once for the vantage choice and derives independent child
+// seeds.
 func splitmix(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z ^= z >> 30
@@ -121,17 +95,12 @@ func (b *vpBuilder) build(idx []int, seed uint64) *vpNode {
 		return node
 	}
 	vp := b.t.corpus[node.index]
-	// One query (the vantage point) against the whole candidate set: the
-	// batch fan lets sessions resolve each worker chunk through their
-	// multi-candidate kernels; values are bit-identical to per-pair calls.
+	// One query (the vantage point) against the whole candidate set,
+	// resolved through the session's multi-candidate kernel; values are
+	// bit-identical to per-pair calls.
 	dists := make([]float64, len(rest))
-	if fw := b.pool.fanWidth(len(rest)); fw > 1 {
-		b.ev.FanBatch(vp, len(rest), fw, func(i int) []rune { return b.t.corpus[rest[i]] }, dists)
-		b.pool.fanDone(fw)
-	} else {
-		b.ev.FanBatch(vp, len(rest), 1, func(i int) []rune { return b.t.corpus[rest[i]] }, dists)
-	}
-	b.comps.Add(int64(len(rest)))
+	b.ev.FanBatch(vp, len(rest), 1, func(i int) []rune { return b.t.corpus[rest[i]] }, dists)
+	b.comps += len(rest)
 	// Median split: sort candidates by distance to the vantage point.
 	order := make([]int, len(rest))
 	for i := range order {
@@ -149,21 +118,8 @@ func (b *vpBuilder) build(idx []int, seed uint64) *vpNode {
 			outside = append(outside, rest[o])
 		}
 	}
-	insideSeed := splitmix(seed ^ 0xa5a5a5a5a5a5a5a5)
-	outsideSeed := splitmix(seed ^ 0x5a5a5a5a5a5a5a5a)
-	// Build the outside subtree on a spare worker when one is free (and the
-	// subtree is big enough to pay for the goroutine), the inside subtree
-	// inline meanwhile.
-	var wg sync.WaitGroup
-	spawned := b.pool.trySpawn(len(outside), &wg, func() {
-		node.outside = b.build(outside, outsideSeed)
-	})
-	node.inside = b.build(inside, insideSeed)
-	if spawned {
-		wg.Wait()
-	} else {
-		node.outside = b.build(outside, outsideSeed)
-	}
+	node.inside = b.build(inside, splitmix(seed^0xa5a5a5a5a5a5a5a5))
+	node.outside = b.build(outside, splitmix(seed^0x5a5a5a5a5a5a5a5a))
 	return node
 }
 
@@ -172,10 +128,6 @@ func (t *VPTree) Name() string { return "vptree" }
 
 // Size returns the corpus size.
 func (t *VPTree) Size() int { return len(t.corpus) }
-
-// Corpus returns the indexed strings (shared backing; callers must not
-// modify).
-func (t *VPTree) Corpus() [][]rune { return t.corpus }
 
 // Search returns the nearest neighbour of q.
 func (t *VPTree) Search(q []rune) Nearest { return nearest(t, q) }

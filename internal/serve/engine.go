@@ -33,31 +33,24 @@ import (
 	"ced/internal/shard"
 )
 
-// Algorithms lists the index kinds New accepts, in the order they appear in
-// the paper's §4.3 comparison (LAESA and the quadratic-preprocessing AESA,
-// then the "other methods that use metric properties", then the structures
-// specific to the plain edit distance, then the exhaustive baseline).
-var Algorithms = []string{"laesa", "aesa", "vptree", "bktree", "trie", "linear"}
-
 // Config selects and tunes the search index behind an Engine.
 type Config struct {
-	// Algorithm is one of Algorithms. Empty defaults to "laesa". The
-	// bktree and trie indexes exploit the integer values respectively the
-	// prefix structure of the plain edit distance and are only accepted
-	// with metric dE (see shard.StandardBuild); aesa precomputes the full
-	// n×n distance matrix (quadratic preprocessing and memory —
-	// ablation-grade corpus sizes).
+	// Algorithm is one of shard.Kinds. Empty defaults to "laesa". The
+	// bktree prunes on the integer values of the plain edit distance and
+	// is only accepted with metric dE (see shard.StandardBuild); aesa
+	// precomputes the full n×n distance matrix (quadratic preprocessing
+	// and memory).
 	Algorithm string
 	// Pivots is the LAESA base-prototype count (ignored by the other
 	// algorithms). <= 0 defaults to 16, clamped to the corpus size.
 	Pivots int
 	// Seed drives the randomised index construction (LAESA pivot
-	// seeding, VP-tree vantage choices). Fixed seed ⇒ identical index.
+	// seeding). Fixed seed ⇒ identical index.
 	Seed int64
 	// Workers sizes the batch worker pool. <= 0 uses all CPUs.
 	Workers int
 	// BuildWorkers sizes the index-construction worker pool: the LAESA
-	// pivot matrix, VP-tree partitions and BK-tree levels fan their
+	// pivot matrix, the AESA matrix and BK-tree levels fan their
 	// distance evaluations over this many goroutines, which bounds the
 	// engine's cold-start time. <= 0 uses all CPUs. The built index is
 	// bit-identical for any value (fixed Seed ⇒ identical index).
@@ -116,8 +109,7 @@ type Pair struct {
 // "edit" a bit-parallel scan, "heuristic" the quadratic dC,h program, and
 // "exact" an abandoned run of the banded exact dynamic program; candidates
 // in none of the buckets were evaluated to completion. All zero for metrics
-// and indexes that never reject (e.g. the trie, whose pruning is
-// structural).
+// that never reject.
 type StageRejections struct {
 	Length    int64 `json:"length"`
 	Edit      int64 `json:"edit"`
@@ -168,10 +160,9 @@ type Prediction struct {
 // (internal/analysis): they may be touched only through their atomic
 // method set (Load/Store/Add/...), never field-accessed raw.
 type Engine struct {
-	algorithm string
-	m         metric.Metric
-	set       atomic.Pointer[shard.Set]
-	setCfg    shard.Config // the template LoadFromStore restores under
+	m      metric.Metric
+	set    atomic.Pointer[shard.Set]
+	setCfg shard.Config // the template LoadFromStore restores under
 	// mutateMu serialises mutations against LoadFromStore's set swap: an
 	// Add applied to the old set after the swap would be acknowledged and
 	// silently lost. Mutations share the lock (they already serialise per
@@ -220,8 +211,8 @@ type Engine struct {
 
 // New builds an engine over corpus with the given metric and index
 // configuration. labels must be empty or exactly len(corpus) long; when
-// present they enable Classify. The BK-tree and trie indexes are only
-// accepted with the plain edit distance dE.
+// present they enable Classify. The BK-tree index is only accepted with
+// the plain edit distance dE.
 func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, error) {
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("serve: empty corpus")
@@ -261,7 +252,6 @@ func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, e
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	e := &Engine{
-		algorithm:     cfg.Algorithm,
 		m:             m,
 		setCfg:        setCfg,
 		workers:       workers,
@@ -316,7 +306,7 @@ func (e *Engine) Info() Info {
 	set := e.set.Load()
 	si := set.Info()
 	return Info{
-		Algorithm:  e.algorithm,
+		Algorithm:  e.setCfg.Algorithm,
 		Metric:     e.m.Name(),
 		CorpusSize: si.Size,
 		Labelled:   set.Labelled(),
@@ -538,21 +528,6 @@ func classify(labelled bool, query func(search.Request) ([]shard.Hit, Stats, err
 	return Prediction{Label: hits[0].Label, Neighbor: Neighbors(hits[:1])[0]}, st, err
 }
 
-// errTrieMutation: the trie keeps one node per *distinct* string (first
-// element wins), so duplicate values added to a mutable trie-backed corpus
-// would silently collapse at the next compaction — and deleting the
-// surviving element would hide its live duplicates from every query. A
-// trie-backed engine therefore serves its startup corpus frozen.
-var errTrieMutation = badRequest(errors.New("serve: the trie index collapses duplicate strings and cannot serve a mutable corpus; use laesa, vptree, bktree, aesa or linear"))
-
-// checkMutable rejects mutation on index kinds that cannot support it.
-func (e *Engine) checkMutable() error {
-	if e.algorithm == "trie" {
-		return errTrieMutation
-	}
-	return nil
-}
-
 // Add inserts value into the live corpus and returns its stable ID (served
 // as Neighbor.Index from then on). label is recorded when the corpus is
 // labelled and ignored otherwise. The element is visible to every query
@@ -561,9 +536,6 @@ func (e *Engine) checkMutable() error {
 // insert is local and brief, so ctx is not consulted.
 func (e *Engine) Add(_ context.Context, value string, label int) (uint64, error) {
 	e.countRequest()
-	if err := e.checkMutable(); err != nil {
-		return 0, err
-	}
 	e.mutateMu.RLock()
 	id := e.set.Load().Add(value, label)
 	e.mutateMu.RUnlock()
@@ -576,9 +548,6 @@ func (e *Engine) Add(_ context.Context, value string, label int) (uint64, error)
 // resurface in query results. Like Add, it does not consult ctx.
 func (e *Engine) Delete(_ context.Context, id uint64) (bool, error) {
 	e.countRequest()
-	if err := e.checkMutable(); err != nil {
-		return false, err
-	}
 	e.mutateMu.RLock()
 	deleted := e.set.Load().Delete(id)
 	e.mutateMu.RUnlock()
@@ -588,8 +557,8 @@ func (e *Engine) Delete(_ context.Context, id uint64) (bool, error) {
 	return deleted, nil
 }
 
-// Size returns the live element count; it never fails.
-func (e *Engine) Size(context.Context) (int, error) { return e.set.Load().Size(), nil }
+// Size returns the live element count.
+func (e *Engine) Size() int { return e.set.Load().Size() }
 
 // Compact synchronously folds every shard's delta and tombstones into its
 // base index (testing and pre-snapshot hook; background compaction runs on

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ced/internal/metric"
+	"ced/internal/shard"
 )
 
 var (
@@ -17,7 +18,7 @@ var (
 func newTestEngine(t *testing.T, algorithm string) *Engine {
 	t.Helper()
 	m := metric.ContextualHeuristic()
-	if algorithm == "bktree" || algorithm == "trie" {
+	if algorithm == "bktree" {
 		m = metric.Levenshtein()
 	}
 	e, err := New(testCorpus, testLabels, m, Config{Algorithm: algorithm, Pivots: 3, CacheSize: 64})
@@ -44,9 +45,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(testCorpus, nil, metric.Contextual(), Config{Algorithm: "bktree"}); err == nil {
 		t.Error("bktree with a fractional metric should fail")
 	}
-	if _, err := New(testCorpus, nil, metric.Contextual(), Config{Algorithm: "trie"}); err == nil {
-		t.Error("trie with a non-dE metric should fail")
-	}
 	// Pivots beyond the corpus size must clamp, not crash.
 	if _, err := New(testCorpus, nil, m, Config{Algorithm: "laesa", Pivots: 10000}); err != nil {
 		t.Errorf("oversized pivots: %v", err)
@@ -54,7 +52,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDistanceAndBatchAgree(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range shard.Kinds {
 		e := newTestEngine(t, alg)
 		pairs := []Pair{{A: "casa", B: "cosa"}, {A: "gato", B: "gatos"}, {A: "queso", B: "queso"}, {A: "", B: "abc"}}
 		batch, st, _ := e.BatchDistanceCtx(context.Background(), pairs)
@@ -77,7 +75,7 @@ func TestDistanceAndBatchAgree(t *testing.T) {
 }
 
 func TestKNearestAcrossAlgorithms(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range shard.Kinds {
 		e := newTestEngine(t, alg)
 		ns, st, err := e.KNearestCtx(context.Background(), "cas", 3)
 		if err != nil {
@@ -91,9 +89,7 @@ func TestKNearestAcrossAlgorithms(t *testing.T) {
 				t.Errorf("%s: results not sorted: %+v", alg, ns)
 			}
 		}
-		// The trie counts visited nodes, which can exceed the corpus size;
-		// every metric searcher is capped by it.
-		if st.Computations <= 0 || (alg != "trie" && st.Computations > len(testCorpus)) {
+		if st.Computations <= 0 || st.Computations > len(testCorpus) {
 			t.Errorf("%s: computations = %d", alg, st.Computations)
 		}
 		// "casa" and "caso" tie under dC,h; any tied element may rank first.
@@ -138,7 +134,7 @@ func TestBatchKNearestMatchesSingles(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	for _, alg := range Algorithms {
+	for _, alg := range shard.Kinds {
 		e := newTestEngine(t, alg)
 		p, st, err := Classify(context.Background(), e, "gatito")
 		if err != nil {
@@ -177,11 +173,11 @@ func TestClassifyUnlabelled(t *testing.T) {
 }
 
 func TestInfoAndCacheCounters(t *testing.T) {
-	e := newTestEngine(t, "vptree")
+	e := newTestEngine(t, "aesa")
 	e.Distance("hola", "adios") //ced:stagecount-ok: a direct evaluation rejects nothing.
 	e.Distance("hola", "adios") //ced:stagecount-ok: same strings, two cache hits.
 	info := e.Info()
-	if info.Algorithm != "vptree" || info.Metric != "dC,h" || info.CorpusSize != len(testCorpus) {
+	if info.Algorithm != "aesa" || info.Metric != "dC,h" || info.CorpusSize != len(testCorpus) {
 		t.Errorf("info = %+v", info)
 	}
 	if !info.Labelled {
@@ -254,7 +250,7 @@ func TestBatchDistanceSessionsMatchExact(t *testing.T) {
 // answers: engines built at different widths must agree query for query,
 // computation count included.
 func TestBuildWorkersAgreeAtEveryWidth(t *testing.T) {
-	for _, algorithm := range []string{"laesa", "vptree", "bktree"} {
+	for _, algorithm := range []string{"laesa", "aesa", "bktree"} {
 		m := metric.Metric(metric.Contextual())
 		if algorithm == "bktree" {
 			m = metric.Levenshtein()
@@ -280,7 +276,7 @@ func TestBuildWorkersAgreeAtEveryWidth(t *testing.T) {
 				}
 				// The BK-tree walkers iterate children maps, so their
 				// comps/query wobbles between runs independently of the
-				// build; only the LAESA/VP-tree counts are deterministic.
+				// build; only the LAESA/AESA counts are deterministic.
 				if algorithm != "bktree" && gotStats.Computations != wantStats.Computations {
 					t.Fatalf("%s build-workers=%d query %q: comps %d vs %d",
 						algorithm, bw, q, gotStats.Computations, wantStats.Computations)

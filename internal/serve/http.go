@@ -66,7 +66,7 @@ type Corpus interface {
 	Query(ctx context.Context, q string, req search.Request) ([]shard.Hit, Stats, error)
 	Add(ctx context.Context, value string, label int) (uint64, error)
 	Delete(ctx context.Context, id uint64) (bool, error)
-	Size(ctx context.Context) (int, error)
+	Size() int
 	Labelled() bool
 }
 
@@ -170,8 +170,7 @@ func NewMux(c Corpus, g *Gate) *http.ServeMux {
 			g.Fail(w, err)
 			return
 		}
-		size, _ := c.Size(r.Context()) // best effort; 0 when a cluster probe fails
-		writeJSON(w, http.StatusOK, mutateResponse{ID: id, Size: size})
+		writeJSON(w, http.StatusOK, mutateResponse{ID: id, Size: c.Size()})
 	})
 	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) {
 		var req deleteRequest
@@ -191,8 +190,7 @@ func NewMux(c Corpus, g *Gate) *http.ServeMux {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no live element with id %d", *req.ID))
 			return
 		}
-		size, _ := c.Size(r.Context())
-		writeJSON(w, http.StatusOK, mutateResponse{ID: *req.ID, Size: size})
+		writeJSON(w, http.StatusOK, mutateResponse{ID: *req.ID, Size: c.Size()})
 	})
 	return mux
 }

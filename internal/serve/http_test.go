@@ -98,7 +98,7 @@ func TestBatchDistanceEndpoint(t *testing.T) {
 }
 
 func TestKNNEndpoint(t *testing.T) {
-	srv := newTestServer(t, "vptree")
+	srv := newTestServer(t, "aesa")
 	var out struct {
 		Results      []Neighbor `json:"results"`
 		Computations int        `json:"computations"`

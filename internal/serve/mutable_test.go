@@ -50,23 +50,6 @@ func TestEngineAddDeleteVisibleToQueries(t *testing.T) {
 	}
 }
 
-// TestTrieEngineRefusesMutation pins the duplicate-collapse guard: the
-// trie keeps one node per distinct string, so a mutable trie corpus would
-// lose live duplicates at compaction — Add and Delete must refuse.
-func TestTrieEngineRefusesMutation(t *testing.T) {
-	e := newTestEngine(t, "trie")
-	if _, err := e.Add(context.Background(), "nuevo", 0); err == nil {
-		t.Error("Add on a trie engine should fail")
-	}
-	if _, err := e.Delete(context.Background(), 0); err == nil {
-		t.Error("Delete on a trie engine should fail")
-	}
-	// Queries still work: the trie serves its startup corpus frozen.
-	if _, _, err := e.KNearestCtx(context.Background(), "gato", 2); err != nil {
-		t.Errorf("trie query after refused mutation: %v", err)
-	}
-}
-
 func TestInfoReportsLiveSizeAndShards(t *testing.T) {
 	e, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
 		Config{Algorithm: "laesa", Pivots: 3, Shards: 3})
@@ -190,7 +173,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 
 	// A mismatched engine must refuse the snapshot.
 	e3, err := New(testCorpus, testLabels, metric.ContextualHeuristic(),
-		Config{Algorithm: "vptree", Shards: 2, Store: st})
+		Config{Algorithm: "aesa", Shards: 2, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (m *Manifest) EnvelopeSHA() string { return m.envSHA }
 
 // baseObj is the gob form of a shard's frozen base object. Kind names the
 // base index algorithm; Index holds its search.Save snapshot when the
-// algorithm has one (LAESA, VP-tree, BK-tree) and is empty otherwise — the
+// algorithm has one (LAESA, BK-tree) and is empty otherwise — the
 // loader then rebuilds the index from BaseStrs with the configured build
 // function (cheap for linear, quadratic for aesa). The corpus strings are
 // stored alongside the index snapshot (which embeds its own copy) so every

@@ -170,7 +170,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 					}
 				case "vptree":
 					build = func(idx int, corpus [][]rune) search.Index {
-						return search.NewVPTreeWorkers(corpus, m, 99+int64(idx), 0)
+						return search.NewVPTree(corpus, m, 99+int64(idx))
 					}
 				}
 				s, err := New(d.Strings, labels, Config{

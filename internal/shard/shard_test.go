@@ -461,7 +461,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 		t.Errorf("error should name the saved metric: %v", err)
 	}
 	mc := metric.Contextual()
-	if _, _, err := LoadFromStore(ctx, store, Config{Metric: mc, Build: testBuilder(mc, 8, 42), Algorithm: "vptree"}); err == nil {
+	if _, _, err := LoadFromStore(ctx, store, Config{Metric: mc, Build: testBuilder(mc, 8, 42), Algorithm: "aesa"}); err == nil {
 		t.Error("algorithm mismatch should fail")
 	}
 
@@ -507,7 +507,7 @@ func TestKNearestBoundedContract(t *testing.T) {
 	for name, idx := range map[string]search.Index{
 		"linear": search.NewLinear(corpus, mc),
 		"laesa":  search.NewLAESAWorkers(corpus, mc, 8, search.MaxSum, 5, 0),
-		"vptree": search.NewVPTreeWorkers(corpus, mc, 5, 0),
+		"vptree": search.NewVPTree(corpus, mc, 5),
 		"aesa":   search.NewAESAWorkers(corpus, mc, 0),
 		"bktree": search.NewBKTreeWorkers(corpus, me, 0),
 		"trie":   search.NewTrie(corpus),

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"ced/internal/search"
+	"ced/internal/shard"
 )
 
 // SearchResult is the outcome of a nearest-neighbour query. Its
@@ -51,10 +52,8 @@ func (ix *Index) Nearest(q string) SearchResult {
 // KNearest returns the k nearest corpus strings, closest first — the
 // k-NN generalisation of the paper's 1-NN protocol. Every index supports
 // it, pruning with a shrinking k-th-best bound so the cost approaches
-// Nearest's as the corpus grows relative to k. A trie index answers over
-// its distinct strings (duplicates keep their first corpus index), so on
-// a corpus with repeated strings it returns at most one entry per value.
-// Every result carries the query's total Computations.
+// Nearest's as the corpus grows relative to k. Every result carries the
+// query's total Computations.
 func (ix *Index) KNearest(q string, k int) []SearchResult {
 	return ix.query(q, search.KNN(k, math.Inf(1)))
 }
@@ -81,7 +80,7 @@ func (ix *Index) query(q string, req search.Request) []SearchResult {
 func (ix *Index) Len() int { return ix.searcher.Size() }
 
 // Algorithm returns the name of the underlying search algorithm
-// ("laesa", "linear", "vptree", "bktree" or "trie") in O(1).
+// ("laesa", "aesa", "bktree" or "linear") in O(1).
 func (ix *Index) Algorithm() string { return ix.searcher.Name() }
 
 // NewLAESA builds a LAESA index (Micó–Oncina–Vidal 1994) over corpus with
@@ -115,65 +114,32 @@ func NewLinear(corpus []string, m Metric) *Index {
 	}
 }
 
-// NewVPTree builds a vantage-point tree index (Yianilos 1993): O(n log n)
-// preprocessing distances (computed in parallel over all CPUs, with the
-// tree shape independent of the worker count) and O(n) memory,
-// triangle-inequality pruning at query time. It is one of the "other
-// methods that use metric properties" the paper's §4.3 positions LAESA
-// against: cheaper to build than LAESA but prunes less per computed
-// distance.
-func NewVPTree(corpus []string, m Metric) *Index {
-	return &Index{
-		corpus:   corpus,
-		searcher: search.NewVPTree(toRunes(corpus), internalMetric(m), 1),
-	}
-}
-
 // NewBKTree builds a Burkhard–Keller tree index: O(n log n) expected
 // preprocessing distances (batched level by level over all CPUs; the tree
 // is identical to serial insertion), pruning child edges whose integer
 // label falls outside [d−best, d+best]. It is the classic
-// dictionary-search ablation baseline for the paper's §4.3 comparison. The tree's edge labels are
-// integers, so a fractional metric would silently corrupt lookups; only
-// the integer-valued Levenshtein (dE) is accepted.
+// dictionary-search baseline for the paper's §4.3 comparison. The tree's
+// edge labels are integers, so a fractional metric would silently corrupt
+// lookups; only the integer-valued Levenshtein (dE) is accepted.
 func NewBKTree(corpus []string, m Metric) (*Index, error) {
-	if m.Name() != "dE" {
-		return nil, fmt.Errorf("ced: the bktree index prunes on integer distances and requires dE, not %q", m.Name())
-	}
-	return &Index{
-		corpus:   corpus,
-		searcher: search.NewBKTree(toRunes(corpus), internalMetric(m)),
-	}, nil
+	return NewIndex("bktree", corpus, m, 0)
 }
 
-// NewTrie builds a prefix-trie index specialised for the plain edit
-// distance dE (the metric is implied, not chosen): the classic dictionary
-// structure, exploiting shared prefixes rather than metric axioms. Its
-// SearchResult.Computations counts visited trie nodes rather than distance
-// evaluations.
-func NewTrie(corpus []string) *Index {
-	return &Index{corpus: corpus, searcher: search.NewTrie(toRunes(corpus))}
-}
-
-// NewIndex builds an index by algorithm name: "laesa" (with the given
-// pivot count), "linear", "vptree", "bktree" (dE only — the BK-tree
-// prunes on integer distances, so a fractional metric is rejected), or
-// "trie" (dE only; m is ignored).
+// NewIndex builds an index by algorithm name — the kinds cedserve -index
+// and ServerConfig.Algorithm serve: "laesa" (with the given pivot count),
+// "aesa" (the full n×n matrix: quadratic preprocessing and memory),
+// "bktree" (dE only — the BK-tree prunes on integer distances, so a
+// fractional metric is rejected) or "linear". Randomised construction
+// uses seed 1, so NewIndex("laesa", …) equals NewLAESA.
 func NewIndex(algorithm string, corpus []string, m Metric, pivots int) (*Index, error) {
-	switch algorithm {
-	case "laesa":
-		return NewLAESA(corpus, m, pivots), nil
-	case "linear":
-		return NewLinear(corpus, m), nil
-	case "vptree":
-		return NewVPTree(corpus, m), nil
-	case "bktree":
-		return NewBKTree(corpus, m)
-	case "trie":
-		return NewTrie(corpus), nil
-	default:
-		return nil, fmt.Errorf("ced: unknown search algorithm %q (known: laesa, linear, vptree, bktree, trie)", algorithm)
+	if m == nil {
+		return nil, fmt.Errorf("ced: nil metric")
 	}
+	build, err := shard.StandardBuild(algorithm, internalMetric(m), pivots, 1, 0)
+	if err != nil {
+		return nil, fmt.Errorf("ced: %w", err)
+	}
+	return &Index{corpus: corpus, searcher: build(0, toRunes(corpus))}, nil
 }
 
 func toRunes(ss []string) [][]rune {
@@ -186,14 +152,14 @@ func toRunes(ss []string) [][]rune {
 
 // Save serialises the index so it can be reloaded without recomputing the
 // preprocessing distances — the expensive part of §4.3's setup. LAESA
-// (corpus, pivots and the pivots×n distance matrix), VP-tree (corpus and
-// tree shape) and BK-tree (corpus and edge labels) indexes support saving;
-// the structure-only linear and trie indexes have nothing worth persisting
-// and aesa's quadratic matrix is deliberately not serialised.
+// (corpus, pivots and the pivots×n distance matrix) and BK-tree (corpus
+// and edge labels) indexes support saving; the linear index has nothing
+// worth persisting and aesa's quadratic matrix is deliberately not
+// serialised.
 func (ix *Index) Save(w io.Writer) error {
 	err := search.Save(w, ix.searcher)
 	if errors.Is(err, search.ErrNoCodec) {
-		return fmt.Errorf("ced: Save is only supported for laesa, vptree and bktree indexes (this is %q)", ix.Algorithm())
+		return fmt.Errorf("ced: Save is only supported for laesa and bktree indexes (this is %q)", ix.Algorithm())
 	}
 	return err
 }
@@ -204,7 +170,7 @@ func (ix *Index) Save(w io.Writer) error {
 func LoadIndex(algorithm string, r io.Reader, m Metric) (*Index, error) {
 	s, err := search.Load(algorithm, r, internalMetric(m))
 	if errors.Is(err, search.ErrNoCodec) {
-		return nil, fmt.Errorf("ced: no snapshot loader for algorithm %q (known: laesa, vptree, bktree)", algorithm)
+		return nil, fmt.Errorf("ced: no snapshot loader for algorithm %q (known: laesa, bktree)", algorithm)
 	}
 	if err != nil {
 		return nil, err

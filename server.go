@@ -29,12 +29,10 @@ type ServerInfo = serve.Info
 // through a 16-pivot LAESA index with the dC,h heuristic metric, all CPUs
 // in the batch worker pool, and a 4096-entry query cache.
 type ServerConfig struct {
-	// Algorithm selects the search index: "laesa" (default), "aesa"
-	// (full-matrix preprocessing — quadratic, ablation-grade corpus
-	// sizes), "vptree", "bktree" and "trie" (both require Metric dE) or
-	// "linear". These are the metric-space structures compared in the
-	// paper's §4.3 plus the classic edit-distance-specific dictionary
-	// structures.
+	// Algorithm selects the search index, one of the kinds NewIndex
+	// builds: "laesa" (default), "aesa" (full-matrix preprocessing —
+	// quadratic in the corpus size), "bktree" (requires Metric dE) or
+	// "linear".
 	Algorithm string
 	// Metric is the distance to serve; nil defaults to
 	// ContextualHeuristic (dC,h), the variant the paper uses at scale.
@@ -47,7 +45,7 @@ type ServerConfig struct {
 	// Workers sizes the batch worker pool; <= 0 uses all CPUs.
 	Workers int
 	// BuildWorkers sizes the index-construction worker pool: preprocessing
-	// distance evaluations (the LAESA pivot matrix, VP-tree partitions,
+	// distance evaluations (the LAESA pivot matrix, the AESA matrix,
 	// BK-tree levels) fan over this many goroutines, which bounds the
 	// server's cold-start time; <= 0 uses all CPUs. The built index is
 	// bit-identical for any value.
@@ -94,7 +92,7 @@ type ServerConfig struct {
 // Server is the embeddable batch-serving engine behind cmd/cedserve: a
 // corpus, a metric-space index and a worker pool, exposed both as Go
 // methods and as an http.Handler. Construction costs the index
-// preprocessing distances (pivots×n for LAESA, O(n log n) for a VP-tree);
+// preprocessing distances (pivots×n for LAESA, O(n log n) for a BK-tree);
 // every later query reports how many distance computations it spent — the
 // cost measure of the paper's Figures 3 and 4. All methods are safe for
 // concurrent use.
@@ -233,16 +231,14 @@ func (s *Server) ClassifyCtx(ctx context.Context, q string) (Prediction, int, er
 // positions as IDs). label is recorded when the corpus is labelled and
 // ignored otherwise. The element is visible to every query issued after
 // Add returns; a background compaction later folds it into its shard's
-// base index without ever blocking queries. Trie-backed servers are
-// immutable (the trie collapses duplicate strings) and return an error.
+// base index without ever blocking queries.
 func (s *Server) Add(value string, label int) (uint64, error) {
 	return s.eng.Add(context.Background(), value, label)
 }
 
 // Delete removes the element with the given ID from the live corpus,
 // reporting whether it was present. Deleted IDs are never reused and never
-// resurface in query results. Trie-backed servers are immutable and return
-// an error.
+// resurface in query results.
 func (s *Server) Delete(id uint64) (bool, error) { return s.eng.Delete(context.Background(), id) }
 
 // SaveToStore publishes one consistent incremental snapshot of the live

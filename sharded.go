@@ -32,10 +32,9 @@ type ShardedResult struct {
 type ShardedIndexConfig struct {
 	// Shards is the partition count; <= 0 means 1.
 	Shards int
-	// Algorithm selects the per-shard base index: "laesa" (default),
-	// "linear", "vptree", "aesa", or the dE-only "bktree". The trie is
-	// rejected: it collapses duplicate strings, which a mutable corpus
-	// cannot tolerate.
+	// Algorithm selects the per-shard base index, one of the kinds
+	// NewIndex builds: "laesa" (default), "aesa", the dE-only "bktree" or
+	// "linear".
 	Algorithm string
 	// Pivots is the LAESA base-prototype count; <= 0 defaults to 16.
 	Pivots int
@@ -68,8 +67,8 @@ type ShardedIndex struct {
 
 // NewShardedIndex builds a sharded mutable index over corpus. When the
 // corpus is labelled (Dataset.Labelled), Classify is enabled and Add
-// requires a meaningful label. The dE-only algorithms ("bktree", "trie")
-// are rejected with any other metric, exactly as in NewIndex.
+// requires a meaningful label. The dE-only "bktree" is rejected with any
+// other metric, exactly as in NewIndex.
 func NewShardedIndex(corpus *Dataset, m Metric, cfg ShardedIndexConfig) (*ShardedIndex, error) {
 	setCfg, err := shardedConfig(m, cfg)
 	if err != nil {
@@ -93,12 +92,6 @@ func shardedConfig(m Metric, cfg ShardedIndexConfig) (shard.Config, error) {
 	}
 	if cfg.Pivots <= 0 {
 		cfg.Pivots = 16
-	}
-	if cfg.Algorithm == "trie" {
-		// The trie keeps one node per distinct string (first element
-		// wins): duplicate values added to a mutable corpus would
-		// silently collapse at the next compaction.
-		return shard.Config{}, fmt.Errorf("ced: the trie index collapses duplicate strings and cannot back a mutable sharded index")
 	}
 	im := internalMetric(m)
 	build, err := shard.StandardBuild(cfg.Algorithm, im, cfg.Pivots, cfg.Seed, cfg.BuildWorkers)

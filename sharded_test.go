@@ -147,7 +147,7 @@ func TestShardedIndexValidation(t *testing.T) {
 
 func TestLoadIndexAllKinds(t *testing.T) {
 	d := shardedTestDataset()
-	for _, algo := range []string{"laesa", "vptree", "bktree"} {
+	for _, algo := range []string{"laesa", "bktree"} {
 		m := Metric(Contextual())
 		if algo == "bktree" {
 			m = Levenshtein()

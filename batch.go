@@ -31,29 +31,17 @@ type Pair = serve.Pair
 func BatchDistance(pairs []Pair, m Metric, workers int) []float64 {
 	out := make([]float64, len(pairs))
 	bulk.New(internalMetric(m)).FanChunks(len(pairs), workers, func(s metric.Metric, lo, hi int) {
-		b, ok := s.(metric.Batcher)
-		if !ok {
-			for i := lo; i < hi; i++ {
-				out[i] = s.Distance([]rune(pairs[i].A), []rune(pairs[i].B))
-			}
-			return
-		}
 		var bs [][]rune
 		for rlo := lo; rlo < hi; {
 			rhi := rlo + 1
 			for rhi < hi && pairs[rhi].A == pairs[rlo].A {
 				rhi++
 			}
-			a := []rune(pairs[rlo].A)
-			if rhi == rlo+1 {
-				out[rlo] = s.Distance(a, []rune(pairs[rlo].B))
-			} else {
-				bs = bs[:0]
-				for i := rlo; i < rhi; i++ {
-					bs = append(bs, []rune(pairs[i].B))
-				}
-				b.DistanceBatch(a, bs, out[rlo:rhi])
+			bs = bs[:0]
+			for i := rlo; i < rhi; i++ {
+				bs = append(bs, []rune(pairs[i].B))
 			}
+			bulk.Row(s, []rune(pairs[rlo].A), bs, out[rlo:rhi])
 			rlo = rhi
 		}
 	})

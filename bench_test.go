@@ -1,10 +1,13 @@
 package ced_test
 
 // One benchmark per table and figure of the paper's evaluation section,
-// plus ablation benches for the design choices called out in DESIGN.md.
-// Benchmark sizes are trimmed versions of the cedexp defaults so that
-// `go test -bench=. -benchmem` finishes in minutes; cmd/cedexp runs the
-// full-scale versions and EXPERIMENTS.md records those results.
+// plus ablation benches for this repository's own design choices: pivot
+// selection, search structure, the Levenshtein engines and the windowed
+// contextual kernel. Benchmark sizes are trimmed versions of the cedexp
+// defaults so that `go test -bench=. -benchmem` finishes in minutes;
+// cmd/cedexp runs the full-scale versions (README, "`cedexp` — reproduce
+// the paper"). No file records the numbers; BENCH.md, "Microbenchmarks",
+// says how to compare them.
 
 import (
 	"testing"
@@ -250,18 +253,15 @@ func BenchmarkAblationSearchers(b *testing.B) {
 func BenchmarkLevenshteinEngines(b *testing.B) {
 	x, y := distPairs(b, "contours", 32)
 	b.Run("two-row", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			editdist.Distance(x, y)
 		}
 	})
-	b.Run("myers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			editdist.Myers(x, y)
-		}
-	})
-	b.Run("banded-k16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			editdist.Bounded(x, y, 16)
+	b.Run("myers-bounded", func(b *testing.B) {
+		var s editdist.Scratch
+		k := max(len(x), len(y)) // a bound no distance exceeds: the exact dE
+		for b.Loop() {
+			s.MyersBounded(x, y, k)
 		}
 	})
 }

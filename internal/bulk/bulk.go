@@ -9,9 +9,10 @@
 // private metric session (a reusable distance workspace for the contextual
 // kernels), so steady-state bulk evaluations allocate nothing and never
 // round-trip a shared sync.Pool per call. Sessions produce bit-identical
-// values to the plain metric, and per-worker computation counters are
-// merged in worker order after the fan completes, so results and counts
-// are deterministic regardless of the worker count.
+// values to the plain metric, so fanned values never depend on the worker
+// count. Callers that keep per-worker partials (counters, histograms) index
+// them by FanWorker's worker and merge them in worker order after the fan
+// returns.
 package bulk
 
 import (
@@ -90,27 +91,6 @@ func (e *Evaluator) Fan(n, workers int, fn func(s metric.Metric, i int)) {
 	e.FanWorker(n, workers, func(s metric.Metric, _, i int) { fn(s, i) })
 }
 
-// FanCount is Fan for workloads that report distance computations: fn
-// returns the number of metric evaluations it spent on index i, the
-// per-worker totals accumulate privately (no shared counter on the hot
-// path) and merge in worker order after every fn call has completed, so
-// the returned total is deterministic for any worker count.
-func (e *Evaluator) FanCount(n, workers int, fn func(s metric.Metric, i int) int) int {
-	if n <= 0 {
-		return 0
-	}
-	workers = pool.Workers(n, workers)
-	counts := make([]int, workers)
-	e.FanWorker(n, workers, func(s metric.Metric, w, i int) {
-		counts[w] += fn(s, i)
-	})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}
-
 // FanCtx is Fan with cooperative cancellation: each striped worker polls a
 // private cancellation checkpoint (see internal/cancel) between items and
 // stops evaluating once the context is cancelled, skipping its remaining
@@ -175,39 +155,61 @@ func (e *Evaluator) FanChunks(n, workers int, fn func(s metric.Metric, lo, hi in
 // FanBatch evaluates one query against candidates [0, n), filling
 // out[i] = d(query, cand(i)). The index range is split into contiguous
 // per-worker chunks (workers <= 0 uses all CPUs) and each worker resolves
-// its chunk through its session's DistanceBatch — block by block, with the
-// candidate slice assembled once per block — when the session implements
-// metric.Batcher, falling back to per-candidate Distance calls otherwise.
-// Values are bit-identical either way (the Batcher contract), so results
-// never depend on the worker count or the session's capabilities; this is
-// the batch analogue of Fan for the one-query row shape of LAESA pivot
-// rows, VP-tree partitions and BK-tree levels.
+// its chunk through Row on its session, block by block, with the candidate
+// slice assembled once per block. Values are bit-identical to per-pair
+// Distance calls, so results never depend on the worker count or the
+// session's capabilities; this is the batch analogue of Fan for the
+// one-query row shape of LAESA pivot rows, VP-tree partitions and BK-tree
+// levels.
 func (e *Evaluator) FanBatch(query []rune, n, workers int, cand func(i int) []rune, out []float64) {
 	e.FanChunks(n, workers, func(s metric.Metric, lo, hi int) {
-		b, ok := s.(metric.Batcher)
-		if !ok {
-			for i := lo; i < hi; i++ {
-				out[i] = s.Distance(query, cand(i))
-			}
-			return
-		}
-		bsCap := hi - lo
-		if bsCap > fanBatchBlock {
-			bsCap = fanBatchBlock
-		}
-		bs := make([][]rune, 0, bsCap)
+		bs := make([][]rune, 0, min(hi-lo, fanBatchBlock))
 		for blo := lo; blo < hi; blo += fanBatchBlock {
-			bhi := blo + fanBatchBlock
-			if bhi > hi {
-				bhi = hi
-			}
+			bhi := min(blo+fanBatchBlock, hi)
 			bs = bs[:0]
 			for i := blo; i < bhi; i++ {
 				bs = append(bs, cand(i))
 			}
-			b.DistanceBatch(query, bs, out[blo:bhi])
+			Row(s, query, bs, out[blo:bhi])
 		}
 	})
+}
+
+// Matrix returns the full symmetric distance matrix over data: out[i][j] =
+// d(data[i], data[j]), zeros on the diagonal. Rows are striped over the
+// workers (workers <= 0 uses all CPUs); row i evaluates data[i] against
+// data[i+1:] through Row on its worker's session and mirrors the values
+// into the lower triangle, so the metric runs n·(n−1)/2 times, every cell
+// has one writer, and the values never depend on the worker count.
+func (e *Evaluator) Matrix(data [][]rune, workers int) [][]float64 {
+	n := len(data)
+	out := make([][]float64, n)
+	cells := make([]float64, n*n)
+	for i := range out {
+		out[i] = cells[i*n : (i+1)*n]
+	}
+	e.Fan(n, workers, func(s metric.Metric, i int) {
+		Row(s, data[i], data[i+1:], out[i][i+1:])
+		for j := i + 1; j < n; j++ {
+			out[j][i] = out[i][j]
+		}
+	})
+	return out
+}
+
+// Row fills out[i] = s.Distance(query, cands[i]) for every candidate: in
+// one DistanceBatch call when s is a metric.Batcher and there is more than
+// one candidate, pair by pair otherwise. Values are bit-identical either
+// way (the Batcher contract). It is the one "batch or per-pair" branch of
+// the bulk layers: FanBatch, Matrix and ced.BatchDistance.
+func Row(s metric.Metric, query []rune, cands [][]rune, out []float64) {
+	if b, ok := s.(metric.Batcher); ok && len(cands) > 1 {
+		b.DistanceBatch(query, cands, out)
+		return
+	}
+	for i, c := range cands {
+		out[i] = s.Distance(query, c)
+	}
 }
 
 // checkout returns one session per worker; release returns them.

@@ -47,29 +47,6 @@ func TestFanMatchesDirectEvaluation(t *testing.T) {
 	}
 }
 
-func TestFanCountDeterministic(t *testing.T) {
-	data := randomStrings(rand.New(rand.NewSource(8)), 101, 10)
-	q := []rune("gatt")
-	ev := New(metric.Contextual())
-	want := -1
-	for _, workers := range []int{1, 3, 8} {
-		got := ev.FanCount(len(data), workers, func(s metric.Metric, i int) int {
-			s.Distance(q, data[i])
-			if i%3 == 0 {
-				s.Distance(data[i], q)
-				return 2
-			}
-			return 1
-		})
-		if want < 0 {
-			want = got
-		}
-		if got != want {
-			t.Fatalf("workers=%d: count %d, want %d", workers, got, want)
-		}
-	}
-}
-
 // Sessions minted for a Sessioner metric must be private per worker: the
 // fan hands the same session only to one goroutine at a time.
 func TestFanSessionConfinement(t *testing.T) {
@@ -96,9 +73,6 @@ func TestFanZeroItems(t *testing.T) {
 	ev.Fan(0, 4, func(metric.Metric, int) { called = true })
 	if called {
 		t.Fatal("Fan(0, ...) must not invoke fn")
-	}
-	if got := ev.FanCount(0, 4, func(metric.Metric, int) int { return 1 }); got != 0 {
-		t.Fatalf("FanCount(0, ...) = %d, want 0", got)
 	}
 }
 

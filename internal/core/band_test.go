@@ -15,7 +15,10 @@ import (
 //     full-band sweep's, cell for cell, on reused scratch planes;
 //   - the full band holds the sentinel below dE, where no path exists;
 //   - the full band through finishBand equals computeReference, compared
-//     with ==, not a tolerance.
+//     with ==, not a tolerance;
+//   - for every window in [0, m+n], ComputeWindowed equals the full band
+//     through finishBand at kmax = min(dE + window, m+n), compared with ==,
+//     and it claims Exact only where that result is Compute's.
 func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 	t.Helper()
 	m, n := len(x), len(y)
@@ -50,6 +53,22 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 				t.Fatalf("band kmax=%d diverged from the full band for %q %q at k=%d: %d != %d",
 					kmax, string(x), string(y), k, banded[k], full[k])
 			}
+		}
+	}
+
+	exact := w.Compute(x, y)
+	exact.Exact = false
+	for window := 0; window <= m+n; window++ {
+		got := w.ComputeWindowed(x, y, window)
+		claimed := got.Exact
+		got.Exact = false
+		if want := w.finishBand(m, n, min(de+window, m+n), gap, full); got != want {
+			t.Fatalf("window %d diverged from the full band for %q %q:\n got %+v\nwant %+v",
+				window, string(x), string(y), got, want)
+		}
+		if claimed && got != exact {
+			t.Fatalf("window %d claims Exact for %q %q but %+v != Compute's %+v",
+				window, string(x), string(y), got, exact)
 		}
 	}
 }

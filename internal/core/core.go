@@ -28,9 +28,11 @@
 // memory (workspace.go) — and HeuristicCompute runs the quadratic heuristic
 // dC,h of §4.1 itself (evaluate only the minimal feasible k), which the
 // paper reports equals the exact value in about 90% of cases and which this
-// package guarantees to be an upper bound of it. DistanceBounded evaluates
-// the exact distance under a caller-supplied cutoff, abandoning the
-// dynamic program when the band proves the distance exceeds it.
+// package guarantees to be an upper bound of it. ComputeWindowed runs
+// Compute's band with its upper end also capped at dE + window, a knob
+// between the two. DistanceBounded evaluates the exact distance under a
+// caller-supplied cutoff, abandoning the dynamic program when the band
+// proves the distance exceeds it.
 package core
 
 import "math"
@@ -127,6 +129,31 @@ func DistanceBoundedStaged(x, y []rune, cutoff float64) (float64, bool, Stage) {
 // enforce.
 func Compute(x, y []rune) Result {
 	return withWorkspace(func(w *Workspace) Result { return w.Compute(x, y) })
+}
+
+// ComputeWindowed runs Algorithm 1 with the edit-length dimension capped at
+// dE(x, y) + window as well as at the band Compute sweeps (see
+// workspace.go), on pooled scratch memory. It answers the paper's §5 remark
+// that "the cubic complexity of Algorithm 1 is clearly too high" with a
+// knob between the two kernels, and never costs more than Compute.
+//
+// The result is sandwiched between the exact distance and the heuristic:
+//
+//	dC(x, y)  <=  ComputeWindowed(x, y, w).Distance  <=  dC,h(x, y)
+//
+// with equality on the right at w <= 0 (only the minimal edit length is
+// inspected, which is the §4.1 heuristic) and equality on the left once
+// the window covers every edit length the band leaves open (the Result is
+// then marked Exact, as it is from w = |x|+|y| on). The §4.1 observation
+// that the optimum almost always sits at k = dE means small windows are
+// almost always exact.
+func ComputeWindowed(x, y []rune, window int) Result {
+	return withWorkspace(func(w *Workspace) Result { return w.ComputeWindowed(x, y, window) })
+}
+
+// Windowed returns just the distance from ComputeWindowed.
+func Windowed(x, y []rune, window int) float64 {
+	return ComputeWindowed(x, y, window).Distance
 }
 
 // computeReference is the unpruned seed implementation of Algorithm 1,

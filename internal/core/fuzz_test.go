@@ -179,8 +179,9 @@ func FuzzLadderInvariants(f *testing.F) {
 
 // FuzzBandKernels runs the Stage 3 band sweep on fuzzed pairs at every
 // band width from |m−n| to m+n+3 and demands cell-identical final bands
-// against the full-band sweep, plus a reference-identical result from the
-// full band (see checkBandKernelsAgree).
+// against the full-band sweep, a reference-identical result from the full
+// band, and the windowed kernel's result at every window (see
+// checkBandKernelsAgree).
 func FuzzBandKernels(f *testing.F) {
 	f.Add("ababa", "baab")
 	f.Add("abcabcabcabc", "cbacbacba")

@@ -6,9 +6,10 @@ import (
 	"ced/internal/editdist"
 )
 
-// This file implements the production kernel behind Compute, Heuristic and
-// DistanceBounded: Algorithm 1 restricted to a provably sufficient band of
-// edit lengths, running on reusable scratch memory.
+// This file implements the production kernel behind Compute,
+// ComputeWindowed, Heuristic and DistanceBounded: Algorithm 1 restricted to
+// a provably sufficient band of edit lengths, running on reusable scratch
+// memory.
 //
 // The pruning argument is the paper's own Lemma 1. A path with exactly k
 // operations, ni of them insertions, costs at least the closed formula of
@@ -156,22 +157,40 @@ func kBand(h []float64, m, n int, bound float64, de int) int {
 // Algorithm 1, pruned to the k-band derived from the §4.1 heuristic and
 // running entirely on the workspace's reusable buffers. The result —
 // distance and path decomposition — is bit-identical to the unpruned
-// reference algorithm.
+// reference algorithm. It is ComputeWindowed with a window that covers
+// every edit length.
 func (w *Workspace) Compute(x, y []rune) Result {
+	return w.ComputeWindowed(x, y, len(x)+len(y))
+}
+
+// ComputeWindowed is the workspace form of the package-level
+// ComputeWindowed: the banded Algorithm 1 with the band's upper end capped
+// at dE + window as well. The heuristic supplies dE and the band kBand
+// proves sufficient, so the sweep runs over [dE, min(kBand, dE+window)].
+// Exact is set when the window covers the whole band; the result is then
+// Compute's. The result is bit-identical to the unpruned reference
+// algorithm restricted to edit lengths at most dE + window: the edit
+// lengths the band drops cannot win either sweep.
+func (w *Workspace) ComputeWindowed(x, y []rune, window int) Result {
 	m, n := len(x), len(y)
 	if m == 0 && n == 0 {
 		return Result{Exact: true}
 	}
+	window = max(window, 0)
 	hres := w.HeuristicCompute(x, y)
 	kmax := kBand(w.harmonic(m+n), m, n, hres.Distance, hres.K)
+	exact := kmax-hres.K <= window
+	if !exact {
+		kmax = hres.K + window
+	}
 	if kmax == hres.K {
-		// The band collapsed to the single edit length the heuristic already
-		// evaluated: the heuristic value is provably exact.
-		hres.Exact = true
+		// The sweep would cover only the edit length the heuristic already
+		// evaluated: the heuristic value is the result.
+		hres.Exact = exact
 		return hres
 	}
 	res := w.computeBand(x, y, kmax, hres.K)
-	res.Exact = true
+	res.Exact = exact
 	return res
 }
 

@@ -3,7 +3,7 @@
 // (sisap.org downloads and NIST SD3) are not available offline — plus the
 // genqueries-style perturbation generator and plain-text I/O.
 //
-// Substitutions (documented in DESIGN.md §2):
+// Substitutions (README, "`cedgen` — generate datasets"):
 //
 //   - Spanish dictionary (86,062 words)  → Spanish: a syllable-grammar
 //     generator with Spanish phonotactics and suffixes.

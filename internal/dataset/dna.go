@@ -14,8 +14,7 @@ type DNAConfig struct {
 	// MinLen and MaxLen bound the ancestor lengths in symbols. They are
 	// rounded to whole codons. The real Listeria genes run to a few
 	// kilobases; the defaults (120, 900) are scaled down so the cubic and
-	// quadratic distances stay laptop-friendly — EXPERIMENTS.md records
-	// the scale. Defaults apply when zero.
+	// quadratic distances stay laptop-friendly. Defaults apply when zero.
 	MinLen, MaxLen int
 	// GC is the GC content of ancestor bodies; Listeria monocytogenes
 	// sits near 0.38. Defaults to 0.38 when zero.

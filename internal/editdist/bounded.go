@@ -6,14 +6,15 @@ package editdist
 // at most k — the bounded-evaluation idea of Fisman et al. (arXiv:2201.06115)
 // applied to the Levenshtein lower bound of the contextual distance.
 //
-// MyersBounded is the bit-parallel Myers kernel of myers.go with the bound
-// folded in as an early exit: after i text symbols the running score is
-// D(pattern, text[:i]), and the final distance is at least
-// score − (remaining text symbols), so a scan whose score outruns the bound
-// stops without finishing the text. Patterns longer than a machine word run
-// the blocked formulation (Myers 1999; Hyyrö 2003): ⌈n/64⌉ vertical blocks
-// per text symbol with the horizontal delta carried between blocks, still
-// O(⌈n/64⌉·m) word operations — the property that keeps the ladder's edit
+// MyersBounded is the bit-parallel Myers kernel (Myers 1999, in Hyyrö's
+// formulation: each column of the dynamic-programming matrix advances in
+// O(1) word operations) with the bound folded in as an early exit: after i
+// text symbols the running score is D(pattern, text[:i]), and the final
+// distance is at least score − (remaining text symbols), so a scan whose
+// score outruns the bound stops without finishing the text. Patterns longer
+// than a machine word run the blocked formulation (Myers 1999; Hyyrö
+// 2003): ⌈n/64⌉ vertical blocks per text symbol with the horizontal delta
+// carried between blocks, still O(⌈n/64⌉·m) word operations — the property that keeps the ladder's edit
 // stage far cheaper than the quadratic heuristic it short-circuits, even on
 // contour-length strings. Symbols are direct-indexed up to Latin-1 (the
 // Spanish corpus's ñ and accented vowels included); patterns with wider
@@ -62,11 +63,11 @@ func runesEqual(a, b []rune) bool {
 }
 
 // MyersBounded returns the Levenshtein distance between a and b if it is at
-// most k, and k+1 otherwise, like Bounded but on the bit-parallel engine
-// with an early exit: MyersBounded(a, b, k) <= k exactly when
-// Distance(a, b) <= k. This entry point builds its tables from scratch per
-// call; hot callers hold a Scratch and use its method, which is
-// allocation-free at steady state.
+// most k, and k+1 otherwise, on the bit-parallel engine with an early exit:
+// MyersBounded(a, b, k) <= k exactly when Distance(a, b) <= k, and at
+// k >= max(len(a), len(b)) it is Distance(a, b). This entry point builds
+// its tables from scratch per call; hot callers hold a Scratch and use its
+// method, which is allocation-free at steady state.
 func MyersBounded(a, b []rune, k int) int {
 	var s Scratch
 	return s.MyersBounded(a, b, k)
@@ -108,11 +109,10 @@ func (s *Scratch) MyersBounded(a, b []rune, k int) int {
 }
 
 // myersNarrow is the bounded single-word scan with a direct-indexed
-// pattern table (pattern symbols < peqSymbols). It mirrors myers64 in
-// myers.go plus the early exit; the shared step logic lives in myersStep,
-// and the table is scratch-resident with only the previous pattern's
-// entries re-zeroed, so the per-candidate fixed cost is O(pattern), not
-// O(peqSymbols).
+// pattern table (pattern symbols < peqSymbols). The step logic lives in
+// myersStep, and the table is scratch-resident with only the previous
+// pattern's entries re-zeroed, so the per-candidate fixed cost is
+// O(pattern), not O(peqSymbols).
 func (s *Scratch) myersNarrow(pattern, text []rune, k int) int {
 	peq := s.prepNarrow(pattern)
 	m, n := len(text), len(pattern)
@@ -180,9 +180,8 @@ func (s *Scratch) prepMap(pattern []rune) map[rune]uint64 {
 }
 
 // myersMap is the bounded single-word scan for patterns with symbols beyond
-// the direct-index table, using the scratch's reusable map. It mirrors
-// myers64Map in myers.go plus the early exit (myersStep is the shared
-// kernel).
+// the direct-index table, using the scratch's reusable map (myersStep is
+// the shared kernel).
 func (s *Scratch) myersMap(pattern, text []rune, k int) int {
 	peq := s.prepMap(pattern)
 	m, n := len(text), len(pattern)
@@ -197,6 +196,25 @@ func (s *Scratch) myersMap(pattern, text []rune, k int) int {
 		}
 	}
 	return score
+}
+
+// myersStep advances the bit-parallel column state by one text symbol.
+func myersStep(eq, pv, mv uint64, score int, last uint64) (uint64, uint64, int) {
+	xv := eq | mv
+	xh := (((eq & pv) + pv) ^ pv) | eq
+	ph := mv | ^(xh | pv)
+	mh := pv & xh
+	if ph&last != 0 {
+		score++
+	}
+	if mh&last != 0 {
+		score--
+	}
+	ph = ph<<1 | 1
+	mh <<= 1
+	pv = mh | ^(xv | ph)
+	mv = ph & xv
+	return pv, mv, score
 }
 
 // myersBlockStep advances one vertical block by one text symbol. hin is the

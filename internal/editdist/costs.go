@@ -51,33 +51,3 @@ func (w Weights) Del(rune) float64 { return w.DelCost }
 
 // Ins returns w.InsCost.
 func (w Weights) Ins(rune) float64 { return w.InsCost }
-
-// GeneralDistance returns the minimum total weight, under the cost model c,
-// of an alignment rewriting a into b. With Unit costs it equals
-// float64(Distance(a, b)).
-func GeneralDistance(a, b []rune, c Costs) float64 {
-	// Unlike the unit-cost engine, a and b cannot be swapped here: deletion
-	// and insertion costs need not be symmetric.
-	n := len(b)
-	row := make([]float64, n+1)
-	for j := 1; j <= n; j++ {
-		row[j] = row[j-1] + c.Ins(b[j-1])
-	}
-	for i := 1; i <= len(a); i++ {
-		diag := row[0]
-		row[0] += c.Del(a[i-1])
-		for j := 1; j <= n; j++ {
-			up := row[j]
-			d := up + c.Del(a[i-1])
-			if v := row[j-1] + c.Ins(b[j-1]); v < d {
-				d = v
-			}
-			if v := diag + c.Sub(a[i-1], b[j-1]); v < d {
-				d = v
-			}
-			row[j] = d
-			diag = up
-		}
-	}
-	return row[n]
-}

@@ -1,10 +1,10 @@
 // Package editdist implements the classical Levenshtein (edit) distance
 // together with the specialised engines the rest of the repository builds on:
-// a two-row dynamic program, a full-matrix variant with traceback and
-// edit-script extraction, a banded variant for threshold queries, a Myers
-// bit-parallel engine, generalized (weighted) costs, and the
-// path-length-constrained dynamic program that powers the exact Marzal-Vidal
-// normalised distance.
+// the two-row dynamic program (Distance, the reference every other engine is
+// tested against), the bounded bit-parallel Myers engines behind the query
+// ladder and the batch kernels (bounded.go, batch.go), and the
+// path-length-constrained dynamic program over weighted costs that powers
+// the exact Marzal-Vidal normalised distance (pathlen.go, costs.go).
 //
 // All functions operate on []rune so that datasets over non-ASCII alphabets
 // (the Spanish dictionary uses ñ and accented vowels) are handled correctly.
@@ -58,33 +58,14 @@ func DistanceStrings(a, b string) int {
 	return Distance([]rune(a), []rune(b))
 }
 
-// Bounded returns the Levenshtein distance between a and b if it is at most
-// k, and k+1 otherwise. It runs the Ukkonen banded dynamic program, touching
-// only the diagonal band of width 2k+1: O(k·min(len(a),len(b))) time.
-//
-// Bounded(a, b, k) <= k exactly when Distance(a, b) <= k.
-func Bounded(a, b []rune, k int) int {
-	if k < 0 {
-		return 0
-	}
-	if len(b) > len(a) {
-		a, b = b, a
-	}
-	m, n := len(a), len(b)
-	if m-n > k {
-		return k + 1
-	}
-	if n == 0 {
-		return m // m <= k here
-	}
-	return bandedRows(a, b, k, make([]int, n+1), make([]int, n+1))
-}
-
-// bandedRows is the engine of Bounded, running the Ukkonen band on the
-// caller's rolling rows (len(a) >= len(b) = len(prev)-1 = len(cur)-1 > 0 and
-// k >= len(a)-len(b) established by the caller). Row contents on entry are
-// irrelevant: every cell the band reads was written first, so scratch-owning
-// callers (Scratch.banded) reuse rows without clearing them.
+// bandedRows returns the Levenshtein distance between a and b if it is at
+// most k, and k+1 otherwise. It runs the Ukkonen banded dynamic program,
+// touching only the diagonal band of width 2k+1 (O(k·min(len(a),len(b)))
+// time), on the caller's rolling rows: len(a) >= len(b) = len(prev)-1 =
+// len(cur)-1 > 0 and k >= len(a)-len(b) are established by the caller. Row
+// contents on entry are irrelevant: every cell the band reads was written
+// first, so Scratch.banded, the wide-symbol fallback of
+// Scratch.MyersBounded, reuses its rows without clearing them.
 func bandedRows(a, b []rune, k int, prev, cur []int) int {
 	m, n := len(a), len(b)
 	const inf = int(^uint(0) >> 2)
@@ -144,44 +125,4 @@ func bandedRows(a, b []rune, k int, prev, cur []int) int {
 		return k + 1
 	}
 	return prev[n]
-}
-
-// WithinDistance reports whether Distance(a, b) <= k, using the banded
-// engine.
-func WithinDistance(a, b []rune, k int) bool {
-	return Bounded(a, b, k) <= k
-}
-
-// Matrix returns the full (len(a)+1)×(len(b)+1) Wagner-Fischer matrix, where
-// Matrix(a,b)[i][j] is the edit distance between a[:i] and b[:j]. It is the
-// engine behind Script and is exported for callers that need the whole
-// distance surface (e.g. visualisation).
-func Matrix(a, b []rune) [][]int {
-	m, n := len(a), len(b)
-	d := make([][]int, m+1)
-	cells := make([]int, (m+1)*(n+1))
-	for i := range d {
-		d[i] = cells[i*(n+1) : (i+1)*(n+1)]
-		d[i][0] = i
-	}
-	for j := 0; j <= n; j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= n; j++ {
-			best := d[i-1][j] + 1
-			if v := d[i][j-1] + 1; v < best {
-				best = v
-			}
-			v := d[i-1][j-1]
-			if a[i-1] != b[j-1] {
-				v++
-			}
-			if v < best {
-				best = v
-			}
-			d[i][j] = best
-		}
-	}
-	return d
 }

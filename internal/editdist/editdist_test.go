@@ -134,159 +134,82 @@ func TestDistanceBounds(t *testing.T) {
 	}
 }
 
+// The tests below pin the bounded contract of Scratch.MyersBounded, the
+// production dE engine: the exact distance whenever it is at most k, and
+// k+1 otherwise.
+
 func TestBoundedAgreesWithDistance(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
+	var s Scratch
 	for i := 0; i < 500; i++ {
 		a := randomString(r, 14, testAlphabet)
 		b := randomString(r, 14, testAlphabet)
 		d := Distance(a, b)
 		for k := 0; k <= 15; k++ {
-			got := Bounded(a, b, k)
+			got := s.MyersBounded(a, b, k)
 			if d <= k {
 				if got != d {
-					t.Fatalf("Bounded(%q,%q,%d) = %d, want exact %d", string(a), string(b), k, got, d)
+					t.Fatalf("MyersBounded(%q,%q,%d) = %d, want exact %d", string(a), string(b), k, got, d)
 				}
 			} else if got != k+1 {
-				t.Fatalf("Bounded(%q,%q,%d) = %d, want %d (distance %d)", string(a), string(b), k, got, k+1, d)
+				t.Fatalf("MyersBounded(%q,%q,%d) = %d, want %d (distance %d)", string(a), string(b), k, got, k+1, d)
 			}
 		}
 	}
 }
 
 func TestBoundedNegativeThreshold(t *testing.T) {
-	if got := Bounded([]rune("a"), []rune("b"), -1); got != 0 {
-		t.Errorf("Bounded with k<0 = %d, want 0", got)
+	if got := MyersBounded([]rune("a"), []rune("b"), -1); got != 0 {
+		t.Errorf("MyersBounded with k<0 = %d, want 0", got)
 	}
 }
 
-func TestWithinDistance(t *testing.T) {
-	a, b := []rune("kitten"), []rune("sitting")
-	if WithinDistance(a, b, 2) {
-		t.Error("WithinDistance(kitten,sitting,2) = true, want false")
-	}
-	if !WithinDistance(a, b, 3) {
-		t.Error("WithinDistance(kitten,sitting,3) = false, want true")
-	}
+// exactMyers runs the bounded engine at a bound no distance exceeds.
+func exactMyers(s *Scratch, a, b []rune) int {
+	return s.MyersBounded(a, b, max(len(a), len(b)))
 }
 
 func TestMyersAgreesWithDistance(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
+	var s Scratch
 	for i := 0; i < 500; i++ {
 		a := randomString(r, 20, widerAlphabet)
 		b := randomString(r, 20, widerAlphabet)
-		if got, want := Myers(a, b), Distance(a, b); got != want {
-			t.Fatalf("Myers(%q,%q) = %d, want %d", string(a), string(b), got, want)
+		if got, want := exactMyers(&s, a, b), Distance(a, b); got != want {
+			t.Fatalf("MyersBounded(%q,%q) = %d, want %d", string(a), string(b), got, want)
 		}
 	}
 }
 
+// TestMyersLongPatternFallback covers patterns longer than a machine word:
+// the blocked engine for Latin-1 symbols and the Ukkonen band (bandedRows)
+// for wider ones.
 func TestMyersLongPatternFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 20; i++ {
-		a := randomString(r, 150, testAlphabet)
-		b := randomString(r, 150, testAlphabet)
-		if got, want := Myers(a, b), Distance(a, b); got != want {
-			t.Fatalf("Myers long = %d, want %d", got, want)
+	var s Scratch
+	for _, alphabet := range [][]rune{testAlphabet, []rune("ab日")} {
+		for i := 0; i < 20; i++ {
+			a := randomString(r, 150, alphabet)
+			b := randomString(r, 150, alphabet)
+			d := Distance(a, b)
+			if got := exactMyers(&s, a, b); got != d {
+				t.Fatalf("MyersBounded long = %d, want %d", got, d)
+			}
+			if d > 0 {
+				if got := s.MyersBounded(a, b, d-1); got != d {
+					t.Fatalf("MyersBounded long below the distance = %d, want k+1 = %d", got, d)
+				}
+			}
 		}
 	}
 }
 
 func TestMyersEmpty(t *testing.T) {
-	if got := Myers(nil, []rune("abc")); got != 3 {
-		t.Errorf("Myers(\"\",abc) = %d, want 3", got)
+	if got := MyersBounded(nil, []rune("abc"), 3); got != 3 {
+		t.Errorf("MyersBounded(\"\",abc) = %d, want 3", got)
 	}
-	if got := Myers([]rune("abc"), nil); got != 3 {
-		t.Errorf("Myers(abc,\"\") = %d, want 3", got)
-	}
-}
-
-func TestMatrixEdges(t *testing.T) {
-	a, b := []rune("ab"), []rune("axb")
-	m := Matrix(a, b)
-	if m[0][0] != 0 || m[len(a)][len(b)] != Distance(a, b) {
-		t.Errorf("Matrix corners wrong: %v", m)
-	}
-	for i := 0; i <= len(a); i++ {
-		if m[i][0] != i {
-			t.Errorf("Matrix[%d][0] = %d, want %d", i, m[i][0], i)
-		}
-	}
-	for j := 0; j <= len(b); j++ {
-		if m[0][j] != j {
-			t.Errorf("Matrix[0][%d] = %d, want %d", j, m[0][j], j)
-		}
-	}
-}
-
-func TestScriptRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for i := 0; i < 300; i++ {
-		a := randomString(r, 12, widerAlphabet)
-		b := randomString(r, 12, widerAlphabet)
-		script := Script(a, b)
-		if got := Cost(script); got != Distance(a, b) {
-			t.Fatalf("Cost(Script(%q,%q)) = %d, want %d", string(a), string(b), got, Distance(a, b))
-		}
-		if got := Apply(a, script); string(got) != string(b) {
-			t.Fatalf("Apply(Script(%q,%q)) = %q", string(a), string(b), string(got))
-		}
-	}
-}
-
-func TestScriptPathLength(t *testing.T) {
-	// The script length (with matches) is a feasible alignment path length:
-	// max(m,n) <= len <= m+n.
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		a := randomString(r, 10, testAlphabet)
-		b := randomString(r, 10, testAlphabet)
-		l := len(Script(a, b))
-		lo := len(a)
-		if len(b) > lo {
-			lo = len(b)
-		}
-		if l < lo || l > len(a)+len(b) {
-			t.Fatalf("script length %d out of [%d,%d] for %q %q", l, lo, len(a)+len(b), string(a), string(b))
-		}
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	if Match.String() != "match" || Substitute.String() != "substitute" ||
-		Delete.String() != "delete" || Insert.String() != "insert" {
-		t.Error("OpKind.String() names wrong")
-	}
-	if OpKind(42).String() != "OpKind(42)" {
-		t.Error("OpKind.String() default wrong")
-	}
-}
-
-func TestGeneralDistanceUnitEqualsDistance(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for i := 0; i < 300; i++ {
-		a := randomString(r, 12, widerAlphabet)
-		b := randomString(r, 12, widerAlphabet)
-		got := GeneralDistance(a, b, Unit{})
-		if want := float64(Distance(a, b)); got != want {
-			t.Fatalf("GeneralDistance unit = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestGeneralDistanceWeighted(t *testing.T) {
-	w := Weights{SubCost: 3, DelCost: 1, InsCost: 1}
-	// With substitution costing more than delete+insert, "a"->"b" should be 2.
-	if got := GeneralDistance([]rune("a"), []rune("b"), w); got != 2 {
-		t.Errorf("weighted a->b = %v, want 2", got)
-	}
-	w2 := Weights{SubCost: 1, DelCost: 5, InsCost: 5}
-	if got := GeneralDistance([]rune("ab"), []rune("ba"), w2); got != 2 {
-		t.Errorf("weighted ab->ba = %v, want 2", got)
-	}
-	// Asymmetric costs: deleting is cheap, inserting expensive.
-	w3 := Weights{SubCost: 10, DelCost: 1, InsCost: 10}
-	if got := GeneralDistance([]rune("abc"), []rune(""), w3); got != 3 {
-		t.Errorf("weighted abc->empty = %v, want 3", got)
+	if got := MyersBounded([]rune("abc"), nil, 3); got != 3 {
+		t.Errorf("MyersBounded(abc,\"\") = %d, want 3", got)
 	}
 }
 
@@ -387,13 +310,5 @@ func BenchmarkDistanceShort(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Distance(x, y)
-	}
-}
-
-func BenchmarkMyersShort(b *testing.B) {
-	x, y := []rune("contextual"), []rune("normalised")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Myers(x, y)
 	}
 }

@@ -4,78 +4,47 @@
 // that prints the same rows/series the paper reports.
 //
 // Dataset sizes default to laptop-friendly scales (the originals ran on a
-// 2008 testbed for hours); every size is configurable, and EXPERIMENTS.md
-// records the scales used together with the measured results. The *shape*
-// of each result — orderings, crossovers, relative factors — is what the
+// 2008 testbed for hours); every size is configurable through cedexp's
+// flags (README, "`cedexp` — reproduce the paper"). The *shape* of each
+// result — orderings, crossovers, relative factors — is what the
 // reproduction preserves.
 package experiments
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"ced/internal/bulk"
 	"ced/internal/metric"
+	"ced/internal/pool"
 	"ced/internal/stats"
 )
 
-// defaultWorkers resolves a worker-count setting: non-positive means one
-// worker per available CPU.
-func defaultWorkers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // pairHistogram fills one histogram per metric with the distances over all
-// unordered pairs of data, computed in parallel with one private session
-// per (worker, metric). Results are deterministic: session values are
-// bit-identical to the plain metrics', worker shards are merged in worker
-// order and bin counts are order-independent.
+// unordered pairs of data. Each metric's rows are striped over the workers,
+// each worker evaluating through a private session into a private
+// histogram (row i costs n−i−1 pairs, so the stride balances load well
+// enough). Results are deterministic for a worker count: session values are
+// bit-identical to the plain metrics', and the per-worker histograms merge
+// in worker order.
 func pairHistogram(data [][]rune, metrics []metric.Metric, binWidth float64, workers int) []*stats.Histogram {
-	workers = defaultWorkers(workers)
 	n := len(data)
-	evs := make([]*bulk.Evaluator, len(metrics))
-	for k, m := range metrics {
-		evs[k] = bulk.New(m)
-	}
-	shards := make([][]*stats.Histogram, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]*stats.Histogram, len(metrics))
-			sess := make([]metric.Metric, len(metrics))
-			for k := range local {
-				local[k] = stats.NewHistogram(binWidth)
-				sess[k] = evs[k].Session()
-			}
-			// Stride rows over workers: row i costs n-i-1 pairs, so the
-			// stride balances load well enough.
-			for i := w; i < n; i += workers {
-				for j := i + 1; j < n; j++ {
-					for k := range sess {
-						local[k].Add(sess[k].Distance(data[i], data[j]))
-					}
-				}
-			}
-			for k := range sess {
-				evs[k].Release(sess[k])
-			}
-			shards[w] = local
-		}(w)
-	}
-	wg.Wait()
+	workers = pool.Workers(n, workers)
 	out := make([]*stats.Histogram, len(metrics))
-	for k := range out {
+	for k, m := range metrics {
+		shards := make([]*stats.Histogram, workers)
+		for w := range shards {
+			shards[w] = stats.NewHistogram(binWidth)
+		}
+		bulk.New(m).FanWorker(n, workers, func(s metric.Metric, w, i int) {
+			for j := i + 1; j < n; j++ {
+				shards[w].Add(s.Distance(data[i], data[j]))
+			}
+		})
 		out[k] = stats.NewHistogram(binWidth)
-		for w := 0; w < workers; w++ {
-			out[k].Merge(shards[w][k])
+		for _, h := range shards {
+			out[k].Merge(h)
 		}
 	}
 	return out
@@ -96,9 +65,9 @@ func pairSummaries(data [][]rune, metrics []metric.Metric, workers int) []*stats
 
 // measureLatency returns the mean wall-clock cost of one m.Distance call
 // over the given sample pairs. The sweep experiments report estimated
-// search times as computations × latency; see EXPERIMENTS.md for why (the
-// sweeps memoise distances to keep cubic metrics tractable, so in-situ
-// timing would measure cache lookups).
+// search times as computations × latency because they memoise distances to
+// keep cubic metrics tractable, so in-situ timing would measure cache
+// lookups.
 func measureLatency(m metric.Metric, pairs [][2][]rune) time.Duration {
 	if len(pairs) == 0 {
 		return 0

@@ -6,6 +6,7 @@ import (
 
 	"ced/internal/core"
 	"ced/internal/dataset"
+	"ced/internal/pool"
 	"ced/internal/stats"
 )
 
@@ -54,73 +55,44 @@ func RunFig1(cfg Fig1Config, progress Progress) Fig1Result {
 	progress.printf("fig1: generating %d Spanish-like words (seed %d)", cfg.Words, cfg.Seed)
 	words := dataset.Spanish(cfg.Words, cfg.Seed).Runes()
 
-	// One pass computing both distances per pair, tracking agreement. The
-	// generic pairHistogram cannot see pair-wise agreement, so this
-	// experiment runs its own (still parallel) loop via a combined metric
-	// trick: instead, reuse pairHistogram twice would double work; do a
-	// dedicated parallel loop.
+	// One pass computing both distances per pair, tracking agreement, so
+	// this experiment runs its own fan rather than pairHistogram. Each
+	// striped worker owns a shard with a private distance workspace; the
+	// shards merge in worker order.
 	type shard struct {
+		ws          *core.Workspace
 		exact, heur *stats.Histogram
-		agree       int
-		pairs       int
-		maxGap      float64
-		sumGap      float64
+		gaps        gapStats
 	}
-	workers := defaultWorkers(cfg.Workers)
+	workers := pool.Workers(len(words), cfg.Workers)
 	shards := make([]shard, workers)
-	done := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			// One private distance workspace per worker: the heavy
-			// exact-dC loop never round-trips the shared pool.
-			ws := core.NewWorkspace()
-			s := shard{exact: stats.NewHistogram(cfg.BinWidth), heur: stats.NewHistogram(cfg.BinWidth)}
-			for i := w; i < len(words); i += workers {
-				for j := i + 1; j < len(words); j++ {
-					de := ws.Distance(words[i], words[j])
-					dh := ws.HeuristicCompute(words[i], words[j]).Distance
-					s.exact.Add(de)
-					s.heur.Add(dh)
-					s.pairs++
-					gap := dh - de
-					if gap <= 1e-12 {
-						s.agree++
-					} else {
-						s.sumGap += gap
-						if gap > s.maxGap {
-							s.maxGap = gap
-						}
-					}
-				}
-			}
-			shards[w] = s
-			done <- w
-		}(w)
+	for w := range shards {
+		shards[w] = shard{ws: core.NewWorkspace(), exact: stats.NewHistogram(cfg.BinWidth), heur: stats.NewHistogram(cfg.BinWidth)}
 	}
-	for i := 0; i < workers; i++ {
-		<-done
-	}
+	pool.FanWorker(len(words), workers, func(w, i int) {
+		s := &shards[w]
+		for j := i + 1; j < len(words); j++ {
+			de := s.ws.Distance(words[i], words[j])
+			dh := s.ws.HeuristicCompute(words[i], words[j]).Distance
+			s.exact.Add(de)
+			s.heur.Add(dh)
+			s.gaps.add(de, dh)
+		}
+	})
 	res := Fig1Result{
 		Config:    cfg,
 		Exact:     stats.NewHistogram(cfg.BinWidth),
 		Heuristic: stats.NewHistogram(cfg.BinWidth),
 	}
-	agree, disagreeGap := 0, 0.0
+	var gaps gapStats
 	for _, s := range shards {
 		res.Exact.Merge(s.exact)
 		res.Heuristic.Merge(s.heur)
-		res.Pairs += s.pairs
-		agree += s.agree
-		disagreeGap += s.sumGap
-		if s.maxGap > res.MaxGap {
-			res.MaxGap = s.maxGap
-		}
+		gaps.merge(s.gaps)
 	}
+	res.Pairs, res.MaxGap, res.MeanGap = gaps.pairs, gaps.maxGap, gaps.meanGap()
 	if res.Pairs > 0 {
-		res.Agreement = float64(agree) / float64(res.Pairs)
-	}
-	if n := res.Pairs - agree; n > 0 {
-		res.MeanGap = disagreeGap / float64(n)
+		res.Agreement = float64(gaps.agree) / float64(res.Pairs)
 	}
 	progress.printf("fig1: %d pairs, agreement %.1f%%", res.Pairs, 100*res.Agreement)
 	return res

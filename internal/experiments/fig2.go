@@ -14,7 +14,7 @@ import (
 // over all pairs of the gene dataset.
 //
 // The paper used ~1,000 Listeria genes (kilobase lengths). The synthetic
-// genes here are scaled down (see dataset.DNAConfig and EXPERIMENTS.md):
+// genes here are scaled down (see dataset.DNAConfig):
 // dMV is cubic in the string length, so paper-scale strings would need
 // hours; the histogram shapes are length-scale invariant.
 type Fig2Config struct {

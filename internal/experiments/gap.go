@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"text/tabwriter"
 
 	"ced/internal/core"
 	"ced/internal/dataset"
+	"ced/internal/pool"
 )
 
 // GapConfig parameterises the §4.1 heuristic study: over each dataset, how
@@ -85,52 +85,71 @@ func RunGap(cfg GapConfig, progress Progress) GapResult {
 	for _, set := range sets {
 		progress.printf("gap: dataset %q", set.name)
 		pairs := samplePairIndices(len(set.data), cfg.MaxPairs, cfg.Seed+7)
-		agree := 0
-		maxGap, sumGap := 0.0, 0.0
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		w := defaultWorkers(cfg.Workers)
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				ws := core.NewWorkspace() // private per-worker scratch
-				la, lm, ls := 0, 0.0, 0.0
-				for idx := k; idx < len(pairs); idx += w {
-					i, j := pairs[idx][0], pairs[idx][1]
-					de := ws.Distance(set.data[i], set.data[j])
-					dh := ws.HeuristicCompute(set.data[i], set.data[j]).Distance
-					gap := dh - de
-					if gap <= 1e-12 {
-						la++
-					} else {
-						ls += gap
-						if gap > lm {
-							lm = gap
-						}
-					}
-				}
-				mu.Lock()
-				agree += la
-				sumGap += ls
-				if lm > maxGap {
-					maxGap = lm
-				}
-				mu.Unlock()
-			}(k)
+		// Each striped worker sums into a private partial with a private
+		// workspace; the partials merge in worker order, so the float sum
+		// does not depend on which worker finishes first.
+		type partial struct {
+			ws   *core.Workspace
+			gaps gapStats
 		}
-		wg.Wait()
+		parts := make([]partial, pool.Workers(len(pairs), cfg.Workers))
+		for w := range parts {
+			parts[w].ws = core.NewWorkspace()
+		}
+		pool.FanWorker(len(pairs), len(parts), func(w, idx int) {
+			p := &parts[w]
+			i, j := pairs[idx][0], pairs[idx][1]
+			de := p.ws.Distance(set.data[i], set.data[j])
+			p.gaps.add(de, p.ws.HeuristicCompute(set.data[i], set.data[j]).Distance)
+		})
+		var gaps gapStats
+		for _, p := range parts {
+			gaps.merge(p.gaps)
+		}
 		res.Datasets = append(res.Datasets, set.name)
 		res.Pairs = append(res.Pairs, len(pairs))
-		res.Agreement = append(res.Agreement, float64(agree)/float64(len(pairs)))
-		res.MaxGap = append(res.MaxGap, maxGap)
-		if n := len(pairs) - agree; n > 0 {
-			res.MeanGap = append(res.MeanGap, sumGap/float64(n))
-		} else {
-			res.MeanGap = append(res.MeanGap, 0)
-		}
+		res.Agreement = append(res.Agreement, float64(gaps.agree)/float64(len(pairs)))
+		res.MaxGap = append(res.MaxGap, gaps.maxGap)
+		res.MeanGap = append(res.MeanGap, gaps.meanGap())
 	}
 	return res
+}
+
+// gapStats accumulates the §4.1 agreement statistics of dC,h against dC
+// over a set of pairs: how many pairs agree, and the largest and the summed
+// gap of those that do not.
+type gapStats struct {
+	pairs, agree   int
+	maxGap, sumGap float64
+}
+
+// add records one pair's exact and heuristic distances.
+func (g *gapStats) add(de, dh float64) {
+	g.pairs++
+	gap := dh - de
+	if gap <= 1e-12 {
+		g.agree++
+		return
+	}
+	g.sumGap += gap
+	g.maxGap = max(g.maxGap, gap)
+}
+
+// merge adds o's pairs to g.
+func (g *gapStats) merge(o gapStats) {
+	g.pairs += o.pairs
+	g.agree += o.agree
+	g.sumGap += o.sumGap
+	g.maxGap = max(g.maxGap, o.maxGap)
+}
+
+// meanGap returns the mean gap over the disagreeing pairs, 0 when every
+// pair agrees.
+func (g gapStats) meanGap() float64 {
+	if n := g.pairs - g.agree; n > 0 {
+		return g.sumGap / float64(n)
+	}
+	return 0
 }
 
 // samplePairIndices returns up to maxPairs distinct unordered pairs of

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"ced/internal/bulk"
 	"ced/internal/dataset"
@@ -18,7 +17,7 @@ import (
 //
 // The paper used 1,000 training samples, 1,000 queries and 10 repetitions;
 // the defaults trim the queries and repetitions to keep the cubic dMV
-// tractable (see EXPERIMENTS.md).
+// tractable.
 type SweepConfig struct {
 	TrainSize   int
 	QueryCount  int
@@ -111,37 +110,25 @@ func runSweep(name string, provider corpusProvider, cfg SweepConfig, progress Pr
 		for mi, m := range cfg.Metrics {
 			progress.printf("%s: rep %d/%d, metric %s: corpus matrix (%d pairs)",
 				name, rep+1, cfg.Repetitions, m.Name(), len(corpus)*(len(corpus)-1)/2)
-			matrix := distanceMatrix(corpus, m, cfg.Workers)
+			matrix := bulk.New(m).Matrix(corpus, cfg.Workers)
 			if rep == 0 {
 				res.Latency[mi] = measureLatency(m, samplePairs(queries, corpus, cfg.LatencySample)).Seconds()
 			}
 			progress.printf("%s: rep %d/%d, metric %s: sweeping %d pivot counts",
 				name, rep+1, cfg.Repetitions, m.Name(), np)
-			ev := bulk.New(m)
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, defaultWorkers(cfg.Workers))
-			for pi, p := range cfg.Pivots {
-				wg.Add(1)
-				go func(pi, p int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					// Each sweep goroutine queries through a private metric
-					// session wrapped in the per-query memo: cache misses
-					// evaluate on the session's own workspace, so concurrent
-					// pivot counts never contend on a shared pool.
-					s := ev.Session()
-					defer ev.Release(s)
-					qm := &queryMemo{inner: s}
-					la := search.NewLAESAFromMatrix(corpus, qm, matrix, p, search.MaxSum, cfg.Seed+int64(rep))
-					total := 0
-					for _, q := range queries {
-						total += la.Search(q).Computations
-					}
-					perRep[mi][pi][rep] = float64(total) / float64(len(queries))
-				}(pi, p)
-			}
-			wg.Wait()
+			// Pivot counts are striped over the workers. Each queries through
+			// its worker's private session wrapped in a per-query memo of its
+			// own: cache misses evaluate on the session's workspace, so
+			// concurrent pivot counts never contend on a shared pool.
+			bulk.New(m).Fan(np, cfg.Workers, func(s metric.Metric, pi int) {
+				qm := &queryMemo{inner: s}
+				la := search.NewLAESAFromMatrix(corpus, qm, matrix, cfg.Pivots[pi], search.MaxSum, cfg.Seed+int64(rep))
+				total := 0
+				for _, q := range queries {
+					total += la.Search(q).Computations
+				}
+				perRep[mi][pi][rep] = float64(total) / float64(len(queries))
+			})
 		}
 	}
 
@@ -160,26 +147,6 @@ func runSweep(name string, provider corpusProvider, cfg SweepConfig, progress Pr
 		}
 	}
 	return res
-}
-
-// distanceMatrix computes the full symmetric distance matrix in parallel,
-// one private metric session per striped worker (the rune-level sibling of
-// ced.DistanceMatrix).
-func distanceMatrix(corpus [][]rune, m metric.Metric, workers int) [][]float64 {
-	n := len(corpus)
-	d := make([][]float64, n)
-	cells := make([]float64, n*n)
-	for i := range d {
-		d[i] = cells[i*n : (i+1)*n]
-	}
-	bulk.New(m).Fan(n, workers, func(s metric.Metric, i int) {
-		for j := i + 1; j < n; j++ {
-			v := s.Distance(corpus[i], corpus[j])
-			d[i][j] = v
-			d[j][i] = v
-		}
-	})
-	return d
 }
 
 // queryMemo caches query-to-corpus distances for the current query only

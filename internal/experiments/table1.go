@@ -12,7 +12,7 @@ import (
 // Table1Config parameterises Table 1: the intrinsic dimensionality
 // ρ = µ²/(2σ²) of five distances over the three datasets. The paper used
 // 8,000 Spanish words and ~1,000 strings for digits and genes; defaults are
-// scaled down because dMV is cubic in string length (see EXPERIMENTS.md).
+// scaled down because dMV is cubic in string length.
 type Table1Config struct {
 	SpanishWords int
 	DigitCount   int

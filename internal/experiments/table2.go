@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"text/tabwriter"
 
 	"ced/internal/classify"
 	"ced/internal/dataset"
 	"ced/internal/metric"
+	"ced/internal/pool"
 	"ced/internal/search"
 )
 
@@ -128,38 +128,20 @@ func RunTable2(cfg Table2Config, progress Progress) (Table2Result, error) {
 	return res, nil
 }
 
-// parallelEvaluate shards queries over workers (Search is read-only and
-// safe for concurrent use) and merges the outcomes deterministically in
-// shard order.
+// parallelEvaluate splits the queries into one contiguous chunk per worker
+// (Search is read-only and safe for concurrent use) and merges the
+// outcomes deterministically in chunk order.
 func parallelEvaluate(s search.Index, trainLabels []int, queries [][]rune, queryLabels []int, workers int) (classify.Outcome, error) {
-	w := defaultWorkers(workers)
-	if w > len(queries) {
-		w = len(queries)
-	}
-	if w <= 1 {
-		return classify.Evaluate(s, trainLabels, queries, queryLabels)
-	}
+	w := pool.Workers(len(queries), workers)
+	chunk := (len(queries) + w - 1) / w
 	outs := make([]classify.Outcome, w)
 	errs := make([]error, w)
-	var wg sync.WaitGroup
-	chunk := (len(queries) + w - 1) / w
-	for k := 0; k < w; k++ {
-		lo, hi := k*chunk, (k+1)*chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			outs[k], errs[k] = classify.Evaluate(s, trainLabels, queries[lo:hi], queryLabels[lo:hi])
-		}(k, lo, hi)
-	}
-	wg.Wait()
+	pool.Fan(w, w, func(k int) {
+		lo, hi := min(k*chunk, len(queries)), min((k+1)*chunk, len(queries))
+		outs[k], errs[k] = classify.Evaluate(s, trainLabels, queries[lo:hi], queryLabels[lo:hi])
+	})
 	var total classify.Outcome
-	for k := 0; k < w; k++ {
+	for k := range outs {
 		if errs[k] != nil {
 			return total, errs[k]
 		}

@@ -27,13 +27,14 @@ func ContextualHybrid(threshold int) Metric {
 	})
 }
 
-// ContextualWindowed returns the windowed contextual distance: Algorithm 1
-// with the edit-length dimension capped at dE + window, an
-// O(|x|·|y|·(dE+window)) middle ground between the heuristic (window 0)
-// and the exact cubic algorithm (window >= |x|+|y|−dE). Its value is
-// always sandwiched between dC and dC,h. This addresses the §5 open
-// problem about Algorithm 1's cubic complexity; see the windowed ablation
-// bench for the accuracy/cost curve.
+// ContextualWindowed returns the windowed contextual distance: exact dC's
+// banded Algorithm 1 with the band's upper end also capped at dE + window
+// (core.ComputeWindowed), a middle ground between the heuristic (window 0)
+// and exact dC (any window that covers the band, at the latest
+// |x|+|y|−dE). Its value is always sandwiched between dC and dC,h, and it
+// never sweeps more than exact dC does. This addresses the §5 open problem
+// about Algorithm 1's cubic complexity; see the windowed ablation bench
+// for the accuracy/cost curve.
 //
 // A negative window is treated as 0.
 func ContextualWindowed(window int) Metric {

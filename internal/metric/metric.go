@@ -84,9 +84,9 @@ type Staged interface {
 // Batch implementations amortise per-evaluation setup across the
 // candidates: the bit-parallel dE engine builds the query's pattern table
 // once per batch and advances several candidates per pass (the dC session
-// simply loops over its private workspace). Bulk layers
-// (internal/bulk.FanBatch) detect the capability per worker session and
-// fall back to per-pair Distance calls when it is absent.
+// simply loops over its private workspace). Bulk layers (internal/bulk.Row)
+// detect the capability per worker session and fall back to per-pair
+// Distance calls when it is absent.
 type Batcher interface {
 	DistanceBatch(a []rune, bs [][]rune, out []float64) []float64
 }

@@ -6,7 +6,6 @@ import (
 
 	"ced/internal/bulk"
 	"ced/internal/metric"
-	"ced/internal/pool"
 )
 
 // AESA is the Approximating and Eliminating Search Algorithm (Vidal 1986):
@@ -34,26 +33,12 @@ func NewAESA(corpus [][]rune, m metric.Metric) *AESA {
 }
 
 // NewAESAWorkers is NewAESA with an explicit build worker count (<= 0 uses
-// all CPUs): row i's evaluations d(corpus[i], corpus[j]) for j > i run on
-// the worker that owns index i, through a private metric session. Each
-// matrix cell is written by exactly one worker and the cell values do not
-// depend on scheduling, so the matrix and PreprocessComputations are
-// identical for any worker count.
+// all CPUs). The matrix is bulk's Matrix: rows striped over the workers,
+// each through a private metric session, so the matrix and
+// PreprocessComputations are identical for any worker count.
 func NewAESAWorkers(corpus [][]rune, m metric.Metric, workers int) *AESA {
 	n := len(corpus)
-	d := make([][]float64, n)
-	cells := make([]float64, n*n)
-	for i := range d {
-		d[i] = cells[i*n : (i+1)*n]
-	}
-	ev := bulk.New(m)
-	ev.Fan(n, pool.Workers(n, workers), func(s metric.Metric, i int) {
-		for j := i + 1; j < n; j++ {
-			v := s.Distance(corpus[i], corpus[j])
-			d[i][j] = v
-			d[j][i] = v
-		}
-	})
+	d := bulk.New(m).Matrix(corpus, workers)
 	return &AESA{corpus: corpus, eval: newEvaluator(m), d: d, PreprocessComputations: n * (n - 1) / 2}
 }
 

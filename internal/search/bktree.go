@@ -1,8 +1,9 @@
 package search
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"ced/internal/bulk"
@@ -24,15 +25,26 @@ type BKTree struct {
 
 type bkNode struct {
 	index    int
-	children map[int]*bkNode
-	maxEdge  int // largest child edge label; 0 for leaves
+	children []bkEdge // ascending by label, one per label
 }
 
-// The walk evaluates nodes with cutoff = pruning bound + the node's largest
-// child edge: a bail then proves d > bound (the node itself is rejected)
-// and every child edge e satisfies e ≤ maxEdge < d − bound (the whole
-// [d−bound, d+bound] edge window is empty), so the walk can stop without
-// knowing d.
+// bkEdge is one child edge, labelled with the distance from its parent.
+type bkEdge struct {
+	label int
+	child *bkNode
+}
+
+// maxEdge returns the largest child edge label; 0 for leaves. The walk
+// evaluates nodes with cutoff = pruning bound + maxEdge: a bail then proves
+// d > bound (the node itself is rejected) and every child edge e satisfies
+// e ≤ maxEdge < d − bound (the whole [d−bound, d+bound] edge window is
+// empty), so the walk can stop without knowing d.
+func (n *bkNode) maxEdge() int {
+	if len(n.children) == 0 {
+		return 0
+	}
+	return n.children[len(n.children)-1].label
+}
 
 // NewBKTree builds a BK-tree over corpus. The metric must return
 // non-negative integer values (as dE does); NewBKTree does not verify this,
@@ -90,18 +102,12 @@ func (t *BKTree) insertSerial(ev *bulk.Evaluator) {
 		node := t.root
 		for {
 			d := int(s.Distance(t.corpus[i], t.corpus[node.index]))
-			child, ok := node.children[d]
+			pos, ok := slices.BinarySearchFunc(node.children, d, func(e bkEdge, d int) int { return cmp.Compare(e.label, d) })
 			if !ok {
-				if node.children == nil {
-					node.children = make(map[int]*bkNode)
-				}
-				node.children[d] = &bkNode{index: i}
-				if d > node.maxEdge {
-					node.maxEdge = d
-				}
+				node.children = slices.Insert(node.children, pos, bkEdge{label: d, child: &bkNode{index: i}})
 				break
 			}
-			node = child
+			node = node.children[pos].child
 		}
 	}
 }
@@ -145,38 +151,29 @@ func (b *bkBuilder) build(items []int) *bkNode {
 	groups := make(map[int][]int)
 	for i, u := range rest {
 		groups[labels[i]] = append(groups[labels[i]], u)
-		if labels[i] > node.maxEdge {
-			node.maxEdge = labels[i]
-		}
 	}
-	node.children = make(map[int]*bkNode, len(groups))
+	node.children = make([]bkEdge, 0, len(groups))
+	for label := range groups {
+		node.children = append(node.children, bkEdge{label: label})
+	}
 	// Recurse per label, biggest groups first so spare workers pick up the
 	// expensive subtrees; label order does not affect the resulting tree.
-	edges := make([]int, 0, len(groups))
-	for edge := range groups {
-		edges = append(edges, edge)
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if len(groups[edges[a]]) != len(groups[edges[b]]) {
-			return len(groups[edges[a]]) > len(groups[edges[b]])
-		}
-		return edges[a] < edges[b]
+	slices.SortFunc(node.children, func(a, b bkEdge) int {
+		return cmp.Or(cmp.Compare(len(groups[b.label]), len(groups[a.label])), cmp.Compare(a.label, b.label))
 	})
-	// Each subtree writes its own slot, so spawned and inline builds never
-	// touch shared memory; the children map is filled after the barrier.
-	built := make([]*bkNode, len(edges))
+	// Each subtree writes its own edge, so spawned and inline builds never
+	// touch shared memory; the edges take label order after the barrier.
 	var wg sync.WaitGroup
-	for pos, edge := range edges {
-		pos, group := pos, groups[edge]
-		if b.pool.trySpawn(len(group), &wg, func() { built[pos] = b.build(group) }) {
+	for i := range node.children {
+		e := &node.children[i]
+		group := groups[e.label]
+		if b.pool.trySpawn(len(group), &wg, func() { e.child = b.build(group) }) {
 			continue
 		}
-		built[pos] = b.build(group)
+		e.child = b.build(group)
 	}
 	wg.Wait()
-	for pos, edge := range edges {
-		node.children[edge] = built[pos]
-	}
+	slices.SortFunc(node.children, func(a, b bkEdge) int { return cmp.Compare(a.label, b.label) })
 	return node
 }
 
@@ -199,8 +196,8 @@ func (t *BKTree) KNearest(q []rune, k int) []Result { return kNearest(t, q, k) }
 // Query answers req by descending only the child edges inside [d − τ,
 // d + τ], where τ is the radius or the k-th best distance so far — the
 // classic BK-tree range query, and its k-NN extension. The walk visits
-// children in Go map order, so computation counts vary run to run, but the
-// collector's (distance, index) order makes the answer deterministic.
+// children in ascending label order, so answers and computation counts are
+// the same on every run.
 func (t *BKTree) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	c := newCollector(ctx, req, t.size)
 	if c.done(t.size) {
@@ -211,14 +208,17 @@ func (t *BKTree) Query(ctx context.Context, q []rune, req Request) (Answer, erro
 		if c.chk.Hit() {
 			return
 		}
-		d, exact := c.eval(t.eval, q, t.corpus[n.index], c.tau+float64(n.maxEdge))
+		d, exact := c.eval(t.eval, q, t.corpus[n.index], c.tau+float64(n.maxEdge()))
 		if !exact {
 			return // d > τ + maxEdge: no hit here and every edge window empty
 		}
 		c.offer(n.index, d)
-		for edge, child := range n.children {
-			if float64(edge) >= d-c.tau && float64(edge) <= d+c.tau {
-				walk(child)
+		for _, e := range n.children {
+			if float64(e.label) > d+c.tau {
+				break // labels ascend, and τ only ever shrinks
+			}
+			if float64(e.label) >= d-c.tau {
+				walk(e.child)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ced/internal/metric"
@@ -81,25 +82,28 @@ func TestNewLAESAWorkersBitIdentical(t *testing.T) {
 }
 
 // sameBKTree reports whether two BK-trees are identical: same node indices,
-// same edge labels, same maxEdge, same children.
+// same edge labels in the same (ascending) order, same children.
 func sameBKTree(a, b *bkNode) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.index != b.index || a.maxEdge != b.maxEdge || len(a.children) != len(b.children) {
+	if a.index != b.index || len(a.children) != len(b.children) {
 		return false
 	}
-	for edge, child := range a.children {
-		other, ok := b.children[edge]
-		if !ok || !sameBKTree(child, other) {
+	for i, e := range a.children {
+		if e.label != b.children[i].label || !sameBKTree(e.child, b.children[i].child) {
+			return false
+		}
+		if i > 0 && e.label <= a.children[i-1].label {
 			return false
 		}
 	}
 	return true
 }
 
-// bkInsertReference is the pre-batching serial insertion algorithm, kept
-// verbatim as the oracle the bulk build must reproduce node for node.
+// bkInsertReference is the pre-batching serial insertion algorithm, written
+// as plainly as possible (a linear scan of the children, append and sort),
+// as the oracle the bulk build must reproduce node for node.
 func bkInsertReference(corpus [][]rune, m metric.Metric) *bkNode {
 	var root *bkNode
 	for i := range corpus {
@@ -108,20 +112,18 @@ func bkInsertReference(corpus [][]rune, m metric.Metric) *bkNode {
 			continue
 		}
 		node := root
+	descend:
 		for {
 			d := int(m.Distance(corpus[i], corpus[node.index]))
-			child, ok := node.children[d]
-			if !ok {
-				if node.children == nil {
-					node.children = make(map[int]*bkNode)
+			for _, e := range node.children {
+				if e.label == d {
+					node = e.child
+					continue descend
 				}
-				node.children[d] = &bkNode{index: i}
-				if d > node.maxEdge {
-					node.maxEdge = d
-				}
-				break
 			}
-			node = child
+			node.children = append(node.children, bkEdge{label: d, child: &bkNode{index: i}})
+			slices.SortFunc(node.children, func(a, b bkEdge) int { return a.label - b.label })
+			break
 		}
 	}
 	return root

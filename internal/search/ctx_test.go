@@ -25,19 +25,11 @@ func ctxSearchers(corpus [][]rune) map[string]Index {
 	}
 }
 
-// mapOrdered reports whether a searcher walks children in Go map order
-// (the BK-tree's edges, the trie's runes): its answers are deterministic,
-// but a k-NN walk's computation count depends on which equal-distance
-// candidate shrank the bound first.
-func mapOrdered(name string) bool { return name == "bktree" || name == "trie" }
-
 // TestCtxSearchBitIdenticalWhenLive pins the zero-cost happy path: with a
 // cancellable context that never fires, every searcher must answer exactly
 // what it answers under an uncancellable context — same hits, same
 // computation count, same stage ladder — because the checkpoint only ever
-// reads a counter until the context actually cancels. The map-ordered
-// walks' k-NN counters vary run to run to begin with, so only their
-// answers are compared.
+// reads a counter until the context actually cancels.
 func TestCtxSearchBitIdenticalWhenLive(t *testing.T) {
 	corpus := boundedCorpus(150, 10, 31)
 	queries := boundedCorpus(10, 10, 32)
@@ -57,7 +49,7 @@ func TestCtxSearchBitIdenticalWhenLive(t *testing.T) {
 				if !reflect.DeepEqual(got.Hits, want.Hits) {
 					t.Fatalf("%s(%q, %+v): ctx path changed the answer: %v vs %v", name, string(q), req, got.Hits, want.Hits)
 				}
-				if (!mapOrdered(name) || req.IsRadius()) && got.Stats != want.Stats {
+				if got.Stats != want.Stats {
 					t.Fatalf("%s(%q, %+v): ctx path diverged: %+v vs %+v", name, string(q), req, got.Stats, want.Stats)
 				}
 			}
@@ -160,7 +152,7 @@ func TestCtxSearchScratchSurvivesCancel(t *testing.T) {
 					cancelled++
 				}
 				gotK, _ := s.Query(live, q, KNN(5, math.Inf(1)))
-				if !reflect.DeepEqual(gotK.Hits, wantK.Hits) || (!mapOrdered(name) && gotK.Stats != wantK.Stats) {
+				if !reflect.DeepEqual(gotK.Hits, wantK.Hits) || gotK.Stats != wantK.Stats {
 					t.Fatalf("%s(%q): results drifted after a cancelled query", name, string(q))
 				}
 				if gotR, _ := s.Query(live, q, Within(0.4)); !reflect.DeepEqual(gotR, wantR) {

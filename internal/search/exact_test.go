@@ -119,8 +119,8 @@ func sameBelowBoundary(got, want []Result, req Request, dist func(i int) float64
 }
 
 // TestBKTreeSearchDeterministic is the regression test for the map-order
-// tie: the BK-tree visits children in Go map order, and a 1-NN walk that
-// keeps the first equal-distance neighbour it meets answered differently
+// tie: the BK-tree visited children in Go map order, and a 1-NN walk that
+// kept the first equal-distance neighbour it met answered differently
 // from call to call. Ties resolve by corpus index now, so repeated calls
 // agree with each other and with the linear scan.
 func TestBKTreeSearchDeterministic(t *testing.T) {
@@ -134,6 +134,35 @@ func TestBKTreeSearchDeterministic(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			if got := bk.Search(q).Result; got != want {
 				t.Fatalf("call %d: Search(%q) = %+v, want %+v", i, string(q), got, want)
+			}
+		}
+	}
+}
+
+// TestTreeKNNWorkDeterministic pins the walk order of the two tree
+// searchers: children are visited in ascending label (BK-tree) or symbol
+// (trie) order, so repeated k-NN walks of one query spend the same work,
+// not just reach the same answer.
+func TestTreeKNNWorkDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(133))
+	alpha := []rune("abcdefgh")
+	corpus := randomCorpus(rng, 400, 7, alpha)
+	queries := randomCorpus(rng, 20, 7, alpha)
+	for _, ix := range []Index{NewBKTree(corpus, metric.Levenshtein()), NewTrie(corpus)} {
+		for _, q := range queries {
+			first, err := ix.Query(context.Background(), q, KNN(3, math.Inf(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				got, err := ix.Query(context.Background(), q, KNN(3, math.Inf(1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Stats.Computations != first.Stats.Computations {
+					t.Fatalf("%s walk %d of %q: %d computations, first walk %d",
+						ix.Name(), i, string(q), got.Stats.Computations, first.Stats.Computations)
+				}
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"ced/internal/metric"
 )
@@ -102,7 +101,9 @@ func loadLAESA(r io.Reader, m metric.Metric) (Index, error) {
 }
 
 // bkFlatNode is one BK-tree node in the flattened wire form: Edges[i] is
-// the integer edge label leading to the child at position Children[i].
+// the integer edge label leading to the child at position Children[i],
+// labels ascending. MaxEdge repeats the largest label: the loader derives
+// it from Edges, and it stays so the wire form keeps its shape.
 type bkFlatNode struct {
 	Index    int
 	MaxEdge  int
@@ -127,17 +128,10 @@ func (t *BKTree) save(w io.Writer) error {
 	var flatten func(n *bkNode) int
 	flatten = func(n *bkNode) int {
 		pos := len(snap.Nodes)
-		snap.Nodes = append(snap.Nodes, bkFlatNode{Index: n.index, MaxEdge: n.maxEdge})
-		// Sort edges so the snapshot bytes are deterministic (children
-		// live in a map).
-		edges := make([]int, 0, len(n.children))
-		for e := range n.children {
-			edges = append(edges, e)
-		}
-		sort.Ints(edges)
-		for _, e := range edges {
-			child := flatten(n.children[e])
-			snap.Nodes[pos].Edges = append(snap.Nodes[pos].Edges, e)
+		snap.Nodes = append(snap.Nodes, bkFlatNode{Index: n.index, MaxEdge: n.maxEdge()})
+		for _, e := range n.children {
+			child := flatten(e.child)
+			snap.Nodes[pos].Edges = append(snap.Nodes[pos].Edges, e.label)
 			snap.Nodes[pos].Children = append(snap.Nodes[pos].Children, child)
 		}
 		return pos
@@ -173,16 +167,16 @@ func loadBKTree(r io.Reader, m metric.Metric) (Index, error) {
 		if len(f.Edges) != len(f.Children) {
 			return nil, fmt.Errorf("search: corrupt index: node %d has %d edges but %d children", i, len(f.Edges), len(f.Children))
 		}
-		nodes[i] = bkNode{index: f.Index, maxEdge: f.MaxEdge}
-		if len(f.Edges) > 0 {
-			nodes[i].children = make(map[int]*bkNode, len(f.Edges))
-		}
+		nodes[i] = bkNode{index: f.Index, children: make([]bkEdge, len(f.Edges))}
 		for j, e := range f.Edges {
 			child := f.Children[j]
 			if child <= i || child >= len(nodes) {
 				return nil, fmt.Errorf("search: corrupt index: node %d child %d out of preorder range", i, child)
 			}
-			nodes[i].children[e] = &nodes[child]
+			if j > 0 && e <= f.Edges[j-1] {
+				return nil, fmt.Errorf("search: corrupt index: node %d edge labels not ascending", i)
+			}
+			nodes[i].children[j] = bkEdge{label: e, child: &nodes[child]}
 		}
 	}
 	t := &BKTree{corpus: corpus, eval: newEvaluator(m), size: len(corpus)}

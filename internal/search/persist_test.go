@@ -2,7 +2,9 @@ package search
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,22 +62,31 @@ func TestBKTreeSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("loaded size %d, want %d", loaded.Size(), orig.Size())
 	}
 	for _, q := range queries {
-		// BK-tree walk order (comps, and the winner among equal-distance
-		// ties) depends on map iteration; compare the deterministic parts:
-		// the 1-NN distance and the (distance, index)-ordered k-NN ranks.
-		a, b := orig.Search(q), loaded.Search(q)
-		if a.Distance != b.Distance {
+		// The loaded tree keeps every edge in label order, so it walks
+		// exactly like the original: same answers, same work.
+		if a, b := orig.Search(q), loaded.Search(q); a != b {
 			t.Fatalf("loaded tree differs on %q: %+v vs %+v", string(q), a, b)
 		}
-		ka, kb := orig.KNearest(q, 3), loaded.KNearest(q, 3)
-		for i := range ka {
-			if ka[i].Index != kb[i].Index || ka[i].Distance != kb[i].Distance {
-				t.Fatalf("loaded tree k-NN differs on %q rank %d: %+v vs %+v", string(q), i, ka[i], kb[i])
-			}
+		if a, b := orig.KNearest(q, 3), loaded.KNearest(q, 3); !slices.Equal(a, b) {
+			t.Fatalf("loaded tree k-NN differs on %q: %+v vs %+v", string(q), a, b)
 		}
 	}
 	if _, err := Load("bktree", bytes.NewReader(saved), metric.Contextual()); err == nil {
 		t.Error("metric mismatch should fail")
+	}
+
+	// A node whose edge labels do not ascend (here, a repeated label) is
+	// corrupt: the walk relies on the order.
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(bktreeSnapshot{
+		MetricName: "dE",
+		Corpus:     []string{"a", "b", "c"},
+		Nodes:      []bkFlatNode{{Index: 0, MaxEdge: 1, Edges: []int{1, 1}, Children: []int{1, 2}}, {Index: 1}, {Index: 2}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load("bktree", &bad, metric.Levenshtein()); err == nil {
+		t.Error("repeated edge label should fail")
 	}
 }
 

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"slices"
 )
@@ -25,9 +26,15 @@ type Trie struct {
 }
 
 type trieNode struct {
-	children map[rune]*trieNode
+	children []trieEdge // ascending by symbol, one per symbol
 	// index is the corpus position of the string ending here, or -1.
 	index int
+}
+
+// trieEdge is one child edge, labelled with the symbol it appends.
+type trieEdge struct {
+	sym   rune
+	child *trieNode
 }
 
 // NewTrie builds a trie over corpus.
@@ -43,15 +50,11 @@ func (t *Trie) insert(i int, s []rune) {
 	t.size++
 	node := t.root
 	for _, r := range s {
-		if node.children == nil {
-			node.children = make(map[rune]*trieNode)
-		}
-		child, ok := node.children[r]
+		pos, ok := slices.BinarySearchFunc(node.children, r, func(e trieEdge, r rune) int { return cmp.Compare(e.sym, r) })
 		if !ok {
-			child = &trieNode{index: -1}
-			node.children[r] = child
+			node.children = slices.Insert(node.children, pos, trieEdge{sym: r, child: &trieNode{index: -1}})
 		}
-		node = child
+		node = node.children[pos].child
 	}
 	if node.index < 0 {
 		node.index = i // duplicates keep the first index
@@ -80,6 +83,8 @@ func (t *Trie) KNearest(q []rune, k int) []Result { return kNearest(t, q, k) }
 // equal-distance strings with smaller corpus indices can claim their rank.
 // Computations counts visited trie nodes, the structure's analogue of
 // distance computations; Rejections stay zero (the pruning is structural).
+// Children are visited in ascending symbol order, so the count is the same
+// on every run.
 func (t *Trie) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	c := newCollector(ctx, req, t.distinct)
 	if c.done(t.distinct) {
@@ -104,7 +109,8 @@ func (t *Trie) Query(ctx context.Context, q []rune, req Request) (Answer, error)
 			return
 		}
 		next := make([]int, n+1)
-		for r, child := range node.children {
+		for _, e := range node.children {
+			r := e.sym
 			next[0] = row[0] + 1
 			for j := 1; j <= n; j++ {
 				d := next[j-1] + 1
@@ -120,7 +126,7 @@ func (t *Trie) Query(ctx context.Context, q []rune, req Request) (Answer, error)
 				}
 				next[j] = d
 			}
-			walk(child, next)
+			walk(e.child, next)
 		}
 	}
 	walk(t.root, firstRow)

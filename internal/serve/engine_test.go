@@ -274,10 +274,7 @@ func TestBuildWorkersAgreeAtEveryWidth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The BK-tree walkers iterate children maps, so their
-				// comps/query wobbles between runs independently of the
-				// build; only the LAESA/AESA counts are deterministic.
-				if algorithm != "bktree" && gotStats.Computations != wantStats.Computations {
+				if gotStats.Computations != wantStats.Computations {
 					t.Fatalf("%s build-workers=%d query %q: comps %d vs %d",
 						algorithm, bw, q, gotStats.Computations, wantStats.Computations)
 				}

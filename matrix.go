@@ -21,31 +21,7 @@ import (
 // as μ²/2σ² over exactly these pairwise distances); BatchDistance and the
 // cedserve worker pool reuse its striding pattern.
 func DistanceMatrix(data []string, m Metric, workers int) [][]float64 {
-	n := len(data)
-	runes := toRunes(data)
-	out := make([][]float64, n)
-	cells := make([]float64, n*n)
-	for i := range out {
-		out[i] = cells[i*n : (i+1)*n]
-	}
-	bulk.New(internalMetric(m)).Fan(n, workers, func(s metric.Metric, i int) {
-		// Row i is one query against the tail of the corpus: sessions with a
-		// multi-candidate kernel evaluate it as a batch (bit-identical to
-		// per-pair calls), others pair by pair.
-		if b, ok := s.(metric.Batcher); ok {
-			b.DistanceBatch(runes[i], runes[i+1:], out[i][i+1:])
-			for j := i + 1; j < n; j++ {
-				out[j][i] = out[i][j]
-			}
-			return
-		}
-		for j := i + 1; j < n; j++ {
-			v := s.Distance(runes[i], runes[j])
-			out[i][j] = v
-			out[j][i] = v
-		}
-	})
-	return out
+	return bulk.New(internalMetric(m)).Matrix(toRunes(data), workers)
 }
 
 // ContextualHybrid returns a contextual metric that computes the exact dC
@@ -60,9 +36,10 @@ func ContextualHybrid(threshold int) Metric {
 // ContextualWindowed returns the windowed contextual distance: Algorithm 1
 // truncated to edit lengths at most dE + window. window = 0 is exactly the
 // paper's heuristic dC,h; growing the window converges monotonically to
-// the exact dC at O(|x|·|y|·(dE+window)) cost — a practical answer to the
-// paper's §5 remark that the exact algorithm's cubic complexity "is
-// clearly too high".
+// the exact dC. It runs exact dC's banded kernel with the band also capped
+// at dE + window, so it never costs more than Contextual — a practical
+// answer to the paper's §5 remark that the exact algorithm's cubic
+// complexity "is clearly too high".
 func ContextualWindowed(window int) Metric {
 	return stringMetric{m: metric.ContextualWindowed(window)}
 }

@@ -19,125 +19,161 @@ import "math"
 // package fuzz targets pin this), and banding can never change a distance
 // by even one ulp.
 //
+// Only the tube, the cells where the two edit distances sum to at most
+// kmax, keeps any k, and the sweep visits only the tube and a thin border
+// around it (see bandSweep). The suffix distances come from the
+// heuristic's backward pass (workspace.go).
+//
 // Cells store the maximum number of insertions ni on any internal path to
 // (i, j) with exactly k operations, encoded as ni+1 with 0 the "no such
 // path" sentinel: the sentinel is the minimum, so the max-plus transitions
-// need no special case for it. Scratch planes are not cleared between
-// calls: the kernel writes each cell's whole band before any neighbour
-// reads it, and reads a neighbour only inside the band it wrote, because
-// cells from earlier calls stay in the reused planes.
+// need no special case for it. Scratch planes and prefix rows are not
+// cleared between calls: the kernel writes each cell's whole band before
+// any neighbour reads it, reads a neighbour only inside the band it wrote,
+// and reads a prefix distance only on the span it wrote in the previous
+// row, fenced by tubeGap, because cells from earlier calls stay in the
+// reused buffers.
 
 // computeBand runs Algorithm 1 with the edit-length dimension restricted to
 // [0, kmax] and returns the best decomposition over [max(kmin, |m−n|), kmax].
 // kmin is the caller's proven lower bound on the edit length (dE, from the
 // heuristic or the ladder's edit stage): every shorter edit length holds no
-// path and cannot win the final sweep.
-func (w *Workspace) computeBand(x, y []rune, kmax, kmin int) Result {
-	final := w.bandSweep(x, y, kmax)
+// path and cannot win the final sweep. suf holds the suffix edit distances
+// the heuristic recorded for x and y (see Workspace.heuristic).
+func (w *Workspace) computeBand(x, y []rune, suf []int32, kmax, kmin int) Result {
+	final := w.bandSweep(x, y, suf, kmax)
 	return w.finishBand(len(x), len(y), kmax, kmin, final)
 }
 
+// tubeGap reads as +∞ in the prefix rows: the prefix distance of a cell
+// outside the previous row's tube span. Adding 1 to it cannot overflow.
+const tubeGap int32 = 1 << 30
+
 // bandSweep is the rolling row sweep: two (j, k) planes, row i computed from
-// row i−1, each cell walking only its band (see the file comment). The
-// prefix edit distances that open the bands are computed row by row as the
-// sweep goes; the suffix edit distances that close them come from one
-// reverse pass first. It returns the final cell's band (encoded, see the
-// file comment), which aliases w.prev and is defined on [0, min(m+n, kmax)]:
-// the sentinel below dE(x, y), the reference algorithm's cells from there.
+// row i−1, each cell walking only its band (see the file comment). suf holds
+// the suffix edit distances dE(x[i:], y[j:]) that close the bands, row-major
+// with stride |y|+1; the prefix edit distances that open them are computed
+// row by row as the sweep goes. It returns the final cell's band (encoded,
+// see the file comment), which aliases w.prev and is defined on
+// [0, min(m+n, kmax)]: the sentinel below dE(x, y), the reference
+// algorithm's cells from there.
+//
+// Only tube cells, pre + suf ≤ kmax, keep an edit length, and a tube
+// cell's minimising neighbour in the prefix recurrence is itself a tube
+// cell (it reaches the cell at the cost the recurrence adds, so its own
+// suffix distance is at most that cost plus the cell's). Row i therefore
+// visits only the columns from the first to one past the last tube cell of
+// row i−1, plus the run its insertions reach from there, and reads every
+// prefix distance of row i−1 outside [first, last] as +∞. Tube cells get
+// their exact prefix distance; every other visited cell gets one at least
+// as large, so it stays outside the tube. A kmax below dE(x, y) leaves no
+// tube cell and an empty final band.
 //
 // Guarding reads needs only the neighbours' lower ends. A suffix distance
 // grows by at most one per step back (and not at all across a match), so
 // no transition reads its neighbour above that neighbour's upper end,
-// except where the diagonal's i+j−2 cap cuts in. Across a match the
-// diagonal's lower end equals this cell's.
-func (w *Workspace) bandSweep(x, y []rune, kmax int) []int32 {
+// except where the diagonal's i+j−2 cap cuts in. Across a match into a
+// tube cell the diagonal is a tube cell with this cell's lower end.
+func (w *Workspace) bandSweep(x, y []rune, suf []int32, kmax int) []int32 {
 	m, n := len(x), len(y)
 	width := kmax + 1
-	prev := grow32(&w.prev, (n+1)*width)
-	cur := grow32(&w.cur, (n+1)*width)
+	prev := grow(&w.prev, (n+1)*width)
+	cur := grow(&w.cur, (n+1)*width)
 	stride := n + 1
-	eds := grow32(&w.eds, (m+3)*stride)
-	suf := eds[:(m+1)*stride]
-	preP := eds[(m+1)*stride : (m+2)*stride] // dE(x[:i−1], y[:j])
-	preC := eds[(m+2)*stride:]               // dE(x[:i], y[:j])
-	suffixEdits(x, y, suf)
+	pre := grow(&w.pre, 2*stride)
+	preP := pre[:stride] // dE(x[:i−1], y[:j]) on the previous row's span
+	preC := pre[stride:] // dE(x[:i], y[:j]) on this row's span
 
 	// Row i = 0: reaching y[:j] from the empty prefix takes exactly j
-	// operations, all insertions.
-	for j := 0; j <= n; j++ {
+	// operations, all insertions. A cell's one neighbour is the one to its
+	// left, so the row's tube is a prefix [0, last] of it.
+	first, last := 0, -1
+	for j := 0; j <= n && j <= kmax-int(suf[j]); j++ {
 		preP[j] = int32(j)
-		if j <= kmax-int(suf[j]) {
-			prev[j*width+j] = int32(j) + 1
-		}
+		prev[j*width+j] = int32(j) + 1
+		last = j
+	}
+	if last < 0 {
+		// kmax < dE(x, y) = suf[0]: no path is that short.
+		final := prev[n*width : (n+1)*width]
+		clear(final)
+		return final
 	}
 	for i := 1; i <= m; i++ {
 		sufRow := suf[i*stride : (i+1)*stride]
-		// Column j = 0: i deletions, no insertions.
-		preC[0] = int32(i)
-		if i <= kmax-int(sufRow[0]) {
-			cur[i] = 1
+		if first > 0 {
+			preP[first-1], preC[first-1] = tubeGap, tubeGap
+		}
+		if last < n {
+			preP[last+1] = tubeGap
+		}
+		end := min(last+1, n) // past it no up or diagonal cell is in the tube
+		j := first
+		first, last = -1, -1
+		if j == 0 {
+			// Column j = 0: i deletions, no insertions.
+			preC[0] = int32(i)
+			if i <= kmax-int(sufRow[0]) {
+				cur[i] = 1
+				first, last = 0, 0
+			}
+			j = 1
 		}
 		xi := x[i-1]
-		for j := 1; j <= n; j++ {
+		for ; j <= n; j++ {
+			// The diagonal's, the up cell's and the left cell's prefix
+			// distances; past end only the left cell can be in the tube,
+			// and only while the run of tube cells has not broken.
+			pd, pu := tubeGap, tubeGap
+			if j <= end {
+				pd, pu = preP[j-1], preP[j]
+			} else if last != j-1 {
+				break
+			}
+			pl := preC[j-1]
 			match := xi == y[j-1]
-			pre := preP[j-1] // diagonal, then the minimum over the three moves
+			p := pd
 			if !match {
-				pre++
+				p++
 			}
-			if v := preP[j] + 1; v < pre {
-				pre = v
-			}
-			if v := preC[j-1] + 1; v < pre {
-				pre = v
-			}
-			preC[j] = pre
-			lo, hi := int(pre), min(kmax-int(sufRow[j]), i+j)
+			p = min(p, pu+1, pl+1)
+			preC[j] = p
+			lo, hi := int(p), min(kmax-int(sufRow[j]), i+j)
 			if lo > hi {
 				continue
 			}
-			row := cur[j*width : j*width+hi+1]
-			diag := prev[(j-1)*width : j*width]
-			up := prev[j*width : (j+1)*width]  // delete x[i-1]
-			left := cur[(j-1)*width : j*width] // insert y[j-1]
-
+			if first < 0 {
+				first = j
+			}
+			last = j
+			// The three moves, each over the edit lengths its neighbour's
+			// band feeds: a cost-0 match keeps the diagonal's k (feasible
+			// up to i+j−2, from this cell's lower end, which the diagonal
+			// shares), a substitution adds one to it (from pd), a deletion
+			// of x[i-1] adds one to the up cell's (from pu) and keeps the
+			// insertion count, an insertion of y[j-1] adds one to the left
+			// cell's (from pl) and advances the encoded count by one. The
+			// sentinel (0) must not be mistaken for a path.
+			dFrom, dTo, dOff := int(pd)+1, i+j-1, 1
 			if match {
-				// Cost-0 match: same k as the diagonal cell, which is
-				// feasible up to i+j−2 and shares this cell's lower end.
-				top := min(hi, i+j-2)
-				copy(row[lo:top+1], diag[lo:top+1])
-				clear(row[top+1:])
-			} else {
-				// Substitution: one more operation than the diagonal cell,
-				// whose band starts at preP[j−1].
-				from := max(lo, int(preP[j-1])+1)
-				top := min(hi, i+j-1)
-				clear(row[lo:from])
-				copy(row[from:top+1], diag[from-1:top])
-				clear(row[top+1:])
+				dFrom, dTo, dOff = lo, i+j-2, 0
 			}
-			// Deletion of x[i-1]: the up cell's band starts at preP[j]. A
-			// deletion keeps the insertion count, so the encoded value
-			// carries unchanged.
-			if from := max(lo, int(preP[j])+1); from <= hi {
-				src := up[from-1 : hi]
-				dst := row[from:]
-				for t, v := range src {
-					if v > dst[t] {
-						dst[t] = v
+			uFrom, lFrom := int(pu)+1, int(pl)+1
+			at, dt := j*width, (j-1)*width // this cell and up; diagonal and left
+			for k := lo; k <= hi; k++ {
+				var v int32
+				if k >= dFrom && k <= dTo {
+					v = prev[dt+k-dOff]
+				}
+				if k >= uFrom {
+					v = max(v, prev[at+k-1])
+				}
+				if k >= lFrom {
+					if u := cur[dt+k-1]; u != 0 {
+						v = max(v, u+1)
 					}
 				}
-			}
-			// Insertion of y[j-1]: the left cell's band starts at
-			// preC[j−1]. One more insertion, so the encoded value advances
-			// by one; the sentinel (0) must not be mistaken for a path.
-			if from := max(lo, int(preC[j-1])+1); from <= hi {
-				src := left[from-1 : hi]
-				dst := row[from:]
-				for t, v := range src {
-					if v != 0 && v+1 > dst[t] {
-						dst[t] = v + 1
-					}
-				}
+				cur[at+k] = v
 			}
 		}
 		prev, cur = cur, prev
@@ -149,37 +185,6 @@ func (w *Workspace) bandSweep(x, y []rune, kmax int) []int32 {
 	// earlier rows. No path is that short.
 	clear(final[:min(int(preP[n]), width)])
 	return final
-}
-
-// suffixEdits fills suf, row-major with stride |y|+1, with the suffix edit
-// distances dE(x[i:], y[j:]) for every cell: one reverse Wagner–Fischer
-// pass.
-func suffixEdits(x, y []rune, suf []int32) {
-	m, n := len(x), len(y)
-	stride := n + 1
-	last := suf[m*stride : (m+1)*stride]
-	for j := range last {
-		last[j] = int32(n - j)
-	}
-	for i := m - 1; i >= 0; i-- {
-		row := suf[i*stride : (i+1)*stride]
-		below := suf[(i+1)*stride : (i+2)*stride]
-		row[n] = int32(m - i)
-		xi := x[i]
-		for j := n - 1; j >= 0; j-- {
-			v := below[j+1]
-			if xi != y[j] {
-				v++
-			}
-			if d := below[j] + 1; d < v {
-				v = d
-			}
-			if d := row[j+1] + 1; d < v {
-				v = d
-			}
-			row[j] = v
-		}
-	}
 }
 
 // finishBand is the closed-formula sweep over the final cell's band,

@@ -12,7 +12,8 @@ import (
 //
 //   - banding is a restriction: for every kmax in [|m−n|, m+n+3], the
 //     banded sweep's final band on [|m−n|, min(kmax, m+n)] equals the
-//     full-band sweep's, cell for cell, on reused scratch planes;
+//     full-band sweep's, cell for cell, on reused scratch planes and
+//     prefix rows (so a kmax below dE leaves an empty band);
 //   - the full band holds the sentinel below dE, where no path exists;
 //   - the full band through finishBand equals computeReference, compared
 //     with ==, not a tolerance;
@@ -27,8 +28,9 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 		gap = -gap
 	}
 	de := editdist.Distance(x, y)
+	suf := suffixEditsReference(x, y)
 	var fresh Workspace
-	full := fresh.bandSweep(x, y, m+n)
+	full := fresh.bandSweep(x, y, suf, m+n)
 	for k := 0; k < de; k++ {
 		if full[k] != 0 {
 			t.Fatalf("full band holds %d at k=%d below dE=%d for %q %q", full[k], k, de, string(x), string(y))
@@ -47,7 +49,7 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 	// One workspace across every kmax, widest first, so stale cells left by
 	// a wider band are in play when a narrower one runs.
 	for kmax := m + n + 3; kmax >= gap; kmax-- {
-		banded := w.bandSweep(x, y, kmax)
+		banded := w.bandSweep(x, y, suf, kmax)
 		for k := gap; k <= min(kmax, m+n); k++ {
 			if banded[k] != full[k] {
 				t.Fatalf("band kmax=%d diverged from the full band for %q %q at k=%d: %d != %d",

@@ -273,14 +273,15 @@ func HeuristicStrings(x, y string) float64 {
 	return Heuristic([]rune(x), []rune(y))
 }
 
-// HeuristicCompute runs the dC,h dynamic program on pooled scratch rows
+// HeuristicCompute runs the dC,h dynamic program on a pooled scratch row
 // and returns the decomposition it evaluated. It runs in O(|x|·|y|) time
 // and O(|y|) space, allocation-free at steady state.
 //
-// Each cell carries (kmin, ni): the Levenshtein distance of the prefixes and
-// the maximum number of insertions over minimum-operation internal paths,
-// with ties broken toward more insertions (longer intermediate strings are
-// cheaper, Lemma 1). See Workspace.HeuristicCompute for the kernel.
+// Each cell carries (kmin, ni) for a pair of suffixes: their Levenshtein
+// distance and the maximum number of insertions over minimum-operation
+// internal paths, with ties broken toward more insertions (longer
+// intermediate strings are cheaper, Lemma 1), packed into one integer key.
+// See Workspace.heuristic for the kernel.
 func HeuristicCompute(x, y []rune) Result {
 	return withWorkspace(func(w *Workspace) Result { return w.HeuristicCompute(x, y) })
 }

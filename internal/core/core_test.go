@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ced/internal/dataset"
 	"ced/internal/editdist"
 )
 
@@ -363,6 +364,24 @@ func benchCompute(b *testing.B, n int) {
 	r := rand.New(rand.NewSource(42))
 	x := randomString(r, n, []rune("acgt"))
 	y := randomString(r, n, []rune("acgt"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Compute(x, y)
+	}
+}
+
+// BenchmarkComputeExactContoursFar times an exact evaluation that reaches
+// Stage 3: two digit contours of different classes (86 and 90 symbols,
+// dE 44), far enough apart that the dC,h band stays open beyond dE, as
+// it does for many of the complete evaluations of a 1-NN digits query.
+func BenchmarkComputeExactContoursFar(b *testing.B) {
+	rs := dataset.Digits(dataset.DigitsConfig{Count: 6, Grid: 32}, 1).Runes()
+	x, y := rs[2], rs[5]
+	h := HeuristicCompute(x, y)
+	if kmax := kBand(harmonicPrefix(len(x)+len(y)), len(x), len(y), h.Distance, h.K); kmax <= h.K {
+		b.Fatalf("band collapsed to dE = %d: the pair no longer reaches Stage 3", h.K)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

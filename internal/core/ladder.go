@@ -18,12 +18,15 @@ package core
 //	                                 edit-length band; when the cutoff-
 //	                                 tightened band is empty beyond dE the
 //	                                 candidate resolves without the exact DP.
-//	Stage 3 (exact):                 the banded Algorithm 1 sweep, entered
+//	                                 Its backward pass also records the
+//	                                 suffix edit distances stage 3 needs.
+//	Stage 3 (exact, O(tube)):        the banded Algorithm 1 sweep, entered
 //	                                 with the band narrowed on both ends
 //	                                 (kmin = dE from stage 1/2, kmax from the
-//	                                 cutoff and the dC,h bound), each cell
-//	                                 restricted further by its prefix and
-//	                                 suffix edit distances (band.go).
+//	                                 cutoff and the dC,h bound), visiting
+//	                                 only the cells whose prefix and suffix
+//	                                 edit distances leave an edit length
+//	                                 open, each on its own band (band.go).
 //
 // lb is monotone in k (see workspace.go), so a rejection is a proof that dC
 // exceeds the cutoff — the ladder never changes results, only the cost of
@@ -129,7 +132,8 @@ func (w *Workspace) ComputeBoundedStaged(x, y []rune, cutoff float64) (Result, b
 	// Stage 2: the quadratic heuristic. Its edit length is the exact dE
 	// (tightening the ladder's k lower bound to a definite value) and its
 	// distance is an upper bound of dC that caps the band from above.
-	hres := w.HeuristicCompute(x, y)
+	suf := grow(&w.suf, (m+1)*(n+1))
+	hres := w.heuristic(x, y, suf)
 	if pathLowerBound(h, m, n, hres.K) > cutoff+bailSlack {
 		// Only reachable in the slack window stage 1 refuses to decide
 		// (bandSlack-conservative versus this bailSlack comparison).
@@ -153,7 +157,7 @@ func (w *Workspace) ComputeBoundedStaged(x, y []rune, cutoff float64) (Result, b
 	}
 
 	// Stage 3: the banded exact sweep over [dE, kmax].
-	res := w.computeBand(x, y, kmax, hres.K)
+	res := w.computeBand(x, y, suf, kmax, hres.K)
 	exact := kmax == kmaxUb || res.Distance <= cutoff
 	res.Exact = exact
 	return res, exact, StageExact

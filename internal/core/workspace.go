@@ -9,7 +9,11 @@ import (
 // This file implements the production kernel behind Compute,
 // ComputeWindowed, Heuristic and DistanceBounded: Algorithm 1 restricted to
 // a provably sufficient band of edit lengths, running on reusable scratch
-// memory.
+// memory. An exact evaluation crosses the full |x|·|y| grid once, in the
+// §4.1 heuristic run backward (Workspace.heuristic): that one pass yields
+// dE, the dC,h bound that sets the band, and the suffix edit distances the
+// band sweep closes its cells with, and the sweep then visits only the
+// cells a winning path can cross (band.go).
 //
 // The pruning argument is the paper's own Lemma 1. A path with exactly k
 // operations, ni of them insertions, costs at least the closed formula of
@@ -52,11 +56,12 @@ const bandSlack = 1e-9
 const bailSlack = 1e-12
 
 // Workspace holds the scratch memory for the contextual-distance dynamic
-// programs: the two rolling (j, k) planes of Algorithm 1 and the edit
-// distances that band their cells, the two rows of the §4.1 heuristic and
-// a growing harmonic-number prefix table. Buffers grow to the largest
-// problem seen and are reused verbatim afterwards, so steady-state
-// distance evaluations allocate nothing.
+// programs: the packed-key row of the §4.1 heuristic, the suffix edit
+// distances it records for the exact path, and the band sweep's two
+// rolling (j, k) planes and two prefix rows, plus a growing harmonic-number
+// prefix table. Buffers grow to the largest problem seen and are reused
+// verbatim afterwards, so steady-state distance evaluations allocate
+// nothing.
 //
 // A Workspace is not safe for concurrent use: callers either keep one per
 // goroutine (internal/serve gives each striped batch worker its own) or go
@@ -65,9 +70,10 @@ const bailSlack = 1e-12
 //
 // The zero value is ready to use; NewWorkspace is a readable constructor.
 type Workspace struct {
+	keys      []int64          // heuristic row: packed (edit length, insertions) keys
+	suf       []int32          // suffix edit distances the heuristic records for the band sweep
 	prev, cur []int32          // rolling (j, k) planes of the band sweep (band.go)
-	eds       []int32          // band sweep's edit distances: suffix matrix, two prefix rows
-	kr, ir    []int32          // heuristic rows: min edit length, max insertions
+	pre       []int32          // band sweep's two rows of prefix edit distances
 	h         []float64        // harmonic prefix: h[i] = H(i), grows monotonically
 	ed        editdist.Scratch // bounded-Myers scratch for the ladder's edit stage
 }
@@ -101,12 +107,12 @@ func (w *Workspace) harmonic(n int) []float64 {
 	return w.h
 }
 
-// grow32 returns a length-n slice backed by *buf, reallocating only when
+// grow returns a length-n slice backed by *buf, reallocating only when
 // the capacity is insufficient. Contents are unspecified: the kernels below
 // never read a cell they have not written.
-func grow32(buf *[]int32, n int) []int32 {
+func grow[T int32 | int64](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -177,7 +183,8 @@ func (w *Workspace) ComputeWindowed(x, y []rune, window int) Result {
 		return Result{Exact: true}
 	}
 	window = max(window, 0)
-	hres := w.HeuristicCompute(x, y)
+	suf := grow(&w.suf, (m+1)*(n+1))
+	hres := w.heuristic(x, y, suf)
 	kmax := kBand(w.harmonic(m+n), m, n, hres.Distance, hres.K)
 	exact := kmax-hres.K <= window
 	if !exact {
@@ -189,7 +196,7 @@ func (w *Workspace) ComputeWindowed(x, y []rune, window int) Result {
 		hres.Exact = exact
 		return hres
 	}
-	res := w.computeBand(x, y, kmax, hres.K)
+	res := w.computeBand(x, y, suf, kmax, hres.K)
 	res.Exact = exact
 	return res
 }
@@ -224,39 +231,65 @@ func (w *Workspace) ComputeBounded(x, y []rune, cutoff float64) (Result, bool) {
 }
 
 // HeuristicCompute is the workspace form of the package-level
-// HeuristicCompute: the §4.1 dC,h dynamic program on reusable rows.
+// HeuristicCompute: the §4.1 dC,h dynamic program on one reusable row.
 func (w *Workspace) HeuristicCompute(x, y []rune) Result {
+	return w.heuristic(x, y, nil)
+}
+
+// heuristic runs the §4.1 dynamic program backward, from (|x|, |y|) to
+// (0, 0). Cell (i, j) stands for the suffixes x[i:] and y[j:] and holds one
+// packed key,
+//
+//	key = k·2³² + (|y| − ni),
+//
+// with k = dE(x[i:], y[j:]) the fewest operations between the suffixes and
+// ni the most insertions over the paths with k operations. Since
+// 0 ≤ |y| − ni < 2³², "fewest operations, then most insertions" is the
+// integer order of the keys, so each cell is one min of three: a match
+// keeps the diagonal's key, a substitution or a deletion adds 2³², an
+// insertion adds 2³² − 1. A path reversed keeps its operation counts, so
+// the (k, ni) reached at (0, 0) are the forward program's and the Result
+// is the same to the bit.
+//
+// When suf is non-nil it must hold (|x|+1)·(|y|+1) cells, and the program
+// records each cell's k there, row-major with stride |y|+1: the suffix edit
+// distances that close the band sweep's cells (band.go). With suf nil
+// every row's distances land on one scratch row, so the program keeps
+// O(|y|) space.
+func (w *Workspace) heuristic(x, y []rune, suf []int32) Result {
+	const op = 1 << 32 // one operation, in key units
 	m, n := len(x), len(y)
-	kr := grow32(&w.kr, n+1) // kmin for the current row
-	ir := grow32(&w.ir, n+1) // max insertions at kmin
-	for j := 0; j <= n; j++ {
-		kr[j] = int32(j)
-		ir[j] = int32(j)
+	stride := n + 1
+	if suf == nil {
+		// The band sweep's prefix rows are free until it runs.
+		suf, stride = grow(&w.pre, n+1), 0
 	}
-	for i := 1; i <= m; i++ {
-		diagK, diagI := kr[0], ir[0]
-		kr[0] = int32(i)
-		ir[0] = 0
-		xi := x[i-1]
-		for j := 1; j <= n; j++ {
-			upK, upI := kr[j], ir[j]
-			var bk, bi int32
-			if xi == y[j-1] {
-				bk, bi = diagK, diagI // cost-0 match
-			} else {
-				bk, bi = diagK+1, diagI // substitution
+	row := grow(&w.keys, n+1)
+	// Row i = |x|: y[j:] from the empty suffix, |y|−j insertions.
+	rec := suf[m*stride : m*stride+n+1]
+	for j := range row {
+		row[j] = int64(n-j)*op + int64(j)
+		rec[j] = int32(n - j)
+	}
+	for i := m - 1; i >= 0; i-- {
+		rec = suf[i*stride : i*stride+n+1]
+		// Column j = |y|: |x|−i deletions, no insertions.
+		diag := row[n]
+		right := int64(m-i)*op + int64(n)
+		row[n], rec[n] = right, int32(m-i)
+		xi := x[i]
+		for j := n - 1; j >= 0; j-- {
+			below := row[j]
+			best := diag + op // substitution
+			if xi == y[j] {
+				best = diag // cost-0 match
 			}
-			if k := upK + 1; k < bk || (k == bk && upI > bi) {
-				bk, bi = k, upI // deletion of x[i-1]
-			}
-			if k := kr[j-1] + 1; k < bk || (k == bk && ir[j-1]+1 > bi) {
-				bk, bi = k, ir[j-1]+1 // insertion of y[j-1]
-			}
-			kr[j], ir[j] = bk, bi
-			diagK, diagI = upK, upI
+			best = min(best, below+op, right+op-1) // deletion, insertion
+			row[j], rec[j] = best, int32(best>>32)
+			diag, right = below, best
 		}
 	}
-	k, ni := int(kr[n]), int(ir[n])
+	k, ni := int(row[0]>>32), n-int(row[0]&(op-1))
 	nd := m - n + ni
 	ns := k - ni - nd
 	h := w.harmonic(m + ni)

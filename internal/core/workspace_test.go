@@ -275,7 +275,7 @@ func TestPoolRecyclesOnPanic(t *testing.T) {
 				}
 			}()
 			withWorkspace(func(w *Workspace) struct{} {
-				w.HeuristicCompute(x, y) // touch the heuristic rows
+				w.HeuristicCompute(x, y) // touch the heuristic row
 				w.harmonic(64)           // grow the harmonic table
 				panic("kernel panic injected by test")
 			})

@@ -280,10 +280,87 @@ func TestWeightsByPathLengthMinIsDistance(t *testing.T) {
 	}
 }
 
+// weightsByPathLengthReference is the unrestricted form of
+// WeightsByPathLength: every cell visits every L in [1, m+n], and both
+// planes start each row filled with +Inf.
+func weightsByPathLengthReference(a, b []rune, c Costs) []float64 {
+	m, n := len(a), len(b)
+	maxL := m + n
+	width := maxL + 1
+	inf := math.Inf(1)
+
+	prev := make([]float64, (n+1)*width)
+	cur := make([]float64, (n+1)*width)
+	for i := range prev {
+		prev[i] = inf
+	}
+	prev[0] = 0
+	acc := 0.0
+	for j := 1; j <= n; j++ {
+		acc += c.Ins(b[j-1])
+		prev[j*width+j] = acc
+	}
+	delAcc := 0.0
+	for i := 1; i <= m; i++ {
+		for x := range cur {
+			cur[x] = inf
+		}
+		delAcc += c.Del(a[i-1])
+		cur[i] = delAcc
+		for j := 1; j <= n; j++ {
+			row := cur[j*width : (j+1)*width]
+			diag := prev[(j-1)*width : j*width]
+			up := prev[j*width : (j+1)*width]
+			left := cur[(j-1)*width : j*width]
+			subCost := c.Sub(a[i-1], b[j-1])
+			delCost := c.Del(a[i-1])
+			insCost := c.Ins(b[j-1])
+			for L := 1; L <= maxL; L++ {
+				best := diag[L-1] + subCost
+				if v := up[L-1] + delCost; v < best {
+					best = v
+				}
+				if v := left[L-1] + insCost; v < best {
+					best = v
+				}
+				row[L] = best
+			}
+		}
+		prev, cur = cur, prev
+	}
+	out := make([]float64, width)
+	copy(out, prev[n*width:(n+1)*width])
+	return out
+}
+
+// TestWeightsByPathLengthMatchesReference requires every weight, +Inf
+// included, to equal the reference's bit for bit, under unit and uneven
+// costs, on one alphabet small enough for many matches and one too large
+// for most.
+func TestWeightsByPathLengthMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	costs := []Costs{Unit{}, Weights{SubCost: 1.3, DelCost: 0.7, InsCost: 1.1}}
+	alphabets := [][]rune{testAlphabet, []rune("abcdefgh")}
+	for i := 0; i < 2000; i++ {
+		alpha := alphabets[i%len(alphabets)]
+		a := randomString(r, 14, alpha)
+		b := randomString(r, 14, alpha)
+		c := costs[(i/2)%len(costs)]
+		got, want := WeightsByPathLength(a, b, c), weightsByPathLengthReference(a, b, c)
+		if len(got) != len(want) {
+			t.Fatalf("len %d, want %d for %q %q", len(got), len(want), string(a), string(b))
+		}
+		for L := range want {
+			if math.Float64bits(got[L]) != math.Float64bits(want[L]) {
+				t.Fatalf("w[%d] = %v, reference %v for %q %q under %T", L, got[L], want[L], string(a), string(b), c)
+			}
+		}
+	}
+}
+
 func TestWeightsByPathLengthMonotoneFeasibility(t *testing.T) {
-	// Feasible L values form a contiguous range from max(m,n) to m+n... not
-	// every L in between is necessarily feasible for an alignment path, but
-	// L=max(m,n) and L=m+n always are. Verify those ends.
+	// Feasible L values form a contiguous range from max(m,n) to m+n; verify
+	// its ends.
 	r := rand.New(rand.NewSource(10))
 	for i := 0; i < 100; i++ {
 		a := randomString(r, 8, testAlphabet)

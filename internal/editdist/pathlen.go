@@ -9,12 +9,14 @@ import "math"
 // c.Sub(x,x) = 0), one vertical move (deletion) or one horizontal move
 // (insertion). Infeasible lengths hold +Inf.
 //
-// The minimum feasible L is max(len(a), len(b)) (or 0 when both strings are
-// empty) and every L between that and len(a)+len(b) with the right parity
-// relationship is feasible. This is the engine of the exact Marzal-Vidal
-// normalised edit distance: dMV = min over L >= 1 of w[L]/L.
+// A path to cell (i, j) with d diagonal moves has i+j−d steps, and d ranges
+// over [0, min(i, j)], so the cell holds exactly the lengths
+// [max(i, j), i+j]: every L from max(len(a), len(b)) (0 when both strings
+// are empty) to len(a)+len(b) is feasible, and no other. This is the engine
+// of the exact Marzal-Vidal normalised edit distance: dMV = min over L >= 1
+// of w[L]/L.
 //
-// It runs in O(len(a)·len(b)·(len(a)+len(b))) time and
+// It runs in O(len(a)·len(b)·min(len(a), len(b))) time and
 // O(len(b)·(len(a)+len(b))) space.
 func WeightsByPathLength(a, b []rune, c Costs) []float64 {
 	m, n := len(a), len(b)
@@ -22,27 +24,34 @@ func WeightsByPathLength(a, b []rune, c Costs) []float64 {
 	width := maxL + 1
 	inf := math.Inf(1)
 
+	// Each cell writes its lengths [max(i, j), i+j] and +Inf just outside
+	// them, and reads its neighbours only there: the planes need no other
+	// initialisation.
 	prev := make([]float64, (n+1)*width)
 	cur := make([]float64, (n+1)*width)
-	for i := range prev {
-		prev[i] = inf
+	fence := func(row []float64, lo, hi int) {
+		if lo > 0 {
+			row[lo-1] = inf
+		}
+		if hi < maxL {
+			row[hi+1] = inf
+		}
 	}
 	// Row i=0: only insertions; exactly j steps to reach column j.
-	prev[0] = 0
 	acc := 0.0
-	for j := 1; j <= n; j++ {
-		acc += c.Ins(b[j-1])
-		prev[j*width+j] = acc
+	for j := 0; j <= n; j++ {
+		if j > 0 {
+			acc += c.Ins(b[j-1])
+		}
+		row := prev[j*width : (j+1)*width]
+		row[j] = acc
+		fence(row, j, j)
 	}
 	delAcc := 0.0
 	for i := 1; i <= m; i++ {
-		for x := range cur {
-			cur[x] = inf
-		}
 		delAcc += c.Del(a[i-1])
-		if i <= maxL {
-			cur[i] = delAcc // column 0: i deletions in i steps
-		}
+		cur[i] = delAcc // column 0: i deletions in i steps
+		fence(cur[:width], i, i)
 		for j := 1; j <= n; j++ {
 			row := cur[j*width : (j+1)*width]
 			diag := prev[(j-1)*width : j*width]
@@ -51,7 +60,8 @@ func WeightsByPathLength(a, b []rune, c Costs) []float64 {
 			subCost := c.Sub(a[i-1], b[j-1])
 			delCost := c.Del(a[i-1])
 			insCost := c.Ins(b[j-1])
-			for L := 1; L <= maxL; L++ {
+			lo, hi := max(i, j), i+j
+			for L := lo; L <= hi; L++ {
 				best := diag[L-1] + subCost
 				if v := up[L-1] + delCost; v < best {
 					best = v
@@ -61,10 +71,16 @@ func WeightsByPathLength(a, b []rune, c Costs) []float64 {
 				}
 				row[L] = best
 			}
+			fence(row, lo, hi)
 		}
 		prev, cur = cur, prev
 	}
 	out := make([]float64, width)
-	copy(out, prev[n*width:(n+1)*width])
+	final := prev[n*width : (n+1)*width]
+	lo := max(m, n)
+	for L := range out {
+		out[L] = inf
+	}
+	copy(out[lo:], final[lo:])
 	return out
 }

@@ -79,8 +79,9 @@ func Levenshtein() Metric { return stringMetric{metric.Levenshtein()} }
 func YujianBo() Metric { return stringMetric{metric.YujianBo()} }
 
 // MarzalVidal returns the exact Marzal–Vidal normalised edit distance
-// dMV = min over alignment paths of weight/length (TPAMI 1993). It is not
-// proven to be a metric for unit costs.
+// dMV = min over alignment paths of weight/length (TPAMI 1993). With the
+// unit costs used here it is a metric (Fisman, Grogin and Margalit,
+// arXiv:2201.06115).
 func MarzalVidal() Metric { return stringMetric{metric.MarzalVidal()} }
 
 // MaxNormalised returns dmax = dE/max(|x|,|y|). Not a metric, but the best

@@ -10,7 +10,7 @@
 //	         [-shards 1] [-compact-threshold 256]
 //	         [-store DIR|URL] [-snapshot-every N] [-load-snapshot]
 //	         [-max-inflight 0] [-queue-wait 100ms] [-retry-after 1]
-//	cedserve -shard-server [-addr :9001] [-d dC,h] [-index laesa] [-pivots 16] [-store DIR|URL]
+//	cedserve -shard-server [-addr :9001] [-d dC,h] [-index laesa] [-pivots 16]
 //	cedserve -coordinator -shards-at http://h1:9001,http://h2:9001
 //	         [-corpus FILE | -sample N] [-cluster-shards 4] [-replicas 2]
 //	         [-range-width 0] [-hedge-after 0] [-request-timeout 2s] [-retries 2]
@@ -53,12 +53,9 @@
 //
 // -shard-server turns the process into an empty shard host: it serves
 // logical shard slots under /shard/{slot}/... and waits for a coordinator
-// to seed them (corpus flags are refused — content arrives over the wire).
-// -index takes the same kinds as every mode, and bktree needs -d dE.
-// Giving every shard server in a fleet the same -store enables the
-// coordinator's store-first replica re-sync: a healthy donor publishes an
-// incremental slot snapshot and the recovering node restores it from the
-// store, so the bulk bytes never transit the coordinator.
+// to seed them (corpus and -store flags are refused — content arrives over
+// the wire, and a replica that lost it is reseeded from a healthy peer's
+// dump). -index takes the same kinds as every mode, and bktree needs -d dE.
 // -coordinator makes the process the cluster front door: it seeds the
 // corpus across the shard servers listed in -shards-at (replica r of
 // logical shard s lands on node (s+r) mod N), replicates every write R
@@ -118,7 +115,6 @@ import (
 	"time"
 
 	"ced"
-	"ced/internal/blob"
 	"ced/internal/metric"
 	"ced/internal/remote"
 	"ced/internal/shard"
@@ -146,7 +142,7 @@ func main() {
 		queueWait   = flag.Duration("queue-wait", 0, "admission control: how long an over-admission query waits for a slot before shedding (0 = 100ms default)")
 		retryAfter  = flag.Int("retry-after", 0, "Retry-After header (seconds) sent with shed 429 responses (0 = 1s default)")
 
-		shardServer   = flag.Bool("shard-server", false, "host logical shard slots for a cluster coordinator (a coordinator seeds them over HTTP; corpus flags are refused)")
+		shardServer   = flag.Bool("shard-server", false, "host logical shard slots for a cluster coordinator (a coordinator seeds them over HTTP; corpus and -store flags are refused)")
 		coordinator   = flag.Bool("coordinator", false, "serve as the cluster coordinator over the shard servers in -shards-at")
 		shardsAt      = flag.String("shards-at", "", "comma-separated shard-server base URLs, e.g. http://h1:9001,http://h2:9001 (coordinator mode)")
 		clusterShards = flag.Int("cluster-shards", 0, "logical shard count (coordinator mode; 0 = one per node)")
@@ -264,19 +260,18 @@ type shardServerOpts struct {
 // buildShardServer assembles the shard-host handler. Corpus flags are
 // refused: slot content arrives from the coordinator over HTTP, and a
 // locally loaded corpus would silently disagree with the cluster placement.
+// -store is refused too: a shard host keeps nothing on disk, and the
+// coordinator re-syncs a restarted host from a healthy peer's dump.
 func buildShardServer(o shardServerOpts, addr string) (http.Handler, error) {
 	if o.corpusPath != "" || o.sample > 0 {
 		return nil, fmt.Errorf("-shard-server takes no corpus; the coordinator seeds shard content over HTTP")
 	}
+	if o.store != "" {
+		return nil, fmt.Errorf("-shard-server takes no -store; the coordinator re-syncs a replica from a healthy peer's dump")
+	}
 	m, err := metric.ByName(o.dist)
 	if err != nil {
 		return nil, err
-	}
-	var st blob.Store
-	if o.store != "" {
-		if st, err = blob.Open(o.store); err != nil {
-			return nil, fmt.Errorf("opening blob store: %w", err)
-		}
 	}
 	srv, err := remote.NewShardServer(remote.ServerConfig{
 		Metric:           m,
@@ -285,7 +280,6 @@ func buildShardServer(o shardServerOpts, addr string) (http.Handler, error) {
 		Seed:             o.seed,
 		BuildWorkers:     o.buildWorkers,
 		CompactThreshold: o.compactThreshold,
-		Store:            st,
 	})
 	if err != nil {
 		return nil, err

@@ -398,6 +398,9 @@ func TestClusterModeValidation(t *testing.T) {
 	if _, err := buildShardServer(shardServerOpts{dist: "dC,h", index: "linear", corpusPath: corpus}, ":0"); err == nil {
 		t.Error("-shard-server with a corpus should fail")
 	}
+	if _, err := buildShardServer(shardServerOpts{dist: "dC,h", index: "linear", store: t.TempDir()}, ":0"); err == nil {
+		t.Error("-shard-server with -store should fail")
+	}
 	if _, err := buildShardServer(shardServerOpts{dist: "no-such", index: "linear"}, ":0"); err == nil {
 		t.Error("unknown metric should fail")
 	}

@@ -105,51 +105,3 @@ func Open(spec string) (Store, error) {
 	}
 	return NewDirStore(spec)
 }
-
-// Prefix returns a view of s with every key under prefix — the per-slot
-// namespace a shard host carves out of one shared store. prefix must be a
-// valid key; the separating slash is added here.
-func Prefix(s Store, prefix string) (Store, error) {
-	if err := checkKey(prefix); err != nil {
-		return nil, err
-	}
-	return &prefixStore{inner: s, p: prefix + "/"}, nil
-}
-
-type prefixStore struct {
-	inner Store
-	p     string
-}
-
-func (s *prefixStore) Put(ctx context.Context, key string, r io.Reader) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	return s.inner.Put(ctx, s.p+key, r)
-}
-
-func (s *prefixStore) Get(ctx context.Context, key string) (io.ReadCloser, error) {
-	if err := checkKey(key); err != nil {
-		return nil, err
-	}
-	return s.inner.Get(ctx, s.p+key)
-}
-
-func (s *prefixStore) List(ctx context.Context, prefix string) ([]string, error) {
-	keys, err := s.inner.List(ctx, s.p+prefix)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, strings.TrimPrefix(k, s.p))
-	}
-	return out, nil
-}
-
-func (s *prefixStore) Delete(ctx context.Context, key string) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	return s.inner.Delete(ctx, s.p+key)
-}

@@ -68,13 +68,6 @@ func (s *FaultStore) FailDelete(n int) {
 	s.mu.Unlock()
 }
 
-// Disarm clears all pending faults.
-func (s *FaultStore) Disarm() {
-	s.mu.Lock()
-	s.failPutIn, s.tear, s.failGetIn, s.failDeleteIn = 0, false, 0, 0
-	s.mu.Unlock()
-}
-
 // Counts reports how many Put/Get/List/Delete calls reached the store
 // since construction or the last ResetCounters, including failed ones.
 func (s *FaultStore) Counts() (puts, gets, lists, deletes int) {

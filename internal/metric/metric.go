@@ -20,10 +20,12 @@ import (
 // must be safe for concurrent use (all the ones in this repository are pure
 // functions).
 //
-// Only some of the registered distances are true metrics (dE, dC, dYB);
-// dmax, dmin, dsum violate the triangle inequality and dC,h and dMV are not
-// proven metrics — the paper (and this harness) nevertheless runs them all
-// through triangle-inequality-based searchers to compare behaviour.
+// Only some of the registered distances are true metrics (dE, dC, dYB, and
+// dMV, whose unit costs make it one by Fisman, Grogin and Margalit,
+// arXiv:2201.06115); dmax, dmin, dsum violate the triangle inequality and
+// dC,h is not a proven metric — the paper (and this harness) nevertheless
+// runs them all through triangle-inequality-based searchers to compare
+// behaviour.
 type Metric interface {
 	// Name returns the distance's display name, matching the paper's
 	// notation (e.g. "dC,h").

@@ -103,26 +103,42 @@ func TestYujianBoKnownValues(t *testing.T) {
 	}
 }
 
+// TestYujianBoIsMetric checks the metric axioms — symmetry, identity,
+// separation and the triangle inequality, with eps slack — on random binary
+// and ternary strings for the two normalised distances proven to be
+// metrics: dYB (Yujian and Bo, TPAMI 2007) and dMV under the unit costs
+// MarzalVidal uses (Fisman, Grogin and Margalit, arXiv:2201.06115).
 func TestYujianBoIsMetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	alpha := []rune("ab")
-	for i := 0; i < 400; i++ {
-		x := randomString(rng, 8, alpha)
-		y := randomString(rng, 8, alpha)
-		z := randomString(rng, 8, alpha)
-		dxy, dyz, dxz := YujianBo(x, y), YujianBo(y, z), YujianBo(x, z)
-		if math.Abs(dxy-YujianBo(y, x)) > eps {
-			t.Fatal("dYB not symmetric")
-		}
-		if dxz > dxy+dyz+eps {
-			t.Fatalf("dYB triangle violated on %q %q %q", string(x), string(y), string(z))
-		}
-		if string(x) == string(y) && dxy != 0 {
-			t.Fatal("dYB identity failed")
-		}
-		if string(x) != string(y) && dxy == 0 {
-			t.Fatal("dYB separation failed")
-		}
+	for _, tc := range []struct {
+		name string
+		d    func(x, y []rune) float64
+	}{
+		{"dYB", YujianBo},
+		{"dMV", MarzalVidal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, alpha := range [][]rune{[]rune("ab"), []rune("abc")} {
+				rng := rand.New(rand.NewSource(20))
+				for i := 0; i < 400; i++ {
+					x := randomString(rng, 8, alpha)
+					y := randomString(rng, 8, alpha)
+					z := randomString(rng, 8, alpha)
+					dxy, dyz, dxz := tc.d(x, y), tc.d(y, z), tc.d(x, z)
+					if math.Abs(dxy-tc.d(y, x)) > eps {
+						t.Fatalf("%s not symmetric on %q %q", tc.name, string(x), string(y))
+					}
+					if dxz > dxy+dyz+eps {
+						t.Fatalf("%s triangle violated on %q %q %q", tc.name, string(x), string(y), string(z))
+					}
+					if string(x) == string(y) && dxy != 0 {
+						t.Fatalf("%s identity failed on %q", tc.name, string(x))
+					}
+					if string(x) != string(y) && dxy == 0 {
+						t.Fatalf("%s separation failed on %q %q", tc.name, string(x), string(y))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -249,21 +249,3 @@ func (c *Client) Dump(ctx context.Context) (labelled bool, elems []shard.Element
 	err = c.do(ctx, http.MethodGet, "dump", nil, &resp)
 	return resp.Labelled, resp.Elements, err
 }
-
-// Snapshot asks the host to publish the slot into its blob store
-// (incremental — unchanged shards cost nothing). 400 when the host has no
-// store configured.
-func (c *Client) Snapshot(ctx context.Context) (SlotSnapshot, error) {
-	var resp SlotSnapshot
-	err := c.do(ctx, http.MethodPost, "snapshot", struct{}{}, &resp)
-	return resp, err
-}
-
-// Restore asks the host to rebuild the slot from its blob store — the
-// re-sync fast path. 404 when no store is configured or it holds no
-// loadable snapshot for the slot.
-func (c *Client) Restore(ctx context.Context) (SlotSnapshot, error) {
-	var resp SlotSnapshot
-	err := c.do(ctx, http.MethodPost, "restore", struct{}{}, &resp)
-	return resp, err
-}

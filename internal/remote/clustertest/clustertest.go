@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"ced/internal/blob"
 	"ced/internal/metric"
 	"ced/internal/remote"
 )
@@ -221,11 +220,6 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// AllowDegraded opts the coordinator into tagged partial answers.
 	AllowDegraded bool
-	// Store, when set, is shared by every node in the fleet — the layout a
-	// real deployment gets from pointing all shard servers at one bucket.
-	// It enables the coordinator's store-first re-sync: a donor publishes a
-	// slot snapshot and the recovering replica restores the same digest.
-	Store blob.Store
 }
 
 // Cluster is a running test cluster. Nodes[i] serves the coordinator's
@@ -282,7 +276,6 @@ func Start(t testing.TB, cfg Config, corpus []string, labels []int) *Cluster {
 			Algorithm: cfg.Algorithm,
 			Pivots:    cfg.Pivots,
 			Seed:      cfg.Seed,
-			Store:     cfg.Store,
 		}
 		ss, err := remote.NewShardServer(scfg)
 		if err != nil {

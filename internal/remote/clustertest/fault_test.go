@@ -166,7 +166,10 @@ func TestClusterFaultInjection(t *testing.T) {
 // missed them — yet readmitting without a re-sync would put empty slots
 // back in the rotation. The probe must recognise the 404 "slot not
 // seeded" liveness answer as lost state, re-sync from a healthy peer and
-// only then readmit.
+// only then readmit. Every re-sync reseeds one slot from its peer's dump,
+// so each crash of node 1 (one replica of each of the two shards) adds
+// exactly two to the coordinator's re-sync count, and after each one the
+// restarted node must answer the oracle on its own.
 func TestClusterCrashRestartReadmission(t *testing.T) {
 	d := dataset.Spanish(120, 11)
 	labels := make([]int, len(d.Strings))
@@ -181,41 +184,50 @@ func TestClusterCrashRestartReadmission(t *testing.T) {
 	o := NewOracle(c.Metric, d.Strings, labels)
 	ctx := context.Background()
 
-	// Read-only traffic against a dead node ejects its replicas without
-	// marking them stale (no write ever missed them).
-	c.Nodes[1].SetFault(FaultDown)
-	for round := 0; round < 4; round++ {
+	for crash, wantSeeds := range []uint64{2, 4} {
+		phase := fmt.Sprintf("crash %d", crash+1)
+
+		// Read-only traffic against a dead node ejects its replicas without
+		// marking them stale (no write ever missed them).
+		c.Heal()
+		c.Nodes[1].SetFault(FaultDown)
+		for round := 0; round < 4; round++ {
+			for _, q := range queries {
+				assertClusterKNN(t, o, c, q, 5, phase+" node-down")
+			}
+		}
+		for _, rh := range nodeHealth(c.Coord.Info(), c.Nodes[1].Srv.URL) {
+			if rh.Healthy || rh.Stale || rh.Ejections == 0 {
+				t.Fatalf("%s: dead node's replica should be ejected but clean: %+v", phase, rh)
+			}
+		}
+
+		// The process comes back at the same address with nothing in it.
+		c.Heal()
+		c.Nodes[1].Restart(t)
+		c.Coord.Probe(ctx)
+
+		info := c.Coord.Info()
+		if !info.Healthy {
+			t.Fatalf("%s: cluster unhealthy after restart+probe: %+v", phase, info.ReplicaHealth)
+		}
+		for _, rh := range nodeHealth(info, c.Nodes[1].Srv.URL) {
+			if !rh.Healthy || rh.Stale || rh.Readmissions == 0 {
+				t.Fatalf("%s: restarted replica not re-synced and readmitted: %+v", phase, rh)
+			}
+		}
+		if info.ResyncSeeds != wantSeeds {
+			t.Fatalf("%s: %d re-syncs, want %d (one dump reseed per replica on the restarted node)",
+				phase, info.ResyncSeeds, wantSeeds)
+		}
+
+		// Prove the readmitted slots really carry the corpus again: kill
+		// the donor node and pin answers served by the restarted one alone.
+		c.Nodes[0].SetFault(Fault500)
 		for _, q := range queries {
-			assertClusterKNN(t, o, c, q, 5, "node-down")
+			assertClusterKNN(t, o, c, q, 5, phase+" restarted-serving")
+			assertClusterClassify(t, o, c, q, phase+" restarted-serving")
 		}
-	}
-	for _, rh := range nodeHealth(c.Coord.Info(), c.Nodes[1].Srv.URL) {
-		if rh.Healthy || rh.Stale || rh.Ejections == 0 {
-			t.Fatalf("dead node's replica should be ejected but clean: %+v", rh)
-		}
-	}
-
-	// The process comes back at the same address with nothing in it.
-	c.Heal()
-	c.Nodes[1].Restart(t)
-	c.Coord.Probe(ctx)
-
-	info := c.Coord.Info()
-	if !info.Healthy {
-		t.Fatalf("cluster unhealthy after restart+probe: %+v", info.ReplicaHealth)
-	}
-	for _, rh := range nodeHealth(info, c.Nodes[1].Srv.URL) {
-		if !rh.Healthy || rh.Stale || rh.Readmissions == 0 {
-			t.Fatalf("restarted replica not re-synced and readmitted: %+v", rh)
-		}
-	}
-
-	// Prove the readmitted slots really carry the corpus again: kill the
-	// donor node and pin answers served by the restarted one alone.
-	c.Nodes[0].SetFault(Fault500)
-	for _, q := range queries {
-		assertClusterKNN(t, o, c, q, 5, "restarted-serving")
-		assertClusterClassify(t, o, c, q, "restarted-serving")
 	}
 }
 

@@ -128,11 +128,10 @@ type Coordinator struct {
 	// partial answers served for /healthz.
 	gate     *serve.Gate
 	degraded atomic.Uint64
-	// resyncRestores/resyncSeeds count how replica re-syncs were served:
-	// store-mediated restore (fast path) vs full dump transfer (fallback).
-	resyncRestores atomic.Uint64
-	resyncSeeds    atomic.Uint64
-	lat            latencyRing
+	// resyncSeeds counts replica re-syncs: a healthy peer's dump reseeded
+	// into the recovering replica.
+	resyncSeeds atomic.Uint64
+	lat         latencyRing
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -681,28 +680,15 @@ func (c *Coordinator) Probe(ctx context.Context) {
 	}
 }
 
-// resync rebuilds rep's slot to match a healthy peer replica of shard s.
-// The caller holds the shard write lock, so no write can fall between the
-// donor capture and the recovering replica's rebuild.
-//
-// Store-first: when the fleet shares a blob store, the donor publishes an
-// incremental snapshot (unchanged shards cost nothing) and the recovering
-// replica restores from the store, so the bulk bytes never transit the
-// coordinator. The path only counts as a re-sync if the restored
-// manifest's digest equals the one the donor just published — equal
-// digests mean bit-identical content, while a mismatch means the two
-// nodes do not actually share a store (each restored its own stale local
-// snapshot) and the full dump transfer below is the only exact option.
+// resync rebuilds rep's slot to match a healthy peer replica of shard s:
+// the donor's full live content is dumped and reseeded into the recovering
+// replica, which rebuilds its index from it. The caller holds the shard
+// write lock, so no write can fall between the donor's dump and the
+// recovering replica's reseed.
 func (c *Coordinator) resync(ctx context.Context, s int, rep *replica) error {
 	for _, donor := range c.replicas[s] {
 		if donor == rep || !donor.healthy() || donor.isStale() {
 			continue
-		}
-		if snap, err := donor.client.Snapshot(ctx); err == nil {
-			if got, err := rep.client.Restore(ctx); err == nil && got.ManifestSHA == snap.ManifestSHA {
-				c.resyncRestores.Add(1)
-				return nil
-			}
 		}
 		labelled, elems, err := donor.client.Dump(ctx)
 		if err != nil {
@@ -744,10 +730,9 @@ type ClusterInfo struct {
 	// the per-replica circuit-breaker open window in force.
 	AllowDegraded     bool    `json:"allow_degraded"`
 	BreakerCooldownMS float64 `json:"breaker_cooldown_ms"`
-	// ResyncRestores and ResyncSeeds count replica re-syncs by transport:
-	// blob-store restore (preferred) vs full dump reseed (fallback).
-	ResyncRestores uint64 `json:"resync_restores"`
-	ResyncSeeds    uint64 `json:"resync_seeds"`
+	// ResyncSeeds counts replica re-syncs: a peer's dump reseeded into a
+	// recovering replica.
+	ResyncSeeds uint64 `json:"resync_seeds"`
 	// HedgeDelayMS is the hedge trigger currently in force.
 	HedgeDelayMS float64 `json:"hedge_delay_ms"`
 	// ReplicaHealth lists every replica, shard-major.
@@ -773,7 +758,6 @@ func (c *Coordinator) Info() ClusterInfo {
 		DegradedServed:    c.degraded.Load(),
 		AllowDegraded:     c.cfg.AllowDegraded,
 		BreakerCooldownMS: float64(c.cfg.BreakerCooldown) / float64(time.Millisecond),
-		ResyncRestores:    c.resyncRestores.Load(),
 		ResyncSeeds:       c.resyncSeeds.Load(),
 		HedgeDelayMS:      float64(c.hedgeDelay()) / float64(time.Millisecond),
 	}

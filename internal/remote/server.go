@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,16 +8,17 @@ import (
 	"strconv"
 	"sync"
 
-	"ced/internal/blob"
 	"ced/internal/metric"
 	"ced/internal/search"
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
 
-// maxBodyBytes bounds request bodies. Seed and dump payloads carry whole
-// shard slices, so the ceiling is generous; a shard worth more than this
-// should arrive via the snapshot pipeline, not one JSON body.
+// maxBodyBytes bounds request and response bodies. Seed and dump payloads
+// carry whole shard slices, and a dump reseeded into a recovering replica is
+// the one re-sync path, so the ceiling is generous: it holds about two
+// million dictionary words per slot. A shard worth more than this needs
+// more logical shards, not a larger body.
 const maxBodyBytes = 64 << 20
 
 // ServerConfig assembles a ShardServer: the distance, index kind and build
@@ -31,13 +31,6 @@ type ServerConfig struct {
 	Seed             int64  // index-construction seed, offset per slot
 	BuildWorkers     int    // index-construction fan-out (<= 0 = all CPUs)
 	CompactThreshold int    // per-slot compaction trigger (<= 0 = default)
-	// Store optionally attaches a durable blob store: each slot snapshots
-	// into (and restores from) its own "slot-<idx>/" prefix. A fleet
-	// sharing one store URL gives the coordinator a re-sync fast path —
-	// donor publishes an incremental snapshot, the recovering replica
-	// restores it — instead of a full dump transfer. Nil disables the
-	// /shard/{slot}/snapshot and /shard/{slot}/restore endpoints.
-	Store blob.Store
 }
 
 // ShardServer hosts logical shard slots for a cluster coordinator: each
@@ -48,10 +41,9 @@ type ServerConfig struct {
 // s lives on node (s+r) mod N — the coordinator's placement, invisible
 // here).
 type ShardServer struct {
-	cfg    ServerConfig
-	mu     sync.RWMutex
-	slots  map[int]*shard.Set
-	savers map[int]*shard.Saver // lazily built per slot; reset on re-seed
+	cfg   ServerConfig
+	mu    sync.RWMutex
+	slots map[int]*shard.Set
 
 	// gate maps slot-query errors to statuses and counts their
 	// cancellation outcomes for /healthz; admission is off (the
@@ -81,41 +73,10 @@ func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
 	return &ShardServer{
-		cfg:    cfg,
-		slots:  make(map[int]*shard.Set),
-		savers: make(map[int]*shard.Saver),
-		gate:   serve.NewGate(0, 0, 0),
+		cfg:   cfg,
+		slots: make(map[int]*shard.Set),
+		gate:  serve.NewGate(0, 0, 0),
 	}, nil
-}
-
-// slotStore scopes the configured blob store to one slot's prefix (nil
-// without a store).
-func (s *ShardServer) slotStore(idx int) blob.Store {
-	if s.cfg.Store == nil {
-		return nil
-	}
-	// The prefix is a fixed-shape valid key, so Prefix cannot fail.
-	st, err := blob.Prefix(s.cfg.Store, fmt.Sprintf("slot-%d", idx))
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// saver returns (lazily creating) the slot's Saver; nil without a store.
-func (s *ShardServer) saver(idx int) *shard.Saver {
-	st := s.slotStore(idx)
-	if st == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sv := s.savers[idx]
-	if sv == nil {
-		sv = shard.NewSaver(st)
-		s.savers[idx] = sv
-	}
-	return sv
 }
 
 // slot returns the seeded set for a slot index, or nil.
@@ -147,49 +108,8 @@ func (s *ShardServer) seed(idx int, labelled bool, elems []shard.Element) error 
 	}
 	s.mu.Lock()
 	s.slots[idx] = set
-	if sv := s.savers[idx]; sv != nil {
-		// The wholesale-replaced corpus does not descend from whatever the
-		// slot's saver last snapshotted; the next snapshot must not trust
-		// its epoch baseline.
-		sv.Reset()
-	}
 	s.mu.Unlock()
 	return nil
-}
-
-// restore rebuilds slot idx from the newest snapshot under its store
-// prefix and attaches the manifest to the slot's saver, so the next
-// snapshot is incremental. It is the re-sync fast path: the content
-// arrives from the blob store, not through the coordinator.
-func (s *ShardServer) restore(ctx context.Context, idx int) (*shard.Set, *shard.Manifest, error) {
-	st := s.slotStore(idx)
-	if st == nil {
-		return nil, nil, fmt.Errorf("no blob store configured on this node")
-	}
-	build, err := shard.StandardBuild(s.cfg.Algorithm, s.cfg.Metric, s.cfg.Pivots,
-		s.cfg.Seed+int64(idx), s.cfg.BuildWorkers)
-	if err != nil {
-		return nil, nil, err
-	}
-	set, man, err := shard.LoadFromStore(ctx, st, shard.Config{
-		Metric:           s.cfg.Metric,
-		Build:            build,
-		Algorithm:        s.cfg.Algorithm,
-		CompactThreshold: s.cfg.CompactThreshold,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	s.mu.Lock()
-	s.slots[idx] = set
-	sv := s.savers[idx]
-	if sv == nil {
-		sv = shard.NewSaver(st)
-		s.savers[idx] = sv
-	}
-	s.mu.Unlock()
-	sv.Attach(man)
-	return set, man, nil
 }
 
 // Slots returns the currently seeded slot indexes and their live sizes.
@@ -217,8 +137,6 @@ var errNotSeeded = errors.New("slot not seeded")
 //	POST /shard/{slot}/compact  (no body)                      fold delta+tombstones
 //	GET  /shard/{slot}/info                                    slot identity + size
 //	GET  /shard/{slot}/dump                                    full live content (re-sync)
-//	POST /shard/{slot}/snapshot (no body)                      publish the slot into the blob store
-//	POST /shard/{slot}/restore  (no body)                      rebuild the slot from the blob store
 //	GET  /healthz                                              node liveness + slot sizes
 func (s *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -291,44 +209,6 @@ func (s *ShardServer) Handler() http.Handler {
 	}))
 	mux.HandleFunc("GET /shard/{slot}/dump", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		writeJSON(w, http.StatusOK, dumpResponse{Labelled: set.Labelled(), Elements: set.Elements()})
-	}))
-	mux.HandleFunc("POST /shard/{slot}/snapshot", s.withSlotIdx(func(w http.ResponseWriter, r *http.Request, idx int) {
-		set := s.slot(idx)
-		if set == nil {
-			writeRemoteError(w, http.StatusNotFound, fmt.Errorf("slot %d: %w", idx, errNotSeeded))
-			return
-		}
-		sv := s.saver(idx)
-		if sv == nil {
-			writeRemoteError(w, http.StatusBadRequest, fmt.Errorf("no blob store configured on this node"))
-			return
-		}
-		stats, err := sv.Save(r.Context(), set)
-		if err != nil {
-			writeRemoteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, SlotSnapshot{
-			Seq:         stats.Seq,
-			ManifestSHA: stats.ManifestSHA,
-			Size:        set.Size(),
-			Uploaded:    stats.BasesUploaded + stats.OvlsUploaded,
-			Skipped:     stats.BasesSkipped + stats.OvlsSkipped,
-		})
-	}))
-	mux.HandleFunc("POST /shard/{slot}/restore", s.withSlotIdx(func(w http.ResponseWriter, r *http.Request, idx int) {
-		set, man, err := s.restore(r.Context(), idx)
-		if err != nil {
-			// 404: non-retryable to the client; the coordinator falls back
-			// to a dump-based reseed.
-			writeRemoteError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, SlotSnapshot{
-			Seq:         man.Seq,
-			ManifestSHA: man.EnvelopeSHA(),
-			Size:        set.Size(),
-		})
 	}))
 	return mux
 }

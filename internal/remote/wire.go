@@ -111,17 +111,6 @@ type (
 		Labelled bool            `json:"labelled"`
 		Elements []shard.Element `json:"elements"`
 	}
-	// SlotSnapshot reports a slot-level store snapshot or restore: the
-	// manifest sequence, the manifest envelope's SHA-256 (the snapshot's
-	// identity — equal digests mean bit-identical content) and the slot's
-	// live size. Snapshot responses also carry the upload accounting.
-	SlotSnapshot struct {
-		Seq         uint64 `json:"seq"`
-		ManifestSHA string `json:"manifest_sha"`
-		Size        int    `json:"size"`
-		Uploaded    int    `json:"uploaded,omitempty"`
-		Skipped     int    `json:"skipped,omitempty"`
-	}
 	errorResponse struct {
 		Error string `json:"error"`
 	}

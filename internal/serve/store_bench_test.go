@@ -8,6 +8,7 @@ import (
 	"ced/internal/blob"
 	"ced/internal/dataset"
 	"ced/internal/metric"
+	"ced/internal/shard"
 )
 
 // The snapshot benchmarks price the two claims the durable-snapshot
@@ -36,11 +37,11 @@ func newBenchStoreEngine(b *testing.B, st blob.Store) *Engine {
 }
 
 // BenchmarkSnapshotSave measures one store save per iteration. mode=full
-// resets the saver's skip baseline first, so every shard base and overlay
-// re-uploads — the cost a naive non-incremental pipeline would pay every
-// time. mode=incremental performs one Add between saves, so only the
-// mutated shard's overlay (plus the manifest) is uploaded. Both report
-// uploaded-KB per operation alongside ns/op.
+// starts each save from a fresh saver with no skip baseline, so every
+// shard base and overlay re-uploads — the cost a naive non-incremental
+// pipeline would pay every time. mode=incremental performs one Add between
+// saves, so only the mutated shard's overlay (plus the manifest) is
+// uploaded. Both report uploaded-KB per operation alongside ns/op.
 func BenchmarkSnapshotSave(b *testing.B) {
 	for _, mode := range []string{"full", "incremental"} {
 		b.Run("mode="+mode, func(b *testing.B) {
@@ -54,7 +55,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if mode == "full" {
-					e.saver.Reset()
+					e.saver = shard.NewSaver(st)
 				} else {
 					if _, err := e.Add(context.Background(), fmt.Sprintf("bench%d", i), 0); err != nil {
 						b.Fatal(err)

@@ -92,16 +92,7 @@ type Manifest struct {
 	Labelled   bool
 	NextID     uint64
 	Shards     []ManifestShard
-
-	// envSHA is the SHA-256 of the envelope this manifest was read from or
-	// sealed into; unexported so gob never encodes it (it cannot name
-	// itself). See SaveStats.ManifestSHA.
-	envSHA string
 }
-
-// EnvelopeSHA returns the SHA-256 of the manifest's sealed envelope — the
-// snapshot's identity ("" for a manifest that never touched a store).
-func (m *Manifest) EnvelopeSHA() string { return m.envSHA }
 
 // baseObj is the gob form of a shard's frozen base object. Kind names the
 // base index algorithm; Index holds its search.Save snapshot when the
@@ -147,12 +138,6 @@ type SaveStats struct {
 	OvlsUploaded  int    `json:"ovls_uploaded"`
 	OvlsSkipped   int    `json:"ovls_skipped"`
 	BytesUploaded int64  `json:"bytes_uploaded"`
-	// ManifestSHA is the SHA-256 of the published manifest envelope — the
-	// snapshot's identity. Two stores holding a manifest with the same
-	// digest hold bit-identical snapshots (every object is referenced by
-	// its own digest), which is how the cluster re-sync path proves a
-	// store-mediated restore delivered exactly the donor's content.
-	ManifestSHA string `json:"manifest_sha"`
 }
 
 // Saver writes incremental snapshots of one Set into a blob store. It
@@ -191,17 +176,6 @@ func (sv *Saver) Attach(m *Manifest) {
 	sv.mu.Unlock()
 }
 
-// Reset forgets the attached-manifest baseline so the next Save uploads
-// every object afresh (the manifest sequence keeps advancing). Call it
-// after swapping in a corpus that does not descend from the attached
-// manifest — epoch-keyed base skipping is only sound within one corpus
-// lineage.
-func (sv *Saver) Reset() {
-	sv.mu.Lock()
-	sv.last = nil
-	sv.mu.Unlock()
-}
-
 // LastSeq returns the sequence number of the last manifest this Saver
 // published or attached (0 if none yet).
 func (sv *Saver) LastSeq() uint64 {
@@ -237,10 +211,9 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 	defer sv.mu.Unlock()
 
 	// Advance the sequence past every manifest already in the store, not
-	// just this Saver's own: when several processes take turns writing one
-	// slot's snapshots (the cluster re-sync path, serialised by the
-	// coordinator's shard write lock), a stale local seq must never
-	// overwrite a manifest another writer published in between.
+	// just this Saver's own: a fresh Saver over a store an earlier process
+	// wrote (a server restarted without loading its snapshot) must continue
+	// that sequence, never overwrite a manifest it did not publish.
 	keys, err := sv.store.List(ctx, manifestPrefix)
 	if err != nil {
 		return SaveStats{}, fmt.Errorf("shard: listing manifests: %w", err)
@@ -300,13 +273,10 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 
 	// Publish the manifest last: this is the commit point.
 	env := sealManifest(m)
-	envSum := sha256.Sum256(env)
-	m.envSHA = hex.EncodeToString(envSum[:])
 	if err := blob.PutBytes(ctx, sv.store, manifestKey(m.Seq), env); err != nil {
 		return stats, fmt.Errorf("shard: publishing manifest %d: %w", m.Seq, err)
 	}
 	stats.BytesUploaded += int64(len(env))
-	stats.ManifestSHA = m.envSHA
 	sv.last, sv.seq = m, m.Seq
 
 	// Best-effort GC of snapshots older than the retention window. A
@@ -537,8 +507,6 @@ func fetchManifest(ctx context.Context, store blob.Store, key string) (*Manifest
 	if m.Version > envelopeVersion {
 		return nil, &errTooNew{version: m.Version}
 	}
-	sum := sha256.Sum256(b)
-	m.envSHA = hex.EncodeToString(sum[:])
 	return m, nil
 }
 

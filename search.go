@@ -92,9 +92,9 @@ func (ix *Index) Algorithm() string { return ix.searcher.Name() }
 // the triangle inequality to skip most distance computations (the
 // per-query cost plotted on Figure 3's vertical axis).
 //
-// m should be a true metric (Contextual, Levenshtein, YujianBo) for exact
-// results; with non-metrics (MaxNormalised, and in principle
-// ContextualHeuristic or MarzalVidal) the neighbour may occasionally be
+// m should be a true metric (Contextual, Levenshtein, YujianBo,
+// MarzalVidal) for exact results; with non-metrics (MaxNormalised, and in
+// principle ContextualHeuristic) the neighbour may occasionally be
 // non-nearest, exactly as in the paper's experiments.
 func NewLAESA(corpus []string, m Metric, pivots int) *Index {
 	return &Index{

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -49,66 +50,81 @@ func main() {
 		train: *train, queries: *queries, reps: *reps,
 	}
 
-	run := func(name string) error {
-		switch name {
-		case "fig1":
-			return experiments.RunFig1(cfg.fig1(), progress).Render(os.Stdout)
-		case "fig2":
-			return experiments.RunFig2(cfg.fig2(), progress).Render(os.Stdout)
-		case "table1":
-			return experiments.RunTable1(cfg.table1(), progress).Render(os.Stdout)
-		case "fig3":
-			return experiments.RunFig3(cfg.fig3(), progress).Render(os.Stdout)
-		case "fig4":
-			return experiments.RunFig4(cfg.fig4(), progress).Render(os.Stdout)
-		case "table2":
-			res, err := experiments.RunTable2(cfg.table2(), progress)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
-		case "gap":
-			return experiments.RunGap(cfg.gap(), progress).Render(os.Stdout)
-		case "fig5":
-			return experiments.RunFig5(experiments.Fig5Config{Seed: cfg.seed}, progress).Render(os.Stdout)
-		case "counter":
-			experiments.RenderCounterexamples(os.Stdout, experiments.RunCounterexamples())
-			return nil
-		case "abl-pivot":
-			return experiments.RunPivotAblation(cfg.pivotAblation(), progress).Render(os.Stdout)
-		case "abl-search":
-			return experiments.RunSearcherAblation(cfg.searcherAblation(), progress).Render(os.Stdout)
-		case "abl-exact":
-			return experiments.RunExactVsHeuristic(cfg.exactAblation(), progress).Render(os.Stdout)
-		case "corr":
-			res, err := experiments.RunCorrelation(experiments.CorrelationConfig{
-				Size: cfg.digits, Seed: cfg.seed, Workers: cfg.workers,
-			}, progress)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-	}
-
-	names := []string{*exp}
-	switch *exp {
-	case "all":
-		names = []string{"counter", "fig1", "fig2", "table1", "gap", "fig3", "fig4", "table2", "fig5"}
-	case "ablations":
-		names = []string{"abl-pivot", "abl-search", "abl-exact"}
-	}
-	for i, name := range names {
+	for i, name := range expand(*exp) {
 		if i > 0 {
-			fmt.Println("\n" + strings.Repeat("=", 78) + "\n")
+			fmt.Println(separator)
 		}
-		if err := run(name); err != nil {
+		res, err := runExperiment(name, cfg, progress)
+		if err == nil {
+			err = res.Render(os.Stdout)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "cedexp:", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// separator is printed between the experiments of a group.
+var separator = "\n" + strings.Repeat("=", 78) + "\n"
+
+// expand resolves the "all" and "ablations" groups to their experiments.
+func expand(exp string) []string {
+	switch exp {
+	case "all":
+		return []string{"counter", "fig1", "fig2", "table1", "gap", "fig3", "fig4", "table2", "fig5"}
+	case "ablations":
+		return []string{"abl-pivot", "abl-search", "abl-exact"}
+	}
+	return []string{exp}
+}
+
+// renderer is an experiment's result, ready to print.
+type renderer interface {
+	Render(w io.Writer) error
+}
+
+// counterexamples renders the metric-axiom counterexamples.
+type counterexamples []experiments.CounterexampleResult
+
+func (c counterexamples) Render(w io.Writer) error {
+	experiments.RenderCounterexamples(w, c)
+	return nil
+}
+
+// runExperiment runs the named experiment at the sizes cfg resolves.
+func runExperiment(name string, cfg sizes, progress experiments.Progress) (renderer, error) {
+	switch name {
+	case "fig1":
+		return experiments.RunFig1(cfg.fig1(), progress), nil
+	case "fig2":
+		return experiments.RunFig2(cfg.fig2(), progress), nil
+	case "table1":
+		return experiments.RunTable1(cfg.table1(), progress), nil
+	case "fig3":
+		return experiments.RunFig3(cfg.fig3(), progress), nil
+	case "fig4":
+		return experiments.RunFig4(cfg.fig4(), progress), nil
+	case "table2":
+		return experiments.RunTable2(cfg.table2(), progress)
+	case "gap":
+		return experiments.RunGap(cfg.gap(), progress), nil
+	case "fig5":
+		return experiments.RunFig5(experiments.Fig5Config{Seed: cfg.seed}, progress), nil
+	case "counter":
+		return counterexamples(experiments.RunCounterexamples()), nil
+	case "abl-pivot":
+		return experiments.RunPivotAblation(cfg.pivotAblation(), progress), nil
+	case "abl-search":
+		return experiments.RunSearcherAblation(cfg.searcherAblation(), progress), nil
+	case "abl-exact":
+		return experiments.RunExactVsHeuristic(cfg.exactAblation(), progress), nil
+	case "corr":
+		return experiments.RunCorrelation(experiments.CorrelationConfig{
+			Size: cfg.digits, Seed: cfg.seed, Workers: cfg.workers,
+		}, progress)
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
 }
 
 // sizes resolves command-line size overrides, quick mode, and defaults.

@@ -8,7 +8,7 @@
 //	cedserve [-addr :8080] [-corpus FILE] [-d dC,h] [-index laesa] [-pivots 16]
 //	         [-workers 0] [-build-workers 0] [-cache 4096] [-seed 1] [-sample 0]
 //	         [-shards 1] [-compact-threshold 256]
-//	         [-store DIR|URL] [-snapshot-every N] [-load-snapshot]
+//	         [-store DIR] [-snapshot-every N] [-load-snapshot]
 //	         [-max-inflight 0] [-queue-wait 100ms] [-retry-after 1]
 //	cedserve -shard-server [-addr :9001] [-d dC,h] [-index laesa] [-pivots 16]
 //	cedserve -coordinator -shards-at http://h1:9001,http://h2:9001
@@ -35,9 +35,8 @@
 // the live set (deltas fold into the base indexes by background
 // compaction, swapping epochs atomically — queries never block).
 //
-// -store DIR|URL attaches a durable blob store — a local directory
-// (crash-safe temp-file + fsync + rename writes) or an http(s)://
-// object-server URL (retried, integrity-checked uploads) — behind the
+// -store DIR attaches a durable blob store — a local directory, created if
+// missing, with crash-safe temp-file + fsync + rename writes — behind the
 // /snapshot/save and /snapshot/load endpoints. /snapshot/save publishes an
 // incremental manifest-addressed snapshot that re-uploads only the shards
 // changed since the last save and commits by writing the manifest last, so
@@ -135,7 +134,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "partition the corpus across this many independent indexes")
 		compactThr = flag.Int("compact-threshold", 0, "per-shard delta+tombstone size that triggers background compaction (0 = default 256)")
 		loadSnap   = flag.Bool("load-snapshot", false, "restore the newest -store snapshot at startup instead of building indexes (corpus flags become optional)")
-		store      = flag.String("store", "", "durable snapshot store: a directory path or an http(s):// object-server URL; /snapshot/save uploads only changed shards")
+		store      = flag.String("store", "", "durable snapshot store: a local directory, created if missing; /snapshot/save uploads only changed shards")
 		snapEvery  = flag.Int("snapshot-every", 0, "publish a background store snapshot after this many mutations (0 = manual; needs -store)")
 
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: maximum concurrently executing queries; excess sheds with 429 after -queue-wait (0 disables)")
@@ -427,10 +426,10 @@ func build(o buildOpts) (*ced.Server, ced.ServerInfo, error) {
 		o.cache = -1 // flag semantics: 0 disables; ServerConfig treats 0 as "default"
 	}
 	if o.loadSnapshot && o.store == "" {
-		return nil, ced.ServerInfo{}, fmt.Errorf("-load-snapshot needs -store DIR|URL")
+		return nil, ced.ServerInfo{}, fmt.Errorf("-load-snapshot needs -store DIR")
 	}
 	if o.snapshotEvery > 0 && o.store == "" {
-		return nil, ced.ServerInfo{}, fmt.Errorf("-snapshot-every needs -store DIR|URL")
+		return nil, ced.ServerInfo{}, fmt.Errorf("-snapshot-every needs -store DIR")
 	}
 	srv, err := ced.NewServer(data, ced.ServerConfig{
 		Algorithm:        o.index,

@@ -54,8 +54,7 @@ func main() {
 	fmt.Printf("live size: %d (= 2000 + 1 add - 1 delete)\n", ix.Len())
 
 	// Snapshot: fold the mutation overlay in, then publish every shard's
-	// base index to a store — a directory here; an http(s):// object-server
-	// URL works the same. The reload recomputes nothing.
+	// base index to a store directory. The reload recomputes nothing.
 	ix.Compact()
 	store, err := os.MkdirTemp("", "ced-sharded-")
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,12 +20,9 @@ func openBackends(t *testing.T) map[string]Store {
 	if err != nil {
 		t.Fatalf("NewDirStore: %v", err)
 	}
-	srv := httptest.NewServer(Handler(NewMemStore()))
-	t.Cleanup(srv.Close)
 	return map[string]Store{
 		"dir":   dir,
 		"mem":   NewMemStore(),
-		"http":  NewHTTPStore(srv.URL, HTTPConfig{}),
 		"fault": NewFaultStore(NewMemStore()),
 	}
 }
@@ -47,12 +44,12 @@ func TestStoreConformance(t *testing.T) {
 				"shards/1/ovl-123":          "overlay one",
 			}
 			for k, v := range objects {
-				if err := PutBytes(ctx, s, k, []byte(v)); err != nil {
+				if err := s.Put(ctx, k, []byte(v)); err != nil {
 					t.Fatalf("Put %s: %v", k, err)
 				}
 			}
 			for k, v := range objects {
-				got, err := GetBytes(ctx, s, k)
+				got, err := s.Get(ctx, k)
 				if err != nil {
 					t.Fatalf("Get %s: %v", k, err)
 				}
@@ -61,10 +58,10 @@ func TestStoreConformance(t *testing.T) {
 				}
 			}
 			// Overwrite replaces, not appends.
-			if err := PutBytes(ctx, s, "shards/1/ovl-123", []byte("v2")); err != nil {
+			if err := s.Put(ctx, "shards/1/ovl-123", []byte("v2")); err != nil {
 				t.Fatalf("overwrite: %v", err)
 			}
-			if got, _ := GetBytes(ctx, s, "shards/1/ovl-123"); string(got) != "v2" {
+			if got, _ := s.Get(ctx, "shards/1/ovl-123"); string(got) != "v2" {
 				t.Fatalf("after overwrite: %q, want %q", got, "v2")
 			}
 			keys, err := s.List(ctx, "shards/1/")
@@ -95,7 +92,7 @@ func TestStoreConformance(t *testing.T) {
 			}
 			// Invalid keys are rejected before they reach any backend state.
 			for _, bad := range []string{"", "/abs", "a//b", "../escape", "a/./b", "sp ace", strings.Repeat("k", 600)} {
-				if err := PutBytes(ctx, s, bad, []byte("x")); err == nil {
+				if err := s.Put(ctx, bad, []byte("x")); err == nil {
 					t.Fatalf("Put %q: accepted invalid key", bad)
 				}
 				if _, err := s.Get(ctx, bad); err == nil || errors.Is(err, ErrNotFound) {
@@ -128,7 +125,7 @@ func TestValidKey(t *testing.T) {
 	}
 }
 
-// TestDirStoreNoTempLeftovers: a Put that fails mid-stream must leave
+// TestDirStoreNoTempLeftovers: a write that fails mid-object must leave
 // neither the target object nor a stray temp file.
 func TestDirStoreNoTempLeftovers(t *testing.T) {
 	ctx := context.Background()
@@ -137,13 +134,24 @@ func TestDirStoreNoTempLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("reader died")
-	err = s.Put(ctx, "shards/0/base", &failingReader{after: 10, err: boom})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Put with failing reader: err = %v, want %v", err, boom)
+	boom := errors.New("writer died")
+	failAfter := func(n int) func(io.Writer) error {
+		return func(w io.Writer) error {
+			if _, err := w.Write([]byte(strings.Repeat("x", n))); err != nil {
+				return err
+			}
+			return boom
+		}
+	}
+	path := s.path("shards/0/base")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(path, failAfter(10)); !errors.Is(err, boom) {
+		t.Fatalf("write failing mid-object: err = %v, want %v", err, boom)
 	}
 	if _, err := s.Get(ctx, "shards/0/base"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("object exists after failed Put: err = %v", err)
+		t.Fatalf("object exists after failed write: err = %v", err)
 	}
 	var stray []string
 	filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
@@ -153,39 +161,40 @@ func TestDirStoreNoTempLeftovers(t *testing.T) {
 		return nil
 	})
 	if len(stray) != 0 {
-		t.Fatalf("stray files after failed Put: %v", stray)
+		t.Fatalf("stray files after failed write: %v", stray)
 	}
 	// A failed overwrite must leave the previous object intact.
-	if err := PutBytes(ctx, s, "shards/0/base", []byte("v1")); err != nil {
+	if err := s.Put(ctx, "shards/0/base", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(ctx, "shards/0/base", &failingReader{after: 1, err: boom}); !errors.Is(err, boom) {
+	if err := writeFileAtomic(path, failAfter(1)); !errors.Is(err, boom) {
 		t.Fatalf("overwrite: err = %v, want %v", err, boom)
 	}
-	got, err := GetBytes(ctx, s, "shards/0/base")
+	got, err := s.Get(ctx, "shards/0/base")
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("after failed overwrite: %q, %v; want intact v1", got, err)
 	}
 }
 
-type failingReader struct {
-	after int
-	err   error
-}
-
-func (r *failingReader) Read(p []byte) (int, error) {
-	if r.after <= 0 {
-		return 0, r.err
+// TestDirStoreRefusesOversizedObject: an object past maxObjectBytes is
+// refused with an error instead of being read into memory (a sparse file
+// stands in for it, so the test writes no gigabyte).
+func TestDirStoreRefusesOversizedObject(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := r.after
-	if n > len(p) {
-		n = len(p)
+	if err := s.Put(ctx, "shards/0/base", []byte("small")); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		p[i] = 'x'
+	if err := os.Truncate(s.path("shards/0/base"), maxObjectBytes+1); err != nil {
+		t.Fatal(err)
 	}
-	r.after -= n
-	return n, nil
+	b, err := s.Get(ctx, "shards/0/base")
+	if err == nil || errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Get of an oversized object: %d bytes, err = %v; want a size error", len(b), err)
+	}
 }
 
 func TestFaultStoreInjection(t *testing.T) {
@@ -195,14 +204,14 @@ func TestFaultStoreInjection(t *testing.T) {
 
 	// Torn put: error surfaces, inner store holds a corrupted prefix.
 	fs.FailPut(2, true)
-	if err := PutBytes(ctx, fs, "k1", []byte("object one")); err != nil {
+	if err := fs.Put(ctx, "k1", []byte("object one")); err != nil {
 		t.Fatalf("put 1: %v", err)
 	}
-	err := PutBytes(ctx, fs, "k2", []byte("object two"))
+	err := fs.Put(ctx, "k2", []byte("object two"))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("put 2: err = %v, want ErrInjected", err)
 	}
-	torn, err := GetBytes(ctx, mem, "k2")
+	torn, err := mem.Get(ctx, "k2")
 	if err != nil {
 		t.Fatalf("torn object missing: %v", err)
 	}
@@ -211,19 +220,19 @@ func TestFaultStoreInjection(t *testing.T) {
 	}
 	// Error mode: nothing reaches the inner store.
 	fs.FailPut(1, false)
-	if err := PutBytes(ctx, fs, "k3", []byte("object three")); !errors.Is(err, ErrInjected) {
+	if err := fs.Put(ctx, "k3", []byte("object three")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("put 3: err = %v, want ErrInjected", err)
 	}
 	if _, err := mem.Get(ctx, "k3"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("error-mode put leaked to inner store")
 	}
 	// An armed fault fires once; the next put goes through.
-	if err := PutBytes(ctx, fs, "k4", []byte("object four")); err != nil {
+	if err := fs.Put(ctx, "k4", []byte("object four")); err != nil {
 		t.Fatalf("put 4: %v", err)
 	}
 
 	fs.FailGet(1)
-	if _, err := GetBytes(ctx, fs, "k1"); !errors.Is(err, ErrInjected) {
+	if _, err := fs.Get(ctx, "k1"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("get: err = %v, want ErrInjected", err)
 	}
 	fs.FailDelete(1)
@@ -248,11 +257,11 @@ func TestFaultStoreInjection(t *testing.T) {
 func TestMemStoreCloneAndCorrupt(t *testing.T) {
 	ctx := context.Background()
 	s := NewMemStore()
-	if err := PutBytes(ctx, s, "a", []byte("hello world")); err != nil {
+	if err := s.Put(ctx, "a", []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
 	c := s.Clone()
-	if err := PutBytes(ctx, s, "b", []byte("later")); err != nil {
+	if err := s.Put(ctx, "b", []byte("later")); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
@@ -261,11 +270,11 @@ func TestMemStoreCloneAndCorrupt(t *testing.T) {
 	if !s.Corrupt("a", 4) {
 		t.Fatal("Corrupt: key not found")
 	}
-	got, _ := GetBytes(ctx, s, "a")
+	got, _ := s.Get(ctx, "a")
 	if len(got) != 4 || string(got) == "hell" {
 		t.Fatalf("Corrupt left %q, want 4 mangled bytes", got)
 	}
-	if cg, _ := GetBytes(ctx, c, "a"); string(cg) != "hello world" {
+	if cg, _ := c.Get(ctx, "a"); string(cg) != "hello world" {
 		t.Fatalf("corruption leaked into clone: %q", cg)
 	}
 	if s.Corrupt("missing", 1) {
@@ -273,24 +282,27 @@ func TestMemStoreCloneAndCorrupt(t *testing.T) {
 	}
 }
 
+// TestOpenSpec: a -store spec opens a directory store (creating missing
+// parents); the empty spec and a URL are refused, and a refused URL
+// creates nothing.
 func TestOpenSpec(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sub", "store")
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open(dir): %v", err)
+	if _, err := NewDirStore(dir); err != nil {
+		t.Fatalf("NewDirStore(dir): %v", err)
 	}
-	if _, ok := s.(*DirStore); !ok {
-		t.Fatalf("Open(dir) = %T, want *DirStore", s)
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("NewDirStore(dir) left no directory: %v", err)
 	}
-	h, err := Open("http://127.0.0.1:1/base")
-	if err != nil {
-		t.Fatalf("Open(url): %v", err)
+	if _, err := NewDirStore(""); err == nil {
+		t.Fatal("NewDirStore(\"\") accepted")
 	}
-	if _, ok := h.(*HTTPStore); !ok {
-		t.Fatalf("Open(url) = %T, want *HTTPStore", h)
+	cwd := t.TempDir()
+	t.Chdir(cwd)
+	if _, err := NewDirStore("http://objects:9100/ced"); err == nil || !strings.Contains(err.Error(), "local directory") {
+		t.Fatalf("NewDirStore(url): err = %v, want a local-directory error", err)
 	}
-	if _, err := Open(""); err == nil {
-		t.Fatal("Open(\"\") accepted")
+	if entries, err := os.ReadDir(cwd); err != nil || len(entries) != 0 {
+		t.Fatalf("refused URL created %v (%v)", entries, err)
 	}
 }
 

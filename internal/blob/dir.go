@@ -13,7 +13,7 @@ import (
 
 // DirStore keeps objects as files under a root directory, one file per key
 // (slashes in keys become subdirectories). Writes are crash-safe: the
-// object streams into a same-directory temp file, is fsynced, atomically
+// object is written to a same-directory temp file, fsynced, atomically
 // renamed over the final name, and the parent directory is fsynced — so a
 // process killed at any instant leaves either the old object or the new
 // one, never a torn file. This is the backend behind cedserve -store DIR.
@@ -22,9 +22,14 @@ type DirStore struct {
 }
 
 // NewDirStore opens (creating if missing) a directory store rooted at dir.
+// A URL is refused: the store is a local directory, and a spec such as
+// "http://host/ced" would otherwise create a directory named "http:".
 func NewDirStore(dir string) (*DirStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("blob: empty store directory")
+	}
+	if strings.Contains(dir, "://") {
+		return nil, fmt.Errorf("blob: store %q is a URL; the store is a local directory", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("blob: opening store: %w", err)
@@ -32,15 +37,12 @@ func NewDirStore(dir string) (*DirStore, error) {
 	return &DirStore{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (s *DirStore) Root() string { return s.root }
-
 // path maps a validated key to its file path.
 func (s *DirStore) path(key string) string {
 	return filepath.Join(s.root, filepath.FromSlash(key))
 }
 
-func (s *DirStore) Put(ctx context.Context, key string, r io.Reader) error {
+func (s *DirStore) Put(ctx context.Context, key string, b []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
@@ -53,7 +55,7 @@ func (s *DirStore) Put(ctx context.Context, key string, r io.Reader) error {
 		return fmt.Errorf("blob: put %s: %w", key, err)
 	}
 	err := writeFileAtomic(dst, func(w io.Writer) error {
-		_, err := io.Copy(w, r)
+		_, err := w.Write(b)
 		return err
 	})
 	if err != nil {
@@ -62,7 +64,7 @@ func (s *DirStore) Put(ctx context.Context, key string, r io.Reader) error {
 	return nil
 }
 
-func (s *DirStore) Get(ctx context.Context, key string) (io.ReadCloser, error) {
+func (s *DirStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := checkKey(key); err != nil {
 		return nil, err
 	}
@@ -76,7 +78,19 @@ func (s *DirStore) Get(ctx context.Context, key string) (io.ReadCloser, error) {
 		}
 		return nil, fmt.Errorf("blob: get %s: %w", key, err)
 	}
-	return f, nil
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("blob: get %s: %w", key, err)
+	}
+	if fi.Size() > maxObjectBytes {
+		return nil, fmt.Errorf("blob: get %s: object of %d bytes exceeds the %d-byte limit", key, fi.Size(), maxObjectBytes)
+	}
+	b := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, fmt.Errorf("blob: get %s: %w", key, err)
+	}
+	return b, nil
 }
 
 func (s *DirStore) List(ctx context.Context, prefix string) ([]string, error) {

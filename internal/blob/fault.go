@@ -1,11 +1,9 @@
 package blob
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -94,7 +92,7 @@ func (s *FaultStore) ResetCounters() {
 	s.mu.Unlock()
 }
 
-func (s *FaultStore) Put(ctx context.Context, key string, r io.Reader) error {
+func (s *FaultStore) Put(ctx context.Context, key string, b []byte) error {
 	s.mu.Lock()
 	s.puts++
 	s.putKeys = append(s.putKeys, key)
@@ -108,25 +106,21 @@ func (s *FaultStore) Put(ctx context.Context, key string, r io.Reader) error {
 	}
 	s.mu.Unlock()
 	if !inject {
-		return s.inner.Put(ctx, key, r)
+		return s.inner.Put(ctx, key, b)
 	}
 	if tear {
-		b, err := io.ReadAll(io.LimitReader(r, maxObjectBytes))
-		if err != nil {
-			return fmt.Errorf("blob: put %s: %w", key, err)
-		}
 		torn := append([]byte(nil), b[:(len(b)+1)/2]...)
 		if len(torn) > 0 {
 			torn[len(torn)-1] ^= 0xff
 		}
-		if err := s.inner.Put(ctx, key, bytes.NewReader(torn)); err != nil {
+		if err := s.inner.Put(ctx, key, torn); err != nil {
 			return err
 		}
 	}
 	return fmt.Errorf("blob: put %s: %w", key, ErrInjected)
 }
 
-func (s *FaultStore) Get(ctx context.Context, key string) (io.ReadCloser, error) {
+func (s *FaultStore) Get(ctx context.Context, key string) ([]byte, error) {
 	s.mu.Lock()
 	s.gets++
 	inject := false

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -25,24 +24,21 @@ func NewMemStore() *MemStore {
 	return &MemStore{objects: make(map[string][]byte)}
 }
 
-func (s *MemStore) Put(ctx context.Context, key string, r io.Reader) error {
+func (s *MemStore) Put(ctx context.Context, key string, b []byte) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("blob: put %s: %w", key, err)
-	}
+	b = bytes.Clone(b)
 	s.mu.Lock()
 	s.objects[key] = b
 	s.mu.Unlock()
 	return nil
 }
 
-func (s *MemStore) Get(ctx context.Context, key string) (io.ReadCloser, error) {
+func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := checkKey(key); err != nil {
 		return nil, err
 	}
@@ -55,7 +51,7 @@ func (s *MemStore) Get(ctx context.Context, key string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("blob: get %s: %w", key, ErrNotFound)
 	}
-	return io.NopCloser(bytes.NewReader(b)), nil
+	return bytes.Clone(b), nil
 }
 
 func (s *MemStore) List(ctx context.Context, prefix string) ([]string, error) {

@@ -2,11 +2,13 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +160,74 @@ func TestShardServerRejectsMetricMismatch(t *testing.T) {
 	var verdict *serve.StatusError
 	if !errors.As(err, &verdict) || verdict.Status != http.StatusConflict {
 		t.Fatalf("mismatched seed returned %v, want HTTP 409", err)
+	}
+}
+
+// callShard sends body to path on srv's shard transport and returns the
+// recorded answer.
+func callShard(srv *ShardServer, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestShardServerRejectsUnknownFields: a misspelled field is a 400, as on
+// the client routes, never a default — a knn body whose "bound" is
+// misspelled would otherwise run under bound 0 and answer only exact
+// matches.
+func TestShardServerRejectsUnknownFields(t *testing.T) {
+	srv, err := NewShardServer(ServerConfig{Metric: metric.Levenshtein(), Algorithm: "linear"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.seed(0, false, []shard.Element{{ID: 0, Value: "casa"}, {ID: 1, Value: "cosa"}}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := callShard(srv, http.MethodPost, "/shard/0/knn", `{"query":"cas","k":2,"bund":-1}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("misspelled bound: HTTP %d %s, want 400", rec.Code, rec.Body)
+	}
+	rec := callShard(srv, http.MethodPost, "/shard/0/knn", `{"query":"cas","k":2,"bound":-1}`)
+	var resp queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || len(resp.Hits) != 2 {
+		t.Fatalf("well-formed knn: HTTP %d %s (%v), want 200 with 2 hits", rec.Code, rec.Body, err)
+	}
+}
+
+// TestShardServerRefusesMaxUint64ID: the allocator holds one past the
+// largest ID, so ID 2^64−1 would wrap it to 0. Add and seed refuse that ID
+// with 400, the slot's next ID stays put, and a live element still
+// deletes.
+func TestShardServerRefusesMaxUint64ID(t *testing.T) {
+	srv, err := NewShardServer(ServerConfig{Metric: metric.Levenshtein(), Algorithm: "linear"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.seed(0, false, []shard.Element{{ID: 0, Value: "casa"}, {ID: 1, Value: "cosa"}}); err != nil {
+		t.Fatal(err)
+	}
+	nextID := func() uint64 {
+		rec := callShard(srv, http.MethodGet, "/shard/0/info", "")
+		var info SlotInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("info: HTTP %d %s (%v)", rec.Code, rec.Body, err)
+		}
+		return info.NextID
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/shard/0/add", `{"id":18446744073709551615,"value":"x"}`},
+		{"/shard/0/seed", `{"elements":[{"id":4,"value":"a"},{"id":18446744073709551615,"value":"b"}]}`},
+	} {
+		if rec := callShard(srv, http.MethodPost, c.path, c.body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s: HTTP %d %s, want 400", c.path, c.body, rec.Code, rec.Body)
+		}
+		if got := nextID(); got != 2 {
+			t.Fatalf("after %s: next_id = %d, want 2", c.path, got)
+		}
+	}
+	rec := callShard(srv, http.MethodPost, "/shard/0/delete", `{"id":1}`)
+	var resp mutateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || !resp.Applied {
+		t.Fatalf("delete of a live element: HTTP %d %s (%v), want applied", rec.Code, rec.Body, err)
 	}
 }
 

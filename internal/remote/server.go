@@ -183,6 +183,10 @@ func (s *ShardServer) Handler() http.Handler {
 		if !decodeBody(w, r, &req) {
 			return
 		}
+		if req.ID > shard.MaxID {
+			writeRemoteError(w, http.StatusBadRequest, fmt.Errorf("element ID %d exceeds the largest ID %d", req.ID, shard.MaxID))
+			return
+		}
 		applied := set.AddWithID(req.ID, req.Value, req.Label)
 		writeJSON(w, http.StatusOK, mutateResponse{Applied: applied, Size: set.Size()})
 	}))
@@ -237,11 +241,14 @@ func (s *ShardServer) withSlot(fn func(http.ResponseWriter, *http.Request, *shar
 	})
 }
 
-// decodeBody parses a JSON request body, rejecting oversized payloads. On
-// failure it writes the error response and returns false.
+// decodeBody parses a JSON request body, rejecting unknown fields and
+// oversized payloads. On failure it writes the error response and returns
+// false.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -19,9 +19,10 @@ import (
 // arrive through — on a freshly seeded dE BK-tree slot holding one
 // tombstone and one delta entry, plus an unseeded slot and malformed slot
 // indexes. Whatever the body, the server must not panic, must answer 200,
-// 400, 404, 409 or 413 with a JSON body, and every 200 from knn or radius
-// must hold exactly the hits a linear scan of the slot's live elements
-// returns for the decoded request, in (distance, ID) order.
+// 400, 404, 409 or 413 with a JSON body, must leave slot 0's next ID above
+// every live ID, and every 200 from knn or radius must hold exactly the
+// hits a linear scan of the slot's live elements returns for the decoded
+// request, in (distance, ID) order.
 func FuzzShardRequest(f *testing.F) {
 	paths := []string{
 		"/shard/0/seed", "/shard/0/knn", "/shard/0/radius", "/shard/0/add",
@@ -34,6 +35,7 @@ func FuzzShardRequest(f *testing.F) {
 		{0, `{"metric":"dE","labelled":true,"elements":[{"id":3,"value":"sol","label":1}]}`},
 		{0, `{"metric":"dC","elements":[]}`},
 		{0, `{"elements":[{"id":1,"value":"a"},{"id":1,"value":"b"}]}`},
+		{0, `{"elements":[{"id":4,"value":"a"},{"id":18446744073709551615,"value":"b"}]}`},
 		{1, `{"query":"casa","k":3,"bound":-1}`},
 		{1, `{"query":"casa","k":2,"bound":1}`},
 		{1, `{"query":"casa","k":2,"bound":0}`},
@@ -45,6 +47,7 @@ func FuzzShardRequest(f *testing.F) {
 		{2, `{"query":"casa","radius":-2}`},
 		{3, `{"id":9,"value":"nuevo","label":2}`},
 		{3, `{"id":1,"value":"cosa"}`},
+		{3, `{"id":18446744073709551615,"value":"x"}`},
 		{4, `{"id":0}`},
 		{4, `{"id":3}`},
 		{5, ``},
@@ -85,6 +88,12 @@ func FuzzShardRequest(f *testing.F) {
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" || !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%s %q: HTTP %d answered a non-JSON body (%q): %s", path, body, rec.Code, ct, rec.Body.String())
+		}
+		slot0 := srv.slot(0)
+		for _, e := range slot0.Elements() {
+			if e.ID >= slot0.NextID() {
+				t.Fatalf("%s %q: slot 0's next ID %d does not exceed live ID %d", path, body, slot0.NextID(), e.ID)
+			}
 		}
 		if rec.Code != http.StatusOK || (path != "/shard/0/knn" && path != "/shard/0/radius") {
 			return

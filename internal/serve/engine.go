@@ -77,9 +77,6 @@ type Config struct {
 	// failure cool-down). <= 0 disables auto-snapshots; ignored without a
 	// Store.
 	SnapshotEvery int
-	// SnapshotRetry is the cool-down after a failed background snapshot;
-	// <= 0 uses DefaultSnapshotRetry.
-	SnapshotRetry time.Duration
 	// MaxInFlight bounds the number of concurrently executing query
 	// requests (admission control): excess requests wait up to
 	// MaxQueueWait for a slot and are then shed with 429 + Retry-After.
@@ -260,13 +257,10 @@ func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, e
 		ev:            bulk.New(m),
 		store:         cfg.Store,
 		snapshotEvery: cfg.SnapshotEvery,
-		snapshotRetry: cfg.SnapshotRetry,
+		snapshotRetry: DefaultSnapshotRetry,
 	}
 	if e.store != nil {
 		e.saver = shard.NewSaver(e.store)
-	}
-	if e.snapshotRetry <= 0 {
-		e.snapshotRetry = DefaultSnapshotRetry
 	}
 	e.set.Store(set)
 	return e, nil

@@ -9,9 +9,8 @@ import (
 )
 
 // DefaultSnapshotRetry is the cool-down after a failed background
-// snapshot before mutations may trigger another attempt, when
-// Config.SnapshotRetry is unset. Without it a dead store would be
-// hammered once per mutation.
+// snapshot before mutations may trigger another attempt. Without it a
+// dead store would be hammered once per mutation.
 const DefaultSnapshotRetry = 10 * time.Second
 
 // saveTimeout bounds one background snapshot end to end; a store that

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -25,10 +24,13 @@ func newStoreEngine(t *testing.T, st blob.Store, every int, retry time.Duration)
 	t.Helper()
 	e, err := New(testCorpus, testLabels, metric.ContextualHeuristic(), Config{
 		Algorithm: "laesa", Pivots: 3, Shards: 4, CacheSize: 64,
-		Store: st, SnapshotEvery: every, SnapshotRetry: retry,
+		Store: st, SnapshotEvery: every,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if retry > 0 {
+		e.snapshotRetry = retry
 	}
 	return e
 }
@@ -347,7 +349,7 @@ type holdFirstObjectRead struct {
 	release chan struct{}
 }
 
-func (h *holdFirstObjectRead) Get(ctx context.Context, key string) (io.ReadCloser, error) {
+func (h *holdFirstObjectRead) Get(ctx context.Context, key string) ([]byte, error) {
 	if h.armed.Load() && !strings.HasPrefix(key, "manifest/") {
 		first := false
 		h.once.Do(func() { first = true })

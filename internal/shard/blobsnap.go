@@ -273,7 +273,7 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 
 	// Publish the manifest last: this is the commit point.
 	env := sealManifest(m)
-	if err := blob.PutBytes(ctx, sv.store, manifestKey(m.Seq), env); err != nil {
+	if err := sv.store.Put(ctx, manifestKey(m.Seq), env); err != nil {
 		return stats, fmt.Errorf("shard: publishing manifest %d: %w", m.Seq, err)
 	}
 	stats.BytesUploaded += int64(len(env))
@@ -315,7 +315,7 @@ func (sv *Saver) saveShard(ctx context.Context, i int, st *state) (ManifestShard
 			sha := hex.EncodeToString(sum[:])
 			ms.BaseKey = fmt.Sprintf("shards/%d/base-e%d-%s", i, st.epoch, sha[:12])
 			ms.BaseSHA = sha
-			if err := blob.PutBytes(ctx, sv.store, ms.BaseKey, b); err != nil {
+			if err := sv.store.Put(ctx, ms.BaseKey, b); err != nil {
 				return ms, up, fmt.Errorf("shard: uploading shard %d base: %w", i, err)
 			}
 			up.BasesUploaded++
@@ -334,7 +334,7 @@ func (sv *Saver) saveShard(ctx context.Context, i int, st *state) (ManifestShard
 	if prev != nil && prev.OverlaySHA == sha {
 		up.OvlsSkipped++
 	} else {
-		if err := blob.PutBytes(ctx, sv.store, ms.OverlayKey, b); err != nil {
+		if err := sv.store.Put(ctx, ms.OverlayKey, b); err != nil {
 			return ms, up, fmt.Errorf("shard: uploading shard %d overlay: %w", i, err)
 		}
 		up.OvlsUploaded++
@@ -496,7 +496,7 @@ func (e *errTooNew) Error() string {
 
 // fetchManifest reads and opens the manifest at key.
 func fetchManifest(ctx context.Context, store blob.Store, key string) (*Manifest, error) {
-	b, err := blob.GetBytes(ctx, store, key)
+	b, err := store.Get(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -708,7 +708,7 @@ func (s *Set) loadBase(i int, bo baseObj) (search.Index, error) {
 // fetchVerified reads an object and fails closed unless its SHA-256
 // matches the manifest's record exactly.
 func fetchVerified(ctx context.Context, store blob.Store, key, wantSHA string) ([]byte, error) {
-	b, err := blob.GetBytes(ctx, store, key)
+	b, err := store.Get(ctx, key)
 	if err != nil {
 		return nil, err
 	}

@@ -235,7 +235,7 @@ func TestBlobManifestTooNewRejected(t *testing.T) {
 	}
 	man.Version = envelopeVersion + 1
 	man.Seq = 2
-	if err := blob.PutBytes(ctx, store, manifestKey(2), sealManifest(man)); err != nil {
+	if err := store.Put(ctx, manifestKey(2), sealManifest(man)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = LoadFromStore(ctx, store, storeCfg(m))

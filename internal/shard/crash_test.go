@@ -3,11 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ced/internal/blob"
 	"ced/internal/metric"
@@ -168,53 +164,6 @@ func TestCrashRestartDifferential(t *testing.T) {
 		}
 		if got := fx.requireConsistent(t, st); got != "B" {
 			t.Fatalf("gc-delete%d: restart loaded %s, want B", n, got)
-		}
-	}
-}
-
-// TestCrashRestartDifferentialHTTP replays a slice of the differential
-// through the real HTTP transport: the object server starts answering
-// persistent 500s at the Nth request, the save dies through the client's
-// retry budget, the server heals, and the restart must land on A or B.
-func TestCrashRestartDifferentialHTTP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loopback HTTP differential")
-	}
-	ctx := context.Background()
-	fx := newCrashFixture(t)
-
-	// Mirror snapshot A into a mem store served over HTTP.
-	mirror := fx.store.Clone()
-	var reqs atomic.Int64
-	failFrom := atomic.Int64{}
-	h := blob.Handler(mirror)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f := failFrom.Load(); f > 0 && reqs.Add(1) >= f {
-			http.Error(w, "injected outage", http.StatusInternalServerError)
-			return
-		}
-		h.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	for _, n := range []int64{1, 2, 4, 7} {
-		st := blob.NewHTTPStore(srv.URL, blob.HTTPConfig{
-			Timeout: 2 * time.Second, Retries: 1, RetryBase: time.Millisecond,
-		})
-		reqs.Store(0)
-		failFrom.Store(n)
-		_, err := fx.saver(st).Save(ctx, fx.setB)
-		failFrom.Store(0)
-		if err == nil {
-			// The outage began past this save's request count; with the
-			// store healed the snapshot must read back as B.
-			if got := fx.requireConsistent(t, st); got != "B" {
-				t.Fatalf("fail-from-%d: committed save loads %s", n, got)
-			}
-			continue
-		}
-		if got := fx.requireConsistent(t, st); got != "A" {
-			t.Fatalf("fail-from-%d: failed save loads %s, want A", n, got)
 		}
 	}
 }

@@ -29,6 +29,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -186,13 +187,19 @@ func New(corpus []string, labels []int, cfg Config) (*Set, error) {
 	return NewFromElements(elems, len(labels) != 0, cfg)
 }
 
+// MaxID is the largest element ID a Set accepts. The allocator holds one
+// past the largest ID minted, so 2^64−1 would wrap it to 0, below every
+// live ID.
+const MaxID uint64 = math.MaxUint64 - 1
+
 // NewFromElements builds a Set from elements carrying explicit global IDs —
 // the constructor the remote shard transport uses to seed a replica with
 // its slice of a cluster corpus (IDs are minted by the coordinator, so they
 // are arbitrary here; placement inside the set is still ID mod shards).
 // labelled is explicit because an empty or unlabelled-looking slice must
-// still be able to declare a labelled corpus. Duplicate IDs are rejected.
-// The set's next minted ID starts past the largest ID present.
+// still be able to declare a labelled corpus. Duplicate IDs and IDs past
+// MaxID are rejected. The set's next minted ID starts past the largest ID
+// present.
 func NewFromElements(elems []Element, labelled bool, cfg Config) (*Set, error) {
 	if cfg.Metric == nil {
 		return nil, fmt.Errorf("shard: nil metric")
@@ -203,6 +210,9 @@ func NewFromElements(elems []Element, labelled bool, cfg Config) (*Set, error) {
 	seen := make(map[uint64]struct{}, len(elems))
 	next := uint64(0)
 	for _, e := range elems {
+		if e.ID > MaxID {
+			return nil, fmt.Errorf("shard: element ID %d exceeds MaxID", e.ID)
+		}
 		if _, dup := seen[e.ID]; dup {
 			return nil, fmt.Errorf("shard: duplicate element ID %d", e.ID)
 		}
@@ -326,8 +336,12 @@ func (s *Set) Add(value string, label int) uint64 {
 // an ID that is already live is a no-op (false), which makes retried
 // replication writes idempotent, and an ID that was ever deleted stays dead
 // (false) so a stale retry can never resurrect it. The set's own ID
-// allocator advances past id, so later Add calls never collide.
+// allocator advances past id, so later Add calls never collide. An ID past
+// MaxID is refused (false) and leaves the allocator alone.
 func (s *Set) AddWithID(id uint64, value string, label int) bool {
+	if id > MaxID {
+		return false
+	}
 	for {
 		cur := s.nextID.Load()
 		if cur > id {

@@ -466,7 +466,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 	}
 
 	garbage := blob.NewMemStore()
-	if err := blob.PutBytes(ctx, garbage, manifestKey(1), []byte("not a manifest")); err != nil {
+	if err := garbage.Put(ctx, manifestKey(1), []byte("not a manifest")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadFromStore(ctx, garbage, storeCfg(mc)); err == nil || errors.Is(err, ErrNoSnapshot) {

@@ -64,12 +64,12 @@ type ServerConfig struct {
 	// default (256).
 	CompactThreshold int
 	// Store names a durable blob store for incremental snapshots: a local
-	// directory path or an http(s):// object-server URL (cedserve -store).
-	// When set, /snapshot/save publishes a consistent manifest-addressed
-	// snapshot into the store — re-uploading only the shards that changed
-	// since the last one — and /snapshot/load cold-starts from the newest
-	// manifest without recomputing a single index-build distance. Empty
-	// disables both endpoints and SaveToStore/LoadFromStore.
+	// directory, created if missing (cedserve -store). When set,
+	// /snapshot/save publishes a consistent manifest-addressed snapshot
+	// into the store — re-uploading only the shards that changed since the
+	// last one — and /snapshot/load cold-starts from the newest manifest
+	// without recomputing a single index-build distance. Empty disables
+	// both endpoints and SaveToStore/LoadFromStore.
 	Store string
 	// SnapshotEvery triggers a background store snapshot once that many
 	// mutations have accumulated since the last one (single-flight, with
@@ -117,7 +117,7 @@ func NewServer(corpus *Dataset, cfg ServerConfig) (*Server, error) {
 	var store blob.Store
 	if cfg.Store != "" {
 		var err error
-		if store, err = blob.Open(cfg.Store); err != nil {
+		if store, err = blob.NewDirStore(cfg.Store); err != nil {
 			return nil, err
 		}
 	}

@@ -172,13 +172,13 @@ func (ix *ShardedIndex) Compact() { ix.set.Compact() }
 
 // SaveTo publishes the whole index — per shard: the base index snapshot,
 // the uncompacted delta and the tombstones — as one consistent snapshot in
-// store, a directory path or an http(s):// object-server URL (the same
-// stores as ServerConfig.Store). The manifest is written last, so a crash
-// mid-save leaves the previous snapshot in store fully loadable.
+// store, a local directory created if missing (the same store as
+// ServerConfig.Store). The manifest is written last, so a crash mid-save
+// leaves the previous snapshot in store fully loadable.
 // LoadShardedIndex restores it without recomputing any index-build
 // distances.
 func (ix *ShardedIndex) SaveTo(ctx context.Context, store string) error {
-	st, err := blob.Open(store)
+	st, err := blob.NewDirStore(store)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func LoadShardedIndex(ctx context.Context, store string, m Metric, cfg ShardedIn
 	if err != nil {
 		return nil, err
 	}
-	st, err := blob.Open(store)
+	st, err := blob.NewDirStore(store)
 	if err != nil {
 		return nil, err
 	}

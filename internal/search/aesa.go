@@ -92,7 +92,9 @@ func (s *AESA) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
 // bound g[u] = max |d(q,s) − d(s,u)| over every computed element s: a
 // candidate is discarded once its bound exceeds the pruning bound τ (the
 // radius, or the k-th best distance so far) — LAESA's elimination with
-// every computed distance tightening the bounds.
+// every computed distance tightening the bounds. An excluded position is
+// still evaluated, since its distance tightens the bounds, but never
+// returned.
 func (s *AESA) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	n := len(s.corpus)
 	c := newCollector(ctx, req, n)

@@ -197,7 +197,8 @@ func (t *BKTree) KNearest(q []rune, k int) []Result { return kNearest(t, q, k) }
 // d + τ], where τ is the radius or the k-th best distance so far — the
 // classic BK-tree range query, and its k-NN extension. The walk visits
 // children in ascending label order, so answers and computation counts are
-// the same on every run.
+// the same on every run. An excluded position is still evaluated, since
+// its distance steers the descent, but never returned.
 func (t *BKTree) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	c := newCollector(ctx, req, t.size)
 	if c.done(t.size) {

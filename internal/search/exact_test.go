@@ -84,6 +84,54 @@ func TestIndexesMatchLinearExactly(t *testing.T) {
 	}
 }
 
+// TestIndexesHonourExclusion checks Request.Excluding on every index under
+// dE: each answers exactly what the linear scan's unrestricted ranking
+// answers once the excluded positions are struck from it — the first k
+// remaining within the bound, or every remaining one within the radius.
+func TestIndexesHonourExclusion(t *testing.T) {
+	rng := rand.New(rand.NewSource(134))
+	corpus := dedupe(randomCorpus(rng, 300, 6, []rune("abc")))
+	queries := randomCorpus(rng, 30, 7, []rune("abcd"))
+	ctx := context.Background()
+	inf := math.Inf(1)
+	m := metric.Levenshtein()
+	mask := NewMask(len(corpus))
+	for i := range corpus {
+		if rng.Intn(4) == 0 {
+			mask.Set(i)
+		}
+	}
+	indexes := []Index{
+		NewLinear(corpus, m),
+		NewLAESA(corpus, m, 8, MaxSum, 1),
+		NewAESA(corpus, m),
+		NewVPTree(corpus, m, 2),
+		NewBKTree(corpus, m),
+		NewTrie(corpus),
+	}
+	lin := NewLinear(corpus, m)
+	for _, q := range queries {
+		ranked := lin.KNearest(q, len(corpus))
+		for _, req := range []Request{KNN(1, inf), KNN(5, inf), KNN(5, 2), Within(0), Within(2)} {
+			var want []Result
+			for _, r := range ranked {
+				if !mask.Has(r.Index) && r.Distance <= req.Bound() && (req.IsRadius() || len(want) < req.K()) {
+					want = append(want, r)
+				}
+			}
+			for _, ix := range indexes {
+				got, err := ix.Query(ctx, q, req.Excluding(mask))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Hits, want) {
+					t.Fatalf("%s(%q, %+v) with exclusions:\n got %v\nwant %v", ix.Name(), string(q), req, got.Hits, want)
+				}
+			}
+		}
+	}
+}
+
 // roundingWindow is far wider than dC's float64 rounding (a few ulps of
 // values at most 1) and far narrower than any gap between distinct dC
 // values of short strings.

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -18,7 +17,11 @@ import (
 // ("pivots") and every corpus element: linear memory in the corpus size (for
 // a fixed pivot count), unlike AESA's quadratic matrix. At query time the
 // triangle inequality turns those stored distances into lower bounds that
-// eliminate candidates without computing their distance to the query.
+// eliminate candidates without computing their distance to the query. A
+// query first evaluates pivots, then walks the surviving non-pivots (see
+// Query); both phases take candidates in (bound, corpus index) order, so
+// equal bounds resolve by corpus index. A radius query walks its
+// survivors in corpus order, which evaluates the same candidates.
 //
 // When the underlying distance is not a metric (dmax, and possibly dC,h and
 // dMV), the lower bounds are not sound and LAESA may return a non-nearest
@@ -32,6 +35,10 @@ type LAESA struct {
 	rows   [][]float64 // rows[p][i] = d(corpus[pivots[p]], corpus[i])
 	rowOf  []int       // rowOf[i] = row index of pivot i, -1 for non-pivots
 
+	// pivotOrder lists the pivots' corpus indices in ascending order: the
+	// live list every query's pivot phase starts from.
+	pivotOrder []int
+
 	// scratch recycles the per-query bound/candidate slices across queries
 	// (and across concurrent queriers), so steady-state searches allocate
 	// only their results.
@@ -43,8 +50,11 @@ type LAESA struct {
 }
 
 // newLAESA assembles a LAESA from selected pivots and their rows, deriving
-// the rowOf lookup table the query loop indexes instead of a map.
+// the rowOf lookup table and the corpus-ordered pivot list the query loop
+// reads.
 func newLAESA(corpus [][]rune, m metric.Metric, pivots []int, rows [][]float64, comps int) *LAESA {
+	order := slices.Clone(pivots)
+	slices.Sort(order)
 	return &LAESA{
 		corpus:                 corpus,
 		m:                      m,
@@ -52,6 +62,7 @@ func newLAESA(corpus [][]rune, m metric.Metric, pivots []int, rows [][]float64, 
 		pivots:                 pivots,
 		rows:                   rows,
 		rowOf:                  rowOfPivots(len(corpus), pivots),
+		pivotOrder:             order,
 		PreprocessComputations: comps,
 	}
 }
@@ -75,9 +86,11 @@ func rowOfPivots(n int, pivots []int) []int {
 // bit-identical for any worker count (NewLAESAWorkers controls the count).
 //
 // A query runs in two phases (see Query). The pivot phase evaluates base
-// prototypes exactly, since their distances feed the triangle-inequality
-// bounds of the remaining candidates. The walk phase then visits the
-// surviving non-pivots once, in bound order. When the metric implements
+// prototypes exactly, smallest (bound, corpus index) first, since their
+// distances feed the triangle-inequality bounds of the remaining
+// candidates; it scans only the pivots. The walk phase then visits the
+// surviving non-pivots once: a k-NN query in (bound, corpus index) order,
+// a radius query in corpus order. When the metric implements
 // metric.Staged the walk evaluates each under the current pruning bound: a
 // candidate whose distance provably exceeds the bound is rejected at a
 // fraction of a full evaluation. Bounded evaluations count as ordinary
@@ -98,16 +111,20 @@ func NewLAESAWorkers(corpus [][]rune, m metric.Metric, numPivots int, strategy P
 	return newLAESA(corpus, m, pivots, rows, comps)
 }
 
-// laesaScratch is the per-query scratch of the LAESA query loop: the
-// triangle-inequality lower bounds g and the live-candidate list.
+// laesaScratch is the per-query scratch of the LAESA query loop: the live
+// pivots, the lower bounds g, the survivors, and the radix sort's second
+// buffer and digit histograms.
 type laesaScratch struct {
-	g     []float64
-	alive []int
+	live []int
+	g    []float64
+	surv []int
+	tmp  []int
+	hist [8][256]int32
 }
 
-// checkoutScratch returns scratch slices sized for the corpus, recycled
-// through the index's pool: g zeroed, alive reset to every corpus index.
-// Pair with s.scratch.Put(sc) when the query is done.
+// checkoutScratch returns scratch sized for the corpus, recycled through
+// the index's pool: live holds every pivot in corpus order, g is zeroed
+// and surv is empty. Pair with s.scratch.Put(sc) when the query is done.
 //
 //ced:poolleak-ok: ownership transfers to the caller, which defers the Put.
 func (s *LAESA) checkoutScratch() *laesaScratch {
@@ -118,16 +135,13 @@ func (s *LAESA) checkoutScratch() *laesaScratch {
 	}
 	if cap(sc.g) < n {
 		sc.g = make([]float64, n)
-		sc.alive = make([]int, n)
+		sc.surv = make([]int, n)
+		sc.tmp = make([]int, n)
 	}
 	sc.g = sc.g[:n]
-	for i := range sc.g {
-		sc.g[i] = 0
-	}
-	sc.alive = sc.alive[:n]
-	for i := range sc.alive {
-		sc.alive[i] = i
-	}
+	clear(sc.g)
+	sc.live = append(sc.live[:0], s.pivotOrder...)
+	sc.surv = sc.surv[:0]
 	return sc
 }
 
@@ -153,24 +167,31 @@ func (s *LAESA) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
 // Query answers req with the LAESA elimination loop, in two phases.
 //
 // The loop keeps a lower bound g[u] = max over computed pivots p of
-// |d(q,p) − d(p,u)| for every live candidate u, and eliminates every
-// candidate whose bound exceeds the pruning bound τ (the radius, or the
-// k-th best distance so far).
+// |d(q,p) − d(p,u)| for every candidate u, and eliminates every candidate
+// whose bound exceeds the pruning bound τ (the radius, or the k-th best
+// distance so far).
 //
-//  1. Pivot phase. While a live base prototype remains, select the one with
-//     the smallest bound, compute its distance exactly, tighten every live
-//     bound with its row and eliminate.
-//  2. Walk phase. Only pivots tighten bounds, so once none is live the
-//     bounds are final: sort the survivors once by (g, corpus index) and
-//     evaluate them in that order under the current τ, stopping at the
-//     first g > τ.
+//  1. Pivot phase. While a live base prototype remains, select the one
+//     with the smallest (g, corpus index), compute its distance exactly,
+//     tighten every bound with its row in one pass, and eliminate the live
+//     pivots whose bound exceeds τ. Selection and elimination scan only
+//     the pivots.
+//  2. Walk phase. Only pivots tighten bounds, so once none is live every
+//     non-pivot's bound is final, and the survivors are the non-pivots
+//     with g ≤ τ. A k-NN query evaluates them in (g, corpus index) order
+//     under the current τ, stopping at the first g > τ. A radius query's
+//     τ is fixed, so it evaluates every survivor, in corpus order.
 //
 // The walk evaluates exactly the candidates that selecting the smallest
-// live bound and eliminating after every evaluation would, since τ only
-// shrinks; only the order among equal bounds is fixed by corpus index. For
-// k = 1 this is the 1-NN search of the paper; larger k eliminates less,
-// since τ is the k-th best rather than the best (k-NN is intrinsically
-// more expensive).
+// live (g, corpus index) and eliminating after every evaluation would,
+// since g only grows and τ only shrinks: a candidate eliminated at some
+// step ends with g above the final τ. For k = 1 this is the 1-NN search of
+// the paper; larger k eliminates less, since τ is the k-th best rather
+// than the best (k-NN is intrinsically more expensive).
+//
+// Positions excluded from req (Request.Excluding) are never returned. A
+// masked pivot is still evaluated, since its distance tightens the bounds;
+// a masked non-pivot is skipped before it is evaluated.
 func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	n := len(s.corpus)
 	c := newCollector(ctx, req, n)
@@ -179,52 +200,54 @@ func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error
 	}
 	sc := s.checkoutScratch()
 	defer s.scratch.Put(sc)
-	g, alive := sc.g, sc.alive
 
 	// Pivot phase: pivots need their exact distance, since it tightens
-	// every remaining bound.
-	for pivotsLeft := len(s.pivots); pivotsLeft > 0; {
+	// every remaining bound. Each evaluated pivot's row tightens g in one
+	// dense pass; a NaN lb never enters g, and g stays ≥ +0, so
+	// math.Float64bits orders it numerically.
+	live, g := sc.live, sc.g
+	for len(live) > 0 {
 		if c.chk.Hit() {
 			return c.answer()
 		}
-		selPos := -1
-		for pos, u := range alive {
-			if s.rowOf[u] >= 0 && (selPos < 0 || g[u] < g[alive[selPos]]) {
-				selPos = pos
+		sel := 0
+		for i := 1; i < len(live); i++ {
+			if g[live[i]] < g[live[sel]] {
+				sel = i
 			}
 		}
-		u := alive[selPos]
-		alive[selPos] = alive[len(alive)-1]
-		alive = alive[:len(alive)-1]
-		pivotsLeft--
-
+		u := live[sel]
 		c.st.Computations++
 		d := s.m.Distance(q, s.corpus[u])
 		c.offer(u, d)
-		r := s.rows[s.rowOf[u]]
-		w := alive[:0]
-		for _, v := range alive {
-			if lb := math.Abs(d - r[v]); lb > g[v] {
+		for v, x := range s.rows[s.rowOf[u]][:len(g)] {
+			if lb := math.Abs(d - x); lb > g[v] {
 				g[v] = lb
 			}
-			if g[v] <= c.tau {
+		}
+		w := live[:0]
+		for i, v := range live {
+			if i != sel && g[v] <= c.tau {
 				w = append(w, v)
-			} else if s.rowOf[v] >= 0 {
-				pivotsLeft--
 			}
 		}
-		alive = w
+		live = w
+	}
+
+	// Only pivots tighten bounds, so every non-pivot's bound is final.
+	surv := sc.surv
+	for v, gv := range g {
+		if gv <= c.tau && s.rowOf[v] < 0 && !c.mask.Has(v) {
+			surv = append(surv, v)
+		}
 	}
 
 	// Walk phase: non-pivots only race τ, so τ caps how much of each
 	// evaluation matters.
-	slices.SortFunc(alive, func(a, b int) int {
-		if c := cmp.Compare(g[a], g[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, u := range alive {
+	if !c.all {
+		surv = sc.sortByBound(surv)
+	}
+	for _, u := range surv {
 		if c.chk.Hit() || g[u] > c.tau {
 			break
 		}
@@ -233,4 +256,47 @@ func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error
 		}
 	}
 	return c.answer()
+}
+
+// sortByBound orders idx, which holds corpus indices in ascending order, by
+// (g, corpus index): a stable LSD radix sort on math.Float64bits(g), which
+// orders non-negative bounds numerically, so ties keep corpus order. A
+// digit every key shares is skipped. The result is idx or sc.tmp.
+func (sc *laesaScratch) sortByBound(idx []int) []int {
+	if len(idx) < 2 {
+		return idx
+	}
+	g, h := sc.g, &sc.hist
+	*h = [8][256]int32{}
+	for _, i := range idx {
+		b := math.Float64bits(g[i])
+		h[0][byte(b)]++
+		h[1][byte(b>>8)]++
+		h[2][byte(b>>16)]++
+		h[3][byte(b>>24)]++
+		h[4][byte(b>>32)]++
+		h[5][byte(b>>40)]++
+		h[6][byte(b>>48)]++
+		h[7][byte(b>>56)]++
+	}
+	src, dst := idx, sc.tmp[:len(idx)]
+	for d := range h {
+		shift := 8 * d
+		hd := &h[d]
+		if hd[byte(math.Float64bits(g[src[0]])>>shift)] == int32(len(src)) {
+			continue
+		}
+		var sum int32
+		for j, cnt := range hd {
+			hd[j] = sum
+			sum += cnt
+		}
+		for _, i := range src {
+			b := byte(math.Float64bits(g[i]) >> shift)
+			dst[hd[b]] = i
+			hd[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

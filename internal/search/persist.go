@@ -88,10 +88,15 @@ func loadLAESA(r io.Reader, m metric.Metric) (Index, error) {
 		return nil, fmt.Errorf("search: corrupt index: %d pivots but %d rows", len(snap.Pivots), len(snap.Rows))
 	}
 	corpus := stringsToRunes(snap.Corpus)
+	listed := make(map[int]bool, len(snap.Pivots))
 	for rIdx, p := range snap.Pivots {
 		if p < 0 || p >= len(corpus) {
 			return nil, fmt.Errorf("search: corrupt index: pivot %d out of corpus range", p)
 		}
+		if listed[p] {
+			return nil, fmt.Errorf("search: corrupt index: pivot %d listed twice", p)
+		}
+		listed[p] = true
 		if len(snap.Rows[rIdx]) != len(corpus) {
 			return nil, fmt.Errorf("search: corrupt index: row %d has %d entries for corpus of %d",
 				rIdx, len(snap.Rows[rIdx]), len(corpus))

@@ -108,4 +108,19 @@ func TestLoadLAESACorruptData(t *testing.T) {
 	if _, err := Load("laesa", bytes.NewBufferString("not gob"), metric.Levenshtein()); err == nil {
 		t.Error("garbage input should fail")
 	}
+
+	// A pivot listed twice would be evaluated and offered twice by every
+	// query; refuse it at load.
+	var dup bytes.Buffer
+	if err := gob.NewEncoder(&dup).Encode(laesaSnapshot{
+		MetricName: "dE",
+		Corpus:     []string{"ab", "ba", "abc"},
+		Pivots:     []int{1, 1},
+		Rows:       [][]float64{{2, 0, 2}, {2, 0, 2}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load("laesa", &dup, metric.Levenshtein()); err == nil || !strings.Contains(err.Error(), "pivot 1 listed twice") {
+		t.Errorf("duplicate pivot: got %v, want a listed-twice error", err)
+	}
 }

@@ -82,6 +82,7 @@ type Request struct {
 	k      int     // the k-NN result count (0 for a radius query)
 	bound  float64 // the k-NN pruning bound, or the radius
 	radius bool
+	mask   Mask // corpus positions no hit may name (nil: none)
 }
 
 // KNN asks for the k nearest elements among those within distance bound of
@@ -93,6 +94,15 @@ func KNN(k int, bound float64) Request { return Request{k: k, bound: bound} }
 // Within asks for every element within distance r of the query
 // (inclusive).
 func Within(r float64) Request { return Request{bound: r, radius: true} }
+
+// Excluding returns r with the corpus positions in m excluded from its
+// hits: a k-NN query answers the k nearest of the rest, so the excluded
+// positions cannot crowd them out. m belongs to the index queried (a
+// shard's deleted base elements); the wire never carries it.
+func (r Request) Excluding(m Mask) Request {
+	r.mask = m
+	return r
+}
 
 // K returns a k-NN request's result count (0 for a radius query).
 func (r Request) K() int { return r.k }
@@ -117,6 +127,19 @@ func (r Request) Validate() error {
 	return nil
 }
 
+// Mask is a set of corpus positions, one bit per position; the nil Mask
+// holds none.
+type Mask []uint64
+
+// NewMask returns an empty mask over n positions.
+func NewMask(n int) Mask { return make(Mask, (n+63)/64) }
+
+// Set adds position i, which must be below the n the mask was made for.
+func (m Mask) Set(i int) { m[i>>6] |= 1 << (i & 63) }
+
+// Has reports whether position i is in m.
+func (m Mask) Has(i int) bool { return i>>6 < len(m) && m[i>>6]&(1<<(i&63)) != 0 }
+
 // Index is a nearest-neighbour searcher over a fixed corpus. Queries do not
 // mutate the index, so concurrent queries are safe.
 type Index interface {
@@ -128,6 +151,7 @@ type Index interface {
 	// internal/cancel): a cancelled query returns the context's error with
 	// the work spent so far and no hits — a partial answer is not an
 	// answer. With an uncancellable context the answer is bit-identical.
+	// No hit names a position req excludes (Request.Excluding).
 	Query(ctx context.Context, q []rune, req Request) (Answer, error)
 	// Search returns the nearest corpus element to q: Query with KNN(1, +Inf).
 	Search(q []rune) Nearest
@@ -166,11 +190,13 @@ func kNearest(ix Index, q []rune, k int) []Result {
 // k-NN query it starts at the request's bound and shrinks to the k-th best
 // distance once k hits are held. Elements beyond tau are never hits, so a
 // traversal may offer any exactly evaluated element. Hits are kept by
-// (distance, index), which makes every index break ties like Linear.
+// (distance, index), which makes every index break ties like Linear. An
+// excluded position is never offered, so it never tightens tau either.
 type collector struct {
 	k    int  // k-NN result cap
 	all  bool // radius query: every hit within tau
 	tau  float64
+	mask Mask // positions excluded from the hits
 	hits []Result
 	st   Stats
 	chk  *cancel.Check
@@ -178,7 +204,7 @@ type collector struct {
 
 // newCollector starts the answer to req over a corpus of n elements.
 func newCollector(ctx context.Context, req Request, n int) collector {
-	c := collector{k: req.k, all: req.radius, tau: req.bound, chk: cancel.New(ctx)}
+	c := collector{k: req.k, all: req.radius, tau: req.bound, mask: req.mask, chk: cancel.New(ctx)}
 	if !c.all && c.k > 0 && n > 0 {
 		c.hits = make([]Result, 0, min(c.k, n))
 	}
@@ -193,7 +219,7 @@ func (c *collector) done(n int) bool {
 
 // offer records an exactly evaluated element.
 func (c *collector) offer(idx int, d float64) {
-	if d > c.tau {
+	if d > c.tau || c.mask.Has(idx) {
 		return
 	}
 	if c.all {
@@ -263,9 +289,10 @@ func newEvaluator(m metric.Metric) evaluator {
 }
 
 // Linear is the exhaustive searcher: every query evaluates every corpus
-// element. It is the baseline of Table 2 ("exhaustive search") and the
-// correctness oracle for the other searchers. Every candidate is still
-// *evaluated* — Computations is always the corpus size — but under a
+// element it does not exclude. It is the baseline of Table 2 ("exhaustive
+// search") and the correctness oracle for the other searchers. Every
+// candidate is still *evaluated* — Computations is the corpus size, less
+// the excluded positions — but under a
 // staged metric each evaluation runs against the pruning bound, so the
 // misses that dominate an exhaustive scan are priced by the bound ladder
 // instead of a full distance program. Answers are identical with or without
@@ -292,8 +319,8 @@ func (s *Linear) Search(q []rune) Nearest { return nearest(s, q) }
 // KNearest returns the k nearest corpus elements, closest first.
 func (s *Linear) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
 
-// Query scans the whole corpus in order, evaluating each candidate under
-// the current pruning bound.
+// Query scans the whole corpus in order, evaluating each candidate that
+// req does not exclude under the current pruning bound.
 func (s *Linear) Query(ctx context.Context, q []rune, req Request) (Answer, error) {
 	c := newCollector(ctx, req, len(s.corpus))
 	if c.done(len(s.corpus)) {
@@ -302,6 +329,9 @@ func (s *Linear) Query(ctx context.Context, q []rune, req Request) (Answer, erro
 	for i, x := range s.corpus {
 		if c.chk.Hit() {
 			break
+		}
+		if c.mask.Has(i) {
+			continue
 		}
 		if d, exact := c.eval(s.eval, q, x, c.tau); exact {
 			c.offer(i, d)

@@ -16,7 +16,7 @@ import (
 // tombstone. Whatever the body, the server must not panic, must answer
 // 200, 400, 404 or 413 with a JSON body, and every 200 from /knn or
 // /radius must hold as many hits as a linear scan of the live corpus —
-// which covers a huge k overflowing the per-tombstone over-fetch.
+// which covers the tombstone under a huge k.
 func FuzzClientRequest(f *testing.F) {
 	paths := []string{"/knn", "/radius", "/classify", "/add", "/delete"}
 	for _, s := range []struct {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"testing"
 
 	"ced/internal/dataset"
@@ -50,20 +49,34 @@ func BenchmarkShardKNNMonolithic(b *testing.B) {
 
 // BenchmarkShardKNN queries a shard.Set at 1, 4 and 8 shards; shards=1 vs
 // the monolithic baseline is the wrapper overhead, the rest is fan-out +
-// merge + the cross-shard bound's pruning.
+// merge + the cross-shard bound's pruning. The tombstones case deletes
+// every 16th element first, with compaction off, so the four base indexes
+// exclude 250 deleted elements between them.
 func BenchmarkShardKNN(b *testing.B) {
 	d := dataset.Spanish(benchCorpusSize, 1)
 	m := metric.Contextual()
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		shards, every int
+	}{
+		{"shards=1", 1, 0},
+		{"shards=4", 4, 0},
+		{"shards=8", 8, 0},
+		{"shards=4,tombstones=250", 4, 16},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			s, err := New(d.Strings, nil, Config{
-				Shards:    shards,
-				Metric:    m,
-				Build:     testBuilder(m, 16, 1),
-				Algorithm: "laesa",
+				Shards:           tc.shards,
+				Metric:           m,
+				Build:            testBuilder(m, 16, 1),
+				Algorithm:        "laesa",
+				CompactThreshold: benchCorpusSize,
 			})
 			if err != nil {
 				b.Fatal(err)
+			}
+			for id := 0; tc.every > 0 && id < benchCorpusSize; id += tc.every {
+				s.Delete(uint64(id))
 			}
 			qs := benchQueries(d, 64)
 			b.ResetTimer()

@@ -642,7 +642,6 @@ func (s *Set) loadShardState(i int, epoch uint64, bo baseObj, ov ovlObj) (*state
 		baseIDs:    bo.BaseIDs,
 		baseLabels: bo.BaseLabels,
 		baseByID:   make(map[uint64]int, len(bo.BaseIDs)),
-		tombs:      map[uint64]struct{}{},
 		dead:       make(map[uint64]struct{}, len(ov.Dead)),
 		epoch:      epoch,
 	}
@@ -663,12 +662,14 @@ func (s *Set) loadShardState(i int, epoch uint64, bo baseObj, ov ovlObj) (*state
 		}
 		st.base = base
 	}
+	tombs := make(map[uint64]struct{}, len(ov.Tombs))
 	for _, id := range ov.Tombs {
 		if _, ok := st.baseByID[id]; !ok {
 			return nil, fmt.Errorf("shard: corrupt snapshot: shard %d tombstone %d not in base", i, id)
 		}
-		st.tombs[id] = struct{}{}
+		tombs[id] = struct{}{}
 	}
+	st.setTombs(tombs)
 	for _, id := range ov.Dead {
 		st.dead[id] = struct{}{}
 	}

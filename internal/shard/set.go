@@ -171,33 +171,22 @@ func (st *state) deltaHit(r search.Result) Hit {
 	}
 }
 
-// queryShard answers one shard's part of a query: the base index (a k-NN
-// request over-fetching one slot per tombstone, so deleted elements cannot
-// crowd live ones out of the answer; the count saturates at math.MaxInt
-// rather than wrap negative for a client's huge k), then the linear delta
-// scan under the same request. The returned Stats always reflect the work
-// actually spent.
+// queryShard answers one shard's part of a query: the base index, with
+// the shard's tombstones excluded from its hits (so deleted elements can
+// neither crowd live ones out of a k-NN answer nor loosen its pruning
+// bound), then the linear delta scan under the same request. The returned
+// Stats always reflect the work actually spent.
 func (s *Set) queryShard(ctx context.Context, st *state, q []rune, req search.Request) ([]Hit, Stats, error) {
 	var cands []Hit
 	var stats Stats
 	if st.base != nil {
-		baseReq := req
-		if !req.IsRadius() {
-			k := req.K() + len(st.tombs)
-			if k < req.K() {
-				k = math.MaxInt
-			}
-			baseReq = search.KNN(k, req.Bound())
-		}
-		ans, err := st.base.Query(ctx, q, baseReq)
+		ans, err := st.base.Query(ctx, q, req.Excluding(st.tombMask))
 		stats.Add(ans.Stats)
 		if err != nil {
 			return nil, stats, err
 		}
 		for _, r := range ans.Hits {
-			if _, dead := st.tombs[st.baseIDs[r.Index]]; !dead {
-				cands = append(cands, st.baseHit(r))
-			}
+			cands = append(cands, st.baseHit(r))
 		}
 	}
 	if st.delta != nil {

@@ -103,6 +103,9 @@ type state struct {
 	// tombs is the set of deleted base IDs. Delta deletions need no
 	// tombstones — the delta arrays are rebuilt without the entry.
 	tombs map[uint64]struct{}
+	// tombMask is tombs as a mask over base positions (nil when tombs is
+	// empty): the base query excludes it. setTombs keeps the two in step.
+	tombMask search.Mask
 	// dead is every ID ever deleted from this shard, base or delta. tombs
 	// only covers base deletions (live() subtracts it from the base count,
 	// so it must stay a subset of baseIDs); dead is what makes AddWithID's
@@ -410,7 +413,7 @@ func (s *Set) Delete(id uint64) bool {
 			tombs[t] = struct{}{}
 		}
 		tombs[id] = struct{}{}
-		ns.tombs = tombs
+		ns.setTombs(tombs)
 	} else {
 		found := false
 		for _, did := range st.deltaIDs {
@@ -438,6 +441,23 @@ func (s *Set) Delete(id uint64) bool {
 	s.deletes.Add(1)
 	s.maybeCompact(sh)
 	return true
+}
+
+// setTombs replaces the state's tombstones with tombs (IDs of base
+// elements) and derives the mask of their base positions that the base
+// query excludes. Every path that replaces a state's tombstones goes
+// through here, so the set and the mask never disagree.
+//
+//ced:publish
+func (st *state) setTombs(tombs map[uint64]struct{}) {
+	st.tombs, st.tombMask = tombs, nil
+	if len(tombs) == 0 {
+		return
+	}
+	st.tombMask = search.NewMask(len(st.baseIDs))
+	for id := range tombs {
+		st.tombMask.Set(st.baseByID[id])
+	}
 }
 
 // clone copies the state shell: base fields are shared (immutable), delta,
@@ -598,9 +618,10 @@ func (s *Set) compactShard(sh *shard) {
 	// Deletes that raced the rebuild: base deletes are still in cur.tombs;
 	// delta deletes vanished from cur's delta arrays. Both target elements
 	// now baked into the new base, so they become tombstones there.
+	tombs := map[uint64]struct{}{}
 	for id := range cur.tombs {
 		if _, ok := ns.baseByID[id]; ok {
-			ns.tombs[id] = struct{}{}
+			tombs[id] = struct{}{}
 		}
 	}
 	curDelta := make(map[uint64]int, len(cur.deltaIDs))
@@ -609,9 +630,10 @@ func (s *Set) compactShard(sh *shard) {
 	}
 	for id := range snapDeltaIDs {
 		if _, stillLive := curDelta[id]; !stillLive {
-			ns.tombs[id] = struct{}{}
+			tombs[id] = struct{}{}
 		}
 	}
+	ns.setTombs(tombs)
 	// Adds that raced the rebuild: cur delta entries not baked into the
 	// new base form the new delta.
 	for i, id := range cur.deltaIDs {

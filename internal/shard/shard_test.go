@@ -179,6 +179,81 @@ func TestTombstonesDoNotCrowdOutLiveResults(t *testing.T) {
 	}
 }
 
+// TestTombstoneMaskFollowsEveryPath deletes the probe's nearest base
+// element through each path that replaces a shard's tombstones — Delete, a
+// delete racing a compaction's rebuild, and a snapshot load — and checks
+// the probe's k nearest after each. The base index excludes tombstones
+// itself, and nothing filters its hits afterwards, so a path that left the
+// mask stale would return the deleted element.
+func TestTombstoneMaskFollowsEveryPath(t *testing.T) {
+	ctx := context.Background()
+	m := metric.Contextual()
+	build := testBuilder(m, 4, 42)
+	var onBuild func()
+	s, err := New(unitCorpus, nil, Config{
+		Shards: 1,
+		Metric: m,
+		Build: func(idx int, corpus [][]rune) search.Index {
+			if onBuild != nil {
+				onBuild()
+			}
+			return build(idx, corpus)
+		},
+		Algorithm:        "laesa",
+		CompactThreshold: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := []rune("casa")
+	const k = 3
+	check := func(path string, set *Set, deleted uint64) {
+		t.Helper()
+		hits, _ := knn(set, probe, k)
+		if len(hits) != k {
+			t.Fatalf("after %s: %d hits, want %d", path, len(hits), k)
+		}
+		for _, h := range hits {
+			if h.ID == deleted {
+				t.Fatalf("after %s: deleted element %d returned", path, deleted)
+			}
+		}
+	}
+
+	near, _, _ := nearest(s, probe)
+	if !s.Delete(near.ID) {
+		t.Fatalf("delete of %d failed", near.ID)
+	}
+	check("Delete", s, near.ID)
+
+	near, _, _ = nearest(s, probe)
+	onBuild = func() {
+		onBuild = nil
+		s.Delete(near.ID)
+	}
+	s.compactShard(s.shards[0])
+	st := s.shards[0].state.Load()
+	if _, inBase := st.baseByID[near.ID]; !inBase || len(st.tombs) != 1 {
+		t.Fatalf("the delete did not race the rebuild: in base %v, %d tombstones", inBase, len(st.tombs))
+	}
+	check("a compaction swap", s, near.ID)
+
+	near, _, _ = nearest(s, probe)
+	s.Delete(near.ID)
+	store, err := blob.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSaver(store).Save(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := LoadFromStore(ctx, store, Config{Metric: m, Build: build, Algorithm: "laesa"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a snapshot load", loaded, near.ID)
+}
+
 func TestClassify(t *testing.T) {
 	labels := make([]int, len(unitCorpus))
 	for i := range labels {

@@ -1,7 +1,7 @@
 // Command cedvet runs the repo's custom static analyzers — the mechanical
 // form of the engine's concurrency and metric invariants (pooled-scratch
-// release, session confinement, wire bound encoding, snapshot immutability,
-// hardened HTTP serving, honest stage accounting).
+// release, session confinement, snapshot immutability, hardened HTTP
+// serving, honest stage accounting, an unbroken cancellation chain).
 //
 // Usage:
 //

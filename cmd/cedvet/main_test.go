@@ -28,10 +28,14 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("cedvet -list exit %d\nstderr:\n%s", code, stderr.String())
 	}
-	for _, name := range []string{"atomicsnap", "boundconv", "poolleak", "rawhttp", "sessionshare", "stagecount"} {
+	names := []string{"atomicsnap", "ctxflow", "poolleak", "rawhttp", "sessionshare", "stagecount"}
+	for _, name := range names {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout.String())
 		}
+	}
+	if lines := strings.Count(stdout.String(), "\n"); lines != len(names) {
+		t.Errorf("-list names %d analyzers, want %d:\n%s", lines, len(names), stdout.String())
 	}
 }
 

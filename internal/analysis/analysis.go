@@ -3,9 +3,9 @@
 // type-checked package through a Pass and reports Diagnostics. The repo's
 // analyzers (cmd/cedvet) mechanically enforce the engine's concurrency and
 // metric invariants — pooled-workspace release discipline, per-worker
-// session confinement, the wire-only negative-bound encoding, atomic
-// snapshot publication, hardened HTTP servers and honest stage counters —
-// so a refactor that breaks one fails review instead of shipping a flake.
+// session confinement, atomic snapshot publication, hardened HTTP servers,
+// honest stage counters and an unbroken cancellation chain — so a
+// refactor that breaks one fails review instead of shipping a flake.
 //
 // The x/tools module is deliberately not used: this build environment is
 // offline and the module has no dependencies, so the suite runs everywhere
@@ -27,8 +27,6 @@
 //	//ced:publish       (func doc)  the function constructs or republishes
 //	                                frozen states pre-publication and may
 //	                                write their fields.
-//	//ced:boundconv-ok  (same line) a deliberately negative bound literal
-//	                                (e.g. a defensive-path test).
 //	//ced:stagecount-ok (same line) StageCounts intentionally discarded.
 //	//ced:rawhttp-ok    (same line) a deliberately raw HTTP server.
 //	//ced:sessionshare-ok (same line) a reviewed cross-goroutine session
@@ -213,16 +211,6 @@ func IsPkgType(t types.Type, pkgPath, name string) bool {
 	}
 	p := n.Obj().Pkg().Path()
 	return p == pkgPath || strings.HasSuffix(p, "/"+pkgPath)
-}
-
-// TypePkgPath returns the declaring package path of t's named type ("" when
-// t has none).
-func TypePkgPath(t types.Type) string {
-	n := NamedOf(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
 }
 
 // WalkStack traverses root in source order, calling fn with each node and

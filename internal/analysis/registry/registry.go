@@ -5,7 +5,6 @@ package registry
 import (
 	"ced/internal/analysis"
 	"ced/internal/analysis/atomicsnap"
-	"ced/internal/analysis/boundconv"
 	"ced/internal/analysis/ctxflow"
 	"ced/internal/analysis/poolleak"
 	"ced/internal/analysis/rawhttp"
@@ -17,7 +16,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicsnap.Analyzer,
-		boundconv.Analyzer,
 		ctxflow.Analyzer,
 		poolleak.Analyzer,
 		rawhttp.Analyzer,

@@ -72,11 +72,6 @@ func Distance(x, y []rune) float64 {
 	return Compute(x, y).Distance
 }
 
-// DistanceStrings is Distance on strings.
-func DistanceStrings(x, y string) float64 {
-	return Distance([]rune(x), []rune(y))
-}
-
 // withWorkspace runs fn on a pooled workspace and recycles the workspace
 // afterwards. The deferred Put makes the round-trip panic-safe: a panic
 // escaping fn still returns the workspace to the pool, which is sound
@@ -266,11 +261,6 @@ func computeReference(x, y []rune) Result {
 // equality in the vast majority of cases (~90% in the paper's benchmarks).
 func Heuristic(x, y []rune) float64 {
 	return HeuristicCompute(x, y).Distance
-}
-
-// HeuristicStrings is Heuristic on strings.
-func HeuristicStrings(x, y string) float64 {
-	return Heuristic([]rune(x), []rune(y))
 }
 
 // HeuristicCompute runs the dC,h dynamic program on a pooled scratch row

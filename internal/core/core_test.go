@@ -66,7 +66,7 @@ func TestDistanceKnownValues(t *testing.T) {
 		{"ab", "ba", 2.0 / 3},
 	}
 	for _, c := range cases {
-		got := DistanceStrings(c.x, c.y)
+		got := Distance(runesOf(c.x), runesOf(c.y))
 		if !almostEqual(got, c.want) {
 			t.Errorf("dC(%q,%q) = %v, want %v", c.x, c.y, got, c.want)
 		}
@@ -239,13 +239,13 @@ func TestHeuristicSymmetry(t *testing.T) {
 func TestHeuristicKnownValues(t *testing.T) {
 	// On ababa -> baab the heuristic evaluates k = dE = 3; the best
 	// 3-operation decomposition has 1 insertion, giving the exact 8/15.
-	if got := HeuristicStrings("ababa", "baab"); !almostEqual(got, 8.0/15) {
+	if got := Heuristic(runesOf("ababa"), runesOf("baab")); !almostEqual(got, 8.0/15) {
 		t.Errorf("dC,h(ababa,baab) = %v, want 8/15", got)
 	}
-	if got := HeuristicStrings("", ""); got != 0 {
+	if got := Heuristic(nil, nil); got != 0 {
 		t.Errorf("dC,h(\"\",\"\") = %v, want 0", got)
 	}
-	if got := HeuristicStrings("ab", "ab"); got != 0 {
+	if got := Heuristic(runesOf("ab"), runesOf("ab")); got != 0 {
 		t.Errorf("dC,h(ab,ab) = %v, want 0", got)
 	}
 }
@@ -334,7 +334,7 @@ func TestPaperExample4AlternativePath(t *testing.T) {
 	// insertion) costs 1/5 + 1/4 + 1/4 = 7/10; the reported optimum via
 	// insert-first ordering is 8/15 < 7/10. Verify both the bound and that
 	// our exact distance picks the better one.
-	d := DistanceStrings("ababa", "baab")
+	d := Distance(runesOf("ababa"), runesOf("baab"))
 	if d > 7.0/10+eps {
 		t.Errorf("dC(ababa,baab) = %v, should be <= 7/10", d)
 	}

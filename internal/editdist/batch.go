@@ -134,10 +134,3 @@ func (s *Scratch) myersLanes(peq []uint64, n int, last uint64, cands [][]rune, k
 		}
 	}
 }
-
-// MyersBoundedBatch is the scratch-free form of Scratch.MyersBoundedBatch,
-// building its tables from scratch per call. Hot callers hold a Scratch.
-func MyersBoundedBatch(q []rune, cands [][]rune, ks []int) []int {
-	var s Scratch
-	return s.MyersBoundedBatch(q, cands, ks, nil)
-}

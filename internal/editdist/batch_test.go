@@ -98,9 +98,6 @@ func TestMyersBoundedBatchReusesOut(t *testing.T) {
 	if got[0] != 1 || got[1] != 3 {
 		t.Fatalf("got %v, want [1 3]", got)
 	}
-	if pkg := MyersBoundedBatch(q, cands, []int{3, 3}); pkg[0] != 1 || pkg[1] != 3 {
-		t.Fatalf("package-level batch got %v, want [1 3]", pkg)
-	}
 }
 
 func TestMyersBoundedBatchPanicsOnBoundMismatch(t *testing.T) {

@@ -53,11 +53,6 @@ func Distance(a, b []rune) int {
 	return row[n]
 }
 
-// DistanceStrings is Distance on strings.
-func DistanceStrings(a, b string) int {
-	return Distance([]rune(a), []rune(b))
-}
-
 // bandedRows returns the Levenshtein distance between a and b if it is at
 // most k, and k+1 otherwise. It runs the Ukkonen banded dynamic program,
 // touching only the diagonal band of width 2k+1 (O(k·min(len(a),len(b)))

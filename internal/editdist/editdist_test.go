@@ -75,7 +75,7 @@ func TestDistanceKnownValues(t *testing.T) {
 		{"niño", "nino", 1}, // non-ASCII counts as one symbol
 	}
 	for _, c := range cases {
-		if got := DistanceStrings(c.a, c.b); got != c.want {
+		if got := Distance([]rune(c.a), []rune(c.b)); got != c.want {
 			t.Errorf("Distance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}

@@ -138,7 +138,7 @@ func TestLevenshteinBoundedContract(t *testing.T) {
 	if d, exact := m.DistanceBounded(a, b, 2.5); exact || d <= 2.5 {
 		t.Errorf("cutoff 2.5 must bail above the cutoff: got (%v, %v)", d, exact)
 	}
-	if d, exact := m.DistanceBounded(a, b, -1); exact || d < 0 { //ced:boundconv-ok: pins the bail on a nonsense cutoff.
+	if d, exact := m.DistanceBounded(a, b, -1); exact || d < 0 {
 		t.Errorf("negative cutoff: got (%v, %v), want a bail", d, exact)
 	}
 	if d, exact := m.DistanceBounded(a, b, math.Inf(1)); !exact || d != 3 {

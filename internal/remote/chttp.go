@@ -26,7 +26,7 @@ func NewCoordinatorHandler(c *Coordinator) http.Handler {
 		if !info.Healthy {
 			status = "degraded"
 		}
-		writeJSON(w, http.StatusOK, struct {
+		serve.WriteJSON(w, http.StatusOK, struct {
 			Status  string      `json:"status"`
 			Cluster ClusterInfo `json:"cluster"`
 		}{status, info})
@@ -36,7 +36,7 @@ func NewCoordinatorHandler(c *Coordinator) http.Handler {
 			c.gate.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
+		serve.WriteJSON(w, http.StatusOK, struct {
 			Status string `json:"status"`
 		}{"ok"})
 	})

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -87,11 +88,16 @@ func (c *Client) Base() string { return c.base }
 // Slot returns the slot index this client addresses.
 func (c *Client) Slot() int { return c.slot }
 
+// errResponseTooLarge fails a response body longer than maxBodyBytes. The
+// server would send the same body again, so it is not retried.
+var errResponseTooLarge = fmt.Errorf("response body exceeds the %d MiB limit", maxBodyBytes>>20)
+
 // do runs one transport call with retry: POST body (or GET when body is
 // nil) to /shard/{slot}/{op}, decoding the JSON response into out. 4xx
 // responses fail immediately as a serve.StatusError carrying the server's
-// status, which a coordinator passes through to its own client; transport
-// errors, truncated bodies and 5xx retry up to the budget.
+// status, which a coordinator passes through to its own client, and an
+// oversized response fails immediately too; transport errors, truncated
+// bodies and 5xx retry up to the budget.
 func (c *Client) do(ctx context.Context, method, op string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -118,6 +124,9 @@ func (c *Client) do(ctx context.Context, method, op string, body, out any) error
 		var verdict *serve.StatusError
 		if errors.As(err, &verdict) {
 			return err // the server answered; retrying cannot change its mind
+		}
+		if errors.Is(err, errResponseTooLarge) {
+			return fmt.Errorf("remote: %s %s: %w", op, c.base, err)
 		}
 		if ctx.Err() != nil {
 			return err
@@ -159,9 +168,12 @@ func (c *Client) attempt(ctx context.Context, method, url string, payload []byte
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	if err != nil {
 		return err // connection died mid-stream: retryable
+	}
+	if len(raw) > maxBodyBytes {
+		return errResponseTooLarge
 	}
 	if resp.StatusCode >= 500 {
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, errorMessage(raw))
@@ -180,7 +192,7 @@ func (c *Client) attempt(ctx context.Context, method, url string, payload []byte
 
 // errorMessage extracts the server's error string from a response body.
 func errorMessage(raw []byte) string {
-	var er errorResponse
+	var er serve.ErrorResponse
 	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
 		return er.Error
 	}
@@ -205,7 +217,11 @@ func (c *Client) Query(ctx context.Context, q string, req search.Request) ([]sha
 	if req.IsRadius() {
 		err = c.do(ctx, http.MethodPost, "radius", radiusRequest{Query: q, Radius: req.Bound()}, &resp)
 	} else {
-		err = c.do(ctx, http.MethodPost, "knn", knnRequest{Query: q, K: req.K(), Bound: wireBound(req.Bound())}, &resp)
+		kr := knnRequest{Query: q, K: req.K()}
+		if b := req.Bound(); !math.IsInf(b, 1) {
+			kr.MaxDistance = &b
+		}
+		err = c.do(ctx, http.MethodPost, "knn", kr, &resp)
 	}
 	if err != nil {
 		return nil, shard.Stats{}, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,6 +228,44 @@ func TestClusterCrashRestartReadmission(t *testing.T) {
 		for _, q := range queries {
 			assertClusterKNN(t, o, c, q, 5, phase+" restarted-serving")
 			assertClusterClassify(t, o, c, q, phase+" restarted-serving")
+		}
+	}
+}
+
+// TestClusterFailedResyncShowsWhy: a restarted replica whose donor cannot
+// dump stays stale, and /healthz says why: the failed re-sync is the
+// replica's last error. Once the donor heals, the next probe re-syncs and
+// readmits it.
+func TestClusterFailedResyncShowsWhy(t *testing.T) {
+	d := dataset.Spanish(60, 11)
+	c := Start(t, Config{
+		Nodes: 2, Shards: 2, Replicas: 2,
+		Timeout: 300 * time.Millisecond,
+	}, d.Strings, nil)
+	o := NewOracle(c.Metric, d.Strings, nil)
+	ctx := context.Background()
+
+	c.Nodes[1].SetFault(FaultDown)
+	for round := 0; round < 4; round++ {
+		for _, q := range []string{"casa", d.Strings[7], d.Strings[53] + "s"} {
+			assertClusterKNN(t, o, c, q, 5, "node-down")
+		}
+	}
+	c.Heal()
+	c.Nodes[1].Restart(t)
+	c.Nodes[0].SetFault(Fault500)
+	c.Coord.Probe(ctx)
+	for _, rh := range nodeHealth(c.Coord.Info(), c.Nodes[1].Srv.URL) {
+		if !rh.Stale || !strings.Contains(rh.LastError, "re-sync dump") || !strings.Contains(rh.LastError, "injected fault") {
+			t.Fatalf("replica whose donor cannot dump: %+v, want stale with the dump's failure as last error", rh)
+		}
+	}
+
+	c.Heal()
+	c.Coord.Probe(ctx)
+	for _, rh := range nodeHealth(c.Coord.Info(), c.Nodes[1].Srv.URL) {
+		if !rh.Healthy || rh.Stale {
+			t.Fatalf("replica after the donor healed: %+v, want re-synced and readmitted", rh)
 		}
 	}
 }

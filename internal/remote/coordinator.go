@@ -647,7 +647,8 @@ func (c *Coordinator) probeLoop() {
 // restarted empty, a re-sync — dump from a healthy peer, reseed the
 // recovering replica — under the shard's write lock so no concurrent write
 // can fall between dump and reseed. Only a clean, current replica
-// re-enters the query rotation. Exposed so tests (and operators) can force
+// re-enters the query rotation; a failed re-sync becomes the replica's
+// last error in Info. Exposed so tests (and operators) can force
 // a readmission cycle.
 func (c *Coordinator) Probe(ctx context.Context) {
 	for s := range c.replicas {
@@ -669,6 +670,7 @@ func (c *Coordinator) Probe(ctx context.Context) {
 			c.writeMu[s].Lock()
 			if rep.isStale() {
 				if err := c.resync(ctx, s, rep); err != nil {
+					rep.recordFailure(err, c.cfg.FailThreshold)
 					c.writeMu[s].Unlock()
 					continue
 				}
@@ -684,14 +686,17 @@ func (c *Coordinator) Probe(ctx context.Context) {
 // the donor's full live content is dumped and reseeded into the recovering
 // replica, which rebuilds its index from it. The caller holds the shard
 // write lock, so no write can fall between the donor's dump and the
-// recovering replica's reseed.
+// recovering replica's reseed. When no donor's dump succeeds, the error
+// says why: the last dump's failure, or that no donor was healthy.
 func (c *Coordinator) resync(ctx context.Context, s int, rep *replica) error {
+	var dumpErr error
 	for _, donor := range c.replicas[s] {
 		if donor == rep || !donor.healthy() || donor.isStale() {
 			continue
 		}
 		labelled, elems, err := donor.client.Dump(ctx)
 		if err != nil {
+			dumpErr = err
 			continue
 		}
 		if err := rep.client.Seed(ctx, c.cfg.MetricName, labelled, elems); err != nil {
@@ -699,6 +704,9 @@ func (c *Coordinator) resync(ctx context.Context, s int, rep *replica) error {
 		}
 		c.resyncSeeds.Add(1)
 		return nil
+	}
+	if dumpErr != nil {
+		return fmt.Errorf("remote: shard %d: re-sync dump: %w", s, dumpErr)
 	}
 	return fmt.Errorf("remote: shard %d: no healthy donor for re-sync", s)
 }

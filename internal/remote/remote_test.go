@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,35 +22,6 @@ import (
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
-
-// TestWireBoundRoundTrip is the property behind the request-scoped pruning
-// radius: every legal bound survives the wire encoding exactly, +Inf maps
-// through the negative sentinel, and any negative wire value decodes to
-// unbounded — so a decoding mistake can only ever loosen the bound, which
-// the bounded k-NN contract (search.KNN) tolerates by construction.
-func TestWireBoundRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 1000; i++ {
-		b := rng.Float64() * 2
-		if got := fromWireBound(wireBound(b)); got != b {
-			t.Fatalf("bound %v round-tripped to %v", b, got)
-		}
-		if wireBound(b) < 0 {
-			t.Fatalf("finite bound %v encoded to the unbounded sentinel", b)
-		}
-	}
-	if got := fromWireBound(wireBound(math.Inf(1))); !math.IsInf(got, 1) {
-		t.Fatalf("+Inf round-tripped to %v", got)
-	}
-	for _, w := range []float64{-1, -0.5, -1e9} {
-		if got := fromWireBound(w); !math.IsInf(got, 1) {
-			t.Fatalf("negative wire bound %v decoded to %v, want +Inf", w, got)
-		}
-	}
-	if got := fromWireBound(wireBound(0)); got != 0 {
-		t.Fatalf("zero bound round-tripped to %v", got)
-	}
-}
 
 // TestRemoteKNNBoundedMatchesLocal pins the transport to the in-process
 // seam: for random queries, ks and bounds, a slot served over HTTP must
@@ -172,9 +146,8 @@ func callShard(srv *ShardServer, method, path, body string) *httptest.ResponseRe
 }
 
 // TestShardServerRejectsUnknownFields: a misspelled field is a 400, as on
-// the client routes, never a default — a knn body whose "bound" is
-// misspelled would otherwise run under bound 0 and answer only exact
-// matches.
+// the client routes, never a default — a knn body whose bound is
+// misspelled would otherwise run as if it sent none.
 func TestShardServerRejectsUnknownFields(t *testing.T) {
 	srv, err := NewShardServer(ServerConfig{Metric: metric.Levenshtein(), Algorithm: "linear"})
 	if err != nil {
@@ -186,10 +159,65 @@ func TestShardServerRejectsUnknownFields(t *testing.T) {
 	if rec := callShard(srv, http.MethodPost, "/shard/0/knn", `{"query":"cas","k":2,"bund":-1}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("misspelled bound: HTTP %d %s, want 400", rec.Code, rec.Body)
 	}
-	rec := callShard(srv, http.MethodPost, "/shard/0/knn", `{"query":"cas","k":2,"bound":-1}`)
+	rec := callShard(srv, http.MethodPost, "/shard/0/knn", `{"query":"cas","k":2,"max_distance":null}`)
 	var resp queryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || len(resp.Hits) != 2 {
 		t.Fatalf("well-formed knn: HTTP %d %s (%v), want 200 with 2 hits", rec.Code, rec.Body, err)
+	}
+}
+
+// TestShardKNNMaxDistance: the shard transport carries a k-NN pruning
+// bound as a distance, with null or an absent key for +Inf, and a slot
+// answers it with exactly the hits and work of the same local query. A
+// request no client means, and a body that still names the retired
+// "bound" key, answer 400.
+func TestShardKNNMaxDistance(t *testing.T) {
+	srv, err := NewShardServer(ServerConfig{Metric: metric.Contextual(), Algorithm: "linear"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var elems []shard.Element
+	for i, v := range []string{"casa", "cosa", "caso", "masa", "pasa", "queso", "gato"} {
+		elems = append(elems, shard.Element{ID: uint64(i), Value: v})
+	}
+	if err := srv.seed(0, false, elems); err != nil {
+		t.Fatal(err)
+	}
+	num := func(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
+	for _, c := range []struct {
+		body  string
+		bound float64 // the local bound the answer must equal
+	}{
+		{`{"query":"cas","k":4}`, math.Inf(1)},
+		{`{"query":"cas","k":4,"max_distance":null}`, math.Inf(1)},
+		{`{"query":"cas","k":4,"max_distance":0}`, 0},
+		{`{"query":"cas","k":4,"max_distance":0.25}`, 0.25},
+		{`{"query":"cas","k":4,"max_distance":` + num(math.SmallestNonzeroFloat64) + `}`, math.SmallestNonzeroFloat64},
+		{`{"query":"cas","k":4,"max_distance":` + num(math.MaxFloat64) + `}`, math.MaxFloat64},
+	} {
+		rec := callShard(srv, http.MethodPost, "/shard/0/knn", c.body)
+		var resp queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: HTTP %d %s (%v), want 200", c.body, rec.Code, rec.Body, err)
+		}
+		hits, st, err := srv.slot(0).Query(context.Background(), []rune("cas"), search.KNN(4, c.bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := shard.Stats{Computations: resp.Computations, Rejections: resp.Rejections}
+		if !slices.Equal(resp.Hits, hits) || got != st {
+			t.Fatalf("%s: hits %+v with %+v, local bound %v gives %+v with %+v", c.body, resp.Hits, got, c.bound, hits, st)
+		}
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/shard/0/knn", `{"query":"cas","k":4,"max_distance":-1}`},
+		{"/shard/0/knn", `{"query":"cas","k":0}`},
+		{"/shard/0/knn", `{"query":"cas","k":4,"bound":-1}`},
+		{"/shard/0/radius", `{"query":"cas","radius":-2}`},
+	} {
+		if rec := callShard(srv, http.MethodPost, c.path, c.body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s: HTTP %d %s, want 400", c.path, c.body, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -356,6 +384,34 @@ func TestClientRetriesTruncatedResponse(t *testing.T) {
 	}
 	if info.Size != 3 || calls.Load() != 2 {
 		t.Fatalf("info %+v after %d calls, want size 3 after 2", info, calls.Load())
+	}
+}
+
+// TestClientFailsOversizedResponseOnce: a response past the body limit
+// fails on the first attempt with an error that names the limit. The
+// server would only send the same body again, so a retry would download it
+// again for nothing.
+func TestClientFailsOversizedResponseOnce(t *testing.T) {
+	var calls atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		chunk := bytes.Repeat([]byte(" "), 1<<20)
+		for range maxBodyBytes / len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+		_, _ = w.Write([]byte(" "))
+	}))
+	defer hs.Close()
+	cl := NewClient(hs.URL, 0, ClientConfig{Retries: 2, Backoff: time.Millisecond})
+	_, _, err := cl.Dump(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "64 MiB") {
+		t.Fatalf("oversized dump: err = %v, want one naming the 64 MiB limit", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d calls, want 1 (an oversized body must not retry)", got)
 	}
 }
 

@@ -1,9 +1,9 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -130,7 +130,7 @@ var errNotSeeded = errors.New("slot not seeded")
 // Handler returns the shard-transport JSON API:
 //
 //	POST /shard/{slot}/seed     {metric, labelled, elements}   create/replace the slot
-//	POST /shard/{slot}/knn      {query, k, bound}              bounded k-NN
+//	POST /shard/{slot}/knn      {query, k, max_distance}       bounded k-NN (null: unbounded)
 //	POST /shard/{slot}/radius   {query, radius}                range query
 //	POST /shard/{slot}/add      {id, value, label}             idempotent replicated write
 //	POST /shard/{slot}/delete   {id}                           idempotent replicated delete
@@ -142,7 +142,7 @@ func (s *ShardServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		o := s.gate.Overload()
-		writeJSON(w, http.StatusOK, struct {
+		serve.WriteJSON(w, http.StatusOK, struct {
 			Status    string      `json:"status"`
 			Metric    string      `json:"metric"`
 			Slots     map[int]int `json:"slots"`
@@ -152,58 +152,62 @@ func (s *ShardServer) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /shard/{slot}/seed", s.withSlotIdx(func(w http.ResponseWriter, r *http.Request, idx int) {
 		var req seedRequest
-		if !decodeBody(w, r, &req) {
+		if !serve.DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		if req.Metric != "" && req.Metric != s.cfg.Metric.Name() {
-			writeRemoteError(w, http.StatusConflict,
+			serve.WriteError(w, http.StatusConflict,
 				fmt.Errorf("metric mismatch: coordinator expects %q, this node serves %q", req.Metric, s.cfg.Metric.Name()))
 			return
 		}
 		if err := s.seed(idx, req.Labelled, req.Elements); err != nil {
-			writeRemoteError(w, http.StatusBadRequest, err)
+			serve.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, mutateResponse{Applied: true, Size: s.slot(idx).Size()})
+		serve.WriteJSON(w, http.StatusOK, mutateResponse{Applied: true, Size: s.slot(idx).Size()})
 	}))
 	mux.HandleFunc("POST /shard/{slot}/knn", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req knnRequest
-		if decodeBody(w, r, &req) {
-			s.query(w, r, set, req.Query, search.KNN(req.K, fromWireBound(req.Bound)))
+		if serve.DecodeJSON(w, r, maxBodyBytes, &req) {
+			bound := math.Inf(1)
+			if req.MaxDistance != nil {
+				bound = *req.MaxDistance
+			}
+			s.query(w, r, set, req.Query, search.KNN(req.K, bound))
 		}
 	}))
 	mux.HandleFunc("POST /shard/{slot}/radius", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req radiusRequest
-		if decodeBody(w, r, &req) {
+		if serve.DecodeJSON(w, r, maxBodyBytes, &req) {
 			s.query(w, r, set, req.Query, search.Within(req.Radius))
 		}
 	}))
 	mux.HandleFunc("POST /shard/{slot}/add", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req addRequest
-		if !decodeBody(w, r, &req) {
+		if !serve.DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		if req.ID > shard.MaxID {
-			writeRemoteError(w, http.StatusBadRequest, fmt.Errorf("element ID %d exceeds the largest ID %d", req.ID, shard.MaxID))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("element ID %d exceeds the largest ID %d", req.ID, shard.MaxID))
 			return
 		}
 		applied := set.AddWithID(req.ID, req.Value, req.Label)
-		writeJSON(w, http.StatusOK, mutateResponse{Applied: applied, Size: set.Size()})
+		serve.WriteJSON(w, http.StatusOK, mutateResponse{Applied: applied, Size: set.Size()})
 	}))
 	mux.HandleFunc("POST /shard/{slot}/delete", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		var req deleteRequest
-		if !decodeBody(w, r, &req) {
+		if !serve.DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		applied := set.Delete(req.ID)
-		writeJSON(w, http.StatusOK, mutateResponse{Applied: applied, Size: set.Size()})
+		serve.WriteJSON(w, http.StatusOK, mutateResponse{Applied: applied, Size: set.Size()})
 	}))
 	mux.HandleFunc("POST /shard/{slot}/compact", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
 		set.Compact()
-		writeJSON(w, http.StatusOK, mutateResponse{Applied: true, Size: set.Size()})
+		serve.WriteJSON(w, http.StatusOK, mutateResponse{Applied: true, Size: set.Size()})
 	}))
 	mux.HandleFunc("GET /shard/{slot}/info", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
-		writeJSON(w, http.StatusOK, SlotInfo{
+		serve.WriteJSON(w, http.StatusOK, SlotInfo{
 			Metric:    s.cfg.Metric.Name(),
 			Algorithm: set.Algorithm(),
 			Labelled:  set.Labelled(),
@@ -212,7 +216,7 @@ func (s *ShardServer) Handler() http.Handler {
 		})
 	}))
 	mux.HandleFunc("GET /shard/{slot}/dump", s.withSlot(func(w http.ResponseWriter, r *http.Request, set *shard.Set) {
-		writeJSON(w, http.StatusOK, dumpResponse{Labelled: set.Labelled(), Elements: set.Elements()})
+		serve.WriteJSON(w, http.StatusOK, dumpResponse{Labelled: set.Labelled(), Elements: set.Elements()})
 	}))
 	return mux
 }
@@ -222,7 +226,7 @@ func (s *ShardServer) withSlotIdx(fn func(http.ResponseWriter, *http.Request, in
 	return func(w http.ResponseWriter, r *http.Request) {
 		idx, err := strconv.Atoi(r.PathValue("slot"))
 		if err != nil || idx < 0 {
-			writeRemoteError(w, http.StatusBadRequest, fmt.Errorf("bad slot index %q", r.PathValue("slot")))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad slot index %q", r.PathValue("slot")))
 			return
 		}
 		fn(w, r, idx)
@@ -234,35 +238,21 @@ func (s *ShardServer) withSlot(fn func(http.ResponseWriter, *http.Request, *shar
 	return s.withSlotIdx(func(w http.ResponseWriter, r *http.Request, idx int) {
 		set := s.slot(idx)
 		if set == nil {
-			writeRemoteError(w, http.StatusNotFound, fmt.Errorf("slot %d: %w", idx, errNotSeeded))
+			serve.WriteError(w, http.StatusNotFound, fmt.Errorf("slot %d: %w", idx, errNotSeeded))
 			return
 		}
 		fn(w, r, set)
 	})
 }
 
-// decodeBody parses a JSON request body, rejecting unknown fields and
-// oversized payloads. On failure it writes the error response and returns
-// false.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeRemoteError(w, status, fmt.Errorf("invalid request body: %w", err))
-		return false
-	}
-	return true
-}
-
 // query answers one slot query under the request's budget context and
-// writes the wire response.
+// writes the wire response. A request no client means (k ≤ 0, a negative
+// radius or bound) is a 400, as on the client routes.
 func (s *ShardServer) query(w http.ResponseWriter, r *http.Request, set *shard.Set, q string, req search.Request) {
+	if err := req.Validate(); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	ctx, cancel := serve.RequestContext(r)
 	defer cancel()
 	hits, st, err := set.Query(ctx, []rune(q), req)
@@ -273,15 +263,5 @@ func (s *ShardServer) query(w http.ResponseWriter, r *http.Request, set *shard.S
 		s.gate.Fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{Hits: hits, Computations: st.Computations, Rejections: st.Rejections})
-}
-
-func writeRemoteError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	serve.WriteJSON(w, http.StatusOK, queryResponse{Hits: hits, Computations: st.Computations, Rejections: st.Rejections})
 }

@@ -3,6 +3,7 @@ package remote
 import (
 	"cmp"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -19,10 +20,13 @@ import (
 // arrive through — on a freshly seeded dE BK-tree slot holding one
 // tombstone and one delta entry, plus an unseeded slot and malformed slot
 // indexes. Whatever the body, the server must not panic, must answer 200,
-// 400, 404, 409 or 413 with a JSON body, must leave slot 0's next ID above
-// every live ID, and every 200 from knn or radius must hold exactly the
-// hits a linear scan of the slot's live elements returns for the decoded
-// request, in (distance, ID) order.
+// 400, 404, 409 or 413 with a JSON body, and must leave slot 0's next ID
+// above every live ID. A knn or radius body that decodes to a request
+// search.Request.Validate refuses (k ≤ 0, a negative bound or radius) must
+// answer 400, and every 200 from knn or radius must hold exactly the hits
+// a linear scan of the slot's live elements returns for the decoded
+// request, in (distance, ID) order; a null or absent k-NN max_distance is
+// +Inf.
 func FuzzShardRequest(f *testing.F) {
 	paths := []string{
 		"/shard/0/seed", "/shard/0/knn", "/shard/0/radius", "/shard/0/add",
@@ -36,10 +40,13 @@ func FuzzShardRequest(f *testing.F) {
 		{0, `{"metric":"dC","elements":[]}`},
 		{0, `{"elements":[{"id":1,"value":"a"},{"id":1,"value":"b"}]}`},
 		{0, `{"elements":[{"id":4,"value":"a"},{"id":18446744073709551615,"value":"b"}]}`},
-		{1, `{"query":"casa","k":3,"bound":-1}`},
-		{1, `{"query":"casa","k":2,"bound":1}`},
-		{1, `{"query":"casa","k":2,"bound":0}`},
-		{1, `{"query":"casa","k":9223372036854775807,"bound":-1}`},
+		{1, `{"query":"casa","k":3,"max_distance":null}`},
+		{1, `{"query":"casa","k":3}`},
+		{1, `{"query":"casa","k":2,"max_distance":1}`},
+		{1, `{"query":"casa","k":2,"max_distance":0}`},
+		{1, `{"query":"casa","k":2,"max_distance":-1}`},
+		{1, `{"query":"casa","k":2,"bound":-1}`},
+		{1, `{"query":"casa","k":9223372036854775807,"max_distance":null}`},
 		{1, `{"query":"casa","k":-1}`},
 		{1, `{"query":`},
 		{2, `{"query":"casa","radius":1}`},
@@ -95,7 +102,7 @@ func FuzzShardRequest(f *testing.F) {
 				t.Fatalf("%s %q: slot 0's next ID %d does not exceed live ID %d", path, body, slot0.NextID(), e.ID)
 			}
 		}
-		if rec.Code != http.StatusOK || (path != "/shard/0/knn" && path != "/shard/0/radius") {
+		if path != "/shard/0/knn" && path != "/shard/0/radius" {
 			return
 		}
 		// The handler decoded the body's first JSON value; decode it the
@@ -104,16 +111,30 @@ func FuzzShardRequest(f *testing.F) {
 		var req search.Request
 		if path == "/shard/0/knn" {
 			var kr knnRequest
-			if err := json.NewDecoder(strings.NewReader(body)).Decode(&kr); err != nil {
-				t.Fatal(err)
+			err = json.NewDecoder(strings.NewReader(body)).Decode(&kr)
+			bound := math.Inf(1)
+			if kr.MaxDistance != nil {
+				bound = *kr.MaxDistance
 			}
-			q, req = kr.Query, search.KNN(kr.K, fromWireBound(kr.Bound))
+			q, req = kr.Query, search.KNN(kr.K, bound)
 		} else {
 			var rr radiusRequest
-			if err := json.NewDecoder(strings.NewReader(body)).Decode(&rr); err != nil {
-				t.Fatal(err)
-			}
+			err = json.NewDecoder(strings.NewReader(body)).Decode(&rr)
 			q, req = rr.Query, search.Within(rr.Radius)
+		}
+		switch {
+		case err != nil:
+			if rec.Code == http.StatusOK {
+				t.Fatalf("%s %q: HTTP 200 for a body that does not decode: %v", path, body, err)
+			}
+			return
+		case req.Validate() != nil:
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %q: HTTP %d for a request Validate refuses (%v), want 400", path, body, rec.Code, req.Validate())
+			}
+			return
+		case rec.Code != http.StatusOK:
+			return
 		}
 		var resp queryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {

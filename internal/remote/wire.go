@@ -22,36 +22,9 @@
 package remote
 
 import (
-	"math"
-
 	"ced/internal/metric"
 	"ced/internal/shard"
 )
-
-// noBound is the wire encoding of an unbounded (+Inf) pruning radius:
-// JSON cannot carry IEEE infinities, so any negative bound means "none".
-// The sentinel exists only on the wire: cedvet's boundconv analyzer
-// (internal/analysis) rejects any use of a request's Bound field outside
-// wireBound/fromWireBound and any negative literal handed to a local
-// bounded call, so the encoding cannot leak into pruning arithmetic
-// (//ced:boundconv-ok waives a reviewed line).
-const noBound = -1
-
-// wireBound encodes a pruning bound for the wire.
-func wireBound(b float64) float64 {
-	if math.IsInf(b, 1) {
-		return noBound
-	}
-	return b
-}
-
-// fromWireBound decodes a wire bound.
-func fromWireBound(b float64) float64 {
-	if b < 0 {
-		return math.Inf(1)
-	}
-	return b
-}
 
 // Wire request bodies. Slot identity rides in the URL path
 // (/shard/{slot}/...), so bodies carry only the operation payload.
@@ -67,9 +40,10 @@ type (
 	knnRequest struct {
 		Query string `json:"query"`
 		K     int    `json:"k"`
-		// Bound is the coordinator's running cross-cluster pruning radius
-		// (negative = unbounded); it seeds the slot set's merge bound.
-		Bound float64 `json:"bound"`
+		// MaxDistance is the coordinator's running cross-cluster pruning
+		// bound, a distance; null or absent is +Inf. It seeds the slot
+		// set's merge bound.
+		MaxDistance *float64 `json:"max_distance"`
 	}
 	radiusRequest struct {
 		Query  string  `json:"query"`
@@ -110,8 +84,5 @@ type (
 	dumpResponse struct {
 		Labelled bool            `json:"labelled"`
 		Elements []shard.Element `json:"elements"`
-	}
-	errorResponse struct {
-		Error string `json:"error"`
 	}
 )

@@ -76,8 +76,7 @@ type Nearest struct {
 
 // Request describes one query. Build it with KNN or Within: a pruning bound
 // of 0 and a radius of 0 are both legal questions, so the zero Request asks
-// for nothing and answers empty. "No bound" is +Inf (negative bounds stand
-// for +Inf only in the remote wire encoding).
+// for nothing and answers empty. "No bound" is +Inf.
 type Request struct {
 	k      int     // the k-NN result count (0 for a radius query)
 	bound  float64 // the k-NN pruning bound, or the radius
@@ -115,14 +114,17 @@ func (r Request) Bound() float64 { return r.bound }
 func (r Request) IsRadius() bool { return r.radius }
 
 // Validate rejects the requests no client means: a k-NN query for no
-// results and a negative radius. Indexes answer both with nothing; the
-// serving layers report them to the client instead.
+// results, a negative k-NN bound and a negative radius. Indexes answer
+// each with nothing; the serving layers report them to the client instead.
 func (r Request) Validate() error {
 	if r.radius && r.bound < 0 {
 		return fmt.Errorf("radius must be non-negative (got %g)", r.bound)
 	}
 	if !r.radius && r.k <= 0 {
 		return fmt.Errorf("k must be positive (got %d)", r.k)
+	}
+	if !r.radius && r.bound < 0 {
+		return fmt.Errorf("bound must be non-negative (got %g)", r.bound)
 	}
 	return nil
 }

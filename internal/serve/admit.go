@@ -152,7 +152,7 @@ func (g *Gate) Fail(w http.ResponseWriter, err error) {
 	case errors.As(err, &se):
 		status = se.Status
 	}
-	writeError(w, status, err)
+	WriteError(w, status, err)
 }
 
 // OverloadInfo is the /healthz overload block.

@@ -120,23 +120,23 @@ func NewMux(c Corpus, g *Gate) *http.ServeMux {
 			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, knnResponse{Results: Neighbors(hits), queryMeta: meta(st, start), degradedMeta: dm})
+		WriteJSON(w, http.StatusOK, knnResponse{Results: Neighbors(hits), queryMeta: meta(st, start), degradedMeta: dm})
 	}
 	mux.HandleFunc("POST /knn", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req knnRequest
-		if decode(w, r, &req) {
+		if DecodeJSON(w, r, maxBodyBytes, &req) {
 			answer(ctx, w, req.Query, search.KNN(req.K, math.Inf(1)))
 		}
 	}))
 	mux.HandleFunc("POST /radius", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req radiusRequest
-		if decode(w, r, &req) {
+		if DecodeJSON(w, r, maxBodyBytes, &req) {
 			answer(ctx, w, req.Query, search.Within(req.Radius))
 		}
 	}))
 	mux.HandleFunc("POST /classify", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req classifyRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		start := time.Now()
@@ -146,19 +146,19 @@ func NewMux(c Corpus, g *Gate) *http.ServeMux {
 			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, classifyResponse{Prediction: p, queryMeta: meta(st, start), degradedMeta: dm})
+		WriteJSON(w, http.StatusOK, classifyResponse{Prediction: p, queryMeta: meta(st, start), degradedMeta: dm})
 	}))
 	mux.HandleFunc("POST /add", func(w http.ResponseWriter, r *http.Request) {
 		var req addRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		if req.Value == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("add needs a \"value\" field"))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("add needs a \"value\" field"))
 			return
 		}
 		if c.Labelled() && req.Label == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("the corpus is labelled; add needs a \"label\" field"))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("the corpus is labelled; add needs a \"label\" field"))
 			return
 		}
 		label := 0
@@ -170,15 +170,15 @@ func NewMux(c Corpus, g *Gate) *http.ServeMux {
 			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, mutateResponse{ID: id, Size: c.Size()})
+		WriteJSON(w, http.StatusOK, mutateResponse{ID: id, Size: c.Size()})
 	})
 	mux.HandleFunc("POST /delete", func(w http.ResponseWriter, r *http.Request) {
 		var req deleteRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		if req.ID == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("delete needs an \"id\" field"))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("delete needs an \"id\" field"))
 			return
 		}
 		deleted, err := c.Delete(r.Context(), *req.ID)
@@ -187,10 +187,10 @@ func NewMux(c Corpus, g *Gate) *http.ServeMux {
 			return
 		}
 		if !deleted {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no live element with id %d", *req.ID))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no live element with id %d", *req.ID))
 			return
 		}
-		writeJSON(w, http.StatusOK, mutateResponse{ID: *req.ID, Size: c.Size()})
+		WriteJSON(w, http.StatusOK, mutateResponse{ID: *req.ID, Size: c.Size()})
 	})
 	return mux
 }
@@ -214,22 +214,22 @@ func NewHandler(e *Engine) http.Handler {
 	g := e.gate
 	mux := NewMux(e, g)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Info: e.Info()})
+		WriteJSON(w, http.StatusOK, healthResponse{Status: "ok", Info: e.Info()})
 	})
 	mux.HandleFunc("POST /distance", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req distanceRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		start := time.Now()
 		d, st := e.Distance(req.A, req.B)
-		writeJSON(w, http.StatusOK, distanceResponse{
+		WriteJSON(w, http.StatusOK, distanceResponse{
 			Metric: e.m.Name(), Distance: d, queryMeta: meta(st, start),
 		})
 	}))
 	mux.HandleFunc("POST /distance/batch", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req batchDistanceRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		start := time.Now()
@@ -238,13 +238,13 @@ func NewHandler(e *Engine) http.Handler {
 			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, batchDistanceResponse{
+		WriteJSON(w, http.StatusOK, batchDistanceResponse{
 			Metric: e.m.Name(), Distances: ds, queryMeta: meta(st, start),
 		})
 	}))
 	mux.HandleFunc("POST /knn/batch", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req batchKNNRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		start := time.Now()
@@ -253,11 +253,11 @@ func NewHandler(e *Engine) http.Handler {
 			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, batchKNNResponse{Results: ns, queryMeta: meta(st, start)})
+		WriteJSON(w, http.StatusOK, batchKNNResponse{Results: ns, queryMeta: meta(st, start)})
 	}))
 	mux.HandleFunc("POST /classify/batch", g.Query(func(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 		var req batchClassifyRequest
-		if !decode(w, r, &req) {
+		if !DecodeJSON(w, r, maxBodyBytes, &req) {
 			return
 		}
 		start := time.Now()
@@ -266,20 +266,20 @@ func NewHandler(e *Engine) http.Handler {
 			g.Fail(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, batchClassifyResponse{Results: ps, queryMeta: meta(st, start)})
+		WriteJSON(w, http.StatusOK, batchClassifyResponse{Results: ps, queryMeta: meta(st, start)})
 	}))
 	mux.HandleFunc("POST /snapshot/save", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if !e.StoreConfigured() {
-			writeError(w, http.StatusBadRequest, errNoStore)
+			WriteError(w, http.StatusBadRequest, errNoStore)
 			return
 		}
 		stats, err := e.SaveToStore(r.Context())
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, snapshotResponse{
+		WriteJSON(w, http.StatusOK, snapshotResponse{
 			Seq: stats.Seq, Bytes: stats.BytesUploaded,
 			Uploaded:  stats.BasesUploaded + stats.OvlsUploaded,
 			Skipped:   stats.BasesSkipped + stats.OvlsSkipped,
@@ -290,22 +290,22 @@ func NewHandler(e *Engine) http.Handler {
 	mux.HandleFunc("POST /snapshot/load", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if !e.StoreConfigured() {
-			writeError(w, http.StatusBadRequest, errNoStore)
+			WriteError(w, http.StatusBadRequest, errNoStore)
 			return
 		}
 		size, err := e.LoadFromStore(r.Context())
 		switch {
 		case errors.Is(err, shard.ErrNoSnapshot):
-			writeError(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 			return
 		case err != nil:
 			// A store that holds snapshots but cannot serve one — torn or
 			// corrupt, too new, saved under another metric or index, or
 			// unreachable — is a server-side fault, not a missing resource.
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, snapshotResponse{
+		WriteJSON(w, http.StatusOK, snapshotResponse{
 			Seq: e.Info().Snapshot.LastSeq, Size: size,
 			LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
 		})
@@ -438,15 +438,17 @@ func meta(st Stats, start time.Time) queryMeta {
 	}
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of every error answer, on the client routes
+// and on the shard transport alike.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// decode parses a JSON request body into dst, rejecting unknown fields and
-// oversized bodies. On failure it writes the error response and returns
-// false.
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+// DecodeJSON parses a JSON request body of at most limit bytes into dst,
+// rejecting unknown fields. On failure it writes the error response (413
+// for an oversized body, 400 otherwise) and returns false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, dst any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -455,17 +457,19 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, fmt.Errorf("invalid request body: %w", err))
+		WriteError(w, status, fmt.Errorf("invalid request body: %w", err))
 		return false
 	}
 	return true
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+// WriteError answers status with err's message as an ErrorResponse.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
+// WriteJSON answers status with body encoded as JSON.
+func WriteJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// Encoding these response types cannot fail; a broken connection is

@@ -555,7 +555,7 @@ func TestSnapshotStoreCorruptLoad(t *testing.T) {
 		}
 		srv := httptest.NewServer(NewHandler(e))
 		want := engineAnswers(t, e, storeProbes)
-		var out errorResponse
+		var out ErrorResponse
 		if code := postJSON(t, srv, "/snapshot/load", "", &out); code != tc.want {
 			t.Errorf("%s: /snapshot/load status %d (%s), want %d", tc.name, code, out.Error, tc.want)
 		}

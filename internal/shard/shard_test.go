@@ -156,8 +156,9 @@ func TestQueriesSeeMutationsImmediately(t *testing.T) {
 
 func TestTombstonesDoNotCrowdOutLiveResults(t *testing.T) {
 	// Delete the 3 nearest elements to the query; a k=3 query must then
-	// return the next 3 live ones, not fewer, and a k near math.MaxInt
-	// every live one (the per-tombstone over-fetch must not wrap).
+	// return the next 3 live ones, not fewer, and a k of math.MaxInt every
+	// live one: the base query masks the tombstones out rather than
+	// spending its k on them.
 	s := newTestSet(t, unitCorpus, nil, 1)
 	hits, _ := knn(s, []rune("cas"), 3)
 	for _, h := range hits {

@@ -19,8 +19,11 @@ import (
 //     with ==, not a tolerance;
 //   - for every window in [0, m+n], ComputeWindowed equals the full band
 //     through finishBand at kmax = min(dE + window, m+n), compared with ==,
-//     and it claims Exact only where that result is Compute's.
-func checkBandKernelsAgree(t *testing.T, x, y []rune) {
+//     and it claims Exact only where that result is Compute's;
+//   - at kmax ≤ K the sweep finds the same final band on the suffix
+//     distances the heuristic records under a band of K operations, K
+//     clamped to [dE, m+n], over a matrix whose other cells hold garbage.
+func checkBandKernelsAgree(t *testing.T, x, y []rune, band int) {
 	t.Helper()
 	m, n := len(x), len(y)
 	gap := m - n
@@ -29,6 +32,13 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 	}
 	de := editdist.Distance(x, y)
 	suf := suffixEditsReference(x, y)
+	band = min(max(band, de), m+n)
+	sufBand := make([]int32, len(suf))
+	for i := range sufBand {
+		sufBand[i] = -7
+	}
+	var rec Workspace
+	rec.heuristic(x, y, sufBand, band)
 	var fresh Workspace
 	full := fresh.bandSweep(x, y, suf, m+n)
 	for k := 0; k < de; k++ {
@@ -47,13 +57,18 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 	}
 
 	// One workspace across every kmax, widest first, so stale cells left by
-	// a wider band are in play when a narrower one runs.
+	// a wider band are in play when a narrower one runs. From K down the
+	// sweep reads the banded heuristic's suffix distances.
 	for kmax := m + n + 3; kmax >= gap; kmax-- {
-		banded := w.bandSweep(x, y, suf, kmax)
+		s := suf
+		if kmax <= band {
+			s = sufBand
+		}
+		banded := w.bandSweep(x, y, s, kmax)
 		for k := gap; k <= min(kmax, m+n); k++ {
 			if banded[k] != full[k] {
-				t.Fatalf("band kmax=%d diverged from the full band for %q %q at k=%d: %d != %d",
-					kmax, string(x), string(y), k, banded[k], full[k])
+				t.Fatalf("band kmax=%d (heuristic band %d) diverged from the full band for %q %q at k=%d: %d != %d",
+					kmax, band, string(x), string(y), k, banded[k], full[k])
 			}
 		}
 	}
@@ -76,13 +91,14 @@ func checkBandKernelsAgree(t *testing.T, x, y []rune) {
 }
 
 // TestBandKernelsAgree drives the band checks over random pairs on small
-// and large alphabets.
+// and large alphabets, each under a random heuristic band.
 func TestBandKernelsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(401))
 	alphabets := [][]rune{[]rune("a"), []rune("ab"), []rune("acgt"), []rune("abcdefgh")}
 	for i := 0; i < 300; i++ {
 		alpha := alphabets[i%len(alphabets)]
-		checkBandKernelsAgree(t, randomString(r, 24, alpha), randomString(r, 24, alpha))
+		x, y := randomString(r, 24, alpha), randomString(r, 24, alpha)
+		checkBandKernelsAgree(t, x, y, r.Intn(len(x)+len(y)+1))
 	}
 }
 
@@ -98,6 +114,8 @@ func TestBandKernelsAgreeAdversarial(t *testing.T) {
 		{"abcdefghijklmnop", "ponmlkjihgfedcba"},
 	}
 	for _, c := range cases {
-		checkBandKernelsAgree(t, []rune(c[0]), []rune(c[1]))
+		x, y := []rune(c[0]), []rune(c[1])
+		checkBandKernelsAgree(t, x, y, 0)
+		checkBandKernelsAgree(t, x, y, len(x)+len(y))
 	}
 }

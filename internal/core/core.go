@@ -116,6 +116,28 @@ func DistanceBoundedStaged(x, y []rune, cutoff float64) (float64, bool, Stage) {
 	return o.d, o.exact, o.stage
 }
 
+// EditBracket returns the interval Lemma 1 puts around dC(x, y) once the
+// edit distance is known: it resolves dE(x, y) exactly with the
+// bit-parallel Myers kernel, O(|x|·⌈|y|/64⌉), and returns
+//
+//	lo = the cheapest dE-operation path's cost,
+//	hi = the dE-operation path with the fewest insertions' cost,
+//
+// with lo ≤ Distance(x, y) and HeuristicCompute(x, y).Distance ≤ hi as
+// computed, not only up to rounding: lo is the value Compute's sweep
+// reaches at that decomposition, and hi the value the heuristic reaches at
+// its own. A searcher that needs only to bound dC pays for one dE instead
+// of a quadratic program.
+func EditBracket(x, y []rune) (lo, hi float64) {
+	b := withWorkspace(func(w *Workspace) [2]float64 {
+		m, n := len(x), len(y)
+		de := w.ed.MyersBounded(x, y, max(m, n))
+		h := w.harmonic(m + n)
+		return [2]float64{pathLowerBound(h, m, n, de), pathUpperBound(h, m, n, de)}
+	})
+	return b[0], b[1]
+}
+
 // Compute runs the exact Algorithm 1 — pruned to the edit-length band
 // derived from the §4.1 heuristic upper bound and running on pooled scratch
 // memory (see workspace.go) — and returns the full decomposition of the

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"ced/internal/dataset"
 	"ced/internal/editdist"
 )
 
@@ -177,21 +179,71 @@ func FuzzLadderInvariants(f *testing.F) {
 	})
 }
 
+// checkEditBracket requires EditBracket's ends to hold the computed values
+// they bound, with no tolerance: lo ≤ Distance and HeuristicCompute ≤ hi.
+// A searcher that skips a candidate on lo > τ, or trusts hi as a distance
+// no larger than the heuristic's, relies on exactly these comparisons.
+func checkEditBracket(t *testing.T, x, y []rune) {
+	t.Helper()
+	lo, hi := EditBracket(x, y)
+	if d := Distance(x, y); !(lo <= d) {
+		t.Fatalf("bracket low end %v above dC %v for %q %q", lo, d, string(x), string(y))
+	}
+	if d := Heuristic(x, y); !(d <= hi) {
+		t.Fatalf("bracket high end %v below dC,h %v for %q %q", hi, d, string(x), string(y))
+	}
+}
+
+// TestEditBracket checks the bracket over random pairs on alphabets of one
+// to eight symbols, lengths up to 60, and over every pair of forty digit
+// contours.
+func TestEditBracket(t *testing.T) {
+	r := rand.New(rand.NewSource(907))
+	alphabet := []rune("abcdefgh")
+	for i := 0; i < 4000; i++ {
+		alpha := alphabet[:1+i%len(alphabet)]
+		checkEditBracket(t, randomString(r, 60, alpha), randomString(r, 60, alpha))
+	}
+	contours := dataset.Digits(dataset.DigitsConfig{Count: 40, Grid: 32}, 3).Runes()
+	for i, x := range contours {
+		for _, y := range contours[i:] {
+			checkEditBracket(t, x, y)
+		}
+	}
+}
+
+// FuzzEditBracket is the fuzzed form of TestEditBracket.
+func FuzzEditBracket(f *testing.F) {
+	f.Add("ababa", "baab")
+	f.Add("", "abc")
+	f.Add("a", "b")
+	f.Add("ñandú", "nandu")
+	f.Add("aaaaaaaaaa", "a")
+	f.Fuzz(func(t *testing.T, sx, sy string) {
+		x, y := []rune(sx), []rune(sy)
+		if len(x) > 64 || len(y) > 64 {
+			t.Skip()
+		}
+		checkEditBracket(t, x, y)
+	})
+}
+
 // FuzzBandKernels runs the Stage 3 band sweep on fuzzed pairs at every
 // band width from |m−n| to m+n+3 and demands cell-identical final bands
-// against the full-band sweep, a reference-identical result from the full
-// band, and the windowed kernel's result at every window (see
+// against the full-band sweep, also on the suffix distances of a fuzzed
+// heuristic band, a reference-identical result from the full band, and
+// the windowed kernel's result at every window (see
 // checkBandKernelsAgree).
 func FuzzBandKernels(f *testing.F) {
-	f.Add("ababa", "baab")
-	f.Add("abcabcabcabc", "cbacbacba")
-	f.Add("aaaaaaaaaaaaaaaaaaaaaaaa", "b")
-	f.Fuzz(func(t *testing.T, sx, sy string) {
+	f.Add("ababa", "baab", 3)
+	f.Add("abcabcabcabc", "cbacbacba", 8)
+	f.Add("aaaaaaaaaaaaaaaaaaaaaaaa", "b", 0)
+	f.Fuzz(func(t *testing.T, sx, sy string, band int) {
 		x, y := []rune(sx), []rune(sy)
 		if len(x) > 32 || len(y) > 32 {
 			t.Skip()
 		}
-		checkBandKernelsAgree(t, x, y)
+		checkBandKernelsAgree(t, x, y, band)
 	})
 }
 

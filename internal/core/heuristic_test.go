@@ -94,27 +94,43 @@ func suffixEditsReference(x, y []rune) []int32 {
 }
 
 // checkHeuristicMatchesReference runs the backward kernel both ways on w —
-// recording the suffix matrix and on its one scratch row — and requires
-// each Result to equal heuristicReference's (compared with ==) and the
-// recorded matrix to equal suffixEditsReference's, cell by cell. The
-// matrix is pre-filled with garbage, so a cell the kernel skips shows.
-func checkHeuristicMatchesReference(t *testing.T, w *Workspace, x, y []rune) {
+// recording the suffix matrix under a band of K operations, K clamped to
+// [dE, |x|+|y|], and on its one scratch row — and requires each Result to
+// equal heuristicReference's (compared with ==). In the recorded matrix
+// every tube cell, whose prefix and suffix edit distances sum to at most
+// K, must hold suffixEditsReference's value, and every cell within K+2
+// operations (the band and one diagonal past each side, which the band
+// sweep may read) no less. The matrix is pre-filled with garbage, so a
+// cell the kernel skips shows.
+func checkHeuristicMatchesReference(t *testing.T, w *Workspace, x, y []rune, band int) {
 	t.Helper()
+	m, n := len(x), len(y)
 	want := heuristicReference(x, y)
+	band = min(max(band, want.K), m+n)
 	wantSuf := suffixEditsReference(x, y)
+	// The prefix distances dE(x[:i], y[:j]) are the reversed strings'
+	// suffix distances at (m−i, n−j).
+	pre := suffixEditsReference(reversed(x), reversed(y))
 	suf := make([]int32, len(wantSuf))
 	for i := range suf {
 		suf[i] = -7
 	}
-	if got := w.heuristic(x, y, suf); got != want {
-		t.Fatalf("recording heuristic diverged for %q %q:\n got %+v\nwant %+v", string(x), string(y), got, want)
+	if got := w.heuristic(x, y, suf, band); got != want {
+		t.Fatalf("recording heuristic (band %d) diverged for %q %q:\n got %+v\nwant %+v", band, string(x), string(y), got, want)
 	}
-	if !slices.Equal(suf, wantSuf) {
-		stride := len(y) + 1
-		for c := range suf {
-			if suf[c] != wantSuf[c] {
-				t.Fatalf("suffix distance at (%d, %d) for %q %q: got %d, want %d",
-					c/stride, c%stride, string(x), string(y), suf[c], wantSuf[c])
+	stride := n + 1
+	for i := 0; i <= m; i++ {
+		for j := 0; j <= n; j++ {
+			c := i*stride + j
+			p, s := int(pre[(m-i)*stride+n-j]), int(wantSuf[c])
+			d := i - j
+			switch {
+			case p+s <= band && suf[c] != wantSuf[c]:
+				t.Fatalf("band %d: tube suffix distance at (%d, %d) for %q %q: got %d, want %d",
+					band, i, j, string(x), string(y), suf[c], wantSuf[c])
+			case abs(d)+abs(m-n-d) <= band+2 && suf[c] < wantSuf[c]:
+				t.Fatalf("band %d: suffix distance at (%d, %d) for %q %q: got %d, below %d",
+					band, i, j, string(x), string(y), suf[c], wantSuf[c])
 			}
 		}
 	}
@@ -123,8 +139,17 @@ func checkHeuristicMatchesReference(t *testing.T, w *Workspace, x, y []rune) {
 	}
 }
 
+func reversed(s []rune) []rune {
+	r := slices.Clone(s)
+	slices.Reverse(r)
+	return r
+}
+
+func abs(v int) int { return max(v, -v) }
+
 // TestHeuristicMatchesReference is the deterministic companion of
-// FuzzHeuristicMatchesReference, on one reused workspace across sizes.
+// FuzzHeuristicMatchesReference, on one reused workspace across sizes and
+// bands: the whole grid, then a random band.
 func TestHeuristicMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(601))
 	alphabets := [][]rune{[]rune("a"), []rune("ab"), []rune("acgt"), []rune("abcdefgh")}
@@ -132,26 +157,28 @@ func TestHeuristicMatchesReference(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		alpha := alphabets[i%len(alphabets)]
 		maxLen := []int{30, 3, 48, 0, 12}[i%5]
-		checkHeuristicMatchesReference(t, &w, randomString(r, maxLen, alpha), randomString(r, maxLen, alpha))
+		x, y := randomString(r, maxLen, alpha), randomString(r, maxLen, alpha)
+		checkHeuristicMatchesReference(t, &w, x, y, len(x)+len(y))
+		checkHeuristicMatchesReference(t, &w, x, y, r.Intn(len(x)+len(y)+1))
 	}
 }
 
 // FuzzHeuristicMatchesReference is the differential fuzz for the §4.1
-// kernel: the backward packed-key program must return heuristicReference's
-// Result and record suffixEditsReference's suffix distances (see
-// checkHeuristicMatchesReference).
+// kernel: the backward packed-key program under any band must return
+// heuristicReference's Result and record suffixEditsReference's suffix
+// distances on the tube (see checkHeuristicMatchesReference).
 func FuzzHeuristicMatchesReference(f *testing.F) {
-	f.Add("ababa", "baab")
-	f.Add("", "abc")
-	f.Add("abc", "")
-	f.Add("ñandú", "nandu")
-	f.Add("abcabcabcabc", "cbacbacba")
-	f.Fuzz(func(t *testing.T, sx, sy string) {
+	f.Add("ababa", "baab", 9)
+	f.Add("", "abc", 0)
+	f.Add("abc", "", 1)
+	f.Add("ñandú", "nandu", 2)
+	f.Add("abcabcabcabc", "cbacbacba", 5)
+	f.Fuzz(func(t *testing.T, sx, sy string, band int) {
 		x, y := []rune(sx), []rune(sy)
 		if len(x) > 64 || len(y) > 64 {
 			t.Skip()
 		}
 		var w Workspace
-		checkHeuristicMatchesReference(t, &w, x, y)
+		checkHeuristicMatchesReference(t, &w, x, y, band)
 	})
 }

@@ -14,12 +14,18 @@ package core
 //	                                 length and the bounded Myers kernel
 //	                                 (internal/editdist) resolves dE against
 //	                                 it, early-exiting on far pairs.
-//	Stage 2 (heuristic, O(|x|·|y|)): the §4.1 dC,h upper bound collapses the
-//	                                 edit-length band; when the cutoff-
-//	                                 tightened band is empty beyond dE the
-//	                                 candidate resolves without the exact DP.
-//	                                 Its backward pass also records the
-//	                                 suffix edit distances stage 3 needs.
+//	Stage 2 (heuristic, O(K·(|x|+|y|))): the §4.1 dC,h upper bound
+//	                                 collapses the edit-length band; when
+//	                                 the cutoff-tightened band is empty
+//	                                 beyond dE the candidate resolves
+//	                                 without the exact DP. Its backward
+//	                                 pass also records the suffix edit
+//	                                 distances stage 3 needs. Once stage 1
+//	                                 has resolved dE it visits only the
+//	                                 cells within K operations, K the
+//	                                 widest stage 3 band dE's bracket and
+//	                                 the cutoff allow; otherwise the whole
+//	                                 |x|·|y| grid.
 //	Stage 3 (exact, O(tube)):        the banded Algorithm 1 sweep, entered
 //	                                 with the band narrowed on both ends
 //	                                 (kmin = dE from stage 1/2, kmax from the
@@ -121,19 +127,25 @@ func (w *Workspace) ComputeBoundedStaged(x, y []rune, cutoff float64) (Result, b
 	// admits every feasible edit length (kcut >= max(m, n) >= dE) the scan
 	// cannot reject and is skipped — dE falls out of the heuristic anyway.
 	kcut := kBand(h, m, n, cutoff, gap)
+	band := m + n // the cells Stage 2 visits: the whole grid
 	if maxLen := max(m, n); kcut < maxLen {
-		if de := w.ed.MyersBounded(x, y, kcut); de > kcut {
+		de := w.ed.MyersBounded(x, y, kcut)
+		if de > kcut {
 			// dE > kcut, so every feasible edit length is beyond the band the
 			// cutoff admits: dC >= pathLowerBound(h, m, n, dE) > cutoff.
 			return Result{Distance: upperBound(h, m, n)}, false, StageEdit
 		}
+		// dE is known, and pathUpperBound(dE) >= dC,h caps the band of
+		// Stage 3 from above before the heuristic runs, so Stage 2 visits
+		// only the cells a path of at most that many operations crosses.
+		band = min(kcut, kBand(h, m, n, pathUpperBound(h, m, n, de), de))
 	}
 
 	// Stage 2: the quadratic heuristic. Its edit length is the exact dE
 	// (tightening the ladder's k lower bound to a definite value) and its
 	// distance is an upper bound of dC that caps the band from above.
 	suf := grow(&w.suf, (m+1)*(n+1))
-	hres := w.heuristic(x, y, suf)
+	hres := w.heuristic(x, y, suf, band)
 	if pathLowerBound(h, m, n, hres.K) > cutoff+bailSlack {
 		// Only reachable in the slack window stage 1 refuses to decide
 		// (bandSlack-conservative versus this bailSlack comparison).

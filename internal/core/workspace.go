@@ -13,7 +13,9 @@ import (
 // §4.1 heuristic run backward (Workspace.heuristic): that one pass yields
 // dE, the dC,h bound that sets the band, and the suffix edit distances the
 // band sweep closes its cells with, and the sweep then visits only the
-// cells a winning path can cross (band.go).
+// cells a winning path can cross (band.go). Under a cutoff, once the
+// ladder's edit rung knows dE, the pass itself covers only the cells that
+// band can reach (ladder.go).
 //
 // The pruning argument is the paper's own Lemma 1. A path with exactly k
 // operations, ni of them insertions, costs at least the closed formula of
@@ -31,7 +33,11 @@ import (
 // For ns* = 0 this is the harmonic indel cost 2H(L) − H(|x|) − H(|y|) of
 // Pepin's harmonic edit distance (arXiv:2011.04072). pathLowerBound
 // evaluates it. It is monotone in k and never below 2k/(|x|+|y|+k), the
-// bound every operation costing at least 1/a gives. dC,h — the §4.1
+// bound every operation costing at least 1/a gives. The same trade puts
+// the maximum over the decompositions of k at the fewest insertions,
+// max(0, |y|−|x|), which pathUpperBound evaluates. At k = dE that is at
+// least dC,h, the cost of one real dE-length path's own decomposition, so
+// once dE is known, dC lies between the two (EditBracket). dC,h — the §4.1
 // heuristic, an upper bound of dC that Compute evaluates anyway as the
 // k = dE candidate — is fixed, so every k beyond
 //
@@ -132,6 +138,21 @@ func pathLowerBound(h []float64, m, n, k int) float64 {
 	return d
 }
 
+// pathUpperBound returns the contextual cost of the k-operation
+// decomposition with the fewest insertions, max(0, n−m), from a length-m
+// string to a length-n string, k ≥ |m−n| (see the file comment). h is a
+// harmonic prefix covering [0, max(m, n)]. The terms are summed in the
+// order heuristic sums its result, so when the heuristic's path has the
+// fewest insertions the two agree to the bit.
+func pathUpperBound(h []float64, m, n, k int) float64 {
+	a := max(m, n) // m + the fewest insertions
+	d := h[a] - h[m] + h[a] - h[n]
+	if ns := k - (a - m) - (a - n); ns > 0 {
+		d += float64(ns) / float64(a)
+	}
+	return d
+}
+
 // kBand returns the largest edit length not ruled out against bound: the
 // result kmax satisfies pathLowerBound(h, m, n, k) > bound + bandSlack for
 // every k in (kmax, m+n], so restricting Algorithm 1 to k ≤ kmax cannot
@@ -184,7 +205,7 @@ func (w *Workspace) ComputeWindowed(x, y []rune, window int) Result {
 	}
 	window = max(window, 0)
 	suf := grow(&w.suf, (m+1)*(n+1))
-	hres := w.heuristic(x, y, suf)
+	hres := w.heuristic(x, y, suf, m+n)
 	kmax := kBand(w.harmonic(m+n), m, n, hres.Distance, hres.K)
 	exact := kmax-hres.K <= window
 	if !exact {
@@ -233,8 +254,11 @@ func (w *Workspace) ComputeBounded(x, y []rune, cutoff float64) (Result, bool) {
 // HeuristicCompute is the workspace form of the package-level
 // HeuristicCompute: the §4.1 dC,h dynamic program on one reusable row.
 func (w *Workspace) HeuristicCompute(x, y []rune) Result {
-	return w.heuristic(x, y, nil)
+	return w.heuristic(x, y, nil, len(x)+len(y))
 }
+
+// keyOp is one operation in the heuristic's packed keys (see heuristic).
+const keyOp = 1 << 32
 
 // heuristic runs the §4.1 dynamic program backward, from (|x|, |y|) to
 // (0, 0). Cell (i, j) stands for the suffixes x[i:] and y[j:] and holds one
@@ -251,13 +275,22 @@ func (w *Workspace) HeuristicCompute(x, y []rune) Result {
 // the (k, ni) reached at (0, 0) are the forward program's and the Result
 // is the same to the bit.
 //
+// The program visits only the cells a path with at most band operations
+// can cross, |i−j| + |(|x|−|y|) − (i−j)| ≤ band; the cells outside read
+// as +∞, and band ≥ |x|+|y| is the whole grid. At band ≥ dE(x, y) every
+// shortest path stays inside, so the Result does not depend on the band.
+//
 // When suf is non-nil it must hold (|x|+1)·(|y|+1) cells, and the program
-// records each cell's k there, row-major with stride |y|+1: the suffix edit
-// distances that close the band sweep's cells (band.go). With suf nil
-// every row's distances land on one scratch row, so the program keeps
-// O(|y|) space.
-func (w *Workspace) heuristic(x, y []rune, suf []int32) Result {
-	const op = 1 << 32 // one operation, in key units
+// records each visited cell's k there, row-major with stride |y|+1: the
+// suffix edit distances that close the band sweep's cells (band.go). A
+// cell whose prefix and suffix edit distances sum to at most band keeps
+// every shortest suffix path inside the band, so it records its exact
+// suffix distance; every other visited cell records one at least as
+// large. The band sweep at kmax ≤ band reads a row at most one cell past
+// the band on either side, where the program writes tubeGap, so it finds
+// the tube the whole grid would give. With suf nil every row's distances
+// land on one scratch row, so the program keeps O(|y|) space.
+func (w *Workspace) heuristic(x, y []rune, suf []int32, band int) Result {
 	m, n := len(x), len(y)
 	stride := n + 1
 	if suf == nil {
@@ -265,31 +298,8 @@ func (w *Workspace) heuristic(x, y []rune, suf []int32) Result {
 		suf, stride = grow(&w.pre, n+1), 0
 	}
 	row := grow(&w.keys, n+1)
-	// Row i = |x|: y[j:] from the empty suffix, |y|−j insertions.
-	rec := suf[m*stride : m*stride+n+1]
-	for j := range row {
-		row[j] = int64(n-j)*op + int64(j)
-		rec[j] = int32(n - j)
-	}
-	for i := m - 1; i >= 0; i-- {
-		rec = suf[i*stride : i*stride+n+1]
-		// Column j = |y|: |x|−i deletions, no insertions.
-		diag := row[n]
-		right := int64(m-i)*op + int64(n)
-		row[n], rec[n] = right, int32(m-i)
-		xi := x[i]
-		for j := n - 1; j >= 0; j-- {
-			below := row[j]
-			best := diag + op // substitution
-			if xi == y[j] {
-				best = diag // cost-0 match
-			}
-			best = min(best, below+op, right+op-1) // deletion, insertion
-			row[j], rec[j] = best, int32(best>>32)
-			diag, right = below, best
-		}
-	}
-	k, ni := int(row[0]>>32), n-int(row[0]&(op-1))
+	heuristicRows(x, y, row, suf, stride, band)
+	k, ni := int(row[0]>>32), n-int(row[0]&(keyOp-1))
 	nd := m - n + ni
 	ns := k - ni - nd
 	h := w.harmonic(m + ni)
@@ -303,5 +313,61 @@ func (w *Workspace) heuristic(x, y []rune, suf []int32) Result {
 		Insertions:    ni,
 		Substitutions: ns,
 		Deletions:     nd,
+	}
+}
+
+// heuristicRows is heuristic's program over the rows of the band, from
+// row |x| up to row 0, leaving row 0's keys in row and recording into suf
+// with the given stride. It is a function of its own so that the loop
+// over cells keeps its values in registers: sharing one function with
+// heuristic's own values made that loop spill, and a 60-symbol pass
+// about 15% slower.
+func heuristicRows(x, y []rune, row []int64, suf []int32, stride, band int) {
+	const far = 1 << 62 // a cell outside the band: +∞ that adding keyOp cannot overflow
+	m, n := len(x), len(y)
+	// Row i keeps the columns from i − under to i + over.
+	under, over := (band+m-n)/2, (band-m+n)/2
+	// Row i = |x|: y[j:] from the empty suffix, |y|−j insertions.
+	lo := max(m-under, 0)
+	rec := suf[m*stride : m*stride+n+1]
+	if lo > 0 {
+		rec[lo-1] = tubeGap
+	}
+	for j := lo; j <= n; j++ {
+		row[j] = int64(n-j)*keyOp + int64(j)
+		rec[j] = int32(n - j)
+	}
+	for i := m - 1; i >= 0; i-- {
+		rec = suf[i*stride : i*stride+n+1]
+		lo, hi := max(i-under, 0), min(i+over, n)
+		if lo > 0 {
+			rec[lo-1] = tubeGap
+		}
+		if i >= under {
+			row[lo] = far // (i+1, lo) is past the band
+		}
+		var diag, right int64
+		top := hi // the last column the recurrence below fills
+		if hi == n {
+			// Column j = |y|: |x|−i deletions, no insertions.
+			diag, right = row[n], int64(m-i)*keyOp+int64(n)
+			row[n], rec[n] = right, int32(m-i)
+			top--
+		} else {
+			diag, right = row[hi+1], far
+			rec[hi+1] = tubeGap
+		}
+		xi := x[i]
+		ys, keys, cs := y[lo:top+1], row[lo:top+1], rec[lo:top+1]
+		for j := len(ys) - 1; j >= 0; j-- {
+			below := keys[j]
+			best := diag + keyOp // substitution
+			if xi == ys[j] {
+				best = diag // cost-0 match
+			}
+			best = min(best, below+keyOp, right+keyOp-1) // deletion, insertion
+			keys[j], cs[j] = best, int32(best>>32)
+			diag, right = below, best
+		}
 	}
 }

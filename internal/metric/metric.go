@@ -105,6 +105,21 @@ type Sessioner interface {
 	Session() Metric
 }
 
+// EditBracket returns, for a metric whose distance one exact dE brackets,
+// the function that pays for that dE and returns the bracket [lo, hi]:
+// lo ≤ Distance(a, b) ≤ hi, as computed. It is core.EditBracket for the
+// exact contextual distance — a Staged metric named "dC", so that a
+// wrapper forwarding the metric's calls keeps it — and nil for every other
+// metric, including plain functions registered under that name. A
+// searcher bounds a candidate with it where the exact distance may not be
+// needed.
+func EditBracket(m Metric) func(a, b []rune) (lo, hi float64) {
+	if _, ok := m.(Staged); ok && m.Name() == "dC" {
+		return core.EditBracket
+	}
+	return nil
+}
+
 type funcMetric struct {
 	name string
 	fn   func(a, b []rune) float64
@@ -329,9 +344,10 @@ func (s *contextualHeuristicSession) Distance(a, b []rune) float64 {
 
 // ContextualHeuristic returns the quadratic heuristic dC,h of §4.1, the
 // variant the paper uses for all large experiments. It implements Sessioner
-// (per-goroutine workspaces). It does not implement Staged: dC,h is
-// the cost of the single k = dE path, and the whole quadratic program must
-// run before that path is known — a cutoff saves nothing.
+// (per-goroutine workspaces). It does not implement Staged yet, although a
+// cutoff could save work: dC,h is the cost of one real path, so
+// dC,h ≥ dC ≥ lb(dE) ≥ lb(||a|−|b||) (Lemma 1), and the ladder's length
+// and edit rungs could reject it before the quadratic program runs.
 func ContextualHeuristic() Metric {
 	return contextualHeuristicMetric{}
 }

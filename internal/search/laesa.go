@@ -23,17 +23,21 @@ import (
 // equal bounds resolve by corpus index. A radius query walks its
 // survivors in corpus order, which evaluates the same candidates.
 //
-// When the underlying distance is not a metric (dmax, and possibly dC,h and
-// dMV), the lower bounds are not sound and LAESA may return a non-nearest
+// When the underlying distance is not a metric (dmax, dmin and dsum, which
+// break the triangle inequality, and dC,h, which is not proven to satisfy
+// it), the lower bounds are not sound and LAESA may return a non-nearest
 // neighbour; the paper knowingly runs those distances through LAESA anyway
 // and compares error rates, and so does this implementation.
 type LAESA struct {
 	corpus [][]rune
 	m      metric.Metric // the shared metric (exact pivot evaluations, persistence)
 	eval   evaluator
-	pivots []int       // corpus indices of the base prototypes
-	rows   [][]float64 // rows[p][i] = d(corpus[pivots[p]], corpus[i])
-	rowOf  []int       // rowOf[i] = row index of pivot i, -1 for non-pivots
+	// bracket bounds a pivot's distance from one dE (metric.EditBracket),
+	// nil when the metric has no such bracket.
+	bracket func(a, b []rune) (lo, hi float64)
+	pivots  []int       // corpus indices of the base prototypes
+	rows    [][]float64 // rows[p][i] = d(corpus[pivots[p]], corpus[i])
+	rowOf   []int       // rowOf[i] = row index of pivot i, -1 for non-pivots
 
 	// pivotOrder lists the pivots' corpus indices in ascending order: the
 	// live list every query's pivot phase starts from.
@@ -59,6 +63,7 @@ func newLAESA(corpus [][]rune, m metric.Metric, pivots []int, rows [][]float64, 
 		corpus:                 corpus,
 		m:                      m,
 		eval:                   newEvaluator(m),
+		bracket:                metric.EditBracket(m),
 		pivots:                 pivots,
 		rows:                   rows,
 		rowOf:                  rowOfPivots(len(corpus), pivots),
@@ -86,9 +91,11 @@ func rowOfPivots(n int, pivots []int) []int {
 // bit-identical for any worker count (NewLAESAWorkers controls the count).
 //
 // A query runs in two phases (see Query). The pivot phase evaluates base
-// prototypes exactly, smallest (bound, corpus index) first, since their
-// distances feed the triangle-inequality bounds of the remaining
-// candidates; it scans only the pivots. The walk phase then visits the
+// prototypes, smallest (bound, corpus index) first, since their distances
+// feed the triangle-inequality bounds of the remaining candidates; it
+// scans only the pivots. Under dC, once the pruning bound is finite, a
+// pivot is first bracketed by its edit distance and evaluated only when
+// the bracket admits it as a hit. The walk phase then visits the
 // surviving non-pivots once: a k-NN query in (bound, corpus index) order,
 // a radius query in corpus order. When the metric implements
 // metric.Staged the walk evaluates each under the current pruning bound: a
@@ -172,10 +179,17 @@ func (s *LAESA) KNearest(q []rune, k int) []Result { return kNearest(s, q, k) }
 // distance so far).
 //
 //  1. Pivot phase. While a live base prototype remains, select the one
-//     with the smallest (g, corpus index), compute its distance exactly,
-//     tighten every bound with its row in one pass, and eliminate the live
-//     pivots whose bound exceeds τ. Selection and elimination scan only
-//     the pivots.
+//     with the smallest (g, corpus index), compute its distance, tighten
+//     every bound with its row in one pass, and eliminate the live pivots
+//     whose bound exceeds τ. Selection and elimination scan only the
+//     pivots. While τ = +Inf, and for every metric without a bracket
+//     (metric.EditBracket), the distance is exact. Otherwise one exact dE
+//     brackets it, lo ≤ d(q, p) ≤ hi, and the row tightens each bound to
+//     max(lo − d(p, u), d(p, u) − hi); only when lo ≤ τ, so that p can be
+//     a hit, is p evaluated through the ladder under τ, and an exact value
+//     then replaces the bracket. The bracket and its continuation count
+//     as one computation, and a bracket with lo > τ as an edit-rung
+//     rejection.
 //  2. Walk phase. Only pivots tighten bounds, so once none is live every
 //     non-pivot's bound is final, and the survivors are the non-pivots
 //     with g ≤ τ. A k-NN query evaluates them in (g, corpus index) order
@@ -201,10 +215,11 @@ func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error
 	sc := s.checkoutScratch()
 	defer s.scratch.Put(sc)
 
-	// Pivot phase: pivots need their exact distance, since it tightens
+	// Pivot phase: a pivot's distance, or the bracket around it, tightens
 	// every remaining bound. Each evaluated pivot's row tightens g in one
-	// dense pass; a NaN lb never enters g, and g stays ≥ +0, so
-	// math.Float64bits orders it numerically.
+	// dense, branch-free pass, lb = max(lo − x, x − hi), which is |d − x|
+	// for an exact d; a NaN lb (|Inf − Inf|) never enters g, and g stays
+	// ≥ +0, so math.Float64bits orders it numerically.
 	live, g := sc.live, sc.g
 	for len(live) > 0 {
 		if c.chk.Hit() {
@@ -217,12 +232,24 @@ func (s *LAESA) Query(ctx context.Context, q []rune, req Request) (Answer, error
 			}
 		}
 		u := live[sel]
-		c.st.Computations++
-		d := s.m.Distance(q, s.corpus[u])
-		c.offer(u, d)
+		var lo, hi float64
+		if s.bracket == nil || math.IsInf(c.tau, 1) {
+			c.st.Computations++
+			lo = s.m.Distance(q, s.corpus[u])
+			hi = lo
+			c.offer(u, lo)
+		} else if lo, hi = s.bracket(q, s.corpus[u]); lo <= c.tau {
+			if d, exact := c.eval(s.eval, q, s.corpus[u], c.tau); exact {
+				lo, hi = d, d
+				c.offer(u, d)
+			}
+		} else {
+			c.st.Computations++
+			c.st.Rejections[metric.StageEdit]++
+		}
 		for v, x := range s.rows[s.rowOf[u]][:len(g)] {
-			if lb := math.Abs(d - x); lb > g[v] {
-				g[v] = lb
+			if lb := max(lo-x, x-hi); lb == lb {
+				g[v] = max(g[v], lb)
 			}
 		}
 		w := live[:0]

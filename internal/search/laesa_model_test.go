@@ -9,18 +9,50 @@ import (
 	"sort"
 	"testing"
 
+	"ced/internal/core"
+	"ced/internal/editdist"
 	"ced/internal/metric"
 )
+
+// modelBracket is the bracket Lemma 1 puts around dC(a, b), written from
+// its definition: with k = dE(a, b), m = |a|, n = |b| and the harmonic
+// numbers H,
+//
+//	lo = 2H(L) − H(m) − H(n) + s/L,  L = m + ⌊(k+n−m)/2⌋,  s = (k+n−m) mod 2
+//	hi = 2H(M) − H(m) − H(n) + (k − |m−n|)/M,  M = max(m, n)
+//
+// the cheapest k-operation path and the one with the fewest insertions,
+// summed in the kernel's order.
+func modelBracket(a, b []rune) (lo, hi float64) {
+	k, m, n := editdist.Distance(a, b), len(a), len(b)
+	l := m + (k+n-m)/2
+	lo = core.Harmonic(l) - core.Harmonic(m) + core.Harmonic(l) - core.Harmonic(n)
+	if (k+n-m)%2 != 0 {
+		lo += 1 / float64(l)
+	}
+	mx := max(m, n)
+	hi = core.Harmonic(mx) - core.Harmonic(m) + core.Harmonic(mx) - core.Harmonic(n)
+	if ns := k - (mx - m) - (mx - n); ns > 0 {
+		hi += float64(ns) / float64(mx)
+	}
+	return lo, hi
+}
 
 // modelLAESA answers a query over la's corpus, pivots and pivot rows the
 // way LAESA is defined, with no bookkeeping beyond the definition: O(n) per
 // step and O(n²) per query. While a live pivot remains, it takes the live
-// pivot with the smallest (g, corpus index), evaluates it exactly and
-// offers it, then tightens every live candidate with its row and drops
-// those with g > τ. After that it repeatedly takes the live non-pivot with
-// the smallest (g, corpus index), stops once g > τ, and evaluates it
-// through the metric's ladder under τ. Masked positions are never offered;
-// a masked non-pivot is skipped unevaluated.
+// pivot with the smallest (g, corpus index). While τ = +Inf, or when the
+// metric has no bracket (metric.EditBracket), it evaluates the pivot
+// exactly and offers it. Otherwise it brackets the pivot's distance with
+// modelBracket, and only when the bracket's low end is at most τ evaluates
+// it through the metric's ladder under τ, offering an exact value, which
+// replaces the bracket; a bracket above τ counts as an edit-rung
+// rejection. Either way it then tightens every live candidate with the
+// pivot's row against [lo, hi] and drops those with g > τ. After that it
+// repeatedly takes the live non-pivot with the smallest (g, corpus index),
+// stops once g > τ, and evaluates it through the metric's ladder under τ.
+// Masked positions are never offered; a masked non-pivot is skipped
+// unevaluated.
 func modelLAESA(la *LAESA, q []rune, k int, bound float64, radius bool, mask Mask) ([]Result, Stats) {
 	n := len(la.corpus)
 	rowOf := map[int]int{}
@@ -31,7 +63,7 @@ func modelLAESA(la *LAESA, q []rune, k int, bound float64, radius bool, mask Mas
 	var st Stats
 	tau := bound
 	offer := func(i int, d float64) {
-		if d > tau || mask.Has(i) {
+		if !(d <= tau) || mask.Has(i) {
 			return
 		}
 		hits = append(hits, Result{Index: i, Distance: d})
@@ -60,16 +92,30 @@ func modelLAESA(la *LAESA, q []rune, k int, bound float64, radius bool, mask Mas
 		}
 		return best
 	}
+	staged, _ := la.m.(metric.Staged)
+	bracketed := metric.EditBracket(la.m) != nil
 	for u := smallest(true); u >= 0; u = smallest(true) {
 		live[u] = false
 		st.Computations++
-		d := la.m.Distance(q, la.corpus[u])
-		offer(u, d)
+		var lo, hi float64
+		if !bracketed || math.IsInf(tau, 1) {
+			lo = la.m.Distance(q, la.corpus[u])
+			hi = lo
+			offer(u, lo)
+		} else if lo, hi = modelBracket(q, la.corpus[u]); lo > tau {
+			st.Rejections[metric.StageEdit]++
+		} else if d, exact, stage := staged.DistanceStaged(q, la.corpus[u], tau); exact {
+			lo, hi = d, d
+			offer(u, d)
+		} else {
+			st.Rejections[stage]++
+		}
 		for v := range n {
 			if !live[v] {
 				continue
 			}
-			if lb := math.Abs(d - la.rows[rowOf[u]][v]); lb > g[v] {
+			x := la.rows[rowOf[u]][v]
+			if lb := max(lo-x, x-hi); lb > g[v] {
 				g[v] = lb
 			}
 			if g[v] > tau {
@@ -77,7 +123,6 @@ func modelLAESA(la *LAESA, q []rune, k int, bound float64, radius bool, mask Mas
 			}
 		}
 	}
-	staged, _ := la.m.(metric.Staged)
 	for u := smallest(false); u >= 0 && g[u] <= tau; u = smallest(false) {
 		live[u] = false
 		if mask.Has(u) {

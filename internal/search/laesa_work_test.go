@@ -77,18 +77,18 @@ func TestLAESAWorkPinned(t *testing.T) {
 		{"contours/dC", contourLAESA, contourFixture, contourRadius},
 	}
 	want := map[string]laesaWork{
-		"spanish/dC/knn1":        {Stats{14871, metric.StageCounts{1090, 12512, 31, 2}}, 64, 0x71afb7f8e4154592},
-		"spanish/dC/knn3":        {Stats{85414, metric.StageCounts{12052, 70772, 361, 18}}, 192, 0x616a017d13647a2a},
-		"spanish/dC/knn10":       {Stats{94934, metric.StageCounts{10819, 77761, 1576, 119}}, 640, 0xf0aab96e9883c727},
-		"spanish/dC/radius0.3":   {Stats{61848, metric.StageCounts{15763, 45469, 0, 0}}, 57, 0xd50bd9029a70d127},
+		"spanish/dC/knn1":        {Stats{18967, metric.StageCounts{1994, 16405, 89, 12}}, 64, 0x71afb7f8e4154592},
+		"spanish/dC/knn3":        {Stats{86244, metric.StageCounts{12353, 71793, 434, 36}}, 192, 0x616a017d13647a2a},
+		"spanish/dC/knn10":       {Stats{95050, metric.StageCounts{10848, 78105, 1574, 118}}, 640, 0xf0aab96e9883c727},
+		"spanish/dC/radius0.3":   {Stats{66335, metric.StageCounts{18316, 47961, 0, 0}}, 57, 0xd50bd9029a70d127},
 		"spanish/dE/knn1":        {Stats{10118, metric.StageCounts{14, 8446, 0, 0}}, 64, 0x43fd29ca8a309103},
 		"spanish/dE/knn3":        {Stats{79980, metric.StageCounts{13, 76933, 0, 0}}, 192, 0xb34689f76b122d21},
 		"spanish/dE/knn10":       {Stats{88919, metric.StageCounts{28, 82419, 0, 0}}, 640, 0xcc607d9328057528},
 		"spanish/dE/radius2":     {Stats{34825, metric.StageCounts{14148, 20229, 0, 0}}, 118, 0x100e0d1fb244a6eb},
-		"contours/dC/knn1":       {Stats{276, metric.StageCounts{28, 75, 0, 0}}, 24, 0xfa65e0d2f2ef350f},
-		"contours/dC/knn3":       {Stats{990, metric.StageCounts{51, 588, 0, 0}}, 72, 0xa7d3b25ab411f2db},
-		"contours/dC/knn10":      {Stats{1682, metric.StageCounts{56, 937, 2, 0}}, 240, 0x95a6ca3143757d73},
-		"contours/dC/radius0.08": {Stats{340, metric.StageCounts{98, 167, 0, 0}}, 21, 0x5217d28cb950722a},
+		"contours/dC/knn1":       {Stats{299, metric.StageCounts{43, 175, 0, 0}}, 24, 0xfa65e0d2f2ef350f},
+		"contours/dC/knn3":       {Stats{1011, metric.StageCounts{56, 733, 7, 0}}, 72, 0xa7d3b25ab411f2db},
+		"contours/dC/knn10":      {Stats{1686, metric.StageCounts{58, 1038, 4, 1}}, 240, 0x95a6ca3143757d73},
+		"contours/dC/radius0.08": {Stats{417, metric.StageCounts{129, 267, 0, 0}}, 21, 0x5217d28cb950722a},
 	}
 	for _, f := range fixtures {
 		la, queries := f.index(), f.fixture().queries

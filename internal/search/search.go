@@ -114,16 +114,17 @@ func (r Request) Bound() float64 { return r.bound }
 func (r Request) IsRadius() bool { return r.radius }
 
 // Validate rejects the requests no client means: a k-NN query for no
-// results, a negative k-NN bound and a negative radius. Indexes answer
-// each with nothing; the serving layers report them to the client instead.
+// results, and a k-NN bound or a radius that is negative or NaN. Indexes
+// answer each with nothing; the serving layers report them to the client
+// instead.
 func (r Request) Validate() error {
-	if r.radius && r.bound < 0 {
+	if r.radius && !(r.bound >= 0) {
 		return fmt.Errorf("radius must be non-negative (got %g)", r.bound)
 	}
 	if !r.radius && r.k <= 0 {
 		return fmt.Errorf("k must be positive (got %d)", r.k)
 	}
-	if !r.radius && r.bound < 0 {
+	if !r.radius && !(r.bound >= 0) {
 		return fmt.Errorf("bound must be non-negative (got %g)", r.bound)
 	}
 	return nil
@@ -219,9 +220,10 @@ func (c *collector) done(n int) bool {
 	return n == 0 || !c.all && c.k <= 0
 }
 
-// offer records an exactly evaluated element.
+// offer records an exactly evaluated element. Only a distance at most tau
+// is a hit, so a NaN tau answers nothing.
 func (c *collector) offer(idx int, d float64) {
-	if d > c.tau || c.mask.Has(idx) {
+	if !(d <= c.tau) || c.mask.Has(idx) {
 		return
 	}
 	if c.all {

@@ -2,10 +2,13 @@ package ced
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"math"
 	"testing"
 
 	"ced/internal/remote"
+	"ced/internal/search"
 	"ced/internal/serve"
 	"ced/internal/shard"
 )
@@ -81,5 +84,43 @@ func TestIndexKinds(t *testing.T) {
 	}
 	if _, err := LoadIndex("trie", &bytes.Buffer{}, Levenshtein()); err == nil {
 		t.Error("LoadIndex accepted the trie")
+	}
+}
+
+// TestNaNBoundAnswersNothing: a NaN radius or k-NN bound admits no
+// distance. search.Request.Validate refuses it, so both servers answer
+// 400, and every index kind answers it with no hit, also through
+// Index.Radius and ShardedIndex.Radius, which do not validate.
+func TestNaNBoundAnswersNothing(t *testing.T) {
+	nan := math.NaN()
+	for _, req := range []search.Request{search.Within(nan), search.KNN(1, nan)} {
+		if err := req.Validate(); err == nil {
+			t.Errorf("Validate accepted radius=%v bound %v", req.IsRadius(), req.Bound())
+		}
+	}
+	words := []string{"casa", "cosa", "caso", "masa", "pasa", "gato", "gatos", "perro"}
+	for _, kind := range shard.Kinds {
+		m := Contextual()
+		if kind == "bktree" {
+			m = Levenshtein()
+		}
+		ix, err := NewIndex(kind, words, m, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := ix.Radius("casa", nan); len(hits) != 0 {
+			t.Errorf("%s: Index.Radius(NaN) answered %d hits", kind, len(hits))
+		}
+		ans, err := ix.searcher.Query(context.Background(), []rune("casa"), search.KNN(3, nan))
+		if err != nil || len(ans.Hits) != 0 {
+			t.Errorf("%s: a k-NN query under a NaN bound answered %v, %v", kind, ans.Hits, err)
+		}
+		six, err := NewShardedIndex(&Dataset{Strings: words}, m, ShardedIndexConfig{Shards: 2, Algorithm: kind, Pivots: 3, BuildWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, err := six.Radius("casa", nan); err != nil || len(hits) != 0 {
+			t.Errorf("%s: ShardedIndex.Radius(NaN) answered %v, %v", kind, hits, err)
+		}
 	}
 }

@@ -93,9 +93,10 @@ func (ix *Index) Algorithm() string { return ix.searcher.Name() }
 // per-query cost plotted on Figure 3's vertical axis).
 //
 // m should be a true metric (Contextual, Levenshtein, YujianBo,
-// MarzalVidal) for exact results; with non-metrics (MaxNormalised, and in
-// principle ContextualHeuristic) the neighbour may occasionally be
-// non-nearest, exactly as in the paper's experiments.
+// MarzalVidal) for exact results; with non-metrics (MaxNormalised,
+// MinNormalised and SumNormalised, and ContextualHeuristic, which is not
+// proven to be one) the neighbour may occasionally be non-nearest, exactly
+// as in the paper's experiments.
 func NewLAESA(corpus []string, m Metric, pivots int) *Index {
 	return &Index{
 		corpus:   corpus,

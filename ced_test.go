@@ -136,6 +136,26 @@ func TestNewIndexByName(t *testing.T) {
 	}
 }
 
+// TestNewIndexDefaultsLAESAPivots: NewIndex("laesa", …, 0) builds the
+// 16-pivot LAESA every by-name entry point defaults to, not a LAESA with
+// no pivots, which spends a linear scan's computations on every query.
+func TestNewIndexDefaultsLAESAPivots(t *testing.T) {
+	words := ced.GenerateSpanish(500, 7)
+	queries := ced.PerturbQueries(words, 20, 2, 8)
+	m := ced.Contextual()
+	got := mustIndex(t, "laesa", words.Strings, m, 0)
+	want := ced.NewLAESA(words.Strings, m, 16)
+	for _, q := range queries.Strings {
+		g, w := got.Nearest(q), want.Nearest(q)
+		if g != w {
+			t.Fatalf("Nearest(%q) = %+v, want the 16-pivot LAESA's %+v", q, g, w)
+		}
+		if g.Computations >= words.Len() {
+			t.Fatalf("Nearest(%q) spent %d computations over %d words", q, g.Computations, words.Len())
+		}
+	}
+}
+
 func TestIndexAgreesAcrossAlgorithms(t *testing.T) {
 	words := ced.GenerateSpanish(200, 3)
 	queries := ced.PerturbQueries(words, 40, 2, 4)

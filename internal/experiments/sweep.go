@@ -77,8 +77,7 @@ type SweepResult struct {
 }
 
 // corpusProvider returns the training corpus and queries for one
-// repetition. Strings must be non-empty (required by the matrix-backed
-// LAESA); dataset generators guarantee this.
+// repetition.
 type corpusProvider func(rep int) (corpus, queries [][]rune)
 
 // runSweep executes the pivot sweep. For each (repetition, metric) it

@@ -390,7 +390,9 @@ func TestClientRetriesTruncatedResponse(t *testing.T) {
 // TestClientFailsOversizedResponseOnce: a response past the body limit
 // fails on the first attempt with an error that names the limit. The
 // server would only send the same body again, so a retry would download it
-// again for nothing.
+// again for nothing. The attempt timeout is a minute, so a loaded machine
+// (the race detector, say) reads the whole 64 MiB body within one attempt:
+// under the 2 s default a slow read timed out and retried.
 func TestClientFailsOversizedResponseOnce(t *testing.T) {
 	var calls atomic.Int32
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -405,7 +407,7 @@ func TestClientFailsOversizedResponseOnce(t *testing.T) {
 		_, _ = w.Write([]byte(" "))
 	}))
 	defer hs.Close()
-	cl := NewClient(hs.URL, 0, ClientConfig{Retries: 2, Backoff: time.Millisecond})
+	cl := NewClient(hs.URL, 0, ClientConfig{Timeout: time.Minute, Retries: 2, Backoff: time.Millisecond})
 	_, _, err := cl.Dump(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "64 MiB") {
 		t.Fatalf("oversized dump: err = %v, want one naming the 64 MiB limit", err)

@@ -64,9 +64,6 @@ func NewShardServer(cfg ServerConfig) (*ShardServer, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "laesa"
 	}
-	if cfg.Pivots <= 0 {
-		cfg.Pivots = 16
-	}
 	// Resolve the builder once so a bad algorithm fails at startup, not at
 	// the first seed.
 	if _, err := shard.StandardBuild(cfg.Algorithm, cfg.Metric, cfg.Pivots, cfg.Seed, cfg.BuildWorkers); err != nil {

@@ -114,8 +114,8 @@ func NewLAESA(corpus [][]rune, m metric.Metric, numPivots int, strategy PivotStr
 // resulting index — pivots, rows and PreprocessComputations — is
 // bit-identical to a workers = 1 build for the same seed.
 func NewLAESAWorkers(corpus [][]rune, m metric.Metric, numPivots int, strategy PivotStrategy, seed int64, workers int) *LAESA {
-	pivots, rows, comps := selectPivots(corpus, m, numPivots, strategy, seed, workers)
-	return newLAESA(corpus, m, pivots, rows, comps)
+	pivots, rows := selectPivots(len(corpus), numPivots, strategy, seed, metricRows(corpus, m, workers))
+	return newLAESA(corpus, m, pivots, rows, len(pivots)*(len(corpus)-1))
 }
 
 // laesaScratch is the per-query scratch of the LAESA query loop: the live

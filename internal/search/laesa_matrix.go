@@ -4,7 +4,8 @@ import "ced/internal/metric"
 
 // NewLAESAFromMatrix builds a LAESA index whose preprocessing distances are
 // taken from a precomputed full corpus×corpus distance matrix
-// (matrix[i][j] = d(corpus[i], corpus[j])) instead of being recomputed.
+// (matrix[i][j] = d(corpus[i], corpus[j])) instead of being recomputed:
+// pivot p's row is matrix[p].
 //
 // This exists for the pivot-count sweeps of the paper's Figures 3 and 4:
 // the sweep builds LAESA indexes for a dozen pivot counts over the same
@@ -13,43 +14,6 @@ import "ced/internal/metric"
 // PreprocessComputations is reported as 0, since no metric evaluations are
 // spent; queries still evaluate m for real.
 func NewLAESAFromMatrix(corpus [][]rune, m metric.Metric, matrix [][]float64, numPivots int, strategy PivotStrategy, seed int64) *LAESA {
-	index := make(map[*rune]int, len(corpus))
-	for i := range corpus {
-		if len(corpus[i]) == 0 {
-			panic("search: NewLAESAFromMatrix requires non-empty corpus strings")
-		}
-		index[&corpus[i][0]] = i
-	}
-	// Matrix-backed "distances" are plain lookups, so a parallel fan would
-	// only add goroutine overhead: select serially (workers = 1).
-	mm := matrixMetric{matrix: matrix, index: index}
-	pivots, _, _ := selectPivots(corpus, mm, numPivots, strategy, seed, 1)
-	rows := make([][]float64, len(pivots))
-	for r, p := range pivots {
-		rows[r] = matrix[p]
-	}
+	pivots, rows := selectPivots(len(corpus), numPivots, strategy, seed, func(p int) []float64 { return matrix[p] })
 	return newLAESA(corpus, m, pivots, rows, 0)
-}
-
-// matrixMetric resolves corpus-element distances from a precomputed matrix
-// by slice identity (first-element address). It only supports pairs of
-// corpus elements — which is all selectPivots asks of it.
-type matrixMetric struct {
-	matrix [][]float64
-	index  map[*rune]int
-}
-
-func (mm matrixMetric) Name() string { return "matrix" }
-
-func (mm matrixMetric) Distance(a, b []rune) float64 {
-	return mm.matrix[mm.find(a)][mm.find(b)]
-}
-
-func (mm matrixMetric) find(s []rune) int {
-	if len(s) > 0 {
-		if i, ok := mm.index[&s[0]]; ok {
-			return i
-		}
-	}
-	panic("search: matrixMetric asked about a non-corpus string")
 }

@@ -36,25 +36,19 @@ func (s PivotStrategy) String() string {
 	}
 }
 
-// selectPivots chooses numPivots pivot indices from corpus and returns them
-// together with the pivot-to-corpus distance matrix rows and the number of
-// distance computations spent. The distance rows double as the selection
-// criterion accumulator, so selection costs no extra metric calls beyond the
-// matrix LAESA needs anyway.
-//
-// Each pivot row — the dominant preprocessing cost Micó–Oncina–Vidal
-// identify — is fanned over the corpus with one private metric session per
-// striped worker (workers <= 0 uses all CPUs). The greedy selection itself
-// stays serial: it consumes whole rows, and the row values, the chosen
-// pivots and the computation count are bit-identical to a serial run for
-// the same seed, whatever the worker count.
-func selectPivots(corpus [][]rune, m metric.Metric, numPivots int, strategy PivotStrategy, seed int64, workers int) (pivots []int, rows [][]float64, computations int) {
-	n := len(corpus)
+// selectPivots chooses up to numPivots pivot indices among n corpus
+// elements and returns them together with their distance rows: rowOf(p)
+// is the distances from element p to every element (rowOf(p)[p] is never
+// read).
+// The rows double as the selection criterion accumulator, so selection
+// costs nothing beyond the rows LAESA keeps anyway. The greedy selection
+// is serial and depends only on the seed and the row values.
+func selectPivots(n, numPivots int, strategy PivotStrategy, seed int64, rowOf func(p int) []float64) (pivots []int, rows [][]float64) {
 	if numPivots > n {
 		numPivots = n
 	}
 	if numPivots <= 0 {
-		return nil, nil, 0
+		return nil, nil
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pivots = make([]int, 0, numPivots)
@@ -70,21 +64,11 @@ func selectPivots(corpus [][]rune, m metric.Metric, numPivots int, strategy Pivo
 		}
 	}
 
-	ev := bulk.New(m)
 	next := rng.Intn(n) // first pivot: random element (paper: arbitrary)
 	for len(pivots) < numPivots {
 		pivots = append(pivots, next)
 		isPivot[next] = true
-		row := make([]float64, n)
-		pivot := corpus[next]
-		// The whole row is evaluated through the batch fan — one session
-		// warm-up and one shared query setup per worker chunk — split around
-		// the pivot itself, which a pivot row never evaluates (row[self]
-		// stays 0 and the n−1 computations match the per-pair fan exactly).
-		self := next
-		ev.FanBatch(pivot, self, workers, func(i int) []rune { return corpus[i] }, row[:self])
-		ev.FanBatch(pivot, n-self-1, workers, func(i int) []rune { return corpus[self+1+i] }, row[self+1:])
-		computations += n - 1
+		row := rowOf(next)
 		rows = append(rows, row)
 		if len(pivots) == numPivots {
 			break
@@ -133,5 +117,22 @@ func selectPivots(corpus [][]rune, m metric.Metric, numPivots int, strategy Pivo
 			break // fewer distinct elements than requested pivots
 		}
 	}
-	return pivots, rows, computations
+	return pivots, rows
+}
+
+// metricRows is selectPivots' row source under metric m. Each row — the
+// dominant preprocessing cost Micó–Oncina–Vidal identify — is fanned over
+// the corpus through the batch evaluator, one private metric session per
+// striped worker (workers <= 0 uses all CPUs), and costs n−1 distance
+// computations: the pivot itself is never evaluated (row[p] stays 0). The
+// values are bit-identical to a serial run's, whatever the worker count.
+func metricRows(corpus [][]rune, m metric.Metric, workers int) func(p int) []float64 {
+	ev := bulk.New(m)
+	n := len(corpus)
+	return func(p int) []float64 {
+		row := make([]float64, n)
+		ev.FanBatch(corpus[p], p, workers, func(i int) []rune { return corpus[i] }, row[:p])
+		ev.FanBatch(corpus[p], n-p-1, workers, func(i int) []rune { return corpus[p+1+i] }, row[p+1:])
+		return row
+	}
 }

@@ -16,8 +16,8 @@ func TestPivotSetsNestAcrossCounts(t *testing.T) {
 	corpus := randomCorpus(rng, 120, 8, alpha)
 	m := metric.Levenshtein()
 	for _, strat := range []PivotStrategy{MaxSum, MaxMin} {
-		small, _, _ := selectPivots(corpus, m, 5, strat, 77, 1)
-		large, _, _ := selectPivots(corpus, m, 25, strat, 77, 1)
+		small, _ := selectPivots(len(corpus), 5, strat, 77, metricRows(corpus, m, 1))
+		large, _ := selectPivots(len(corpus), 25, strat, 77, metricRows(corpus, m, 1))
 		for i := range small {
 			if small[i] != large[i] {
 				t.Fatalf("strategy %v: pivot %d differs (%d vs %d); sets not nested",
@@ -29,11 +29,11 @@ func TestPivotSetsNestAcrossCounts(t *testing.T) {
 
 func TestSelectPivotsZeroAndEmpty(t *testing.T) {
 	corpus := randomCorpus(rand.New(rand.NewSource(161)), 10, 5, alpha)
-	p, rows, comps := selectPivots(corpus, metric.Levenshtein(), 0, MaxSum, 1, 1)
-	if p != nil || rows != nil || comps != 0 {
+	p, rows := selectPivots(len(corpus), 0, MaxSum, 1, metricRows(corpus, metric.Levenshtein(), 1))
+	if p != nil || rows != nil {
 		t.Error("zero pivots should select nothing")
 	}
-	p, _, _ = selectPivots(nil, metric.Levenshtein(), 3, MaxSum, 1, 1)
+	p, _ = selectPivots(0, 3, MaxSum, 1, metricRows(nil, metric.Levenshtein(), 1))
 	if len(p) != 0 {
 		t.Error("empty corpus should select nothing")
 	}

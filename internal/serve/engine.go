@@ -223,9 +223,6 @@ func New(corpus []string, labels []int, m metric.Metric, cfg Config) (*Engine, e
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "laesa"
 	}
-	if cfg.Pivots <= 0 {
-		cfg.Pivots = 16
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -8,7 +8,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,9 +114,10 @@ type baseObj struct {
 
 // ovlObj is the gob form of a shard's overlay object. All slices are
 // sorted or in delta order, so encoding a given state is deterministic
-// and the content hash doubles as a change detector. Dead is the full
-// deleted-ID ledger (tombs plus delta deletions), so a reload keeps
-// refusing to resurrect IDs whose delta entries are gone.
+// and the content hash doubles as a change detector. Dead is the shard's
+// deletion ledger, so a reload keeps refusing to resurrect IDs whose delta
+// entries are gone. Tombs repeats the base IDs among them: a loader derives
+// the tombstones from Dead and fails closed on a Tombs entry they lack.
 type ovlObj struct {
 	Version int
 	Tombs   []uint64
@@ -224,15 +226,16 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 		}
 	}
 
-	// Capture every shard state first (one atomic read each; the epoch
-	// rides inside), then the ID allocator: an Add racing the capture may
+	// Capture every shard first (its state, with the epoch riding inside,
+	// and its ledger), then the ID allocator: an Add racing the capture may
 	// have published an ID >= an earlier-sampled nextID into a captured
 	// state, and a reload would then mint that ID twice. Sampling
 	// afterwards keeps the saved allocator beyond every saved element (a
 	// gap is harmless — IDs are never reused).
 	states := make([]*state, len(s.shards))
+	deads := make([][]uint64, len(s.shards))
 	for i, sh := range s.shards {
-		states[i] = sh.state.Load()
+		states[i], deads[i] = sh.capture()
 	}
 	nextID := s.nextID.Load()
 
@@ -251,7 +254,7 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 	var statsMu sync.Mutex
 	errs := make([]error, len(states))
 	pool.Fan(len(states), s.workers, func(i int) {
-		ms, up, err := sv.saveShard(ctx, i, states[i])
+		ms, up, err := sv.saveShard(ctx, i, states[i], deads[i])
 		if err != nil {
 			errs[i] = err
 			return
@@ -286,9 +289,17 @@ func (sv *Saver) Save(ctx context.Context, s *Set) (SaveStats, error) {
 	return stats, nil
 }
 
+// capture returns the shard's state and the IDs in its ledger, read
+// together under the shard lock so that both describe one instant.
+func (sh *shard) capture() (*state, []uint64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.state.Load(), slices.Collect(maps.Keys(sh.dead))
+}
+
 // saveShard uploads (or skips) one shard's base and overlay objects and
-// returns its manifest entry.
-func (sv *Saver) saveShard(ctx context.Context, i int, st *state) (ManifestShard, SaveStats, error) {
+// returns its manifest entry; dead is the shard's ledger, in any order.
+func (sv *Saver) saveShard(ctx context.Context, i int, st *state, dead []uint64) (ManifestShard, SaveStats, error) {
 	var up SaveStats
 	ms := ManifestShard{Epoch: st.epoch}
 
@@ -323,7 +334,7 @@ func (sv *Saver) saveShard(ctx context.Context, i int, st *state) (ManifestShard
 		}
 	}
 
-	b, err := encodeOverlay(i, st)
+	b, err := encodeOverlay(i, st, dead)
 	if err != nil {
 		return ms, up, err
 	}
@@ -371,18 +382,17 @@ func encodeBase(i int, st *state) ([]byte, error) {
 
 // encodeOverlay renders a shard's mutable overlay deterministically:
 // tombstones and dead IDs sorted, the delta in insertion order.
-func encodeOverlay(i int, st *state) ([]byte, error) {
-	ov := ovlObj{Version: envelopeVersion}
-	for id := range st.tombs {
-		ov.Tombs = append(ov.Tombs, id)
+func encodeOverlay(i int, st *state, dead []uint64) ([]byte, error) {
+	ov := ovlObj{Version: envelopeVersion, Dead: dead}
+	for pos, id := range st.baseIDs {
+		if st.tombs.Has(pos) {
+			ov.Tombs = append(ov.Tombs, id)
+		}
 	}
-	sort.Slice(ov.Tombs, func(a, b int) bool { return ov.Tombs[a] < ov.Tombs[b] })
-	for id := range st.dead {
-		ov.Dead = append(ov.Dead, id)
-	}
-	sort.Slice(ov.Dead, func(a, b int) bool { return ov.Dead[a] < ov.Dead[b] })
-	for j, id := range st.deltaIDs {
-		ov.Delta = append(ov.Delta, deltaSnap{ID: id, Value: st.deltaStrs[j], Label: st.deltaLabels[j]})
+	slices.Sort(ov.Tombs)
+	slices.Sort(ov.Dead)
+	for _, e := range st.delta {
+		ov.Delta = append(ov.Delta, deltaSnap{ID: e.id, Value: e.value, Label: e.label})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ov); err != nil {
@@ -625,7 +635,7 @@ func (s *Set) loadShardFromStore(ctx context.Context, store blob.Store, i int, m
 }
 
 // loadShardState reconstructs one shard's state from its base and overlay
-// objects.
+// objects, and fills the shard's ledger from the overlay.
 //
 //ced:publish
 func (s *Set) loadShardState(i int, epoch uint64, bo baseObj, ov ovlObj) (*state, error) {
@@ -642,7 +652,6 @@ func (s *Set) loadShardState(i int, epoch uint64, bo baseObj, ov ovlObj) (*state
 		baseIDs:    bo.BaseIDs,
 		baseLabels: bo.BaseLabels,
 		baseByID:   make(map[uint64]int, len(bo.BaseIDs)),
-		dead:       make(map[uint64]struct{}, len(ov.Dead)),
 		epoch:      epoch,
 	}
 	n := uint64(len(s.shards))
@@ -662,24 +671,24 @@ func (s *Set) loadShardState(i int, epoch uint64, bo baseObj, ov ovlObj) (*state
 		}
 		st.base = base
 	}
-	tombs := make(map[uint64]struct{}, len(ov.Tombs))
-	for _, id := range ov.Tombs {
-		if _, ok := st.baseByID[id]; !ok {
-			return nil, fmt.Errorf("shard: corrupt snapshot: shard %d tombstone %d not in base", i, id)
-		}
-		tombs[id] = struct{}{}
-	}
-	st.setTombs(tombs)
+	dead := s.shards[i].dead
 	for _, id := range ov.Dead {
-		st.dead[id] = struct{}{}
+		dead[id] = struct{}{}
 	}
-	for _, d := range ov.Delta {
+	st.tombstone(dead)
+	for _, id := range ov.Tombs {
+		if pos, ok := st.baseByID[id]; !ok || !st.tombs.Has(pos) {
+			return nil, fmt.Errorf("shard: corrupt snapshot: shard %d tombstone %d is not a deleted base element", i, id)
+		}
+	}
+	delta := make([]entry, len(ov.Delta))
+	for j, d := range ov.Delta {
 		if d.ID%n != uint64(i) {
 			return nil, fmt.Errorf("shard: corrupt snapshot: delta ID %d in shard %d of %d (want shard %d)", d.ID, i, n, d.ID%n)
 		}
-		st.appendDelta(s.metric, entry{id: d.ID, value: d.Value, runes: []rune(d.Value), label: d.Label})
+		delta[j] = entry{id: d.ID, value: d.Value, runes: []rune(d.Value), label: d.Label}
 	}
-	return st, nil
+	return st.withDelta(s.metric, delta), nil
 }
 
 // loadBase restores a shard's base index from its embedded snapshot, or

@@ -46,8 +46,8 @@ func (s *Set) Info() Info {
 		info.Detail[i] = ShardInfo{
 			Size:       st.live(),
 			Base:       len(st.baseIDs),
-			Delta:      len(st.deltaIDs),
-			Tombstones: len(st.tombs),
+			Delta:      len(st.delta),
+			Tombstones: st.tombstones(),
 			Epoch:      sh.epoch.Load(),
 		}
 		info.Size += info.Detail[i].Size
@@ -69,7 +69,7 @@ func (s *Set) Elements() []Element {
 	for _, sh := range s.shards {
 		st := sh.state.Load()
 		for pos, id := range st.baseIDs {
-			if _, dead := st.tombs[id]; dead {
+			if st.tombs.Has(pos) {
 				continue
 			}
 			e := Element{ID: id, Value: st.baseStrs[pos]}
@@ -78,8 +78,8 @@ func (s *Set) Elements() []Element {
 			}
 			out = append(out, e)
 		}
-		for i, id := range st.deltaIDs {
-			out = append(out, Element{ID: id, Value: st.deltaStrs[i], Label: st.deltaLabels[i]})
+		for _, e := range st.delta {
+			out = append(out, Element{ID: e.id, Value: e.value, Label: e.label})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })

@@ -163,12 +163,8 @@ func (st *state) baseHit(r search.Result) Hit {
 }
 
 func (st *state) deltaHit(r search.Result) Hit {
-	return Hit{
-		ID:       st.deltaIDs[r.Index],
-		Value:    st.deltaStrs[r.Index],
-		Label:    st.deltaLabels[r.Index],
-		Distance: r.Distance,
-	}
+	e := st.delta[r.Index]
+	return Hit{ID: e.id, Value: e.value, Label: e.label, Distance: r.Distance}
 }
 
 // queryShard answers one shard's part of a query: the base index, with
@@ -180,7 +176,7 @@ func (s *Set) queryShard(ctx context.Context, st *state, q []rune, req search.Re
 	var cands []Hit
 	var stats Stats
 	if st.base != nil {
-		ans, err := st.base.Query(ctx, q, req.Excluding(st.tombMask))
+		ans, err := st.base.Query(ctx, q, req.Excluding(st.tombs))
 		stats.Add(ans.Stats)
 		if err != nil {
 			return nil, stats, err
@@ -189,8 +185,8 @@ func (s *Set) queryShard(ctx context.Context, st *state, q []rune, req search.Re
 			cands = append(cands, st.baseHit(r))
 		}
 	}
-	if st.delta != nil {
-		ans, err := st.delta.Query(ctx, q, req)
+	if st.deltaScan != nil {
+		ans, err := st.deltaScan.Query(ctx, q, req)
 		stats.Add(ans.Stats)
 		if err != nil {
 			return nil, stats, err

@@ -8,14 +8,22 @@
 //
 // Mutation is epoch-based. Each shard holds an immutable snapshot behind an
 // atomic pointer: a frozen base index plus a small linear-scanned delta and
-// a tombstone set for deleted base elements. Add and Delete publish a new
-// snapshot under a short per-shard lock (queries never take it), and a
+// a tombstone mask over the deleted base elements. Add and Delete publish a
+// new snapshot under a short per-shard lock (queries never take it), and a
 // background compactor rebuilds the shard — live base plus delta, no
 // tombstones — and atomically swaps it in, so reads never block on
 // rebuilds and the delta never grows past the compaction threshold for
 // long. The triangle inequality that dC preserves keeps per-shard pruning
 // sound no matter how the corpus is partitioned, so sharding loses no
 // correctness.
+//
+// Each shard records its deletions once, in a ledger of every ID ever
+// deleted from it. The ledger lives beside the snapshot, under the shard's
+// mutation lock, and grows in place. A snapshot's tombstones derive from
+// it: they are the base positions whose IDs the ledger holds. Since a
+// deleted ID never returns (AddWithID refuses it, and Add mints fresh
+// IDs), a tombstone, once set, stays right until a compaction drops its
+// element.
 //
 // Elements carry stable global IDs: the initial corpus keeps its positions
 // (element i has ID i), every Add mints the next integer, and IDs are never
@@ -30,6 +38,8 @@ package shard
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,6 +98,8 @@ type Element struct {
 // state is one shard's immutable snapshot: queries load it from the atomic
 // pointer and never observe a mutation in progress. Every field is frozen
 // once published — mutations build a new state sharing the unchanged parts.
+// A state keeps no record of deletions beyond its tombstone mask: the
+// shard's ledger is that record (see shard.dead).
 //
 //ced:frozen
 type state struct {
@@ -100,17 +112,11 @@ type state struct {
 	baseLabels []int
 	// baseByID maps a global ID to its base corpus position.
 	baseByID map[uint64]int
-	// tombs is the set of deleted base IDs. Delta deletions need no
-	// tombstones — the delta arrays are rebuilt without the entry.
-	tombs map[uint64]struct{}
-	// tombMask is tombs as a mask over base positions (nil when tombs is
-	// empty): the base query excludes it. setTombs keeps the two in step.
-	tombMask search.Mask
-	// dead is every ID ever deleted from this shard, base or delta. tombs
-	// only covers base deletions (live() subtracts it from the base count,
-	// so it must stay a subset of baseIDs); dead is what makes AddWithID's
-	// "deleted IDs never resurrect" promise hold for delta entries too.
-	dead map[uint64]struct{}
+	// tombs masks the base positions of deleted base elements (nil when
+	// none); the base query excludes them. It equals the base IDs the
+	// shard's ledger holds. Deleted delta entries need no tombstone: they
+	// are simply gone from delta.
+	tombs search.Mask
 	// epoch is the compaction-swap count under which base was built. It
 	// rides inside the snapshot (rather than being read from the shard's
 	// counter separately) so a capture of this state pairs the base with
@@ -119,33 +125,43 @@ type state struct {
 	// base unchanged" skip rule.
 	epoch uint64
 
-	// delta is a linear scanner over the live delta entries (nil when
-	// none): mutation appends here, and every query scans it with the same
-	// bounded evaluation the base indexes use.
-	delta       *search.Linear
-	deltaRunes  [][]rune
-	deltaIDs    []uint64
-	deltaStrs   []string
-	deltaLabels []int
+	// delta holds the live entries added since base was built, in
+	// insertion order, and deltaScan is a linear scanner over their runes
+	// (nil when there are none): every query scans it with the same bounded
+	// evaluation the base indexes use.
+	delta     []entry
+	deltaScan *search.Linear
 }
 
-// live returns the number of live elements in this snapshot.
-func (st *state) live() int {
-	n := len(st.deltaIDs)
-	if st.base != nil {
-		n += len(st.baseIDs) - len(st.tombs)
+// tombstones returns the number of deleted base elements in this snapshot.
+func (st *state) tombstones() int {
+	n := 0
+	for _, w := range st.tombs {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
+// live returns the number of live elements in this snapshot.
+func (st *state) live() int {
+	return len(st.baseIDs) - st.tombstones() + len(st.delta)
+}
+
 // shard is one partition: an atomically swapped immutable state plus the
-// mutation lock and compaction bookkeeping.
+// deletion ledger, the mutation lock and compaction bookkeeping.
 type shard struct {
 	idx   int
 	state atomic.Pointer[state]
-	// mu serialises mutations and the compaction swap; queries never take
-	// it.
+	// mu serialises mutations, the compaction swap and a saver's capture;
+	// queries never take it.
 	mu sync.Mutex
+	// dead is the shard's deletion ledger, guarded by mu: every ID ever
+	// deleted from this shard, base or delta. It grows in place, so a
+	// delete costs the same however many came before it, and it is what
+	// keeps a deleted ID from being deleted twice or brought back by a
+	// late AddWithID — also once its delta entry, or its base element
+	// after a compaction, is gone.
+	dead map[uint64]struct{}
 	// epoch counts compaction swaps; it only ever increases.
 	epoch      atomic.Uint64
 	compacting atomic.Bool
@@ -266,7 +282,7 @@ func newSet(cfg Config, labelled bool) *Set {
 		shards:    make([]*shard, shards),
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{idx: i}
+		s.shards[i] = &shard{idx: i, dead: map[uint64]struct{}{}}
 	}
 	return s
 }
@@ -281,8 +297,6 @@ func (s *Set) newBaseState(shardIdx int, strs []string, ids []uint64, labels []i
 		baseIDs:    ids,
 		baseLabels: labels,
 		baseByID:   make(map[uint64]int, len(ids)),
-		tombs:      map[uint64]struct{}{},
-		dead:       map[uint64]struct{}{},
 	}
 	for pos, id := range ids {
 		st.baseByID[id] = pos
@@ -358,29 +372,19 @@ func (s *Set) AddWithID(id uint64, value string, label int) bool {
 }
 
 // insert lands e in its shard's delta under the shard lock, refusing IDs
-// that are already live or tombstoned. It reports whether e was inserted.
+// that are live or were ever deleted. It reports whether e was inserted.
 func (s *Set) insert(e entry) bool {
 	sh := s.shards[e.id%uint64(len(s.shards))]
 
 	sh.mu.Lock()
 	st := sh.state.Load()
-	if _, gone := st.dead[e.id]; gone {
+	_, gone := sh.dead[e.id]
+	_, inBase := st.baseByID[e.id]
+	if gone || inBase || st.deltaIndex(e.id) >= 0 {
 		sh.mu.Unlock()
 		return false
 	}
-	if _, ok := st.baseByID[e.id]; ok {
-		sh.mu.Unlock()
-		return false
-	}
-	for _, did := range st.deltaIDs {
-		if did == e.id {
-			sh.mu.Unlock()
-			return false
-		}
-	}
-	ns := st.clone()
-	ns.appendDelta(s.metric, e)
-	sh.state.Store(ns)
+	sh.state.Store(st.withDelta(s.metric, slices.Concat(st.delta, []entry{e})))
 	sh.mu.Unlock()
 
 	s.adds.Add(1)
@@ -389,10 +393,9 @@ func (s *Set) insert(e entry) bool {
 }
 
 // Delete removes the element with the given ID, reporting whether it was
-// live. Base elements gain a tombstone (space is reclaimed at the next
-// compaction); delta entries are dropped outright.
-//
-//ced:publish
+// live. The ID enters the shard's ledger; a base element gains a tombstone
+// (space is reclaimed at the next compaction), and a delta entry is
+// dropped outright.
 func (s *Set) Delete(id uint64) bool {
 	if id >= s.nextID.Load() {
 		return false
@@ -402,39 +405,18 @@ func (s *Set) Delete(id uint64) bool {
 	sh.mu.Lock()
 	st := sh.state.Load()
 	var ns *state
-	if _, ok := st.baseByID[id]; ok {
-		if _, gone := st.tombs[id]; gone {
-			sh.mu.Unlock()
-			return false
+	if _, gone := sh.dead[id]; !gone {
+		if pos, ok := st.baseByID[id]; ok {
+			ns = st.withTomb(pos)
+		} else if i := st.deltaIndex(id); i >= 0 {
+			ns = st.withDelta(s.metric, slices.Concat(st.delta[:i], st.delta[i+1:]))
 		}
-		ns = st.clone()
-		tombs := make(map[uint64]struct{}, len(st.tombs)+1)
-		for t := range st.tombs {
-			tombs[t] = struct{}{}
-		}
-		tombs[id] = struct{}{}
-		ns.setTombs(tombs)
-	} else {
-		found := false
-		for _, did := range st.deltaIDs {
-			if did == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			sh.mu.Unlock()
-			return false
-		}
-		ns = st.clone()
-		ns.rebuildDeltaWithout(s.metric, id)
 	}
-	dead := make(map[uint64]struct{}, len(st.dead)+1)
-	for d := range st.dead {
-		dead[d] = struct{}{}
+	if ns == nil {
+		sh.mu.Unlock()
+		return false
 	}
-	dead[id] = struct{}{}
-	ns.dead = dead
+	sh.dead[id] = struct{}{}
 	sh.state.Store(ns)
 	sh.mu.Unlock()
 
@@ -443,76 +425,54 @@ func (s *Set) Delete(id uint64) bool {
 	return true
 }
 
-// setTombs replaces the state's tombstones with tombs (IDs of base
-// elements) and derives the mask of their base positions that the base
-// query excludes. Every path that replaces a state's tombstones goes
-// through here, so the set and the mask never disagree.
-//
-//ced:publish
-func (st *state) setTombs(tombs map[uint64]struct{}) {
-	st.tombs, st.tombMask = tombs, nil
-	if len(tombs) == 0 {
-		return
-	}
-	st.tombMask = search.NewMask(len(st.baseIDs))
-	for id := range tombs {
-		st.tombMask.Set(st.baseByID[id])
-	}
+// deltaIndex returns the position of id in the delta, or -1.
+func (st *state) deltaIndex(id uint64) int {
+	return slices.IndexFunc(st.delta, func(e entry) bool { return e.id == id })
 }
 
-// clone copies the state shell: base fields are shared (immutable), delta,
-// tombstone and dead-ID containers still alias the original and must be
-// replaced — never mutated — by the caller before publishing.
-func (st *state) clone() *state {
+// withTomb returns a copy of st with base position pos tombstoned.
+//
+//ced:publish
+func (st *state) withTomb(pos int) *state {
 	ns := *st
+	ns.tombs = search.NewMask(len(st.baseIDs))
+	copy(ns.tombs, st.tombs)
+	ns.tombs.Set(pos)
 	return &ns
 }
 
-// appendDelta publishes a delta with e appended. The slices are re-copied
-// so no published state ever shares a backing array that a later append
-// could overwrite.
+// withDelta returns a copy of st whose delta is entries, and a scanner over
+// them. entries must be a new slice (slices.Concat always allocates one):
+// a published delta is never appended to or edited in place.
 //
 //ced:publish
-func (st *state) appendDelta(m metric.Metric, e entry) {
-	n := len(st.deltaIDs)
-	runes := make([][]rune, n, n+1)
-	copy(runes, st.deltaRunes)
-	ids := make([]uint64, n, n+1)
-	copy(ids, st.deltaIDs)
-	strs := make([]string, n, n+1)
-	copy(strs, st.deltaStrs)
-	labels := make([]int, n, n+1)
-	copy(labels, st.deltaLabels)
-	st.deltaRunes = append(runes, e.runes)
-	st.deltaIDs = append(ids, e.id)
-	st.deltaStrs = append(strs, e.value)
-	st.deltaLabels = append(labels, e.label)
-	st.delta = search.NewLinear(st.deltaRunes, m)
+func (st *state) withDelta(m metric.Metric, entries []entry) *state {
+	ns := *st
+	ns.delta, ns.deltaScan = entries, nil
+	if len(entries) > 0 {
+		runes := make([][]rune, len(entries))
+		for i, e := range entries {
+			runes[i] = e.runes
+		}
+		ns.deltaScan = search.NewLinear(runes, m)
+	}
+	return &ns
 }
 
-// rebuildDeltaWithout publishes a delta with the entry id removed.
+// tombstone masks the base positions whose IDs are in dead: the
+// tombstones of a freshly built or loaded base under the shard's ledger.
 //
 //ced:publish
-func (st *state) rebuildDeltaWithout(m metric.Metric, id uint64) {
-	n := len(st.deltaIDs)
-	runes := make([][]rune, 0, n-1)
-	ids := make([]uint64, 0, n-1)
-	strs := make([]string, 0, n-1)
-	labels := make([]int, 0, n-1)
-	for i, did := range st.deltaIDs {
-		if did == id {
+func (st *state) tombstone(dead map[uint64]struct{}) {
+	st.tombs = nil
+	for pos, id := range st.baseIDs {
+		if _, gone := dead[id]; !gone {
 			continue
 		}
-		runes = append(runes, st.deltaRunes[i])
-		ids = append(ids, did)
-		strs = append(strs, st.deltaStrs[i])
-		labels = append(labels, st.deltaLabels[i])
-	}
-	st.deltaRunes, st.deltaIDs, st.deltaStrs, st.deltaLabels = runes, ids, strs, labels
-	if len(ids) > 0 {
-		st.delta = search.NewLinear(runes, m)
-	} else {
-		st.delta = nil
+		if st.tombs == nil {
+			st.tombs = search.NewMask(len(st.baseIDs))
+		}
+		st.tombs.Set(pos)
 	}
 }
 
@@ -521,7 +481,7 @@ func (st *state) rebuildDeltaWithout(m metric.Metric, id uint64) {
 // compaction is already in flight.
 func (s *Set) maybeCompact(sh *shard) {
 	st := sh.state.Load()
-	if len(st.deltaIDs)+len(st.tombs) < s.threshold {
+	if len(st.delta)+st.tombstones() < s.threshold {
 		return
 	}
 	if !sh.compacting.CompareAndSwap(false, true) {
@@ -549,7 +509,7 @@ func (s *Set) Compact() {
 		clean := true
 		for _, sh := range s.shards {
 			st := sh.state.Load()
-			if len(st.deltaIDs)+len(st.tombs) == 0 {
+			if len(st.delta)+st.tombstones() == 0 {
 				continue
 			}
 			clean = false
@@ -568,11 +528,11 @@ func (s *Set) Compact() {
 func (s *Set) Wait() { s.compactWG.Wait() }
 
 // compactShard rebuilds sh's base from a snapshot's live elements (base
-// order first, then delta order) and swaps it in. The swap re-checks the
-// live state under the shard lock so mutations that raced the rebuild are
-// carried over: entries added during the build stay in the new delta, and
-// elements deleted during the build are tombstoned in the new base instead
-// of resurrected.
+// order first, then delta order) and swaps it in. Mutations that raced the
+// rebuild carry over at the swap, under the shard lock: elements deleted
+// during the build are in the ledger, so the new base tombstones them
+// instead of resurrecting them, and entries added during the build are
+// the current delta entries the new base lacks, which stay in its delta.
 //
 //ced:publish
 func (s *Set) compactShard(sh *shard) {
@@ -584,7 +544,7 @@ func (s *Set) compactShard(sh *shard) {
 	ids := make([]uint64, 0, n)
 	var labels []int
 	for pos, id := range snap.baseIDs {
-		if _, dead := snap.tombs[id]; dead {
+		if snap.tombs.Has(pos) {
 			continue
 		}
 		strs = append(strs, snap.baseStrs[pos])
@@ -593,13 +553,11 @@ func (s *Set) compactShard(sh *shard) {
 			labels = append(labels, snap.baseLabels[pos])
 		}
 	}
-	snapDeltaIDs := make(map[uint64]struct{}, len(snap.deltaIDs))
-	for i, id := range snap.deltaIDs {
-		snapDeltaIDs[id] = struct{}{}
-		strs = append(strs, snap.deltaStrs[i])
-		ids = append(ids, id)
+	for _, e := range snap.delta {
+		strs = append(strs, e.value)
+		ids = append(ids, e.id)
 		if s.labelled {
-			labels = append(labels, snap.deltaLabels[i])
+			labels = append(labels, e.label)
 		}
 	}
 	if s.labelled && labels == nil {
@@ -610,43 +568,14 @@ func (s *Set) compactShard(sh *shard) {
 	ns := s.newBaseState(sh.idx, strs, ids, labels)
 
 	sh.mu.Lock()
-	cur := sh.state.Load()
-	// The dead-ID ledger survives compaction wholesale: cur.dead already
-	// holds every deletion, including ones that raced the rebuild (aliasing
-	// the published map is safe — Delete replaces it copy-on-write).
-	ns.dead = cur.dead
-	// Deletes that raced the rebuild: base deletes are still in cur.tombs;
-	// delta deletes vanished from cur's delta arrays. Both target elements
-	// now baked into the new base, so they become tombstones there.
-	tombs := map[uint64]struct{}{}
-	for id := range cur.tombs {
-		if _, ok := ns.baseByID[id]; ok {
-			tombs[id] = struct{}{}
+	ns.tombstone(sh.dead)
+	var added []entry
+	for _, e := range sh.state.Load().delta {
+		if _, baked := ns.baseByID[e.id]; !baked {
+			added = append(added, e)
 		}
 	}
-	curDelta := make(map[uint64]int, len(cur.deltaIDs))
-	for i, id := range cur.deltaIDs {
-		curDelta[id] = i
-	}
-	for id := range snapDeltaIDs {
-		if _, stillLive := curDelta[id]; !stillLive {
-			tombs[id] = struct{}{}
-		}
-	}
-	ns.setTombs(tombs)
-	// Adds that raced the rebuild: cur delta entries not baked into the
-	// new base form the new delta.
-	for i, id := range cur.deltaIDs {
-		if _, baked := snapDeltaIDs[id]; baked {
-			continue
-		}
-		ns.appendDelta(s.metric, entry{
-			id:    id,
-			value: cur.deltaStrs[i],
-			runes: cur.deltaRunes[i],
-			label: cur.deltaLabels[i],
-		})
-	}
+	ns = ns.withDelta(s.metric, added)
 	ns.epoch = sh.epoch.Load() + 1
 	sh.state.Store(ns)
 	sh.epoch.Add(1)

@@ -234,8 +234,8 @@ func TestTombstoneMaskFollowsEveryPath(t *testing.T) {
 	}
 	s.compactShard(s.shards[0])
 	st := s.shards[0].state.Load()
-	if _, inBase := st.baseByID[near.ID]; !inBase || len(st.tombs) != 1 {
-		t.Fatalf("the delete did not race the rebuild: in base %v, %d tombstones", inBase, len(st.tombs))
+	if _, inBase := st.baseByID[near.ID]; !inBase || st.tombstones() != 1 {
+		t.Fatalf("the delete did not race the rebuild: in base %v, %d tombstones", inBase, st.tombstones())
 	}
 	check("a compaction swap", s, near.ID)
 

@@ -127,11 +127,12 @@ func NewBKTree(corpus []string, m Metric) (*Index, error) {
 }
 
 // NewIndex builds an index by algorithm name — the kinds cedserve -index
-// and ServerConfig.Algorithm serve: "laesa" (with the given pivot count),
-// "aesa" (the full n×n matrix: quadratic preprocessing and memory),
-// "bktree" (dE only — the BK-tree prunes on integer distances, so a
-// fractional metric is rejected) or "linear". Randomised construction
-// uses seed 1, so NewIndex("laesa", …) equals NewLAESA.
+// and ServerConfig.Algorithm serve: "laesa" (with the given pivot count;
+// <= 0 means 16), "aesa" (the full n×n matrix: quadratic preprocessing
+// and memory), "bktree" (dE only — the BK-tree prunes on integer
+// distances, so a fractional metric is rejected) or "linear". Randomised
+// construction uses seed 1, so NewIndex("laesa", …) equals NewLAESA with
+// the same positive pivot count.
 func NewIndex(algorithm string, corpus []string, m Metric, pivots int) (*Index, error) {
 	if m == nil {
 		return nil, fmt.Errorf("ced: nil metric")

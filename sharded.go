@@ -90,9 +90,6 @@ func shardedConfig(m Metric, cfg ShardedIndexConfig) (shard.Config, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "laesa"
 	}
-	if cfg.Pivots <= 0 {
-		cfg.Pivots = 16
-	}
 	im := internalMetric(m)
 	build, err := shard.StandardBuild(cfg.Algorithm, im, cfg.Pivots, cfg.Seed, cfg.BuildWorkers)
 	if err != nil {
